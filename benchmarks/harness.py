@@ -96,15 +96,13 @@ def test_harness_emits_valid_document():
     assert 1 in async_workers and len(async_workers) >= 2, async_workers
     assert "cluster_async_multi_over_single_worker" in document["summary"]
 
-    # The headline workload carries both ITA modes, so every artifact
-    # contains the batched-over-sequential trajectory point.
+    # The headline workload carries both ITA modes.
     figure3a_modes = {
         record["mode"]
         for record in records
         if record["workload"] == "figure3a" and record["engine"] == "ita"
     }
     assert figure3a_modes == {"sequential", "batched", "wal", "wal-recovery"}
-    assert "figure3a_ita_batched_over_sequential" in document["summary"]
     assert "figure3a_ita_wal_over_batched" in document["summary"]
     assert "figure3a_wal_recovery_ms" in document["summary"]
 

@@ -10,9 +10,8 @@ It is effectively a miniature, self-contained version of the Figure 3
 benchmarks, runnable directly without pytest.  The engines are described
 by :class:`~repro.EngineSpec` (the same typed specs the façade,
 persistence and experiment harness use), and ITA is additionally measured
-through its batched hot path (``process_batch``) -- the amortised loop
-that the :class:`~repro.MonitoringService` batch ingest and the benchmark
-harness ride.
+through ``process_batch`` -- the batch call the
+:class:`~repro.MonitoringService` ingest and the benchmark harness make.
 
 Run with::
 

@@ -130,29 +130,26 @@ class AlertDispatcher:
         """Total number of alert callbacks invoked so far."""
         return self._delivered
 
-    @property
-    def has_subscribers(self) -> bool:
-        """Whether any callback (global or query-scoped) is registered.
-
-        Callers batching stream events can skip the per-event alert
-        pairing entirely while this is ``False``.
-        """
-        return bool(self._global_subscribers) or any(
-            callbacks for callbacks in self._query_subscribers.values()
-        )
-
     # ------------------------------------------------------------------ #
     # event forwarding
     # ------------------------------------------------------------------ #
     def process(self, document: StreamedDocument) -> List[ResultChange]:
         """Forward ``document`` to the engine and dispatch any alerts."""
-        changes = self.engine.process(document)
-        return self.dispatch_changes(changes, document)
+        return self.process_many((document,))
 
     def process_many(self, documents: Iterable[StreamedDocument]) -> List[ResultChange]:
+        """Forward a batch to the engine, then dispatch event by event.
+
+        One :meth:`~repro.core.base.MonitoringEngine.process_batch_events`
+        call applies the whole batch; the alerts follow in stream order,
+        each carrying its triggering document.  Subscribers therefore run
+        against the post-batch engine state.
+        """
+        batch = documents if isinstance(documents, (list, tuple)) else list(documents)
         all_changes: List[ResultChange] = []
-        for document in documents:
-            all_changes.extend(self.process(document))
+        for document, changes in zip(batch, self.engine.process_batch_events(batch)):
+            if changes:
+                all_changes.extend(self.dispatch_changes(changes, document))
         return all_changes
 
     def advance_time(self, now: float) -> List[ResultChange]:

@@ -106,18 +106,6 @@ class NaiveEngine(MonitoringEngine):
         if query.query_id not in before:
             before[query.query_id] = self._results[query.query_id].top(query.k)
 
-    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
-        if not self.track_changes:
-            return []
-        changes: List[ResultChange] = []
-        for query_id, previous in before.items():
-            query = self.registry.get(query_id)
-            current = self._results[query_id].top(query.k)
-            change = self._diff_results(query_id, previous, current)
-            if change.changed:
-                changes.append(change)
-        return changes
-
     def _process_arrival(self, document: StreamedDocument, before: Dict[int, TopKResult]) -> None:
         # Naive has no index: it must score the arriving document against
         # every single installed query.

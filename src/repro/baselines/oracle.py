@@ -66,16 +66,6 @@ class OracleEngine(MonitoringEngine):
             return {}
         return {query.query_id: self.current_result(query.query_id) for query in self.registry}
 
-    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
-        if not self.track_changes:
-            return []
-        changes: List[ResultChange] = []
-        for query_id, previous in before.items():
-            change = self._diff_results(query_id, previous, self.current_result(query_id))
-            if change.changed:
-                changes.append(change)
-        return changes
-
     # ------------------------------------------------------------------ #
     def current_result(self, query_id: int) -> TopKResult:
         query = self.registry.find(query_id)

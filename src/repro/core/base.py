@@ -87,22 +87,21 @@ class MonitoringEngine:
 
         Semantically identical to calling :meth:`process` once per element
         in order -- same final state, same per-event result changes, same
-        tie-breaks -- but engines may override it with a *batched* fast
-        path that amortises per-event overhead over the whole batch (see
-        :meth:`repro.core.engine.ITAEngine.process_batch_events`).  The
-        per-event grouping (``result[i]`` belongs to ``documents[i]``) is
-        what the cluster dispatcher needs to re-interleave shard streams.
+        tie-breaks -- but engines may override it with a fused or
+        fanned-out batch path (see
+        :meth:`repro.core.engine.ITAEngine.process_batch_events`).  This
+        is the call :meth:`repro.service.MonitoringService.ingest` makes;
+        the per-event grouping (``result[i]`` belongs to ``documents[i]``)
+        is what lets it pair every alert with its triggering document and
+        the cluster dispatcher re-interleave shard streams.
         """
         return [self.process(document) for document in documents]
 
     def process_batch(self, documents: Iterable[StreamedDocument]) -> List[ResultChange]:
         """Process a batch of stream elements; return the flattened changes.
 
-        The batched fast path of the engine: equivalent to concatenating
-        the :meth:`process` output of every element, at a fraction of the
-        per-event overhead.  This is what
-        :meth:`repro.service.MonitoringService.ingest` and the benchmark
-        harness's batched mode call.
+        :meth:`process_batch_events` with the per-event grouping dropped
+        -- what the benchmark harness's batched mode calls.
         """
         batch = documents if isinstance(documents, (list, tuple)) else list(documents)
         changes: List[ResultChange] = []
@@ -136,6 +135,24 @@ class MonitoringEngine:
     # ------------------------------------------------------------------ #
     # helpers shared by implementations
     # ------------------------------------------------------------------ #
+    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
+        """One event's result changes, **ordered by query id**.
+
+        ``before`` maps each query the event touched to the top-k it
+        reported beforehand (empty when the engine does not track
+        changes).  Query-id order is the canonical per-event order of the
+        whole system -- every engine, storage backend and batch size emits
+        it, and the cluster merger's sort is then a no-op.
+        """
+        changes: List[ResultChange] = []
+        for query_id in sorted(before):
+            change = self._diff_results(
+                query_id, before[query_id], self.current_result(query_id)
+            )
+            if change.changed:
+                changes.append(change)
+        return changes
+
     @staticmethod
     def _diff_results(
         query_id: int,

@@ -21,7 +21,6 @@ of ITA's advantage over the Naive baseline.
 
 from __future__ import annotations
 
-from bisect import bisect_right as _bisect_right
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Union
 
@@ -32,7 +31,7 @@ from repro.core.descent import ProbeOrder
 from repro.core.ita import ITAQueryState
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, SlidingWindow
-from repro.exceptions import UnknownDocumentError, UnknownQueryError
+from repro.exceptions import UnknownQueryError
 from repro.index.backend import StorageBackend, storage_backend
 from repro.index.inverted_index import InvertedIndex
 from repro.query.query import ContinuousQuery
@@ -42,8 +41,14 @@ __all__ = ["ITAEngine"]
 
 
 def _generic_batch_kernel(engine: "ITAEngine", documents: Sequence[StreamedDocument]):
-    """Per-event fallback for storage backends without a fused kernel."""
+    """The batch path of storage backends without a fused kernel."""
     return [engine.process(document) for document in documents]
+
+
+def _stage_ms(stage: str, started: float, ended: float) -> None:
+    _obs.counter_child(
+        "repro_engine_stage_ms_total", "per-stage engine time", "stage", stage
+    ).add((ended - started) * 1000.0)
 
 
 class ITAEngine(MonitoringEngine):
@@ -90,12 +95,7 @@ class ITAEngine(MonitoringEngine):
         self.enable_rollup = enable_rollup
         self.probe_order = probe_order
         self._states: Dict[int, ITAQueryState] = {}
-        # Batch dispatch: a backend-supplied fused kernel, the inlined
-        # bisect loop (None), or the generic per-event fallback.
-        kernel = backend.batch_kernel()
-        if kernel is None and backend.name != "bisect":
-            kernel = _generic_batch_kernel
-        self._batch_kernel = kernel
+        self._batch_kernel = backend.batch_kernel() or _generic_batch_kernel
 
     # ------------------------------------------------------------------ #
     # query management
@@ -133,189 +133,43 @@ class ITAEngine(MonitoringEngine):
     # stream processing
     # ------------------------------------------------------------------ #
     def process(self, document: StreamedDocument) -> List[ResultChange]:
-        """Process one arrival and the expirations it causes."""
-        if _obs.active:
-            return self._process_observed(document)
-        self.counters.arrivals += 1
-        before: Dict[int, TopKResult] = {}
-        expired = self.window.insert(document)
-        for expired_document in expired:
-            self._process_expiration(expired_document, before)
-        self._process_arrival(document, before)
-        return self._collect_changes(before)
+        """Process one arrival and the expirations it causes.
 
-    def _process_observed(self, document: StreamedDocument) -> List[ResultChange]:
-        """The stage-timed twin of :meth:`process` (observability enabled)."""
+        The paper-faithful reference path: one method call per stage, one
+        :class:`~repro.core.ita.ITAQueryState` handler per affected query.
+        With observability enabled the two stages are timed as well.
+        """
+        observed = _obs.active
+        started = _perf_counter() if observed else 0.0
         self.counters.arrivals += 1
         before: Dict[int, TopKResult] = {}
-        started = _perf_counter()
-        expired = self.window.insert(document)
-        for expired_document in expired:
+        for expired_document in self.window.insert(document):
             self._process_expiration(expired_document, before)
-        mid = _perf_counter()
+        if observed:
+            expired_at = _perf_counter()
+            _stage_ms("expire", started, expired_at)
+            started = expired_at
         self._process_arrival(document, before)
         changes = self._collect_changes(before)
-        done = _perf_counter()
-        _obs.counter_child(
-            "repro_engine_stage_ms_total", "per-stage engine time", "stage", "expire"
-        ).add((mid - started) * 1000.0)
-        _obs.counter_child(
-            "repro_engine_stage_ms_total", "per-stage engine time", "stage", "arrival"
-        ).add((done - mid) * 1000.0)
+        if observed:
+            _stage_ms("arrival", started, _perf_counter())
         return changes
 
     def process_batch_events(
         self, documents: Sequence[StreamedDocument]
     ) -> List[List[ResultChange]]:
-        """The batched hot path: process a whole batch in one tight loop.
+        """Process a whole batch; one (possibly empty) change list per document.
 
-        Dispatches to the storage backend's fused kernel when it supplies
-        one (``storage="columnar"`` does); otherwise runs the inlined
-        bisect loop below.  Either way this produces exactly the same
-        engine state and the same per-event result changes as calling
-        :meth:`process` once per document -- events are still applied
+        This is the path every document takes from the service to the
+        engine.  It runs the storage backend's fused kernel when there is
+        one (``storage="columnar"``) and :meth:`process` once per document
+        otherwise (``storage="bisect"``).  Either way events are applied
         strictly in arrival order, every expiration before its triggering
-        arrival -- but the per-event overhead is amortised over the batch:
-
-        * the per-stage method dispatch of the sequential path
-          (``_process_expiration`` / ``_process_arrival`` /
-          ``_affected_queries``) is inlined into one loop body with the
-          index internals held in locals,
-        * each document's composition list is walked **once** per event,
-          fusing postings maintenance with the threshold-tree probes
-          (probes only read the trees, so interleaving them with the
-          posting updates of the same document cannot change the outcome),
-        * operation counters accumulate in plain locals and are flushed
-          once per batch.
-
-        Returns one (possibly empty) change list per input document; with
-        ``track_changes=False`` every list is empty, as in the sequential
-        path.
+        arrival, and the engine state, counters and per-event changes are
+        exactly those of calling :meth:`process` once per document; with
+        ``track_changes=False`` every list is empty.
         """
-        kernel = self._batch_kernel
-        if kernel is not None:
-            return kernel(self, documents)
-        counters = self.counters
-        index = self.index
-        lists = index._lists
-        trees = index._trees
-        store = index.documents
-        states = self._states
-        window_insert = self.window.insert
-        track = self.track_changes
-        diff_results = self._diff_results
-        make_list = index.backend.make_inverted_list
-        infinity = float("inf")
-        arrivals = expirations = inserted = deleted = probes = candidates = 0
-        per_event: List[List[ResultChange]] = []
-        # Stage timing: checked once per batch; when enabled the per-event
-        # cost is two perf_counter() calls accumulated into plain locals.
-        observed = _obs.active
-        expire_ms = arrival_ms = 0.0
-
-        for document in documents:
-            arrivals += 1
-            before: Dict[int, TopKResult] = {}
-            stage_started = _perf_counter() if observed else 0.0
-
-            # -- expirations caused by this arrival ---------------------- #
-            for expired_document in window_insert(document):
-                expirations += 1
-                doc_id = expired_document.doc_id
-                store.remove(doc_id)
-                affected: Set[int] = set()
-                update_affected = affected.update
-                for term_id, weight in expired_document.composition.items():
-                    inverted_list = lists.get(term_id)
-                    if inverted_list is None:
-                        raise UnknownDocumentError(
-                            f"document {doc_id} lists term {term_id} "
-                            "but the term has no inverted list"
-                        )
-                    inverted_list.delete(doc_id)
-                    deleted += 1
-                    if not inverted_list._items and term_id not in trees:
-                        del lists[term_id]
-                    tree = trees.get(term_id)
-                    if tree is not None and tree._thresholds:
-                        probes += 1
-                        entries = tree._entries._items
-                        update_affected(
-                            query_id
-                            for _, query_id in entries[
-                                : _bisect_right(entries, (weight, infinity))
-                            ]
-                        )
-                candidates += len(affected)
-                if track:
-                    for query_id in affected:
-                        if query_id not in before:
-                            before[query_id] = states[query_id].top_k()
-                        states[query_id].handle_expiration(doc_id)
-                else:
-                    for query_id in affected:
-                        states[query_id].handle_expiration(doc_id)
-
-            if observed:
-                stage_now = _perf_counter()
-                expire_ms += (stage_now - stage_started) * 1000.0
-                stage_started = stage_now
-
-            # -- the arrival itself -------------------------------------- #
-            doc_id = document.doc_id
-            store.add(document)
-            affected = set()
-            update_affected = affected.update
-            for term_id, weight in document.composition.items():
-                inverted_list = lists.get(term_id)
-                if inverted_list is None:
-                    inverted_list = make_list(term_id)
-                    lists[term_id] = inverted_list
-                inverted_list.insert(doc_id, weight)
-                inserted += 1
-                tree = trees.get(term_id)
-                if tree is not None and tree._thresholds:
-                    probes += 1
-                    entries = tree._entries._items
-                    update_affected(
-                        query_id
-                        for _, query_id in entries[
-                            : _bisect_right(entries, (weight, infinity))
-                        ]
-                    )
-            candidates += len(affected)
-            if track:
-                for query_id in affected:
-                    if query_id not in before:
-                        before[query_id] = states[query_id].top_k()
-                    states[query_id].handle_arrival(document)
-                changes: List[ResultChange] = []
-                for query_id, previous in before.items():
-                    change = diff_results(query_id, previous, states[query_id].top_k())
-                    if change.changed:
-                        changes.append(change)
-                per_event.append(changes)
-            else:
-                for query_id in affected:
-                    states[query_id].handle_arrival(document)
-                per_event.append([])
-            if observed:
-                arrival_ms += (_perf_counter() - stage_started) * 1000.0
-
-        counters.arrivals += arrivals
-        counters.expirations += expirations
-        counters.postings_inserted += inserted
-        counters.postings_deleted += deleted
-        counters.threshold_probes += probes
-        counters.candidate_matches += candidates
-        if observed:
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "expire"
-            ).add(expire_ms)
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "arrival"
-            ).add(arrival_ms)
-        return per_event
+        return self._batch_kernel(self, documents)
 
     def advance_time(self, now: float) -> List[ResultChange]:
         """Expire documents by the passage of time (time-based windows)."""
@@ -326,9 +180,7 @@ class ITAEngine(MonitoringEngine):
             self._process_expiration(expired_document, before)
         changes = self._collect_changes(before)
         if observed:
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "expire"
-            ).add((_perf_counter() - started) * 1000.0)
+            _stage_ms("expire", started, _perf_counter())
         return changes
 
     # ------------------------------------------------------------------ #
@@ -339,16 +191,6 @@ class ITAEngine(MonitoringEngine):
             return
         if query_id not in before:
             before[query_id] = self._states[query_id].top_k()
-
-    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
-        if not self.track_changes:
-            return []
-        changes: List[ResultChange] = []
-        for query_id, previous in before.items():
-            change = self._diff_results(query_id, previous, self._states[query_id].top_k())
-            if change.changed:
-                changes.append(change)
-        return changes
 
     def _affected_queries(self, document: StreamedDocument) -> Set[int]:
         """Probe the threshold trees: queries with a local threshold at or

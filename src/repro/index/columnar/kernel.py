@@ -3,7 +3,7 @@
 :func:`columnar_batch_events` is what
 :meth:`repro.core.engine.ITAEngine.process_batch_events` dispatches to
 when the engine was built with ``storage="columnar"``.  It plays the role
-of the engine's bisect batch loop but goes further along two axes:
+of the engine's per-event batch path but fuses the work along two axes:
 
 * **Virtual cold terms.**  With the columnar backend the index only
   materialises lists for *watched* terms (terms with a threshold tree, or
@@ -89,7 +89,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     states = engine._states
     window_insert = engine.window.insert
     track = engine.track_changes
-    diff_results = engine._diff_results
+    collect_changes = engine._collect_changes
     infinity = float("inf")
 
     arrivals = expirations = inserted = deleted = probes = candidates = 0
@@ -509,15 +509,8 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 del ordered_items[_bisect_left(ordered_items, pair)]
                 result_evictions += 1
 
-        if track:
-            changes = []
-            for query_id, previous in before.items():
-                change = diff_results(query_id, previous, states[query_id].top_k())
-                if change.changed:
-                    changes.append(change)
-            per_event.append(changes)
-        else:
-            per_event.append([])
+        # ``before`` stays empty when the engine does not track changes.
+        per_event.append(collect_changes(before) if before else [])
 
     counters.arrivals += arrivals
     counters.expirations += expirations

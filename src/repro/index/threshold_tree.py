@@ -16,13 +16,6 @@ The implementation keeps the ``(threshold, query_id)`` pairs in a
 :class:`SortedKeyList` (ascending threshold) plus a ``query_id ->
 threshold`` dictionary for O(1) updates, so a probe enumerates exactly the
 matching prefix.
-
-Note for maintainers: the batched hot path
-(:meth:`repro.core.engine.ITAEngine.process_batch_events`) inlines the
-probe by reading ``tree._entries._items`` (the flat sorted storage)
-directly -- if the internal layout of this class or of
-:class:`SortedKeyList` changes, that fast path must change with it, and
-the batch-vs-sequential equivalence tests will catch a divergence.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ The measurement substrate of the repro, in five parts:
   :mod:`~repro.observability.timing` -- the hardware-independent
   :class:`OperationCounters` cost proxies and the :class:`Timer` /
   :class:`TimingSummary` stopwatch helpers the experiment runner is built
-  on (formerly ``repro.monitoring``, which remains as a shim);
+  on;
 * :mod:`~repro.observability.runtime` -- the process-wide on/off switch
   and singletons.  Everything here is inert until
   :func:`runtime.enable` (or :func:`runtime.observed`) flips it on, and

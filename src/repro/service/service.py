@@ -750,13 +750,21 @@ class MonitoringService:
         overrides the timestamp of a single element and fast-forwards the
         clock); streamed documents keep their own arrival times.
 
-        While nothing is subscribed, iterables take the engine's batched
-        hot path (:meth:`~repro.core.base.MonitoringEngine.process_batch`
-        -- on a single ITA engine that is the inlined batch loop, on a
-        sharded cluster the amortised per-shard batch fan-out), and the
-        per-element analysis cost is the only per-document service
-        overhead.  As soon as a subscriber exists, events are processed
-        one at a time so every alert can carry its triggering document.
+        Every call takes the same path: the elements are analysed and
+        stamped, the batch is appended to the WAL (durable services), the
+        engine applies it with one
+        :meth:`~repro.core.base.MonitoringEngine.process_batch_events`
+        call, and then the changes are dispatched event by event, in
+        stream order, each alert carrying its triggering document and each
+        event's changes ordered by query id.  Two consequences of applying
+        the batch before dispatching it:
+
+        * a callback that polls :meth:`result` during a multi-document
+          ``ingest`` sees the post-batch state (as under
+          :class:`~repro.service.async_service.AsyncMonitoringService`);
+        * a callback that raises propagates out of ``ingest`` *after* the
+          whole batch was logged and applied -- the WAL and the engine
+          never disagree -- and the alerts after it are not delivered.
 
         Returns
         -------
@@ -774,120 +782,60 @@ class MonitoringService:
             iterable ``source`` is not an ingestible type.
         """
         self._check_open()
-        if obs.active:
-            return self._ingest_observed(source, at)
+        observed = obs.active
+        started = time.perf_counter()
+        delivered_before = self.dispatcher.delivered
         manager = self._queryscale
-        if self._durability is not None:
-            # Write-ahead: materialise and stamp the whole chunk, append
-            # it to the WAL, and only then apply it -- no acknowledged
-            # document is ever lost, and a crash between the append and
-            # the apply is healed by replay.
+        durability = self._durability
+        with trace_span("service.ingest") as span:
             batch = list(self._as_stream(source, at))
-            self._check_durable_batch(batch)
+            if durability is not None:
+                # A batch the engine would reject must fail before it
+                # reaches the WAL.
+                self._check_durable_batch(batch)
             if manager is not None:
                 # Wake-before-change: wake records must precede the
                 # batch's ingest record so replay re-registers a dormant
                 # query before re-applying the documents that affect it.
                 manager.begin_batch(batch)
-            if batch:
-                self._durability.log_ingest(batch)
-            if manager is not None or self.dispatcher.has_subscribers:
-                changes: List[ResultChange] = []
-                for streamed in batch:
-                    changes.extend(self.dispatcher.process(streamed))
-            else:
-                changes = self.engine.process_batch(batch)
+            if durability is not None and batch:
+                # Write-ahead: no acknowledged document is ever lost, and a
+                # crash between the append and the apply is healed by replay.
+                durability.log_ingest(batch)
+            per_event = self.engine.process_batch_events(batch)
+            lag = obs.metrics.histogram(
+                "repro_service_alert_delivery_lag_ms",
+                "document arrival to last alert callback return",
+            ) if observed else None
+            changes: List[ResultChange] = []
+            dispatch = self.dispatcher.dispatch_changes
+            for streamed, event_changes in zip(batch, per_event):
+                if event_changes:
+                    # dispatch_changes returns the transform-rewritten list
+                    # (per-subscriber under dedup): the stream callers see.
+                    changes.extend(dispatch(event_changes, streamed))
+                    if lag is not None:
+                        lag.observe((time.perf_counter() - started) * 1000.0)
             if manager is not None:
                 manager.end_batch()
-            self._durability.maybe_checkpoint()
-            return changes
-        if manager is not None:
-            # Dedup runs through the dispatcher per event: the transform
-            # expands each event's canonical changes into per-subscriber
-            # clones in the per-event order a dedup-off engine produces.
-            batch = list(self._as_stream(source, at))
-            manager.begin_batch(batch)
-            changes = []
-            for streamed in batch:
-                changes.extend(self.dispatcher.process(streamed))
-            manager.end_batch()
-            return changes
-        single = isinstance(source, (str, Document, StreamedDocument))
-        if not single and not self.dispatcher.has_subscribers:
-            return self.engine.process_batch(self._as_stream(source, at))
-        changes = []
-        for streamed in self._as_stream(source, at):
-            changes.extend(self.dispatcher.process(streamed))
-        return changes
-
-    def _ingest_observed(
-        self,
-        source: Union[Ingestible, Iterable[Ingestible]],
-        at: Optional[float],
-    ) -> List[ResultChange]:
-        """The instrumented twin of :meth:`ingest` (``obs.active`` only).
-
-        Same decision tree and same engine calls; the stream is
-        materialised up front so the document count is known, and each
-        dispatched document is timed for the alert-delivery-lag histogram
-        (arrival at the service to the last callback's return).
-        """
-        self._ensure_collector()
-        delivered_before = self.dispatcher.delivered
-        started = time.perf_counter()
-        manager = self._queryscale
-        with trace_span("service.ingest") as span:
-            batch = list(self._as_stream(source, at))
-            if self._durability is not None:
-                self._check_durable_batch(batch)
-                if manager is not None:
-                    manager.begin_batch(batch)
-                if batch:
-                    self._durability.log_ingest(batch)
-                use_dispatcher = (
-                    manager is not None or self.dispatcher.has_subscribers
-                )
-            else:
-                if manager is not None:
-                    manager.begin_batch(batch)
-                single = isinstance(source, (str, Document, StreamedDocument))
-                use_dispatcher = (
-                    manager is not None
-                    or single
-                    or self.dispatcher.has_subscribers
-                )
-            if use_dispatcher:
-                changes: List[ResultChange] = []
-                lag = obs.metrics.histogram(
-                    "repro_service_alert_delivery_lag_ms",
-                    "document arrival to last alert callback return",
-                )
-                for streamed in batch:
-                    doc_started = time.perf_counter()
-                    doc_changes = self.dispatcher.process(streamed)
-                    if doc_changes:
-                        lag.observe((time.perf_counter() - doc_started) * 1000.0)
-                    changes.extend(doc_changes)
-            else:
-                changes = self.engine.process_batch(batch)
-            if manager is not None:
-                manager.end_batch()
-            if self._durability is not None:
-                self._durability.maybe_checkpoint()
+            if durability is not None:
+                durability.maybe_checkpoint()
             span.set(documents=len(batch), changes=len(changes))
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        metrics = obs.metrics
-        metrics.counter("repro_service_ingest_calls_total", "ingest() calls").inc()
-        metrics.counter(
-            "repro_service_ingest_documents_total", "documents ingested"
-        ).inc(len(batch))
-        metrics.histogram("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
-        delivered = self.dispatcher.delivered - delivered_before
-        if delivered:
+        if observed:
+            self._ensure_collector()
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            metrics = obs.metrics
+            metrics.counter("repro_service_ingest_calls_total", "ingest() calls").inc()
             metrics.counter(
-                "repro_service_alerts_delivered_total", "alert callbacks invoked"
-            ).inc(delivered)
-        note_slow("service.ingest", elapsed_ms, documents=len(batch))
+                "repro_service_ingest_documents_total", "documents ingested"
+            ).inc(len(batch))
+            metrics.histogram("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
+            delivered = self.dispatcher.delivered - delivered_before
+            if delivered:
+                metrics.counter(
+                    "repro_service_alerts_delivered_total", "alert callbacks invoked"
+                ).inc(delivered)
+            note_slow("service.ingest", elapsed_ms, documents=len(batch))
         return changes
 
     def _check_durable_batch(self, batch: List[StreamedDocument]) -> None:

@@ -163,7 +163,8 @@ class BenchCase:
 
     ``modes`` maps an engine name to the processing modes to measure for
     it; the ITA engine is measured in both modes on the headline workload
-    so the batched-over-sequential speedup is part of every emitted file.
+    (the bisect ``batched`` cell is the denominator of the ``*_over_batched``
+    summary ratios).
     """
 
     workload: str
@@ -693,8 +694,8 @@ def _service_overhead_records(
 
     Both paths run the identical workload (change tracking on, as the
     façade requires); the ``facade`` record rides ``service.ingest`` --
-    which takes the engine's batched hot path while nothing is subscribed
-    -- and the ``direct`` record calls ``engine.process_batch`` itself.
+    one ``engine.process_batch_events`` call per chunk plus the dispatch
+    loop -- and the ``direct`` record calls ``engine.process_batch`` itself.
     """
     # Imported lazily: repro.service imports this package's runner.
     from repro.service import EngineSpec, MonitoringService, WindowSpec
@@ -791,7 +792,7 @@ def run_bench_suite(
     """Run the full suite and return the JSON-compatible result document.
 
     The ``summary`` block pre-computes the ratios later PRs care about:
-    the batched-over-sequential ITA speedup on the headline figure-3a
+    the columnar-over-batched-bisect ITA speedup on the headline figure-3a
     workload, the façade-over-direct service overhead, the async
     pipeline's measured multi-worker-over-single-worker concurrency
     speedup on the cluster workload, the out-of-process cluster's
@@ -830,12 +831,7 @@ def run_bench_suite(
         for record in records
     }
     summary: Dict[str, Any] = {}
-    sequential = by_key.get(("figure3a", "ita", "sequential", None, "bisect"))
     batched = by_key.get(("figure3a", "ita", "batched", None, "bisect"))
-    if sequential and batched and sequential.docs_per_sec > 0:
-        summary["figure3a_ita_batched_over_sequential"] = round(
-            batched.docs_per_sec / sequential.docs_per_sec, 4
-        )
     columnar = by_key.get(("figure3a", "ita", "batched", None, "columnar"))
     if columnar and batched and batched.docs_per_sec > 0:
         # The storage-backend headline: the array-backed columnar engine

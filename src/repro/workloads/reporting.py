@@ -114,7 +114,6 @@ def format_speedup_summary(result: ExperimentResult) -> str:
 # --------------------------------------------------------------------------- #
 #: what each summary ratio means, for the dashboard's headline table
 _RATIO_NOTES = {
-    "figure3a_ita_batched_over_sequential": "batched hot-path speedup (higher is better)",
     "figure3a_ita_instrumented_over_batched": "telemetry overhead (bound: <= 1.05)",
     "figure3a_ita_wal_over_batched": "logged-ingest overhead (bound: < 1.25)",
     "figure3a_ita_batched_over_naive_kmax": "ITA vs the paper's Naive-kmax competitor",

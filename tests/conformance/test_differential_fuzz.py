@@ -16,10 +16,10 @@ What must agree:
 * **top-k snapshots** at every observation point -- exactly across all
   kinds on tie-free tapes; up to ties at equal scores on the tie-heavy
   tape (scores always compare exactly);
-* **change streams** -- exactly (content and order) between the sharded
-  cluster's sync and async runs; as per-op content between ITA and the
-  cluster (the merged stream re-orders within one event by query id); as
-  per-query alert streams across every kind on tie-free tapes;
+* **change streams** -- exactly (content and order; each event's changes
+  are ordered by query id on every path) between the sharded cluster's
+  sync and async runs, between ITA and the cluster, and across every
+  kind on tie-free tapes;
 * **service snapshots** at every checkpoint -- bit-identical between the
   cluster's sync and async runs;
 * **operation counters** -- bit-identical between the cluster's sync and
@@ -305,10 +305,6 @@ def assert_digests_agree(
         assert all(score in allowed for _, score in actual), context
 
 
-def as_multiset(changes: List[Tuple]) -> List[Tuple]:
-    return sorted(changes)
-
-
 @pytest.mark.parametrize("seed,tie_heavy", TAPES)
 def test_differential_fuzz(seed: int, tie_heavy: bool) -> None:
     tape = generate_tape(seed, tie_heavy)
@@ -346,27 +342,19 @@ def test_differential_fuzz(seed: int, tie_heavy: bool) -> None:
     assert sharded_async.snapshots == sharded.snapshots
     assert sharded_async.counters == sharded.counters
 
-    # 2b. ITA vs the cluster: same per-op change content (the merged
-    #     stream re-orders within one event by query id) and, per query,
-    #     the exact same alert stream -- sharding one ITA engine into
-    #     three must not change any query's reported trajectory.
-    for index, changes in enumerate(reference.changes):
-        assert as_multiset(changes) == as_multiset(sharded.changes[index]), (
-            f"change content diverged at ingest op {index} (seed {seed})"
-        )
-    assert dict(sharded.alerts) == dict(reference.alerts)
-
-    # 2c. On tie-free tapes the baselines must report the exact same
-    #     per-op change content and per-query alert streams as ITA.
-    if not tie_heavy:
-        for name in ("naive", "naive-kmax"):
-            log = logs[name]
-            for index, changes in enumerate(reference.changes):
-                assert as_multiset(changes) == as_multiset(log.changes[index]), (
-                    f"change content diverged at ingest op {index} "
-                    f"(backend {name}, seed {seed})"
-                )
-            assert dict(log.alerts) == dict(reference.alerts), name
+    # 2b. ITA vs the cluster: the exact same change stream (content and
+    #     order) and, per query, the exact same alert stream -- sharding
+    #     one ITA engine into three must not change anything reported.
+    # 2c. On tie-free tapes the baselines must report them too.
+    same_stream = [SHARDED] if tie_heavy else [SHARDED, "naive", "naive-kmax"]
+    for name in same_stream:
+        log = logs[name]
+        for index, changes in enumerate(reference.changes):
+            assert changes == log.changes[index], (
+                f"change stream diverged at ingest op {index} "
+                f"(backend {name}, seed {seed})"
+            )
+        assert dict(log.alerts) == dict(reference.alerts), name
 
 
 def test_tape_generation_is_deterministic() -> None:

@@ -9,9 +9,8 @@ from the in-process engines:
   single ITA engine (sharding preserves exact results, ties included,
   and JSON float round-trips are exact -- nothing may drift over the
   wire);
-* **change streams** carry the same per-op content as ITA and are
-  bit-identical (content *and* order) to the in-process sharded cluster,
-  whose merge order the coordinator reimplements;
+* **change streams** are bit-identical (content *and* order) to ITA's
+  and to the in-process sharded cluster's;
 * **per-query alert streams** are bit-identical to ITA's;
 * **service snapshots** at every checkpoint hold the same logical state
   (documents, queries, window, clock, vocabulary) as ITA's -- the
@@ -45,7 +44,6 @@ from tests.conformance.test_differential_fuzz import (
     RunLog,
     _spec,
     assert_digests_agree,
-    as_multiset,
     generate_tape,
     normalize_alert,
     normalize_change,
@@ -96,12 +94,11 @@ def test_proc_cluster_is_bit_identical_on_tapes(seed: int, tie_heavy: bool) -> N
             context=f"(sharded-proc, observation {index}, seed {seed})",
         )
 
-    # 2. Change streams: bit-identical to the in-process cluster (same
-    #    merge order) and the same per-op content as ITA.
+    # 2. Change streams: bit-identical to the in-process cluster and to ITA.
     assert proc.changes == sharded.changes
     for index, changes in enumerate(reference.changes):
-        assert as_multiset(changes) == as_multiset(proc.changes[index]), (
-            f"change content diverged at ingest op {index} (seed {seed})"
+        assert changes == proc.changes[index], (
+            f"change stream diverged at ingest op {index} (seed {seed})"
         )
 
     # 3. Per-query alert streams: bit-identical to ITA's.
@@ -210,7 +207,7 @@ def test_sigkill_mid_tape_is_invisible_after_wal_replay(storage: str) -> None:
             context=f"(post-kill observation {index})",
         )
     for index, changes in enumerate(reference.changes):
-        assert as_multiset(changes) == as_multiset(killed.changes[index]), (
-            f"change content diverged at ingest op {index} after the kill"
+        assert changes == killed.changes[index], (
+            f"change stream diverged at ingest op {index} after the kill"
         )
     assert dict(killed.alerts) == dict(reference.alerts)

@@ -29,10 +29,8 @@ reproduce it **bit-identically**:
 * the full operation-counter block (same probes, scores, roll-up steps,
   refills -- the backends must do the *same work*, not just reach the
   same answer),
-* change streams: exactly (content and order) for the sequential
-  columnar run; as per-event content for the batched run (the batch
-  kernel re-orders within one event by query id, the latitude the
-  conformance suite documents).
+* change streams: exactly, content and order (each event's changes are
+  ordered by query id on every path).
 """
 
 from __future__ import annotations
@@ -144,16 +142,13 @@ def test_columnar_reproduces_bisect_bit_for_bit(documents, queries, batch):
     assert col_state == ref_state
     assert col_counters == ref_counters
 
-    # Batched columnar: state and counters exact; change content exact
-    # per event, order within one event free.
+    # Batched columnar (the fused kernel): the same bar.
     batch_changes, batch_state, batch_counters = _run(
         "columnar", batch, documents, queries
     )
     assert batch_state == ref_state
     assert batch_counters == ref_counters
-    assert len(batch_changes) == len(ref_changes)
-    for expected, actual in zip(ref_changes, batch_changes):
-        assert sorted(expected) == sorted(actual)
+    assert batch_changes == ref_changes
 
 
 @given(

@@ -11,10 +11,7 @@ contract here is strictly tighter than the cross-kind conformance suite:
 * **top-k snapshots** are exact at every observation point, on the
   tie-heavy tape included (same kind, same algorithm -- tie handling must
   be reproduced bit for bit, not merely up to equal scores);
-* **change streams** carry the same per-op content (the batched ingest
-  path may re-order change records within one event by query id, the same
-  latitude the cross-kind suite documents); each record's entered/left
-  sequences compare exactly;
+* **change streams** are bit-identical, content and order;
 * **per-query alert streams** are bit-identical;
 * **operation counters** are bit-identical at every observation point --
   the columnar backend must not change *what* work the algorithm does,
@@ -38,7 +35,6 @@ import pytest
 from repro.service import MonitoringService
 from tests.conformance.test_differential_fuzz import (
     TAPES,
-    as_multiset,
     digest_results,
     generate_tape,
     run_sync,
@@ -82,10 +78,10 @@ def assert_storage_parity(engine_name: str, seed: int, tie_heavy: bool) -> None:
         f"top-k diverged between storage backends {context}"
     )
 
-    # Change streams: same per-op content.
+    # Change streams: bit-identical, content and order.
     for index, changes in enumerate(bisect_log.changes):
-        assert as_multiset(changes) == as_multiset(columnar_log.changes[index]), (
-            f"change content diverged at ingest op {index} {context}"
+        assert changes == columnar_log.changes[index], (
+            f"change stream diverged at ingest op {index} {context}"
         )
 
     # Alert streams: bit-identical per query.

@@ -1,22 +1,27 @@
-"""Batch-vs-sequential equivalence: ``process_batch`` must be a pure
-performance optimisation.
+"""Batch equivalence: a batch is its documents, one after the other.
 
-The batched hot path (:meth:`repro.core.engine.ITAEngine.process_batch_events`
-and the cluster's batch fan-out) inlines and fuses the per-event pipeline;
-these tests pin down that it is *bit-identical* to feeding the same stream
-through ``process()`` one document at a time:
+:meth:`~repro.core.base.MonitoringEngine.process_batch_events` is the one
+path a document takes from the service to an engine.  On the bisect
+storage backend it *is* ``process()`` once per document; on the columnar
+backend it is the fused kernel; on a cluster it is the batch fan-out.
+These tests pin down that whichever runs is *bit-identical* to feeding the
+same stream through ``process()`` one document at a time:
 
 * identical final top-k snapshots for every query (exact doc ids and
   scores, not merely tie-tolerant),
-* an identical per-event result-change stream,
-* identical operation counters (the batched path accumulates them in
-  locals and flushes once per batch -- the flush must be exact),
+* an identical per-event result-change stream, each event's changes
+  ordered by query id,
+* identical operation counters,
 * engine invariants intact afterwards.
 
-Covered engines: ita (with and without roll-up / round-robin probing),
-naive, naive-kmax, and the sharded cluster, over count- and time-based
-windows, with several chunkings including size 1 and the whole stream.
+Covered engines: ita on both storage backends (with and without roll-up /
+round-robin probing), naive, naive-kmax, and the sharded cluster, over
+count- and time-based windows, with several chunkings including size 1
+and the whole stream.  :class:`TestServiceAlertStream` repeats the claim
+one layer up, for the alert stream a :class:`MonitoringService` delivers.
 """
+
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +31,12 @@ from repro.baselines.naive import NaiveEngine
 from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.query.query import ContinuousQuery
+from repro.queryscale.options import QueryScaleOptions
+from repro.service import EngineSpec, MonitoringService
 from repro.service.spec import spec_from_name
 from tests.conftest import StreamCase, assert_same_topk, make_document
 
-ENGINE_NAMES = ["ita", "naive", "naive-kmax", "sharded-ita-2"]
+ENGINE_NAMES = ["ita", "ita-columnar", "naive", "naive-kmax", "sharded-ita-2"]
 
 
 def build_pair(name, window_size, queries):
@@ -99,7 +106,7 @@ class TestAllEnginesSeededStreams:
 
 
 class TestITAVariants:
-    """The ablation configurations ride the same batched loop."""
+    """The ablation configurations ride the same batch path."""
 
     @pytest.mark.parametrize(
         "options",
@@ -248,3 +255,86 @@ class TestPropertyBased:
             assert seq_state.results.as_dict() == bat_state.results.as_dict()
         assert sequential.counters.as_dict() == batched.counters.as_dict()
         batched.check_invariants()
+
+
+def _bits(score):
+    return struct.pack("<d", score)
+
+
+def _alert_key(alert):
+    change = alert.change
+    return (
+        change.query_id,
+        alert.document.doc_id,
+        tuple((entry.doc_id, _bits(entry.score)) for entry in change.entered),
+        tuple((entry.doc_id, _bits(entry.score)) for entry in change.left),
+    )
+
+
+class TestServiceAlertStream:
+    """One path from ``ingest()`` to the kernel, so one alert stream.
+
+    storage x ingest chunk x {plain, durable, query-scale}: the alerts a
+    global and the per-query subscribers receive -- query id, triggering
+    document, entered/left with score bits, and the *order* of all that --
+    and the final results equal the bisect, one-document-per-call run.
+    """
+
+    WINDOW = 13
+
+    def _run(self, storage, chunk_size, flavour, directory):
+        case = StreamCase(seed=23, num_documents=140)
+        spec = EngineSpec(
+            window=WindowSpec.count(self.WINDOW),
+            storage=storage,
+            queryscale=QueryScaleOptions() if flavour == "queryscale" else None,
+        )
+        if flavour == "durable":
+            service = MonitoringService.open(directory, spec)
+        else:
+            service = MonitoringService(spec)
+        alerts = []
+        with service:
+            service.on_change(lambda alert: alerts.append(("*", _alert_key(alert))))
+            # every query twice: the second copy is what dedup folds away
+            for copy in (0, 100):
+                for query in case.queries:
+                    service.subscribe(
+                        ContinuousQuery(query.query_id + copy, query.weights, k=query.k),
+                        on_change=lambda alert: alerts.append(("q", _alert_key(alert))),
+                    )
+            returned = []
+            for chunk in chunked(case.documents, chunk_size):
+                returned.extend(service.ingest(chunk))
+            results = {
+                query_id: [(entry.doc_id, _bits(entry.score)) for entry in result]
+                for query_id, result in service.results().items()
+            }
+        assert len(returned) * 2 == len(alerts)
+        return alerts, results
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self._run("bisect", 1, "plain", None)
+
+    @pytest.mark.parametrize("flavour", ["plain", "durable", "queryscale"])
+    @pytest.mark.parametrize("chunk_size", [1, 8, 64])
+    @pytest.mark.parametrize("storage", ["bisect", "columnar"])
+    def test_alert_stream_is_bit_identical(
+        self, reference, storage, chunk_size, flavour, tmp_path
+    ):
+        expected_alerts, expected_results = reference
+        assert expected_alerts, "the workload must raise alerts"
+        alerts, results = self._run(storage, chunk_size, flavour, tmp_path / "wal")
+        assert alerts == expected_alerts
+        assert results == expected_results
+
+    def test_each_events_alerts_come_by_query_id(self, reference):
+        alerts, _ = reference
+        per_event = {}
+        for scope, (query_id, doc_id, _, _) in alerts:
+            if scope == "*":
+                per_event.setdefault(doc_id, []).append(query_id)
+        assert any(len(ids) > 1 for ids in per_event.values())
+        for ids in per_event.values():
+            assert ids == sorted(ids)

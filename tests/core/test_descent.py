@@ -6,7 +6,7 @@ from repro.core.descent import threshold_descent
 from repro.index.inverted_index import InvertedIndex
 from repro.query.query import ContinuousQuery
 from repro.query.result import ResultList
-from repro.monitoring.instrumentation import OperationCounters
+from repro.observability.opcounters import OperationCounters
 from tests.conftest import make_document
 
 

@@ -126,6 +126,33 @@ class TestRecoveryRoundTrip:
         assert final.last_recovery.replayed_records == 2
         final.close()
 
+    def test_raising_callback_leaves_wal_and_engine_agreeing(self, tmp_path):
+        """A callback that raises on event 1 of 4 propagates after the
+        whole batch was logged *and* applied: recovery finds nothing the
+        live engine had not seen."""
+        service = open_ita(tmp_path)
+
+        def explode(alert):
+            if alert.document.doc_id == 1:
+                raise RuntimeError("subscriber bug")
+
+        service.subscribe(ContinuousQuery(0, {1: 1.0}, k=1), on_change=explode)
+        batch = [
+            make_document(doc_id, {1: 0.1 * (doc_id + 1)}, arrival_time=float(doc_id))
+            for doc_id in range(4)
+        ]
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            service.ingest(batch)
+        assert len(service.window) == 4
+        live = service.results()
+        assert [entry.doc_id for entry in live[0]] == [3]
+        del service
+
+        recovered = MonitoringService.open(tmp_path)
+        assert recovered.last_recovery.replayed_documents == 4
+        assert recovered.results() == live
+        recovered.close()
+
     def test_backwards_batch_rejected_before_logging(self, tmp_path):
         service = open_ita(tmp_path)
         service.ingest(make_document(0, {0: 0.5}, arrival_time=10.0))

@@ -1,6 +1,6 @@
 """Tests for the operation counters."""
 
-from repro.monitoring.instrumentation import OperationCounters
+from repro.observability.opcounters import OperationCounters
 
 
 class TestOperationCounters:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.monitoring.metrics import PercentileSummary, Timer, TimingSummary
+from repro.observability.timing import PercentileSummary, Timer, TimingSummary
 
 
 class TestTimer:

@@ -36,7 +36,7 @@ _BENCH_DOC = {
         },
     ],
     "summary": {
-        "figure3a_ita_batched_over_sequential": 1.3,
+        "figure3a_columnar_over_batched": 1.3,
         "figure3a_ita_instrumented_over_batched": 1.02,
     },
 }
@@ -121,7 +121,7 @@ def test_read_history_rejects_malformed_lines(tmp_path) -> None:
 def test_dashboard_renders_trend_and_throughput() -> None:
     older = history_entry(_BENCH_DOC, timestamp="2026-08-01T00:00:00+00:00")
     newer = history_entry(_BENCH_DOC, timestamp="2026-08-08T00:00:00+00:00")
-    newer["summary"]["figure3a_ita_batched_over_sequential"] = 1.43
+    newer["summary"]["figure3a_columnar_over_batched"] = 1.43
     text = render_perf_dashboard([older, newer])
     assert text.startswith("# Performance dashboard")
     assert "## Headline ratios" in text

@@ -190,9 +190,7 @@ def run_with_options(
             elif kind == "ingest":
                 _, documents = op
                 changes = service.ingest(documents)
-                log.changes.append(
-                    sorted(normalize_change(change) for change in changes)
-                )
+                log.changes.append([normalize_change(change) for change in changes])
             elif kind == "observe":
                 drain_alerts()
                 log.digests.append(digest_results(service.results()))

@@ -108,29 +108,77 @@ class TestSubscribeAndIngest:
         with pytest.raises(ConfigurationError):
             service.ingest([42])
 
-    def test_unsubscribed_iterable_ingest_uses_batch_path(self):
-        """Without subscribers, iterables go through engine.process_batch."""
+    def test_every_ingest_is_one_engine_batch_call(self):
+        """One path: a process_batch_events call per ingest, subscribed or not."""
         calls = []
         service = MonitoringService()
-        original = service.engine.process_batch
+        original = service.engine.process_batch_events
 
-        def spying_process_batch(documents):
-            calls.append("batch")
+        def spying_batch_events(documents):
+            calls.append(len(documents))
             return original(documents)
 
-        service.engine.process_batch = spying_process_batch
+        service.engine.process_batch_events = spying_batch_events
         # low-level registration: no façade subscriber exists
         service.engine.register_query(ContinuousQuery(0, {1: 1.0}, k=1))
         changes = service.ingest(
             [make_document(0, {1: 0.5}, arrival_time=1.0),
              make_document(1, {1: 0.9}, arrival_time=2.0)]
         )
-        assert calls == ["batch"]
+        assert calls == [2]
         assert len(changes) == 2
-        # a subscriber forces the per-event path (alerts need documents)
-        service.handle(0, on_change=lambda alert: None)
+        seen = []
+        service.handle(0, on_change=seen.append)
         service.ingest([make_document(2, {1: 0.95}, arrival_time=3.0)])
-        assert calls == ["batch"]
+        service.ingest(make_document(3, {1: 0.99}, arrival_time=4.0))
+        assert calls == [2, 1, 1]
+        assert [alert.document.doc_id for alert in seen] == [2, 3]
+
+    def test_columnar_kernel_serves_subscribers(self):
+        """With a subscriber present the fused kernel is what runs."""
+        from repro.index.columnar.kernel import columnar_batch_events
+
+        service = MonitoringService(EngineSpec(storage="columnar"))
+        engine = service.engine
+        assert engine._batch_kernel is columnar_batch_events
+        calls = []
+
+        def spying_kernel(target, documents):
+            calls.append(len(documents))
+            return columnar_batch_events(target, documents)
+
+        def reference_path(document):
+            raise AssertionError("the per-event reference path ran")
+
+        engine._batch_kernel = spying_kernel
+        engine.process = reference_path
+        seen = []
+        service.subscribe(ContinuousQuery(0, {1: 1.0}, k=1), on_change=seen.append)
+        service.ingest(
+            [make_document(0, {1: 0.5}, arrival_time=1.0),
+             make_document(1, {1: 0.9}, arrival_time=2.0)]
+        )
+        service.ingest(make_document(2, {1: 0.95}, arrival_time=3.0))
+        assert calls == [2, 1]
+        assert [alert.document.doc_id for alert in seen] == [0, 1, 2]
+
+    def test_callback_polling_result_sees_the_post_batch_state(self):
+        """Alerts are dispatched after the batch was applied."""
+        service = MonitoringService()
+        polled = []
+        handle = service.subscribe(
+            ContinuousQuery(0, {1: 1.0}, k=1),
+            on_change=lambda alert: polled.append(
+                (alert.document.doc_id, service.result(0)[0].doc_id)
+            ),
+        )
+        service.ingest(
+            [make_document(doc_id, {1: 0.1 * (doc_id + 1)}, arrival_time=float(doc_id))
+             for doc_id in range(3)]
+        )
+        # every event's alert is delivered, each against the final top-1
+        assert polled == [(0, 2), (1, 2), (2, 2)]
+        assert [alert.document.doc_id for alert in handle.changes()] == [0, 1, 2]
 
     def test_on_change_callback_and_changes_drain(self):
         service = MonitoringService()

@@ -9,6 +9,7 @@ from repro.workloads.perfjson import (
     SCHEMA,
     BenchRecord,
     default_suite,
+    read_history,
     run_bench_suite,
     run_case,
 )
@@ -131,7 +132,8 @@ class TestRunBenchSuite:
         assert document["queries_max"] == 10_000
         assert len(document["workloads"]) >= 4
         assert len(document["engines"]) >= 3
-        assert "figure3a_ita_batched_over_sequential" in document["summary"]
+        # a bisect batch *is* the sequential path, so that ratio is retired
+        assert "figure3a_ita_batched_over_sequential" not in document["summary"]
         assert "service_facade_over_direct" in document["summary"]
         assert "cluster_async_multi_over_single_worker" in document["summary"]
         assert "figure3a_ita_wal_over_batched" in document["summary"]
@@ -173,21 +175,27 @@ class TestRunBenchSuite:
 class TestCLI:
     def test_bench_all_writes_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH_results.json"
+        history = tmp_path / "history"
         code = main(
             ["bench-all", "--scale", "smoke", "--quiet", "--repeats", "1",
-             "--queries-max", "0", "--out", str(out)]
+             "--queries-max", "0", "--out", str(out),
+             "--history-dir", str(history)]
         )
         assert code == 0
+        # the trajectory entry lands in the directory given, nowhere else
+        [entry] = read_history(history)
+        assert entry["scale"] == "smoke"
         document = json.loads(out.read_text())
         assert document["schema"] == SCHEMA
         assert len(document["workloads"]) >= 4
         assert len(document["engines"]) >= 3
         printed = capsys.readouterr().out
-        assert "figure3a_ita_batched_over_sequential" in printed
+        assert "figure3a_ita_wal_over_batched" in printed
 
     def test_bench_all_rejects_negative_queries_max(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
                 ["bench-all", "--scale", "smoke", "--quiet",
-                 "--queries-max", "-1", "--out", str(tmp_path / "out.json")]
+                 "--queries-max", "-1", "--out", str(tmp_path / "out.json"),
+                 "--history-dir", str(tmp_path / "history")]
             )

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.documents.corpus import SyntheticCorpusConfig
-from repro.monitoring.instrumentation import OperationCounters
-from repro.monitoring.metrics import PercentileSummary
+from repro.observability.opcounters import OperationCounters
+from repro.observability.timing import PercentileSummary
 from repro.workloads.experiments import ExperimentDefinition, SweepPoint
 from repro.workloads.generators import WorkloadConfig
 from repro.workloads.reporting import (

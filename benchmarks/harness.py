@@ -4,9 +4,10 @@ One entry point for the whole performance story of the repository: it runs
 the machine-readable suite of :mod:`repro.workloads.perfjson` -- the
 figure-3(a)/3(b) settings, the query-count ablation, the sharded-cluster
 scale-out workload and the service-façade overhead check, each across
-several engine kinds and the sequential, batched and async-pipeline
-processing modes (the async cells at one and at several workers fill the
-document's ``concurrency`` column) -- and emits ``BENCH_results.json``.
+several engine kinds and the sequential, batched and async-lane
+processing modes (the proc cells at one and at several worker processes
+fill the document's ``concurrency`` column) -- and emits
+``BENCH_results.json``.
 
 Three ways to run it:
 
@@ -74,27 +75,31 @@ def test_harness_emits_valid_document():
         assert record["mode"] in (
             "sequential",
             "batched",
+            "instrumented",
             "async",
+            "proc",
             "wal",
             "wal-recovery",
             "direct",
             "facade",
+            "dedup-off",
+            "dedup-on",
         )
-        # The concurrency column is exactly the async mode's worker count.
-        if record["mode"] == "async":
+        # The concurrency column is exactly the proc mode's worker count.
+        if record["mode"] == "proc":
             assert record["concurrency"] >= 1
         else:
             assert record["concurrency"] is None
 
-    # The cluster workload carries the async concurrency measurements:
-    # the single-worker baseline plus the multi-worker run.
-    async_workers = {
-        record["concurrency"]
+    # The cluster workload carries the one async cell -- the off-loop
+    # worker lane -- and its ratio to the synchronous batched loop.
+    [async_cell] = [
+        record
         for record in records
         if record["workload"] == "cluster-scaling" and record["mode"] == "async"
-    }
-    assert 1 in async_workers and len(async_workers) >= 2, async_workers
-    assert "cluster_async_multi_over_single_worker" in document["summary"]
+    ]
+    assert async_cell["engine"] == "sharded-ita"
+    assert "cluster_async_over_batched" in document["summary"]
 
     # The headline workload carries both ITA modes.
     figure3a_modes = {
@@ -102,7 +107,9 @@ def test_harness_emits_valid_document():
         for record in records
         if record["workload"] == "figure3a" and record["engine"] == "ita"
     }
-    assert figure3a_modes == {"sequential", "batched", "wal", "wal-recovery"}
+    assert figure3a_modes == {
+        "sequential", "batched", "instrumented", "wal", "wal-recovery"
+    }
     assert "figure3a_ita_wal_over_batched" in document["summary"]
     assert "figure3a_wal_recovery_ms" in document["summary"]
 

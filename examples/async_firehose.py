@@ -1,23 +1,24 @@
-"""Async firehose: concurrent ingestion on a sharded cluster.
+"""Async firehose: off-loop ingestion with backpressure on a sharded cluster.
 
 Run with::
 
     python examples/async_firehose.py
 
 A simulated news firehose feeds a 4-shard cluster through the
-asynchronous ingestion pipeline:
+asynchronous service:
 
 1. describe the cluster with a typed :class:`~repro.EngineSpec` and wrap
    it in an :class:`~repro.AsyncMonitoringService` (``async with`` starts
-   the per-shard worker lanes),
+   the ingestion lane: one worker thread, off the event loop),
 2. ``subscribe()`` standing queries whose callbacks fire on the event
-   loop, in stream order, as batches clear the merge barrier,
+   loop, in stream order, as each batch completes,
 3. a *fast producer* pushes headlines while a deliberately *small queue
    depth* exercises backpressure -- the producer's ``await`` blocks while
-   the slowest shard lane is full, instead of buffering without bound,
-4. reads (``results()``) and ``snapshot()`` drain the pipeline first, so
-   they observe exactly the documents ingested before the call,
-5. the pipeline's stats show the per-shard busy time the lanes overlap.
+   the lane is full, instead of buffering without bound,
+4. reads (``results()``) and ``snapshot()`` drain the lane first, so they
+   observe exactly the documents ingested before the call,
+5. the lane's stats show how long the producer waited and how long the
+   engine was busy.
 
 The results are bit-identical to synchronous ``ingest()`` -- the demo
 checks itself against a sequential run of the same stream.
@@ -53,7 +54,6 @@ async def main_async() -> dict:
     alerts = []
     async with AsyncMonitoringService(
         cluster_spec(),
-        max_workers=4,   # one worker per shard: independent shards overlap
         queue_depth=2,   # small bound => visible backpressure
         batch_size=8,
     ) as service:
@@ -66,17 +66,16 @@ async def main_async() -> dict:
                 ),
             )
 
-        # The producer submits as fast as it can; the bounded shard lanes
-        # make it wait whenever the cluster falls behind.
+        # The producer submits as fast as it can; the bounded lane makes
+        # it wait whenever the cluster falls behind.
         await service.ingest(headlines(160))
 
         results = await service.results()   # drains first: read-your-writes
         stats = service.stats
-        print(f"pipeline: {stats.batches} batches, {stats.events} events, "
+        print(f"lane: {stats.batches} batches, {stats.events} events, "
               f"max {stats.max_inflight} in flight")
-        busy = ", ".join(f"{ms:.1f}" for ms in stats.shard_busy_ms)
-        print(f"per-shard busy ms: [{busy}] "
-              f"(critical path {stats.max_shard_busy_ms:.1f} ms)")
+        print(f"engine busy {stats.busy_ms:.1f} ms on the worker thread; "
+              f"producer blocked {stats.submit_wait_ms:.1f} ms on backpressure")
         print(f"alerts delivered on the event loop: {len(alerts)}")
         snapshot = await service.snapshot()
     return {"results": results, "snapshot": snapshot, "alerts": len(alerts)}
@@ -92,7 +91,7 @@ def main() -> None:
         sequential.ingest(headlines(160))
         assert sequential.results() == concurrent["results"]
         assert sequential.snapshot()["engine"] == concurrent["snapshot"]["engine"]
-    print("sequential re-run agrees bit-for-bit with the async pipeline")
+    print("sequential re-run agrees bit-for-bit with the async service")
 
     print("\nfinal watchlists:")
     for query_id, result in sorted(concurrent["results"].items()):

@@ -169,7 +169,7 @@ class AlertDispatcher:
 
         This is the notification half of :meth:`process`, split out for
         callers that run the engine themselves -- the asynchronous
-        ingestion pipeline computes the changes on worker threads and
+        service computes the changes on its one worker thread and
         dispatches them here, in stream order, from the event loop.
         ``document`` is the triggering arrival (``None`` for pure-expiry
         changes), exactly as in :meth:`process`/:meth:`advance_time`.

@@ -24,12 +24,6 @@ from repro.cluster.dispatcher import EventDispatcher
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.merger import ResultMerger
 from repro.cluster.persistence import restore_cluster, snapshot_cluster
-from repro.cluster.pipeline import (
-    ClusterPipeline,
-    EnginePipeline,
-    PipelineStats,
-    pipeline_for,
-)
 from repro.cluster.placement import (
     CostModelPlacement,
     HashPlacement,
@@ -49,8 +43,4 @@ __all__ = [
     "make_placement",
     "snapshot_cluster",
     "restore_cluster",
-    "ClusterPipeline",
-    "EnginePipeline",
-    "PipelineStats",
-    "pipeline_for",
 ]

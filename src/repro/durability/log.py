@@ -145,7 +145,7 @@ class DurabilityLog:
         self._logged_vocab = len(service.vocabulary)
         #: highest arrival time / clock advance ever logged -- the floor a
         #: new durable batch must respect.  The engine's window clock is
-        #: not enough on its own: async lanes may hold logged batches the
+        #: not enough on its own: the async lane may hold logged batches the
         #: engine has not applied yet.
         self._logged_clock: Optional[float] = service.window.clock
         self._closed = False

@@ -1,7 +1,7 @@
 """Out-of-process clustering and the network serving tier.
 
 This package promotes the query-sharded cluster of :mod:`repro.cluster`
-from thread lanes inside one interpreter to real worker *processes*, and
+from shards inside one interpreter to real worker *processes*, and
 puts a thin socket server in front of
 :class:`~repro.service.MonitoringService` so remote clients can subscribe
 and ingest:

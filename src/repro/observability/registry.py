@@ -17,7 +17,7 @@ Lazy *collectors* complement the eager instruments: a registered callable
 is invoked at snapshot/exposition time and returns sample dictionaries, so
 state that already exists elsewhere (the engines'
 :class:`~repro.observability.opcounters.OperationCounters` blocks, a
-running pipeline's lane timers) is exposed with **zero** hot-path cost --
+running ingestion lane's busy timer) is exposed with **zero** hot-path cost --
 the registry reads it only when someone scrapes.
 
 The registry renders itself two ways: :meth:`MetricsRegistry.snapshot`

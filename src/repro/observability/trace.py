@@ -10,9 +10,9 @@ Spans are opened with the :func:`trace_span` context manager (or
 
 Parent linkage is *explicit*: the inner call names its parent span instead
 of relying on an ambient thread-local, which is what lets a span context
-hop threads -- the cluster pipeline opens a span in ``submit()`` on the
-caller's thread and passes it into the lane workers and the merge barrier,
-so the per-lane child spans still nest correctly in the exported trace.
+hop threads -- the async ingestion lane opens a span in ``submit()`` on
+the caller's thread and passes it to its worker thread, so the
+``pipeline.lane`` child span still nests correctly in the exported trace.
 For asyncio paths the same object rides the coroutine's closure.
 
 Completed spans export as Chrome trace-event JSON (``chrome://tracing`` /

@@ -13,10 +13,10 @@ Two pieces:
   the whole service.
 * :class:`~repro.service.async_service.AsyncMonitoringService` -- the
   same façade for ``asyncio`` applications (``service.serve()`` returns
-  one): ingestion runs through the concurrent per-shard pipeline of
-  :mod:`repro.cluster.pipeline` with bounded-queue backpressure, while
-  results, change streams and snapshots stay bit-identical to the
-  synchronous path.
+  one): ingestion runs on the single worker thread of
+  :mod:`repro.service.lane` -- off the event loop, behind a bound on
+  in-flight batches -- while results, change streams and snapshots stay
+  bit-identical to the synchronous path.
 
 The modules below this package (:mod:`repro.core`, :mod:`repro.cluster`,
 :mod:`repro.alerting`, :mod:`repro.persistence`, ...) remain the

@@ -2,9 +2,8 @@
 
 :class:`~repro.service.service.MonitoringService` is synchronous -- one
 blocking ``ingest()`` call processes the whole stream chunk on the calling
-thread.  This module wraps it for ``asyncio`` applications and wires the
-engine to the concurrent ingestion pipelines of
-:mod:`repro.cluster.pipeline`:
+thread.  This module wraps it for ``asyncio`` applications and runs the
+engine on the single worker thread of :mod:`repro.service.lane`:
 
 >>> import asyncio
 >>> from repro.service import AsyncMonitoringService
@@ -17,17 +16,19 @@ engine to the concurrent ingestion pipelines of
 [0]
 
 * ``ingest()`` analyses and stamps documents exactly like the synchronous
-  façade, then feeds them through the pipeline in bounded batches: for a
-  sharded engine every shard consumes its partition from its own bounded
-  queue on a thread pool, so independent shards overlap; for a single
-  engine the work still leaves the event loop.
-* a *merge barrier* re-assembles the per-shard change lists in submission
-  order before any alert is delivered, so results, change streams and
-  snapshots are **bit-identical** to the synchronous path (the
-  differential fuzz suite in ``tests/conformance/`` pins this down).
+  façade, then hands them to the lane in batches: the engine work leaves
+  the event loop, and at most ``queue_depth`` batches are in flight -- a
+  fast producer waits in ``await`` instead of buffering without bound.
+  That is all the lane buys; it is one thread, not parallelism.
+* the lane applies the batches in submission order with the same
+  ``engine.process_batch_events`` call the synchronous façade makes, and
+  alerts are delivered from the event loop in that order, so results,
+  change streams and snapshots are **bit-identical** to the synchronous
+  path (the differential fuzz suite in ``tests/conformance/`` pins this
+  down).
 * query management (``subscribe``/``unsubscribe``), time advancement,
-  reads and ``snapshot()`` first *drain* the pipeline, giving them the
-  same sequential semantics they have on the synchronous façade.
+  reads and ``snapshot()`` first *drain* the lane, giving them the same
+  sequential semantics they have on the synchronous façade.
 
 The synchronous service stays the source of truth: ``service.service`` is
 a fully functional :class:`~repro.service.service.MonitoringService`, and
@@ -50,15 +51,11 @@ from repro.observability.slowlog import note_slow
 from repro.query.query import ContinuousQuery
 from repro.service.service import Ingestible, MonitoringService, QueryHandle
 from repro.service.spec import EngineSpec
-from repro.cluster.pipeline import (
-    DEFAULT_QUEUE_DEPTH,
-    BatchChanges,
-    pipeline_for,
-)
+from repro.service.lane import DEFAULT_QUEUE_DEPTH, BatchChanges, IngestLane, LaneStats
 
 __all__ = ["AsyncMonitoringService", "DEFAULT_ASYNC_BATCH_SIZE"]
 
-#: default number of documents grouped into one pipeline batch
+#: default number of documents grouped into one lane batch
 DEFAULT_ASYNC_BATCH_SIZE = 32
 
 
@@ -74,16 +71,13 @@ class AsyncMonitoringService:
         ("sharded-ita-4", ...), a prebuilt engine, or ``None`` for the
         default ITA engine -- in which case a fresh synchronous service is
         built with ``service_kwargs``.
-    max_workers:
-        Thread-pool size shared by the shard lanes (default: one worker
-        per shard; ``1`` is the single-worker baseline mode).
     queue_depth:
-        Bound of each shard lane's queue, in batches; producers block in
-        ``await`` when the slowest shard falls that far behind.
+        How many batches may be in flight on the lane; producers block in
+        ``await`` when the engine falls that far behind.
     batch_size:
-        How many documents ``ingest`` groups into one pipeline batch.
+        How many documents ``ingest`` groups into one lane batch.
 
-    The wrapper is an async context manager; entering starts the pipeline,
+    The wrapper is an async context manager; entering starts the lane,
     leaving drains and closes it (the wrapped synchronous service remains
     open and usable -- call :meth:`close` to close it too).
     """
@@ -91,7 +85,6 @@ class AsyncMonitoringService:
     def __init__(
         self,
         service: Union[MonitoringService, EngineSpec, MonitoringEngine, str, None] = None,
-        max_workers: Optional[int] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         batch_size: int = DEFAULT_ASYNC_BATCH_SIZE,
         **service_kwargs: Any,
@@ -108,38 +101,33 @@ class AsyncMonitoringService:
         if batch_size <= 0:
             raise ServiceError("batch_size must be positive")
         self.batch_size = batch_size
-        self._max_workers = max_workers
         self._queue_depth = queue_depth
-        self._pipeline = None
+        self._lane: Optional[IngestLane] = None
         self._started = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> "AsyncMonitoringService":
-        """Start the ingestion pipeline (idempotent)."""
+        """Start the ingestion lane (idempotent)."""
         if self._started:
             return self
         self.service._check_open()
-        self._pipeline = pipeline_for(
-            self.service.engine,
-            max_workers=self._max_workers,
-            queue_depth=self._queue_depth,
-        )
-        await self._pipeline.start()
+        self._lane = IngestLane(self.service.engine, queue_depth=self._queue_depth)
+        await self._lane.start()
         self._started = True
         return self
 
     async def aclose(self) -> None:
-        """Drain and stop the pipeline; the synchronous service stays open."""
+        """Drain and stop the lane; the synchronous service stays open."""
         if not self._started:
             return
         self._started = False
-        pipeline, self._pipeline = self._pipeline, None
-        await pipeline.aclose()
+        lane, self._lane = self._lane, None
+        await lane.aclose()
 
     async def close(self) -> None:
-        """Stop the pipeline *and* close the wrapped synchronous service."""
+        """Stop the lane *and* close the wrapped synchronous service."""
         await self.aclose()
         self.service.close()
 
@@ -149,13 +137,13 @@ class AsyncMonitoringService:
     async def __aexit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
         await self.aclose()
 
-    def _check_started(self):
-        if not self._started or self._pipeline is None:
+    def _check_started(self) -> IngestLane:
+        if not self._started or self._lane is None:
             raise ServiceError(
                 "the async service is not started; enter it with 'async with' "
                 "or await start() first"
             )
-        return self._pipeline
+        return self._lane
 
     @property
     def started(self) -> bool:
@@ -170,41 +158,47 @@ class AsyncMonitoringService:
         at: Optional[float] = None,
         batch_size: Optional[int] = None,
     ) -> List[ResultChange]:
-        """Feed documents through the concurrent pipeline; merged changes.
+        """Feed documents through the ingestion lane; the result changes.
 
         Accepts exactly what :meth:`MonitoringService.ingest` accepts; raw
         texts are analysed and stamped by the service clock on the event
         loop (in submission order, so ids and timestamps match the
         synchronous path), then grouped into batches of ``batch_size`` and
-        fanned out to the shard lanes.  Alerts are delivered from the
-        event loop in stream order as each batch clears the merge
-        barrier; the returned change list is identical to the synchronous
-        ``ingest`` of the same source.
+        applied on the lane's worker thread.  Alerts are delivered from
+        the event loop in stream order as each batch completes; the
+        returned change list is identical to the synchronous ``ingest`` of
+        the same source.
+
+        If the call fails part-way -- an element that is not ingestible, a
+        batch the window or the WAL rejects, a callback that raises --
+        every batch already handed to the lane is still applied and its
+        alerts delivered, in order, before the first error propagates:
+        subscribers, engine and WAL agree on the accepted prefix.
         """
-        pipeline = self._check_started()
+        lane = self._check_started()
         self.service._check_open()
         size = batch_size if batch_size is not None else self.batch_size
         if size <= 0:
             raise ServiceError("batch_size must be positive")
         #: log-before-ack: every batch is appended to the WAL *before* it
-        #: enters a shard lane, so no change ever delivered (acked) to a
+        #: enters the lane, so no change ever delivered (acked) to a
         #: subscriber can be lost to a crash -- the WAL order equals the
-        #: submission order, which the merge barrier preserves
+        #: submission order, which the FIFO lane preserves
         durability = self.service._durability
         manager = self.service._queryscale
         #: hibernation transitions mutate engine registrations, so each
         #: sub-batch must run begin -> process -> dispatch -> end as one
         #: sequential unit (exactly like a replayed WAL record); plain
-        #: dedup keeps the full pipeline overlap -- its pre-batch hook
+        #: dedup keeps producer and lane overlapped -- its pre-batch hook
         #: only advances the event clock
         serialize = manager is not None and manager.options.hibernation_enabled
         observed = obs.active
         started = time.perf_counter() if observed else 0.0
         documents = 0
         changes: List[ResultChange] = []
-        #: batches submitted but not yet merged, oldest first; each entry
-        #: carries its submission timestamp (0.0 while unobserved) so the
-        #: merge-to-delivery lag of the batch can be measured
+        #: batches submitted but not yet delivered, oldest first; each
+        #: entry carries its submission timestamp (0.0 while unobserved) so
+        #: the submission-to-delivery lag of the batch can be measured
         inflight: Deque[
             Tuple[List[StreamedDocument], "asyncio.Future[BatchChanges]", float]
         ] = deque()
@@ -212,8 +206,8 @@ class AsyncMonitoringService:
         async def flush(
             future_batch: List[StreamedDocument], future, submitted: float
         ) -> None:
-            merged: BatchChanges = await future
-            for document, event_changes in zip(future_batch, merged):
+            per_event: BatchChanges = await future
+            for document, event_changes in zip(future_batch, per_event):
                 if event_changes:
                     # dispatch_changes returns the transform-rewritten
                     # list (per-subscriber under dedup) -- that is the
@@ -226,10 +220,10 @@ class AsyncMonitoringService:
                 manager.end_batch()
             if submitted:
                 # submission (pre-backpressure) to last alert callback:
-                # the end-to-end delivery lag of one pipeline batch
+                # the end-to-end delivery lag of one lane batch
                 obs.metrics.histogram(
                     "repro_async_batch_delivery_lag_ms",
-                    "pipeline batch submission to alert delivery",
+                    "lane batch submission to alert delivery",
                 ).observe((time.perf_counter() - submitted) * 1000.0)
 
         async def submit(ready: List[StreamedDocument]) -> None:
@@ -247,29 +241,43 @@ class AsyncMonitoringService:
             if durability is not None:
                 durability.log_ingest(ready)
             submitted = time.perf_counter() if observed else 0.0
-            inflight.append((ready, await pipeline.submit(ready), submitted))
+            inflight.append((ready, await lane.submit(ready), submitted))
             if serialize:
                 while inflight:
                     await flush(*inflight.popleft())
 
-        batch: List[StreamedDocument] = []
-        for streamed in self.service._as_stream(source, at):
-            batch.append(streamed)
-            documents += 1
-            if len(batch) >= size:
+        error: Optional[Exception] = None
+        try:
+            batch: List[StreamedDocument] = []
+            for streamed in self.service._as_stream(source, at):
+                batch.append(streamed)
+                documents += 1
+                if len(batch) >= size:
+                    await submit(batch)
+                    batch = []
+                    # Deliver completed batches opportunistically so alert
+                    # latency stays bounded on long streams, still in order.
+                    while inflight and inflight[0][1].done():
+                        await flush(*inflight.popleft())
+            if batch:
                 await submit(batch)
-                batch = []
-                # Deliver completed batches opportunistically so alert
-                # latency stays bounded on long streams, still in order.
-                while inflight and inflight[0][1].done():
-                    await flush(*inflight.popleft())
-        if batch:
-            await submit(batch)
+        except Exception as exc:
+            error = exc
+        # What the lane holds is logged and (being) applied whatever went
+        # wrong above or goes wrong in a callback below: deliver all of it,
+        # in order, before the first error propagates -- dropping these
+        # alerts would leave subscribers behind the engine and the WAL.
         while inflight:
-            await flush(*inflight.popleft())
+            try:
+                await flush(*inflight.popleft())
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
         if durability is not None and durability.checkpoint_due:
-            # Deferred past the merge barrier: a checkpoint snapshots the
-            # engine, which must not run while lanes still hold batches.
+            # Deferred until the lane is idle: a checkpoint snapshots the
+            # engine, which must not run while the lane still holds batches.
             await self.drain()
             durability.checkpoint()
         if observed:
@@ -280,7 +288,7 @@ class AsyncMonitoringService:
                 "repro_async_ingest_calls_total", "async ingest() calls"
             ).inc()
             metrics.counter(
-                "repro_async_ingest_documents_total", "documents through the pipeline"
+                "repro_async_ingest_documents_total", "documents through the lane"
             ).inc(documents)
             metrics.histogram(
                 "repro_async_ingest_ms", "async ingest() latency"
@@ -291,16 +299,16 @@ class AsyncMonitoringService:
     async def advance_time(self, now: float) -> List[ResultChange]:
         """Advance the virtual clock (time-based windows); expiry changes.
 
-        Drains the pipeline, advances every shard concurrently, and
+        Drains the lane, advances the engine on the worker thread, and
         delivers the expiry alerts (with ``alert.document`` set to
         ``None``) exactly like the synchronous façade.
         """
-        pipeline = self._check_started()
+        lane = self._check_started()
         self.service._check_open()
         self.service._clock = max(self.service._clock, float(now))
         manager = self.service._queryscale
         if manager is not None:
-            # Wakes re-register queries on the engine, so the pipeline
+            # Wakes re-register queries on the engine, so the lane
             # must be idle first; the clock pre-check mirrors the sync
             # façade (a rejected advance must not move the event clock).
             await self.drain()
@@ -308,7 +316,7 @@ class AsyncMonitoringService:
             if floor is not None and float(now) < floor:
                 raise WindowError(f"time cannot go backwards: {now} < {floor}")
             manager.begin_advance(float(now))
-        expiry_changes = await pipeline.advance_time(now)
+        expiry_changes = await lane.advance_time(now)
         durability = self.service._durability
         if durability is not None:
             # Logged once the engine accepted it; hibernate records from
@@ -322,13 +330,13 @@ class AsyncMonitoringService:
         if manager is not None:
             manager.end_batch()
         if durability is not None:
-            # The pipeline has just drained, so a due checkpoint may run
+            # The lane has just drained, so a due checkpoint may run
             # immediately.
             durability.maybe_checkpoint()
         return expiry_changes
 
     async def drain(self) -> None:
-        """Wait until every submitted batch has been merged and delivered.
+        """Wait until every submitted batch has been applied.
 
         Note that alerts are delivered by the ``ingest`` coroutine itself,
         so after ``await ingest(...)`` returns there is nothing left to
@@ -348,7 +356,7 @@ class AsyncMonitoringService:
         query_id: Optional[int] = None,
         max_pending: Optional[int] = None,
     ) -> QueryHandle:
-        """Install a standing query once all in-flight batches are merged.
+        """Install a standing query once all in-flight batches are applied.
 
         Draining first gives registration the same sequential position it
         has on the synchronous façade: the query's initial result covers
@@ -360,7 +368,7 @@ class AsyncMonitoringService:
         )
 
     async def unsubscribe(self, query_id: int) -> None:
-        """Terminate ``query_id`` once all in-flight batches are merged."""
+        """Terminate ``query_id`` once all in-flight batches are applied."""
         await self.drain()
         self.service.unsubscribe(query_id)
 
@@ -392,7 +400,7 @@ class AsyncMonitoringService:
         return self.service.results()
 
     async def snapshot(self) -> Dict[str, Any]:
-        """Checkpoint the whole service after draining the pipeline.
+        """Checkpoint the whole service after draining the lane.
 
         The snapshot is bit-identical to one taken by the synchronous
         façade at the same stream position.
@@ -401,7 +409,7 @@ class AsyncMonitoringService:
         return self.service.snapshot()
 
     async def checkpoint(self) -> Any:
-        """Checkpoint the durable service after draining the pipeline.
+        """Checkpoint the durable service after draining the lane.
 
         Requires a service built with
         :meth:`~repro.service.MonitoringService.open`; see its
@@ -419,19 +427,13 @@ class AsyncMonitoringService:
     async def restore(
         cls,
         snapshot: Dict[str, Any],
-        max_workers: Optional[int] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         batch_size: int = DEFAULT_ASYNC_BATCH_SIZE,
         **restore_kwargs: Any,
     ) -> "AsyncMonitoringService":
-        """Rebuild a service from a snapshot and start its pipeline."""
+        """Rebuild a service from a snapshot and start its lane."""
         service = MonitoringService.restore(snapshot, **restore_kwargs)
-        wrapper = cls(
-            service,
-            max_workers=max_workers,
-            queue_depth=queue_depth,
-            batch_size=batch_size,
-        )
+        wrapper = cls(service, queue_depth=queue_depth, batch_size=batch_size)
         return await wrapper.start()
 
     # ------------------------------------------------------------------ #
@@ -451,8 +453,8 @@ class AsyncMonitoringService:
         return self.service.clock
 
     @property
-    def stats(self):
-        """The running pipeline's :class:`~repro.cluster.pipeline.PipelineStats`."""
+    def stats(self) -> LaneStats:
+        """The running lane's :class:`~repro.service.lane.LaneStats`."""
         return self._check_started().stats
 
     def query_ids(self) -> List[int]:

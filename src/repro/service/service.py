@@ -845,7 +845,7 @@ class MonitoringService:
         clock) must fail *before* it reaches the WAL -- a record that
         raises on replay would make the log unrecoverable.  The floor is
         the window clock or, if higher, the log's own high-water mark:
-        the async lanes may hold logged batches the engine has not
+        the async lane may hold logged batches the engine has not
         applied yet, and a new batch must respect those too.
         """
         floor = self.window.clock
@@ -861,7 +861,6 @@ class MonitoringService:
 
     def serve(
         self,
-        max_workers: Optional[int] = None,
         queue_depth: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> "Any":
@@ -870,9 +869,9 @@ class MonitoringService:
         Returns an
         :class:`~repro.service.async_service.AsyncMonitoringService`
         wrapping *this* service; enter it with ``async with`` (or await
-        its ``start()``) to spin up the concurrent ingestion pipeline --
-        per-shard worker lanes behind bounded queues for sharded engines,
-        a single off-loop lane otherwise.  Results, change streams and
+        its ``start()``) to start the ingestion lane -- one worker thread
+        that keeps the engine off the event loop, behind a bound of
+        ``queue_depth`` in-flight batches.  Results, change streams and
         snapshots are bit-identical to synchronous ``ingest``.
 
         Returns
@@ -886,45 +885,18 @@ class MonitoringService:
             If the service has been closed.
         """
         self._check_open()
-        # Imported lazily: the async façade imports the cluster pipeline.
+        # Imported lazily: the async façade imports this module.
         from repro.service.async_service import (
             DEFAULT_ASYNC_BATCH_SIZE,
             AsyncMonitoringService,
         )
-        from repro.cluster.pipeline import DEFAULT_QUEUE_DEPTH
+        from repro.service.lane import DEFAULT_QUEUE_DEPTH
 
         return AsyncMonitoringService(
             self,
-            max_workers=max_workers,
             queue_depth=queue_depth if queue_depth is not None else DEFAULT_QUEUE_DEPTH,
             batch_size=batch_size if batch_size is not None else DEFAULT_ASYNC_BATCH_SIZE,
         )
-
-    async def ingest_async(
-        self,
-        source: Union[Ingestible, Iterable[Ingestible]],
-        at: Optional[float] = None,
-        max_workers: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ) -> List[ResultChange]:
-        """One-shot asynchronous ingest through a temporary pipeline.
-
-        Convenience wrapper equivalent to entering :meth:`serve` around a
-        single ``ingest`` call; long-running producers should hold the
-        :meth:`serve` context open instead of paying the pipeline
-        start/stop cost per call.
-
-        Returns
-        -------
-        list of :class:`~repro.core.base.ResultChange`
-            The merged result changes, identical to synchronous
-            :meth:`ingest` of the same source.
-        """
-        async with self.serve(
-            max_workers=max_workers, queue_depth=queue_depth, batch_size=batch_size
-        ) as serving:
-            return await serving.ingest(source, at=at)
 
     def advance_time(self, now: float) -> List[ResultChange]:
         """Advance the clock without an arrival (time-based windows).

@@ -69,7 +69,7 @@ _PLACEMENT_NAMES = ("round-robin", "hash", "cost")
 #: k_max policy names understood by "naive-kmax" specs
 _KMAX_POLICIES = ("fixed", "adaptive", "analytical")
 
-#: the kinds that partition queries over shards (in-process thread lanes
+#: the kinds that partition queries over shards (in-process engines
 #: or worker processes); they share the sharded field block below
 _CLUSTER_KINDS = ("sharded", "sharded-proc")
 

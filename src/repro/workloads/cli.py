@@ -122,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench-all only: best-of-N repetitions per measurement (default: 3)",
     )
     parser.add_argument(
-        "--async-workers",
-        type=int,
-        default=None,
-        help=(
-            "bench-all only: worker-pool size of the async ingestion mode's "
-            "multi-worker measurement (default: 4; the single-worker baseline "
-            "is always measured alongside)"
-        ),
-    )
-    parser.add_argument(
         "--proc-workers",
         type=int,
         default=None,
@@ -318,7 +308,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.experiment == "bench-all":
         from repro.workloads.perfjson import (
-            DEFAULT_ASYNC_WORKERS,
             DEFAULT_BATCH_SIZE,
             DEFAULT_PROC_WORKERS,
             DEFAULT_QUERIES_MAX,
@@ -330,8 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--batch-size must be positive")
         if args.repeats <= 0:
             parser.error("--repeats must be positive")
-        if args.async_workers is not None and args.async_workers <= 0:
-            parser.error("--async-workers must be positive")
         if args.proc_workers is not None and args.proc_workers <= 0:
             parser.error("--proc-workers must be positive")
         if args.queries_max is not None and args.queries_max < 0:
@@ -343,11 +330,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ),
             repeats=args.repeats,
             progress=progress,
-            async_workers=(
-                args.async_workers
-                if args.async_workers is not None
-                else DEFAULT_ASYNC_WORKERS
-            ),
             proc_workers=(
                 args.proc_workers
                 if args.proc_workers is not None

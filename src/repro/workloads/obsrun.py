@@ -2,7 +2,7 @@
 
 ``python -m repro.workloads.cli obs`` needs a workload that lights up the
 whole telemetry surface at once -- the service counters, the engine stage
-timers and operation counters, the async pipeline's lane gauges, the WAL
+timers and operation counters, the async ingestion lane's gauges, the WAL
 and checkpoint histograms, and the recovery phase breakdown -- so the
 exposition it prints (and the ``obs-smoke`` CI job validates) exercises
 the same metric names a real deployment would scrape.
@@ -17,12 +17,12 @@ under one :func:`repro.observability.runtime.observed` scope:
    ``repro_recovery_*`` families;
 2. an *async* phase: a sharded cluster behind an
    :class:`~repro.AsyncMonitoringService` ingests the same kind of
-   stream through the concurrent pipeline -- producing the
+   stream through the ingestion lane -- producing the
    ``repro_async_*`` and ``repro_pipeline_*`` families plus the engine
    operation counters of the live cluster.
 
 The registry is captured *inside* the async phase (after the reads
-drained the pipeline, before ``aclose`` unregisters the pipeline's
+drained the lane, before ``aclose`` unregisters the lane's
 scrape-time collector), so the returned exposition carries every family.
 """
 
@@ -53,7 +53,7 @@ REQUIRED_FAMILIES = (
     "repro_service_ingest_ms",
     "repro_async_ingest_documents_total",
     "repro_pipeline_events_total",
-    "repro_pipeline_lane_busy_ms_total",
+    "repro_pipeline_busy_ms_total",
     "repro_engine_ops_total",
     "repro_wal_appends_total",
     "repro_wal_fsync_ms",
@@ -108,21 +108,19 @@ def _durable_phase(directory: Path, documents: int) -> Dict[str, Any]:
 
 
 async def _async_phase(documents: int) -> Dict[str, Any]:
-    """Sharded cluster through the concurrent pipeline; captures inside."""
+    """Sharded cluster through the async ingestion lane; captures inside."""
     from repro import AsyncMonitoringService, EngineSpec, WindowSpec
 
     spec = EngineSpec(kind="sharded", num_shards=4, window=WindowSpec.count(64))
     rng = random.Random(20090402)
-    async with AsyncMonitoringService(
-        spec, max_workers=4, queue_depth=2, batch_size=8
-    ) as service:
+    async with AsyncMonitoringService(spec, queue_depth=2, batch_size=8) as service:
         for _ in range(4):
             await service.subscribe(" ".join(rng.sample(_WORDS, 4)), k=3)
         for batch in _stream(rng, max(1, documents // 16), 16):
             await service.ingest(batch)
-        await service.results()  # drain: the lane/merge totals are final
-        # Captured before ``aclose`` so the pipeline's scrape-time
-        # collector (lane gauges, utilization) is still registered.
+        await service.results()  # drain: the lane totals are final
+        # Captured before ``aclose`` so the lane's scrape-time collector
+        # is still registered.
         return {
             "prometheus": runtime.metrics.to_prometheus(),
             "snapshot": runtime.metrics.snapshot(),

@@ -9,8 +9,8 @@ workload, a service-façade overhead check and the duplicate-heavy
 and 100k standing subscriptions, dedup on and off; the 1M cell sits
 behind ``--queries-max``) -- across several engine
 kinds and several processing modes (per-event ``process()``, the batched
-``process_batch()`` hot path, the asynchronous ingestion pipeline of
-:mod:`repro.cluster.pipeline` at one and at several workers, the
+``process_batch()`` hot path, the asynchronous ingestion lane of
+:mod:`repro.service.lane`, the
 ``instrumented`` mode -- the batched hot path with the
 :mod:`repro.observability` telemetry enabled -- and the
 write-ahead-logged ``wal`` mode with its ``wal-recovery`` crash-replay
@@ -23,8 +23,8 @@ convention) with, per measurement:
 * mean / p50 / p99 per-document service time in milliseconds,
 * similarity scores computed per event (the hardware-independent cost
   proxy the paper uses),
-* for async measurements, the ``concurrency`` column: the worker-pool
-  size the cell was measured at,
+* for proc measurements, the ``concurrency`` column: the worker-process
+  count the cell was measured at,
 * the ``storage`` column: the scoring-state backend the cell ran on
   (``"bisect"``, the original object-per-posting containers, or
   ``"columnar"``, the array-backed columns of
@@ -42,6 +42,7 @@ runs; ``schema`` is bumped whenever a field changes meaning.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -63,7 +64,6 @@ from repro.workloads.runner import run_point
 __all__ = [
     "SCHEMA",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_ASYNC_WORKERS",
     "DEFAULT_PROC_WORKERS",
     "DEFAULT_QUERIES_MAX",
     "QUERY_SCALE_SUBSCRIPTIONS",
@@ -84,9 +84,6 @@ SCHEMA = "repro-bench/7"
 
 #: default chunk size of the batched measurement mode
 DEFAULT_BATCH_SIZE = 64
-
-#: default thread-pool size of the async measurement mode's multi-worker run
-DEFAULT_ASYNC_WORKERS = 4
 
 #: default worker-process count of the proc measurement mode's multi-worker run
 DEFAULT_PROC_WORKERS = 2
@@ -115,8 +112,8 @@ class BenchRecord:
     #: "sequential" (one timed ``process()`` call per arrival), "batched"
     #: (timed ``process_batch()`` chunks), "instrumented" (the batched
     #: hot path with :mod:`repro.observability` enabled -- the telemetry
-    #: overhead cell), "async" (chunks through the concurrent ingestion
-    #: pipeline of :mod:`repro.cluster.pipeline`), "wal" (batched chunks
+    #: overhead cell), "async" (chunks through the one-worker ingestion
+    #: lane of :mod:`repro.service.lane`), "wal" (batched chunks
     #: with write-ahead logging -- the logged-ingest overhead cell) or
     #: "wal-recovery" (checkpoint restore + WAL replay; ``events`` are
     #: the replayed documents)
@@ -143,9 +140,9 @@ class BenchRecord:
     #: columns); the columnar/bisect pair at the same (workload, mode)
     #: forms ``summary["figure3a_columnar_over_batched"]``
     storage: str = "bisect"
-    #: worker-thread-pool size of the async mode (None otherwise); the
-    #: async records at 1 and N workers form the measured concurrency
-    #: speedup -- see ``summary["cluster_async_multi_over_single_worker"]``
+    #: worker-process count of the proc mode (None otherwise); the proc
+    #: records at 1 and N workers form the measured scale-out ratio --
+    #: see ``summary["cluster_proc_multi_over_single"]``
     concurrency: Optional[int] = None
     #: standing subscriptions installed for a query-scale cell (None for
     #: every stream-throughput cell)
@@ -246,12 +243,13 @@ def default_suite(scale: str = "small") -> List[BenchCase]:
             workload="cluster-scaling",
             definition=cluster,
             point=_point_by_label(cluster, "shards=4"),
-            # "async" measures the concurrent ingestion pipeline twice --
-            # single-worker and multi-worker -- producing the concurrency
-            # column of the emitted document.  "proc" does the same with
-            # the out-of-process cluster: real worker processes behind
-            # framed RPC, so the emitted file also carries the
-            # cross-process dispatch overhead and its scale-out ratio.
+            # "async" measures the batched chunks through the one-worker
+            # ingestion lane (what the async façade costs over the
+            # synchronous loop).  "proc" measures the out-of-process
+            # cluster at one and at several worker processes -- the
+            # concurrency column of the emitted document -- so the file
+            # carries the cross-process dispatch overhead and its
+            # scale-out ratio.
             modes={
                 "sharded-ita": ("sequential", "batched", "async"),
                 "sharded-proc": ("proc",),
@@ -265,7 +263,6 @@ def run_case(
     batch_size: int = DEFAULT_BATCH_SIZE,
     repeats: int = 1,
     progress: Progress = None,
-    async_workers: int = DEFAULT_ASYNC_WORKERS,
     proc_workers: int = DEFAULT_PROC_WORKERS,
 ) -> List[BenchRecord]:
     """Measure every (engine, mode) combination of one case.
@@ -274,15 +271,9 @@ def run_case(
     engine and the run with the lowest mean per-document time is kept --
     best-of-N squeezes scheduler and frequency-scaling noise out of the
     trajectory artifact, which later PRs diff against.
-
-    The ``"async"`` mode expands into one cell per worker count -- ``1``
-    (the single-worker baseline) and ``async_workers`` -- so the measured
-    concurrency speedup is part of the emitted document.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    if async_workers <= 0:
-        raise ValueError("async_workers must be positive")
     if proc_workers <= 0:
         raise ValueError("proc_workers must be positive")
     if progress is not None:
@@ -317,56 +308,41 @@ def run_case(
                     _proc_records(case, workload, batch_size, repeats, proc_workers)
                 )
                 continue
-            worker_counts: Sequence[Optional[int]] = (None,)
-            if mode == "async":
-                worker_counts = tuple(sorted({1, async_workers}))
-            for workers in worker_counts:
-                if progress is not None:
-                    suffix = f", workers={workers}" if workers is not None else ""
-                    progress(f"[bench]   engine {engine_name} ({mode}{suffix})")
-                chunked = mode in ("batched", "async", "instrumented")
-                measurement = None
-                for _ in range(repeats):
-                    if mode == "instrumented":
-                        # The telemetry-overhead cell: the identical
-                        # batched measurement with metrics + tracing on.
-                        with obs_runtime.observed():
-                            result = run_point(
-                                case.point,
-                                [engine_name],
-                                workload=workload,
-                                batch_size=batch_size,
-                                concurrency=workers,
-                            )
-                    else:
-                        result = run_point(
-                            case.point,
-                            [engine_name],
-                            workload=workload,
-                            batch_size=batch_size if chunked else None,
-                            concurrency=workers,
-                        )
-                    candidate = result.measurements[engine_name]
-                    if measurement is None or candidate.mean_ms < measurement.mean_ms:
-                        measurement = candidate
-                mean_ms = measurement.mean_ms
-                records.append(
-                    BenchRecord(
-                        workload=case.workload,
-                        point=case.point.label,
-                        engine=record_engine,
-                        mode=mode,
-                        events=measurement.events,
-                        docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-                        mean_ms=mean_ms,
-                        p50_ms=measurement.summary.p50,
-                        p99_ms=measurement.summary.p99,
-                        scores_per_event=measurement.scores_per_event,
+            if progress is not None:
+                progress(f"[bench]   engine {engine_name} ({mode})")
+            chunked = mode in ("batched", "async", "instrumented")
+            measurement = None
+            for _ in range(repeats):
+                # "instrumented" is the telemetry-overhead cell: the
+                # identical batched measurement with metrics + tracing on.
+                with obs_runtime.observed() if mode == "instrumented" else nullcontext():
+                    result = run_point(
+                        case.point,
+                        [engine_name],
+                        workload=workload,
                         batch_size=batch_size if chunked else None,
-                        concurrency=workers,
-                        storage=storage,
+                        async_lane=mode == "async",
                     )
+                candidate = result.measurements[engine_name]
+                if measurement is None or candidate.mean_ms < measurement.mean_ms:
+                    measurement = candidate
+            mean_ms = measurement.mean_ms
+            records.append(
+                BenchRecord(
+                    workload=case.workload,
+                    point=case.point.label,
+                    engine=record_engine,
+                    mode=mode,
+                    events=measurement.events,
+                    docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
+                    mean_ms=mean_ms,
+                    p50_ms=measurement.summary.p50,
+                    p99_ms=measurement.summary.p99,
+                    scores_per_event=measurement.scores_per_event,
+                    batch_size=batch_size if chunked else None,
+                    storage=storage,
                 )
+            )
     return records
 
 
@@ -785,7 +761,6 @@ def run_bench_suite(
     batch_size: int = DEFAULT_BATCH_SIZE,
     repeats: int = 3,
     progress: Progress = None,
-    async_workers: int = DEFAULT_ASYNC_WORKERS,
     proc_workers: int = DEFAULT_PROC_WORKERS,
     queries_max: int = DEFAULT_QUERIES_MAX,
 ) -> Dict[str, Any]:
@@ -794,8 +769,8 @@ def run_bench_suite(
     The ``summary`` block pre-computes the ratios later PRs care about:
     the columnar-over-batched-bisect ITA speedup on the headline figure-3a
     workload, the façade-over-direct service overhead, the async
-    pipeline's measured multi-worker-over-single-worker concurrency
-    speedup on the cluster workload, the out-of-process cluster's
+    lane's throughput over the synchronous batched loop on the cluster
+    workload, the out-of-process cluster's
     multi-worker-over-single-worker scale-out ratio, and the query-scale
     layer's deduped-over-undeduped bytes/query ratio.  Dump the returned
     dictionary with ``json.dump`` to produce ``BENCH_results.json``.
@@ -811,7 +786,6 @@ def run_bench_suite(
                 batch_size=batch_size,
                 repeats=repeats,
                 progress=progress,
-                async_workers=async_workers,
                 proc_workers=proc_workers,
             )
         )
@@ -872,26 +846,15 @@ def run_bench_suite(
         summary["figure3a_ita_batched_over_naive_kmax"] = round(
             naive_kmax.mean_ms / batched.mean_ms, 4
         )
-    async_single = by_key.get(("cluster-scaling", "sharded-ita", "async", 1, "bisect"))
-    # With async_workers == 1 there is only the single-worker cell; a
-    # self-ratio of 1.0 would claim a speedup that was never measured.
-    async_multi = (
-        by_key.get(("cluster-scaling", "sharded-ita", "async", async_workers, "bisect"))
-        if async_workers != 1
-        else None
-    )
-    if async_single and async_multi and async_single.docs_per_sec > 0:
-        summary["cluster_async_multi_over_single_worker"] = round(
-            async_multi.docs_per_sec / async_single.docs_per_sec, 4
-        )
+    cluster_async = by_key.get(("cluster-scaling", "sharded-ita", "async", None, "bisect"))
     cluster_batched = by_key.get(("cluster-scaling", "sharded-ita", "batched", None, "bisect"))
-    if async_multi and cluster_batched and cluster_batched.docs_per_sec > 0:
+    if cluster_async and cluster_batched and cluster_batched.docs_per_sec > 0:
         summary["cluster_async_over_batched"] = round(
-            async_multi.docs_per_sec / cluster_batched.docs_per_sec, 4
+            cluster_async.docs_per_sec / cluster_batched.docs_per_sec, 4
         )
     proc_single = by_key.get(("cluster-scaling", "sharded-proc", "proc", 1, "bisect"))
-    # Same self-ratio guard as the async cell: with proc_workers == 1
-    # only the single-worker cell exists and there is nothing to compare.
+    # With proc_workers == 1 there is only the single-worker cell; a
+    # self-ratio of 1.0 would claim a scale-out that was never measured.
     proc_multi = (
         by_key.get(("cluster-scaling", "sharded-proc", "proc", proc_workers, "bisect"))
         if proc_workers != 1
@@ -943,7 +906,6 @@ def run_bench_suite(
         "generated_by": "repro.workloads.perfjson",
         "scale": scale,
         "batch_size": batch_size,
-        "async_workers": async_workers,
         "proc_workers": proc_workers,
         "queries_max": queries_max,
         "workloads": sorted({record.workload for record in records}),
@@ -960,6 +922,24 @@ def run_bench_suite(
 HISTORY_FILENAME = "bench_history.jsonl"
 
 
+def _git_sha() -> Optional[str]:
+    """Short commit id of the checkout this module runs from, else ``None``."""
+    import subprocess
+    from pathlib import Path
+
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return completed.stdout.strip() if completed.returncode == 0 else None
+
+
 def history_entry(
     document: Dict[str, Any], timestamp: Optional[str] = None
 ) -> Dict[str, Any]:
@@ -967,14 +947,17 @@ def history_entry(
 
     The line keeps what trend analysis needs -- the summary ratios plus a
     ``docs_per_sec`` map keyed ``workload/engine/mode`` (``@workers``
-    appended for async cells, ``+storage`` for non-default storage
+    appended for proc cells, ``+storage`` for non-default storage
     backends) -- and drops the per-cell latency detail, so years of runs
     stay grep-able and cheap to parse.  Each line also records the Python
-    version and platform of the run: the trajectory file accumulates runs
-    from different containers (1-core CI against multi-core dev hosts),
-    and throughput trends are only comparable within one environment.
+    version, platform, CPU count and git commit of the run: the trajectory
+    file accumulates runs from different containers (1-core CI against
+    multi-core dev hosts), throughput trends are only comparable within
+    one environment, and a thread/process ratio without a core count is
+    uninterpretable.
     """
     import datetime
+    import os
     import platform as platform_module
 
     if timestamp is None:
@@ -996,6 +979,8 @@ def history_entry(
         "batch_size": document.get("batch_size"),
         "python": platform_module.python_version(),
         "platform": platform_module.platform(),
+        "cpu_count": os.cpu_count(),
+        "git_sha": _git_sha(),
         "summary": dict(document.get("summary", {})),
         "docs_per_sec": throughput,
     }

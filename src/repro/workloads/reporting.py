@@ -119,8 +119,7 @@ _RATIO_NOTES = {
     "figure3a_ita_batched_over_naive_kmax": "ITA vs the paper's Naive-kmax competitor",
     "figure3a_columnar_over_batched": "columnar kernel over batched bisect (bound: >= 2 in CI)",
     "service_facade_over_direct": "service facade tax over the raw engine",
-    "cluster_async_multi_over_single_worker": "async pipeline concurrency speedup",
-    "cluster_async_over_batched": "async pipeline vs synchronous batched",
+    "cluster_async_over_batched": "one-worker async lane vs synchronous batched",
     "cluster_proc_multi_over_single": "worker-process scale-out (needs multi-core)",
     "cluster_proc_over_batched": "out-of-process RPC + WAL dispatch tax",
     "figure3a_wal_recovery_ms": "crash-recovery wall time (ms)",
@@ -158,10 +157,9 @@ def render_perf_dashboard(
         return "\n".join(lines) + "\n"
 
     latest = entries[-1]
-    first = entries[0]
     lines.append(
         f"{len(entries)} bench-all run(s) recorded, "
-        f"{first.get('ts', '?')} to {latest.get('ts', '?')} "
+        f"{entries[0].get('ts', '?')} to {latest.get('ts', '?')} "
         f"(latest at scale `{latest.get('scale', '?')}`, "
         f"schema `{latest.get('schema', '?')}`)."
     )
@@ -179,8 +177,12 @@ def render_perf_dashboard(
         lines.extend(_markdown_table(("ratio", "value", "meaning"), rows))
         lines.append("")
 
-    if len(entries) >= 2:
-        lines.append("## Trend (first vs latest run)")
+    # Ratios move with the scale (and the host) as much as with the code,
+    # so the trend baseline is the earliest run at the latest run's scale.
+    scale = latest.get("scale")
+    first = next(entry for entry in entries if entry.get("scale") == scale)
+    if first is not latest:
+        lines.append(f"## Trend (first vs latest `{scale}` run)")
         lines.append("")
         rows = []
         for key in sorted(summary):

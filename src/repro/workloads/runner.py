@@ -175,51 +175,46 @@ def measure_async_ingest(
     engine: MonitoringEngine,
     measured: Sequence,
     batch_size: int,
-    concurrency: int,
     queue_depth: Optional[int] = None,
 ) -> Tuple[float, List[float]]:
-    """Feed ``measured`` through the concurrent ingestion pipeline.
+    """Feed ``measured`` through the asynchronous ingestion lane.
 
-    Builds the matching pipeline for ``engine`` (per-shard lanes for a
-    sharded cluster, a single off-loop lane otherwise) with a thread pool
-    of ``concurrency`` workers, submits the stream in ``batch_size``
-    chunks without waiting between submissions (the bounded lane queues
-    provide backpressure), and drains.
+    Runs ``engine`` on an :class:`~repro.service.lane.IngestLane` (one
+    worker thread, whatever the engine kind), submits the stream in
+    ``batch_size`` chunks without waiting between submissions (the lane's
+    bound on in-flight batches provides backpressure), and drains.
 
     Returns
     -------
     (total_ms, samples)
         ``total_ms`` is the wall-clock time from the first submission to
-        the drain -- its inverse is the pipeline's true throughput.  Each
-        sample is one chunk's submit-to-merge latency divided by the chunk
-        length; with a full pipeline that latency includes queue wait, so
-        the percentiles describe end-to-end delivery lag, not pure service
-        time.
+        the drain -- its inverse is the lane's true throughput.  Each
+        sample is one chunk's submit-to-resolve latency divided by the
+        chunk length; with a full lane that latency includes queue wait,
+        so the percentiles describe end-to-end delivery lag, not pure
+        service time.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    if concurrency <= 0:
-        raise ValueError("concurrency must be positive")
-    # Imported lazily: the cluster package imports this module's siblings.
-    from repro.cluster.pipeline import DEFAULT_QUEUE_DEPTH, pipeline_for
+    # Imported lazily: the service package imports the whole engine stack.
+    from repro.service.lane import DEFAULT_QUEUE_DEPTH, IngestLane
 
     depth = queue_depth if queue_depth is not None else DEFAULT_QUEUE_DEPTH
 
     async def run() -> Tuple[float, List[float]]:
         samples: List[float] = []
-        pipeline = pipeline_for(engine, max_workers=concurrency, queue_depth=depth)
-        async with pipeline:
+        async with IngestLane(engine, queue_depth=depth) as lane:
             started = time.perf_counter()
             for start in range(0, len(measured), batch_size):
                 chunk = measured[start : start + batch_size]
                 began = time.perf_counter()
-                future = await pipeline.submit(chunk)
+                future = await lane.submit(chunk)
 
                 def record(_future, began=began, count=len(chunk)) -> None:
                     samples.append((time.perf_counter() - began) * 1000.0 / count)
 
                 future.add_done_callback(record)
-            await pipeline.drain()
+            await lane.drain()
             total_ms = (time.perf_counter() - started) * 1000.0
         return total_ms, samples
 
@@ -280,7 +275,7 @@ def run_point(
     workload: Optional[GeneratedWorkload] = None,
     progress: Optional[Callable[[str], None]] = None,
     batch_size: Optional[int] = None,
-    concurrency: Optional[int] = None,
+    async_lane: bool = False,
 ) -> PointResult:
     """Run every engine on one sweep point and collect measurements.
 
@@ -293,15 +288,14 @@ def run_point(
     of one chunk (individual per-event times are not observable inside a
     batch), while ``mean_ms`` stays the exact overall mean.
 
-    With ``concurrency`` set (requires ``batch_size``), the chunks go
-    through the asynchronous ingestion pipeline instead
-    (:func:`measure_async_ingest`): ``concurrency`` sizes the worker
-    thread pool, ``mean_ms`` is wall-clock over the whole stream divided
-    by the event count (true pipeline throughput), and the percentile
-    summary holds per-chunk submit-to-merge latencies.
+    With ``async_lane`` set (requires ``batch_size``), the chunks go
+    through the asynchronous ingestion lane instead
+    (:func:`measure_async_ingest`): ``mean_ms`` is wall-clock over the
+    whole stream divided by the event count (true lane throughput), and
+    the percentile summary holds per-chunk submit-to-resolve latencies.
     """
-    if concurrency is not None and batch_size is None:
-        raise ValueError("async measurement is batched; pass batch_size with concurrency")
+    if async_lane and batch_size is None:
+        raise ValueError("async measurement is batched; pass batch_size with async_lane")
     if workload is None:
         workload = build_workload(point.config)
     measurements: Dict[str, EngineMeasurement] = {}
@@ -313,13 +307,11 @@ def run_point(
         samples: List[float] = []
         if progress is not None:
             progress(f"    engine {engine_name}: measuring {len(measured)} events")
-        if concurrency is not None:
+        if async_lane:
             assert batch_size is not None
             if batch_size <= 0:
                 raise ValueError("batch_size must be positive when given")
-            total_ms, samples = measure_async_ingest(
-                engine, measured, batch_size, concurrency
-            )
+            total_ms, samples = measure_async_ingest(engine, measured, batch_size)
         elif batch_size is None:
             for document in measured:
                 started = time.perf_counter()

@@ -137,7 +137,7 @@ def test_service_restored_between_batches_matches_uninterrupted():
 
 
 def test_async_service_restored_between_batches_matches_sync_uninterrupted():
-    """Checkpoint under the async pipeline, resume async, compare to one
+    """Checkpoint under the async lane, resume async, compare to one
     uninterrupted synchronous run -- crossing both the persistence seam
     and the execution-strategy seam at once."""
     case = TieFreeCase(seed=97)
@@ -155,7 +155,7 @@ def test_async_service_restored_between_batches_matches_sync_uninterrupted():
     async def interrupted_async_run():
         changes = []
         service = await AsyncMonitoringService(
-            spec, max_workers=3, queue_depth=2, batch_size=7
+            spec, queue_depth=2, batch_size=7
         ).start()
         for query in case.queries:
             await service.subscribe(
@@ -166,7 +166,7 @@ def test_async_service_restored_between_batches_matches_sync_uninterrupted():
         snapshot = await service.snapshot()
         await service.close()
         service = await AsyncMonitoringService.restore(
-            snapshot, max_workers=3, queue_depth=2, batch_size=7
+            snapshot, queue_depth=2, batch_size=7
         )
         for batch in batches[cut:]:
             changes.append(await service.ingest(batch))

@@ -8,8 +8,8 @@ replayed, identically, against:
 * the ITA engine, the Naive and k_max-Naive baselines and the sharded
   cluster, each behind a synchronous :class:`~repro.service.MonitoringService`,
 * the sharded cluster behind the *asynchronous* façade
-  (:class:`~repro.service.AsyncMonitoringService`), whose per-shard worker
-  pipeline must be a pure execution-strategy change.
+  (:class:`~repro.service.AsyncMonitoringService`), whose off-loop worker
+  lane must be a pure execution-strategy change.
 
 What must agree:
 
@@ -23,7 +23,7 @@ What must agree:
 * **service snapshots** at every checkpoint -- bit-identical between the
   cluster's sync and async runs;
 * **operation counters** -- bit-identical between the cluster's sync and
-  async runs (the pipeline must not change what work is done, only where
+  async runs (the lane must not change what work is done, only where
   it runs).
 
 Counters are *not* compared across kinds: computing fewer scores than
@@ -60,9 +60,9 @@ NUM_TERMS = 16
 SHARDED = "sharded-ita-3"
 ENGINE_NAMES = ["ita", "naive", "naive-kmax", SHARDED]
 
-#: async pipeline shape: several workers, small batches and queues so the
-#: tape crosses many batch boundaries and hits backpressure
-ASYNC_KW = dict(max_workers=3, queue_depth=2, batch_size=7)
+#: async lane shape: small batches and a shallow queue so the tape
+#: crosses many batch boundaries and hits backpressure
+ASYNC_KW = dict(queue_depth=2, batch_size=7)
 
 TIE_GRID = [0.1, 0.2, 0.25, 0.5, 0.75, 1.0]
 

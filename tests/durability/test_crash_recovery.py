@@ -331,11 +331,10 @@ def test_recovered_services_continue_the_tape_identically(
         recovered.close()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_async_ingest_lane_logs_before_ack(workers, tmp_path):
+def test_async_ingest_lane_logs_before_ack(tmp_path):
     """Crashing the asynchronous ingest lane at any record boundary must
     recover to the uninterrupted run's state: every batch is logged before
-    it enters a shard lane."""
+    it enters the lane."""
     tape = strip_checkpoints(generate_tape(6173, tie_heavy=False, num_ops=44))
     policy = DurabilityPolicy(fsync="never", checkpoint_every=12, segment_max_records=8)
     spec = durable_spec("sharded-ita-2", policy)
@@ -347,7 +346,7 @@ def test_async_ingest_lane_logs_before_ack(workers, tmp_path):
 
     async def replay() -> None:
         service = MonitoringService.open(root, spec)
-        async with service.serve(max_workers=workers, queue_depth=2, batch_size=5) as serving:
+        async with service.serve(queue_depth=2, batch_size=5) as serving:
             for index, op in enumerate(tape):
                 kind = op[0]
                 if kind == "subscribe":
@@ -378,7 +377,7 @@ def test_async_ingest_lane_logs_before_ack(workers, tmp_path):
     for lsn, directory in sorted(capture_dirs.items()):
         recovered = MonitoringService.open(directory)
         assert recovered.snapshot() == snapshots[lsn], (
-            f"async kill point lsn={lsn} (workers={workers}) diverged"
+            f"async kill point lsn={lsn} diverged"
         )
         recovered.close()
 

@@ -275,7 +275,7 @@ class TestAsyncDurableValidation:
 
         async def scenario():
             service = open_ita(tmp_path, window=WindowSpec.count(8))
-            async with service.serve(max_workers=1, batch_size=4) as serving:
+            async with service.serve(batch_size=4) as serving:
                 await serving.ingest(
                     [make_document(0, {0: 0.5}, arrival_time=5.0)]
                 )
@@ -304,7 +304,7 @@ class TestAsyncDurableValidation:
 
         async def scenario():
             service = open_ita(tmp_path, window=WindowSpec.count(8))
-            async with service.serve(max_workers=1, batch_size=2) as serving:
+            async with service.serve(batch_size=2) as serving:
                 # Batch 1 is logged (and may still sit in the lane); a
                 # second batch behind the *logged* clock must be rejected
                 # even if the engine window has not applied batch 1 yet.

@@ -120,7 +120,6 @@ def test_async_and_pipeline_families() -> None:
     async def scenario():
         async with AsyncMonitoringService(
             EngineSpec(kind="sharded", num_shards=2, window=WindowSpec.count(16)),
-            max_workers=2,
             queue_depth=2,
             batch_size=2,
         ) as service:
@@ -128,7 +127,7 @@ def test_async_and_pipeline_families() -> None:
             for _ in range(4):
                 await service.ingest(DOCS)
             await service.results()
-            # Captured inside: aclose unregisters the pipeline collector.
+            # Captured inside: aclose unregisters the lane's collector.
             return runtime.metrics.snapshot()
 
     with runtime.observed():
@@ -144,19 +143,24 @@ def test_async_and_pipeline_families() -> None:
     collected = snapshot["collected"]
     events = sum(entry["value"] for entry in collected["repro_pipeline_events_total"])
     assert events == float(4 * len(DOCS))
-    lanes = {
-        entry["labels"]["lane"] for entry in collected["repro_pipeline_lane_batches_total"]
-    }
-    assert lanes == {"0", "1"}
-    for entry in collected["repro_pipeline_lane_utilization"]:
-        assert 0.0 <= entry["value"] <= 1.0
+    # One lane: the families are unlabelled, whatever the shard count.
+    [batches] = collected["repro_pipeline_batches_total"]
+    assert not batches["labels"]
+    assert batches["value"] == float(4 * len(DOCS) // 2)
+    [busy] = collected["repro_pipeline_busy_ms_total"]
+    assert busy["value"] > 0.0
+    [depth] = collected["repro_pipeline_queue_depth"]
+    assert depth["value"] == 0.0  # results() drained the lane
+    [peak] = collected["repro_pipeline_max_inflight"]
+    assert 1.0 <= peak["value"] <= 2.0  # bounded by queue_depth
+    assert "repro_pipeline_submit_wait_ms_total" in collected
+    assert not any("lane" in family or "merge" in family for family in collected)
 
 
 def test_pipeline_trace_spans_cross_threads() -> None:
     async def scenario():
         async with AsyncMonitoringService(
             EngineSpec(kind="sharded", num_shards=2, window=WindowSpec.count(16)),
-            max_workers=2,
             batch_size=3,
         ) as service:
             await service.ingest(DOCS)
@@ -171,8 +175,9 @@ def test_pipeline_trace_spans_cross_threads() -> None:
     assert submits and lanes
     submit_ids = {span.span_id for span in submits}
     # Every lane span carries its submitting batch as the parent, even
-    # though it ran on a pool thread -- explicit context propagation.
+    # though it ran on the worker thread -- explicit context propagation.
     assert all(span.parent_id in submit_ids for span in lanes)
+    assert {span.tid for span in lanes}.isdisjoint(span.tid for span in submits)
 
 
 # --------------------------------------------------------------------------- #

@@ -32,7 +32,14 @@ _BENCH_DOC = {
             "engine": "sharded-ita",
             "mode": "async",
             "docs_per_sec": 4000.0,
-            "concurrency": 4,
+            "concurrency": None,
+        },
+        {
+            "workload": "cluster-scaling",
+            "engine": "sharded-proc",
+            "mode": "proc",
+            "docs_per_sec": 2000.0,
+            "concurrency": 2,
         },
     ],
     "summary": {
@@ -87,7 +94,8 @@ def test_history_entry_condenses_the_document() -> None:
     assert entry["schema"] == "repro-bench/4"
     assert entry["docs_per_sec"] == {
         "figure3a/ita/batched": 9000.0,
-        "cluster-scaling/sharded-ita/async@4": 4000.0,
+        "cluster-scaling/sharded-ita/async": 4000.0,
+        "cluster-scaling/sharded-proc/proc@2": 2000.0,
     }
     assert entry["summary"]["figure3a_ita_instrumented_over_batched"] == 1.02
 

@@ -4,7 +4,7 @@ The headline guarantee -- the acceptance criterion of the async ingestion
 subsystem -- is that :class:`~repro.service.AsyncMonitoringService` on the
 sharded figure-3(a) workload produces *bit-identical* snapshots and change
 streams to sequential ``ingest``.  The rest of the module covers the
-async API surface: serve()/ingest_async wiring, drain-before-read
+async API surface: serve() wiring, drain-before-read
 semantics, alert ordering, lifecycle and argument validation.
 """
 
@@ -65,7 +65,7 @@ class TestFigure3aAcceptance:
 
         async def concurrent_run():
             async with AsyncMonitoringService(
-                spec, max_workers=4, queue_depth=2, batch_size=32
+                spec, queue_depth=2, batch_size=32
             ) as service:
                 subscribed(service.service)
                 changes = await service.ingest(stream)
@@ -117,16 +117,6 @@ class TestIngestEquivalence:
         assert async_service.clock == sync_service.clock
         assert async_service.results() == sync_service.results()
         assert async_service.snapshot() == sync_service.snapshot()
-
-    def test_ingest_async_one_shot_wrapper(self):
-        case = StreamCase(seed=37, num_documents=40)
-        sync_service = fresh_service()
-        expected = sync_service.ingest(case.documents)
-
-        service = fresh_service()
-        actual = run(service.ingest_async(case.documents, max_workers=2))
-        assert actual == expected
-        assert service.results() == sync_service.results()
 
 
 class TestAlertDelivery:
@@ -193,6 +183,110 @@ class TestAlertDelivery:
             return service
 
         run(concurrent_run())
+
+
+class TestFailedIngestKeepsSubscribersInStep:
+    """An ``ingest`` that fails part-way must still deliver the alerts of
+    every batch it already handed to the lane: those batches are applied
+    (and logged), so dropping their alerts would leave subscribers behind
+    the engine and the WAL."""
+
+    #: ever shorter documents score ever higher, so each one enters the
+    #: top-k on arrival: one alert per applied document
+    TEXTS = [
+        "market news " + " ".join(f"filler{word}" for word in range(40 - index))
+        for index in range(40)
+    ]
+
+    @staticmethod
+    def doc_ids(alerts):
+        return [alert.document.doc_id for alert in alerts]
+
+    def reference(self, count):
+        alerts = []
+        service = MonitoringService(
+            EngineSpec(kind="sharded", num_shards=2, window=WindowSpec.count(50))
+        )
+        service.on_change(alerts.append)
+        handle = service.subscribe("market news", k=3)
+        service.ingest(self.TEXTS[:count])
+        return self.doc_ids(alerts), handle.result(), service
+
+    def test_producer_side_error_delivers_the_batches_already_submitted(self, tmp_path):
+        from repro import DurabilityPolicy
+        from repro.exceptions import ConfigurationError
+
+        spec = EngineSpec(
+            kind="sharded",
+            num_shards=2,
+            window=WindowSpec.count(50),
+            durability=DurabilityPolicy(fsync="never"),
+        )
+
+        def poisoned():
+            yield from self.TEXTS[:30]
+            yield 31  # not ingestible: the 31st element kills the producer
+
+        async def scenario():
+            alerts = []
+            service = MonitoringService.open(tmp_path, spec)
+            service.on_change(alerts.append)
+            async with service.serve(batch_size=4, queue_depth=4) as serving:
+                handle = await serving.subscribe("market news", k=3)
+                with pytest.raises(ConfigurationError):
+                    await serving.ingest(poisoned())
+                # 7 full batches were handed to the lane; the 2 documents
+                # still on the producer side were never accepted.
+                applied = len(service.window)
+                seen = self.doc_ids(alerts)
+                result = handle.result()
+                # The service stays usable and the next alert is in step
+                # (ids 28 and 29 went to the two rejected documents).
+                await serving.ingest(self.TEXTS[28])
+                assert self.doc_ids(alerts)[len(seen):] == [30]
+                final = await serving.results()
+            service.close()
+            return applied, seen, result, final
+
+        applied, seen, result, final = run(scenario())
+        expected_alerts, expected_result, _ = self.reference(28)
+        assert applied == 28
+        assert seen == expected_alerts == list(range(28))  # not just batch one's
+        assert result == expected_result
+        # ...and the WAL agrees: a crash right now recovers the same state.
+        recovered = MonitoringService.open(tmp_path)
+        assert recovered.results() == final
+        assert len(recovered.window) == 29
+        recovered.close()
+
+    def test_raising_callback_does_not_drop_later_batches(self):
+        async def scenario():
+            alerts = []
+
+            def callback(alert):
+                alerts.append(alert)
+                if alert.document.doc_id == 5:
+                    raise ValueError("subscriber bug")
+
+            async with AsyncMonitoringService(
+                EngineSpec(kind="sharded", num_shards=2, window=WindowSpec.count(50)),
+                batch_size=4,
+                queue_depth=4,
+            ) as serving:
+                handle = await serving.subscribe("market news", k=3, on_change=callback)
+                with pytest.raises(ValueError, match="subscriber bug"):
+                    await serving.ingest(self.TEXTS[:24])
+                return self.doc_ids(alerts), handle.result(), len(serving.service.window)
+
+        seen, result, applied = run(scenario())
+        # The error stops the producer, so how many batches made it to the
+        # lane depends on timing -- at least the raising one (docs 4..7).
+        assert applied >= 8 and applied % 4 == 0
+        expected_alerts, expected_result, _ = self.reference(applied)
+        # Like the synchronous façade, the rest of the raising batch (docs
+        # 6 and 7) is not delivered; every other applied batch is, in order.
+        assert seen == [doc for doc in expected_alerts if doc not in (6, 7)]
+        assert result == expected_result
 
 
 class TestLifecycleAndValidation:

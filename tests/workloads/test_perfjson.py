@@ -1,6 +1,8 @@
 """Tests for the machine-readable performance harness."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.workloads.perfjson import (
     SCHEMA,
     BenchRecord,
     default_suite,
+    history_entry,
     read_history,
     run_bench_suite,
     run_case,
@@ -44,11 +47,6 @@ class TestSuiteDefinition:
         with pytest.raises(ValueError):
             run_case(case, repeats=0)
 
-    def test_rejects_non_positive_async_workers(self):
-        case = default_suite("smoke")[0]
-        with pytest.raises(ValueError):
-            run_case(case, async_workers=0)
-
     def test_rejects_non_positive_proc_workers(self):
         case = default_suite("smoke")[0]
         with pytest.raises(ValueError):
@@ -82,16 +80,15 @@ class TestRunCase:
                 assert record.batch_size is None
             assert record.concurrency is None
 
-    def test_async_mode_measures_single_and_multi_worker(self):
+    def test_async_mode_measures_the_one_lane(self):
         suite = default_suite("smoke")
         cluster = next(case for case in suite if case.workload == "cluster-scaling")
-        records = run_case(cluster, batch_size=8, repeats=1, async_workers=3)
-        async_records = [record for record in records if record.mode == "async"]
-        assert sorted(record.concurrency for record in async_records) == [1, 3]
-        for record in async_records:
-            assert record.batch_size == 8
-            assert record.docs_per_sec > 0.0
-            assert record.scores_per_event > 0.0
+        records = run_case(cluster, batch_size=8, repeats=1)
+        [record] = [record for record in records if record.mode == "async"]
+        assert record.concurrency is None
+        assert record.batch_size == 8
+        assert record.docs_per_sec > 0.0
+        assert record.scores_per_event > 0.0
 
     def test_proc_mode_measures_single_and_multi_worker(self):
         suite = default_suite("smoke")
@@ -108,15 +105,14 @@ class TestRunCase:
 
 class TestRunBenchSuite:
     def test_single_worker_only_run_omits_the_speedup_ratio(self):
-        """--async-workers/--proc-workers 1 measure only the baseline
-        cells; the summary must not fabricate 1.0 self-ratios from them."""
+        """--proc-workers 1 measures only the baseline cell; the summary
+        must not fabricate a 1.0 self-ratio from it."""
         document = run_bench_suite(
-            scale="smoke", repeats=1, async_workers=1, proc_workers=1,
-            queries_max=0,
+            scale="smoke", repeats=1, proc_workers=1, queries_max=0,
         )
         async_cells = [r for r in document["results"] if r["mode"] == "async"]
-        assert [r["concurrency"] for r in async_cells] == [1]
-        assert "cluster_async_multi_over_single_worker" not in document["summary"]
+        assert [r["concurrency"] for r in async_cells] == [None]
+        assert "cluster_async_over_batched" in document["summary"]
         proc_cells = [r for r in document["results"] if r["mode"] == "proc"]
         assert [r["concurrency"] for r in proc_cells] == [1]
         assert "cluster_proc_multi_over_single" not in document["summary"]
@@ -135,7 +131,10 @@ class TestRunBenchSuite:
         # a bisect batch *is* the sequential path, so that ratio is retired
         assert "figure3a_ita_batched_over_sequential" not in document["summary"]
         assert "service_facade_over_direct" in document["summary"]
-        assert "cluster_async_multi_over_single_worker" in document["summary"]
+        # one async cell: the multi-over-single-worker ratio is retired
+        assert "cluster_async_multi_over_single_worker" not in document["summary"]
+        assert "async_workers" not in document
+        assert "cluster_async_over_batched" in document["summary"]
         assert "figure3a_ita_wal_over_batched" in document["summary"]
         assert "figure3a_wal_recovery_ms" in document["summary"]
         assert "cluster_proc_multi_over_single" in document["summary"]
@@ -152,7 +151,7 @@ class TestRunBenchSuite:
                 "wal", "wal-recovery", "direct", "facade",
                 "dedup-off", "dedup-on",
             )
-            if record["mode"] in ("async", "proc"):
+            if record["mode"] == "proc":
                 assert record["concurrency"] >= 1
             else:
                 assert record["concurrency"] is None
@@ -185,6 +184,8 @@ class TestCLI:
         # the trajectory entry lands in the directory given, nowhere else
         [entry] = read_history(history)
         assert entry["scale"] == "smoke"
+        assert entry["cpu_count"] == os.cpu_count()
+        assert "git_sha" in entry
         document = json.loads(out.read_text())
         assert document["schema"] == SCHEMA
         assert len(document["workloads"]) >= 4
@@ -199,3 +200,20 @@ class TestCLI:
                  "--queries-max", "-1", "--out", str(tmp_path / "out.json"),
                  "--history-dir", str(tmp_path / "history")]
             )
+
+
+class TestHistoryEntry:
+    def test_entry_is_attributable_to_a_host_and_a_commit(self):
+        """A thread/process ratio without a core count is uninterpretable,
+        and a trend line without a commit cannot be bisected."""
+        entry = history_entry({"scale": "smoke", "results": [], "summary": {}})
+        assert entry["cpu_count"] == os.cpu_count()
+        try:
+            checkout = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=os.path.dirname(__file__), capture_output=True, text=True,
+            )
+            expected = checkout.stdout.strip() if checkout.returncode == 0 else None
+        except OSError:  # no git on this host
+            expected = None
+        assert entry["git_sha"] == expected

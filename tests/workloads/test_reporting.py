@@ -10,6 +10,7 @@ from repro.workloads.generators import WorkloadConfig
 from repro.workloads.reporting import (
     format_result_table,
     format_speedup_summary,
+    render_perf_dashboard,
     result_rows,
 )
 from repro.workloads.runner import EngineMeasurement, ExperimentResult, PointResult
@@ -107,3 +108,42 @@ class TestFormatting:
             points=result.points,
         )
         assert "no ITA/competitor" in format_speedup_summary(ita_only)
+
+
+class TestPerfDashboardTrend:
+    """The trend compares runs at one scale only: ratios move with the
+    scale as much as with the code (a `small` run diffed against a `smoke`
+    run once reported a -33% "recovery regression")."""
+
+    @staticmethod
+    def entry(ts, scale, recovery):
+        return {
+            "ts": ts,
+            "schema": "repro-bench/7",
+            "scale": scale,
+            "summary": {"figure3a_wal_recovery_docs_per_sec": recovery},
+            "docs_per_sec": {},
+        }
+
+    def test_mixed_history_trends_within_the_latest_scale(self):
+        entries = [
+            self.entry("2026-08-01", "smoke", 9000.0),
+            self.entry("2026-08-02", "small", 5000.0),
+            self.entry("2026-08-03", "smoke", 9900.0),
+            self.entry("2026-08-04", "small", 5500.0),
+        ]
+        text = render_perf_dashboard(entries)
+        assert "## Trend (first vs latest `small` run)" in text
+        # 5000 -> 5500 within `small`; never 9000 -> 5500 across scales
+        assert "| 5000.0000 | 5500.0000 | +10.0% |" in text
+        assert "9000" not in text
+
+    def test_no_trend_without_an_earlier_run_at_the_same_scale(self):
+        entries = [
+            self.entry("2026-08-01", "smoke", 9000.0),
+            self.entry("2026-08-02", "smoke", 9900.0),
+            self.entry("2026-08-03", "small", 5000.0),
+        ]
+        text = render_perf_dashboard(entries)
+        assert "## Headline ratios" in text
+        assert "## Trend" not in text

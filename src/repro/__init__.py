@@ -61,7 +61,7 @@ wire the parts themselves (the experiment harness does, and the examples
 * :mod:`repro.documents` -- documents, corpora (including the synthetic
   WSJ stand-in), arrival processes and sliding windows.
 * :mod:`repro.workloads` -- the experiment harness reproducing the
-  paper's figures, plus the ``cluster-scaling`` scale-out experiment.
+  paper's figures, plus the ``cluster-scaling`` shard-count sweep.
 """
 
 from repro.baselines.kmax import (

@@ -9,6 +9,15 @@ responses with the same :class:`~repro.cluster.merger.ResultMerger` -- so
 its results, change streams and counters are bit-identical to the
 in-process cluster (and therefore to a single engine).
 
+**What it buys, and what it does not.**  Crash isolation: a worker is its
+own failure domain, and a SIGKILLed one is invisible on the result and
+change tapes (see *Supervision*).  Not scale-out: every shard scores its
+queries against the *full* window, so every batch is replicated to, and
+re-applied by, every worker.  On a multi-core host the workers overlap
+that replicated work, which beats the in-process sharded cluster doing it
+in sequence but only climbs back to about one unsharded engine's
+throughput (docs/BENCHMARKING.md, "Reading the concurrency column").
+
 **Dispatch.**  A batch is fanned out *pipelined*: the coordinator writes
 the request frame to every worker before reading any response, so the
 workers compute concurrently while the coordinator is only ever blocked

@@ -9,13 +9,14 @@
 * :mod:`repro.workloads.runner` -- executes an experiment definition:
   builds the engines, pre-fills the sliding window, streams the measured
   documents and records per-arrival processing times and operation
-  counters for every engine.
+  counters for every engine.  Also home of the harness's one timed loop
+  (``measure_chunks``) and its best-of-N selection (``best_of``).
 * :mod:`repro.workloads.reporting` -- renders results as text tables
   (the same rows/series as the paper's figures).
 * :mod:`repro.workloads.perfjson` -- the machine-readable performance
-  harness behind ``bench-all``: a fixed suite of workloads x engine kinds
-  x processing modes emitting ``BENCH_results.json`` (see
-  ``docs/BENCHMARKING.md``).
+  harness behind ``bench-all``: a table of cell rows (workload, point,
+  engine, mode, storage) and a table of summary ratios over them,
+  emitting ``BENCH_results.json`` (see ``docs/BENCHMARKING.md``).
 * :mod:`repro.workloads.cli` -- ``python -m repro.workloads.cli figure3a``
   / ``bench-all``.
 """
@@ -34,7 +35,7 @@ from repro.workloads.experiments import (
     figure_3b,
 )
 from repro.workloads.generators import QueryWorkloadGenerator, WorkloadConfig, build_workload
-from repro.workloads.perfjson import BenchCase, BenchRecord, default_suite, run_bench_suite
+from repro.workloads.perfjson import BenchCell, BenchRecord, default_suite, run_bench_suite
 from repro.workloads.runner import EngineMeasurement, ExperimentResult, PointResult, run_experiment
 from repro.workloads.cost_model import (
     CostEstimate,
@@ -63,7 +64,7 @@ __all__ = [
     "ExperimentResult",
     "PointResult",
     "EngineMeasurement",
-    "BenchCase",
+    "BenchCell",
     "BenchRecord",
     "default_suite",
     "run_bench_suite",

@@ -37,22 +37,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.workloads.experiments import (
-    SCALES,
-    ExperimentDefinition,
-    ablation_k,
-    ablation_kmax,
-    ablation_num_queries,
-    ablation_probe_order,
-    ablation_rollup,
-    ablation_scoring,
-    ablation_window_type,
-    all_experiments,
-    cluster_scaling,
-    figure_3a,
-    figure_3b,
+from repro.workloads.experiments import SCALES, ExperimentDefinition, all_experiments
+from repro.workloads.perfjson import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_QUERIES_MAX,
+    append_history,
+    run_bench_suite,
 )
 from repro.workloads.reporting import format_result_table, format_speedup_summary
 from repro.workloads.runner import run_experiment
@@ -60,19 +52,9 @@ from repro.workloads.runner import run_experiment
 __all__ = ["main", "build_parser"]
 
 
-#: experiment name -> factory taking the scale
-_EXPERIMENTS: Dict[str, Callable[[str], ExperimentDefinition]] = {
-    "figure3a": figure_3a,
-    "figure3b": figure_3b,
-    "ablation-queries": ablation_num_queries,
-    "ablation-k": ablation_k,
-    "ablation-kmax": ablation_kmax,
-    "ablation-window-type": ablation_window_type,
-    "ablation-scoring": ablation_scoring,
-    "ablation-rollup": ablation_rollup,
-    "ablation-probe-order": ablation_probe_order,
-    "cluster-scaling": cluster_scaling,
-}
+def _definitions(scale: str) -> Dict[str, ExperimentDefinition]:
+    """Every experiment of the reproduction at ``scale``, by its CLI name."""
+    return {definition.experiment_id: definition for definition in all_experiments(scale)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all", "bench-all", "obs", "serve", "list"],
+        choices=sorted(_definitions("smoke")) + ["all", "bench-all", "obs", "serve", "list"],
         help=(
             "which experiment to run ('all' for every one, 'bench-all' for the "
             "machine-readable performance harness, 'obs' for an instrumented "
@@ -112,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-size",
         type=int,
-        default=None,
-        help="bench-all only: chunk size of the batched measurement mode",
+        default=DEFAULT_BATCH_SIZE,
+        help="bench-all only: chunk size of the batched measurement mode (default: 64)",
     )
     parser.add_argument(
         "--repeats",
@@ -122,19 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench-all only: best-of-N repetitions per measurement (default: 3)",
     )
     parser.add_argument(
-        "--proc-workers",
-        type=int,
-        default=None,
-        help=(
-            "bench-all only: worker-process count of the out-of-process "
-            "cluster measurement (default: 2; the single-worker baseline "
-            "is always measured alongside)"
-        ),
-    )
-    parser.add_argument(
         "--queries-max",
         type=int,
-        default=None,
+        default=DEFAULT_QUERIES_MAX,
         help=(
             "bench-all only: largest subscription count of the query-scale "
             "workload (default: 100000; set 1000000 to include the 1M cell, "
@@ -253,19 +225,12 @@ def _run_serve(args: argparse.Namespace, progress) -> int:
     return 0
 
 
-def _selected_definitions(name: str, scale: str) -> List[ExperimentDefinition]:
-    if name == "all":
-        return all_experiments(scale)
-    return [_EXPERIMENTS[name](scale)]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name, factory in sorted(_EXPERIMENTS.items()):
-            definition = factory("smoke")
+        for name, definition in sorted(_definitions("smoke").items()):
             print(f"{name:22s} {definition.paper_reference:35s} {definition.title}")
         return 0
 
@@ -307,39 +272,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.experiment == "bench-all":
-        from repro.workloads.perfjson import (
-            DEFAULT_BATCH_SIZE,
-            DEFAULT_PROC_WORKERS,
-            DEFAULT_QUERIES_MAX,
-            append_history,
-            run_bench_suite,
-        )
-
-        if args.batch_size is not None and args.batch_size <= 0:
+        if args.batch_size <= 0:
             parser.error("--batch-size must be positive")
         if args.repeats <= 0:
             parser.error("--repeats must be positive")
-        if args.proc_workers is not None and args.proc_workers <= 0:
-            parser.error("--proc-workers must be positive")
-        if args.queries_max is not None and args.queries_max < 0:
+        if args.queries_max < 0:
             parser.error("--queries-max must be non-negative")
         document = run_bench_suite(
             scale=args.scale,
-            batch_size=(
-                args.batch_size if args.batch_size is not None else DEFAULT_BATCH_SIZE
-            ),
+            batch_size=args.batch_size,
             repeats=args.repeats,
             progress=progress,
-            proc_workers=(
-                args.proc_workers
-                if args.proc_workers is not None
-                else DEFAULT_PROC_WORKERS
-            ),
-            queries_max=(
-                args.queries_max
-                if args.queries_max is not None
-                else DEFAULT_QUERIES_MAX
-            ),
+            queries_max=args.queries_max,
         )
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=False)
@@ -354,7 +298,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{key}: {value}")
         return 0
     sections: List[str] = []
-    for definition in _selected_definitions(args.experiment, args.scale):
+    definitions = _definitions(args.scale)
+    selected = definitions.values() if args.experiment == "all" else [definitions[args.experiment]]
+    for definition in selected:
         result = run_experiment(definition, progress=progress)
         table = format_result_table(result)
         summary = format_speedup_summary(result)

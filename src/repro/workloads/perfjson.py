@@ -2,49 +2,49 @@
 
 Every earlier benchmark in this repository printed human-oriented tables;
 nothing produced an artifact a later PR could diff against.  This module
-runs a fixed suite of representative workloads -- the paper's Figure 3(a)
-and 3(b) settings, the query-count ablation, the sharded-cluster scale-out
-workload, a service-façade overhead check and the duplicate-heavy
-``query-scale`` subscription workload (bytes/query and docs/sec at 10k
-and 100k standing subscriptions, dedup on and off; the 1M cell sits
-behind ``--queries-max``) -- across several engine
-kinds and several processing modes (per-event ``process()``, the batched
-``process_batch()`` hot path, the asynchronous ingestion lane of
-:mod:`repro.service.lane`, the
-``instrumented`` mode -- the batched hot path with the
-:mod:`repro.observability` telemetry enabled -- and the
-write-ahead-logged ``wal`` mode with its ``wal-recovery`` crash-replay
-companion), and emits one JSON document (``BENCH_results.json`` by
-convention) with, per measurement:
+is the paper's evaluation grid written as a grid:
 
-* the workload and sweep-point label,
-* the engine kind and processing mode,
-* throughput in documents/second,
-* mean / p50 / p99 per-document service time in milliseconds,
-* similarity scores computed per event (the hardware-independent cost
-  proxy the paper uses),
-* for proc measurements, the ``concurrency`` column: the worker-process
-  count the cell was measured at,
-* the ``storage`` column: the scoring-state backend the cell ran on
-  (``"bisect"``, the original object-per-posting containers, or
-  ``"columnar"``, the array-backed columns of
-  :mod:`repro.index.columnar`).
+* :func:`default_suite` is a literal table of cell rows ``(workload,
+  point, engine, mode, storage)`` -- the paper's Figure 3(a) and 3(b)
+  settings, the query-count ablation and the sharded-cluster workload,
+  across the engine kinds and the modes listed on :class:`BenchRecord`.
+  Two workloads that drive a text-level service instead of a prepared
+  engine add their rows beside it: the ``service-overhead`` façade check
+  and the duplicate-heavy ``query-scale`` subscription workload
+  (bytes/query and docs/sec at 10k and 100k standing subscriptions,
+  dedup on and off; the 1M cell sits behind ``--queries-max``).
+* Every synchronous cell is timed by the one loop
+  :func:`repro.workloads.runner.measure_chunks`, handed the ``apply``
+  callable of its mode (only the async lane has a loop of its own), and
+  becomes a record through one constructor, :func:`_record`.
+* :data:`SUMMARY` is the table of published ratios -- numerator cell,
+  denominator cell, field, dashboard note -- walked by one loop.
 
-Run it via the experiment CLI::
+The emitted JSON document (``BENCH_results.json`` by convention) is one
+record per cell plus the summary.  Run it via the experiment CLI::
 
     python -m repro.workloads.cli bench-all --out BENCH_results.json
 
-or through ``benchmarks/harness.py`` under pytest.  The JSON schema is
-documented in ``docs/BENCHMARKING.md`` together with how to compare two
-runs; ``schema`` is bumped whenever a field changes meaning.
+or through ``benchmarks/harness.py``.  ``docs/BENCHMARKING.md`` documents
+the JSON schema, how to compare two runs and how to add a cell or a ratio
+(one row each); ``schema`` is bumped whenever a field changes meaning.
 """
 
 from __future__ import annotations
 
+import datetime
+import itertools
+import json
+import os
+import platform
+import random
+import subprocess
+import tempfile
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.observability import runtime as obs_runtime
 from repro.observability.timing import PercentileSummary
@@ -58,21 +58,28 @@ from repro.workloads.experiments import (
     figure_3a,
     figure_3b,
 )
-from repro.workloads.generators import build_workload
-from repro.workloads.runner import run_point
+from repro.workloads.generators import GeneratedWorkload, WorkloadConfig, build_workload
+from repro.workloads.runner import (
+    best_of,
+    measure_async_ingest,
+    measure_chunks,
+    prepare_engine,
+)
 
 __all__ = [
     "SCHEMA",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_PROC_WORKERS",
     "DEFAULT_QUERIES_MAX",
     "QUERY_SCALE_SUBSCRIPTIONS",
     "QUERY_SCALE_FANOUT",
+    "QUERY_SCALE_VARIANTS",
+    "SERVICE_OVERHEAD_MODES",
+    "SUMMARY",
     "HISTORY_FILENAME",
     "BenchRecord",
-    "BenchCase",
+    "BenchCell",
     "default_suite",
-    "run_case",
+    "run_cell",
     "run_bench_suite",
     "history_entry",
     "append_history",
@@ -85,9 +92,6 @@ SCHEMA = "repro-bench/7"
 #: default chunk size of the batched measurement mode
 DEFAULT_BATCH_SIZE = 64
 
-#: default worker-process count of the proc measurement mode's multi-worker run
-DEFAULT_PROC_WORKERS = 2
-
 #: largest subscription count the query-scale cells run at by default; the
 #: 1M cell only runs when ``--queries-max`` raises this (0 disables the
 #: query-scale workload entirely)
@@ -99,12 +103,28 @@ QUERY_SCALE_SUBSCRIPTIONS = (10_000, 100_000, 1_000_000)
 #: subscriptions per distinct query text in the duplicate-heavy workload
 QUERY_SCALE_FANOUT = 10
 
-Progress = Optional[Callable[[str], None]]
+#: the query-scale rows measured at each subscription count: ``(mode,
+#: storage, largest count the row runs at)``.  The dedup-on cell is also
+#: measured on the columnar backend (the deployment shape the scaling
+#: layer targets); the dedup-off cell stays bisect-only -- its purpose is
+#: the dedup ratio, not a backend comparison -- and stops at 100k, where
+#: an undeduped registry alone is already gigabytes at the next count.
+QUERY_SCALE_VARIANTS = (
+    ("dedup-off", "bisect", 100_000),
+    ("dedup-on", "bisect", None),
+    ("dedup-on", "columnar", None),
+)
+
+#: the two rows of the service-overhead workload
+SERVICE_OVERHEAD_MODES = ("direct", "facade")
+
+CellKey = Tuple[str, str, str, str]  # (workload, engine, mode, storage)
+Measurement = Tuple[float, List[float], int, int]  # (total_ms, samples, events, scores)
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One measurement: a (workload, point, engine, mode) cell."""
+    """One measurement: a (workload, point, engine, mode, storage) cell."""
 
     workload: str
     point: str
@@ -114,12 +134,13 @@ class BenchRecord:
     #: hot path with :mod:`repro.observability` enabled -- the telemetry
     #: overhead cell), "async" (chunks through the one-worker ingestion
     #: lane of :mod:`repro.service.lane`), "wal" (batched chunks
-    #: with write-ahead logging -- the logged-ingest overhead cell) or
+    #: with write-ahead logging -- the logged-ingest overhead cell),
     #: "wal-recovery" (checkpoint restore + WAL replay; ``events`` are
-    #: the replayed documents)
-    #: ... or "proc" (batched chunks through the out-of-process cluster of
-    #: :mod:`repro.net` -- worker processes behind framed RPC; measured at
-    #: one worker and at ``proc_workers``, the ``concurrency`` column)
+    #: the replayed documents) or "proc" (batched chunks through the
+    #: out-of-process cluster of :mod:`repro.net` -- worker processes
+    #: behind framed RPC, at the shard count of the in-process cell it is
+    #: compared with); "direct"/"facade" on the service-overhead workload
+    #: and "dedup-off"/"dedup-on" on the query-scale workload
     mode: str
     #: measured arrival events
     events: int
@@ -140,9 +161,8 @@ class BenchRecord:
     #: columns); the columnar/bisect pair at the same (workload, mode)
     #: forms ``summary["figure3a_columnar_over_batched"]``
     storage: str = "bisect"
-    #: worker-process count of the proc mode (None otherwise); the proc
-    #: records at 1 and N workers form the measured scale-out ratio --
-    #: see ``summary["cluster_proc_multi_over_single"]``
+    #: worker-process count of the proc mode (None otherwise): the shard
+    #: count of the cluster-scaling point, one worker per shard
     concurrency: Optional[int] = None
     #: standing subscriptions installed for a query-scale cell (None for
     #: every stream-throughput cell)
@@ -153,21 +173,61 @@ class BenchRecord:
     #: ``summary["queries_dedup_bytes_ratio"]``
     bytes_per_query: Optional[float] = None
 
+    @property
+    def key(self) -> CellKey:
+        return (self.workload, self.engine, self.mode, self.storage)
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One workload of the suite: a sweep point plus the engines to measure.
+    @property
+    def total_ms(self) -> float:
+        """Wall-clock of the whole measured stream (the recovery time of a
+        ``wal-recovery`` cell)."""
+        return self.mean_ms * self.events
 
-    ``modes`` maps an engine name to the processing modes to measure for
-    it; the ITA engine is measured in both modes on the headline workload
-    (the bisect ``batched`` cell is the denominator of the ``*_over_batched``
-    summary ratios).
-    """
+
+def _record(
+    workload: str,
+    point: str,
+    engine: str,
+    mode: str,
+    measurement: Measurement,
+    **columns: Any,
+) -> BenchRecord:
+    """The one place a measurement becomes a :class:`BenchRecord`."""
+    total_ms, samples, events, scores = measurement
+    mean_ms = total_ms / events if events else 0.0
+    percentiles = PercentileSummary.from_samples(samples)
+    return BenchRecord(
+        workload=workload,
+        point=point,
+        engine=engine,
+        mode=mode,
+        events=events,
+        docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
+        mean_ms=mean_ms,
+        p50_ms=percentiles.p50,
+        p99_ms=percentiles.p99,
+        scores_per_event=(scores / events) if events else 0.0,
+        **columns,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# the stream workloads: one row per cell
+# --------------------------------------------------------------------------- #
+class BenchCell(NamedTuple):
+    """One row of the suite: what to build and how to drive it."""
 
     workload: str
-    definition: ExperimentDefinition
     point: SweepPoint
-    modes: Dict[str, Sequence[str]]
+    #: engine kind, as recorded ("ita", "naive-kmax", "sharded-ita", ...)
+    engine: str
+    mode: str
+    storage: str = "bisect"
+
+    @property
+    def key(self) -> CellKey:
+        """The key of the record this row produces."""
+        return (self.workload, self.engine, self.mode, self.storage)
 
 
 def _point_by_label(definition: ExperimentDefinition, label_prefix: str) -> SweepPoint:
@@ -177,370 +237,171 @@ def _point_by_label(definition: ExperimentDefinition, label_prefix: str) -> Swee
     return definition.points[-1]
 
 
-def default_suite(scale: str = "small") -> List[BenchCase]:
-    """The fixed benchmark suite of the repository.
+def default_suite(scale: str = "small") -> List[BenchCell]:
+    """The fixed benchmark suite of the repository, one row per cell.
 
-    Four stream workloads (plus the service-overhead check appended by
-    :func:`run_bench_suite`), each measured with at least three engine
-    kinds, one representative sweep point per workload:
+    Four stream workloads (:func:`run_bench_suite` appends the
+    service-overhead and query-scale rows), one representative sweep
+    point each:
 
     * ``figure3a`` -- the paper's query-length setting at n=10, the
-      headline workload every PR's speedup claims refer to,
+      headline workload every PR's speedup claims refer to.  Its bisect
+      ``batched`` cell is the denominator of the ``*_over_batched``
+      ratios: ``instrumented`` repeats it with observability on, ``wal``
+      with write-ahead logging (``wal-recovery`` then replays that log
+      onto the pre-stream checkpoint), the ``columnar`` row on the
+      array-backed storage backend;
     * ``figure3b`` -- the window-size setting at N=100 (a small window
-      stresses the per-event constant overheads),
+      stresses the per-event constant overheads);
     * ``ablation-queries`` -- double the scale's default query count
-      (stresses the per-query maintenance),
-    * ``cluster-scaling`` -- the sharded cluster at 4 shards.
+      (stresses the per-query maintenance);
+    * ``cluster-scaling`` -- the sharded cluster at 4 shards: in process
+      (``async`` feeds the batched chunks through the one-worker
+      ingestion lane), and out of process (``proc``: the same shard
+      count, placement and calibration behind framed RPC).
     """
-    figure3a = figure_3a(scale)
-    figure3b = figure_3b(scale)
-    queries = ablation_num_queries(scale)
-    cluster = cluster_scaling(scale)
-    ita_both = ("sequential", "batched")
-    sequential = ("sequential",)
+    figure3a = _point_by_label(figure_3a(scale), "n=10")
+    figure3b = _point_by_label(figure_3b(scale), "N=100")
+    queries = _point_by_label(
+        ablation_num_queries(scale), "Q=" + str(2 * int(SCALES[scale]["num_queries"]))
+    )
+    cluster = _point_by_label(cluster_scaling(scale), "shards=4")
     return [
-        BenchCase(
-            workload="figure3a",
-            definition=figure3a,
-            point=_point_by_label(figure3a, "n=10"),
-            # "wal" rides the batched hot path with write-ahead logging and
-            # additionally emits the "wal-recovery" cell (checkpoint
-            # restore + log replay), so the logged-ingest overhead and the
-            # recovery time are part of every emitted file.  "instrumented"
-            # repeats the batched cell with observability on, so the
-            # telemetry overhead bound is part of every emitted file too.
-            # "ita-columnar" repeats the batched cell on the array-backed
-            # storage backend; its record carries storage="columnar" and
-            # the pair forms summary["figure3a_columnar_over_batched"].
-            modes={
-                "ita": ("sequential", "batched", "instrumented", "wal"),
-                "ita-columnar": ("batched",),
-                "naive": sequential,
-                "naive-kmax": sequential,
-            },
-        ),
-        BenchCase(
-            workload="figure3b",
-            definition=figure3b,
-            point=_point_by_label(figure3b, "N=100"),
-            modes={
-                "ita": ita_both,
-                "naive": sequential,
-                "naive-kmax": sequential,
-            },
-        ),
-        BenchCase(
-            workload="ablation-queries",
-            definition=queries,
-            point=_point_by_label(queries, "Q=" + str(2 * int(SCALES[scale]["num_queries"]))),
-            modes={
-                "ita": ita_both,
-                "naive": sequential,
-                "naive-kmax": sequential,
-            },
-        ),
-        BenchCase(
-            workload="cluster-scaling",
-            definition=cluster,
-            point=_point_by_label(cluster, "shards=4"),
-            # "async" measures the batched chunks through the one-worker
-            # ingestion lane (what the async façade costs over the
-            # synchronous loop).  "proc" measures the out-of-process
-            # cluster at one and at several worker processes -- the
-            # concurrency column of the emitted document -- so the file
-            # carries the cross-process dispatch overhead and its
-            # scale-out ratio.
-            modes={
-                "sharded-ita": ("sequential", "batched", "async"),
-                "sharded-proc": ("proc",),
-            },
-        ),
+        BenchCell("figure3a", figure3a, "ita", "sequential"),
+        BenchCell("figure3a", figure3a, "ita", "batched"),
+        BenchCell("figure3a", figure3a, "ita", "instrumented"),
+        BenchCell("figure3a", figure3a, "ita", "wal"),
+        BenchCell("figure3a", figure3a, "ita", "wal-recovery"),
+        BenchCell("figure3a", figure3a, "ita", "batched", "columnar"),
+        BenchCell("figure3a", figure3a, "naive", "sequential"),
+        BenchCell("figure3a", figure3a, "naive-kmax", "sequential"),
+        BenchCell("figure3b", figure3b, "ita", "sequential"),
+        BenchCell("figure3b", figure3b, "ita", "batched"),
+        BenchCell("figure3b", figure3b, "naive", "sequential"),
+        BenchCell("figure3b", figure3b, "naive-kmax", "sequential"),
+        BenchCell("ablation-queries", queries, "ita", "sequential"),
+        BenchCell("ablation-queries", queries, "ita", "batched"),
+        BenchCell("ablation-queries", queries, "naive", "sequential"),
+        BenchCell("ablation-queries", queries, "naive-kmax", "sequential"),
+        BenchCell("cluster-scaling", cluster, "sharded-ita", "sequential"),
+        BenchCell("cluster-scaling", cluster, "sharded-ita", "batched"),
+        BenchCell("cluster-scaling", cluster, "sharded-ita", "async"),
+        BenchCell("cluster-scaling", cluster, "sharded-proc", "proc"),
     ]
 
 
-def run_case(
-    case: BenchCase,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    repeats: int = 1,
-    progress: Progress = None,
-    proc_workers: int = DEFAULT_PROC_WORKERS,
-) -> List[BenchRecord]:
-    """Measure every (engine, mode) combination of one case.
-
-    With ``repeats > 1`` each cell is measured that many times on a fresh
-    engine and the run with the lowest mean per-document time is kept --
-    best-of-N squeezes scheduler and frequency-scaling noise out of the
-    trajectory artifact, which later PRs diff against.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    if proc_workers <= 0:
-        raise ValueError("proc_workers must be positive")
-    if progress is not None:
-        progress(f"[bench] workload {case.workload} ({case.point.label})")
-    workload = build_workload(case.point.config)
-    records: List[BenchRecord] = []
-    for engine_name, modes in case.modes.items():
-        # Storage-qualified names ("ita-columnar") are measured under their
-        # base kind with the backend in the storage column, so the emitted
-        # document lines up backend pairs at the same (engine, mode) key.
-        if engine_name.endswith("-columnar"):
-            record_engine = engine_name[: -len("-columnar")]
-            storage = "columnar"
-        else:
-            record_engine = engine_name
-            storage = "bisect"
-        for mode in modes:
-            if mode == "wal":
-                if progress is not None:
-                    progress(f"[bench]   engine {engine_name} (wal + recovery)")
-                records.extend(
-                    _wal_records(case, workload, engine_name, batch_size, repeats)
-                )
-                continue
-            if mode == "proc":
-                if progress is not None:
-                    progress(
-                        f"[bench]   engine {engine_name} "
-                        f"(proc, workers=1 and {proc_workers})"
-                    )
-                records.extend(
-                    _proc_records(case, workload, batch_size, repeats, proc_workers)
-                )
-                continue
-            if progress is not None:
-                progress(f"[bench]   engine {engine_name} ({mode})")
-            chunked = mode in ("batched", "async", "instrumented")
-            measurement = None
-            for _ in range(repeats):
-                # "instrumented" is the telemetry-overhead cell: the
-                # identical batched measurement with metrics + tracing on.
-                with obs_runtime.observed() if mode == "instrumented" else nullcontext():
-                    result = run_point(
-                        case.point,
-                        [engine_name],
-                        workload=workload,
-                        batch_size=batch_size if chunked else None,
-                        async_lane=mode == "async",
-                    )
-                candidate = result.measurements[engine_name]
-                if measurement is None or candidate.mean_ms < measurement.mean_ms:
-                    measurement = candidate
-            mean_ms = measurement.mean_ms
-            records.append(
-                BenchRecord(
-                    workload=case.workload,
-                    point=case.point.label,
-                    engine=record_engine,
-                    mode=mode,
-                    events=measurement.events,
-                    docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-                    mean_ms=mean_ms,
-                    p50_ms=measurement.summary.p50,
-                    p99_ms=measurement.summary.p99,
-                    scores_per_event=measurement.scores_per_event,
-                    batch_size=batch_size if chunked else None,
-                    storage=storage,
-                )
-            )
-    return records
-
-
-# --------------------------------------------------------------------------- #
-# the wal workload: logged ingest + crash recovery
-# --------------------------------------------------------------------------- #
-def _wal_records(
-    case: BenchCase,
-    workload,
-    engine_name: str,
-    batch_size: int,
-    repeats: int,
-) -> List[BenchRecord]:
+def _measure_durable(mode: str, engine, measured: Sequence, batch_size: int) -> Measurement:
     """The durability cells: logged batched ingest, then crash recovery.
 
-    The ``"wal"`` cell repeats the batched measurement with every chunk
-    appended to a real segmented write-ahead log first (fsync policy
-    ``"interval"``, the durable service's default), so
-    ``wal.mean_ms / batched.mean_ms`` is the logged-ingest overhead.  The
-    ``"wal-recovery"`` cell then plays the crash: restore the pre-stream
-    checkpoint and replay the written log through the normal batched
-    path, timing the whole recovery.  Best-of-``repeats`` like every
-    other cell.
+    ``"wal"`` is the batched measurement with every chunk first appended
+    to a real segmented write-ahead log (documents encoded with the
+    persistence codec, fsync policy ``"interval"`` -- the durable
+    service's ingest lane without the façade), so ``wal.mean_ms /
+    batched.mean_ms`` is the logged-ingest overhead.  ``"wal-recovery"``
+    writes the same log and then plays the crash: restore the pre-stream
+    checkpoint and replay the log through the batched path, timing the
+    whole recovery; its events are the replayed documents.
     """
-    import shutil
-    import tempfile
-
     # Imported lazily: repro.durability pulls in the persistence stack.
     from repro.durability.wal import WriteAheadLog, read_wal_records
     from repro.persistence import (
         _document_from_record,
+        document_record,
         restore_engine,
         snapshot_engine,
     )
-    from repro.workloads.runner import measure_wal_ingest, prepare_engine
 
+    checkpoint = snapshot_engine(engine) if mode == "wal-recovery" else None
+    lsn = itertools.count(1)
+    with tempfile.TemporaryDirectory(prefix="repro-wal-bench-") as directory:
+        wal = WriteAheadLog(directory, fsync="interval", fsync_interval=16)
+
+        def logged(chunk: Sequence) -> None:
+            docs = [document_record(streamed) for streamed in chunk]
+            wal.append({"lsn": next(lsn), "op": "ingest", "docs": docs})
+            engine.process_batch(chunk)
+
+        total_ms, samples = measure_chunks(logged, measured, batch_size)
+        wal.close()
+        if mode == "wal":
+            return total_ms, samples, len(measured), engine.counters.scores_computed
+
+        began = time.perf_counter()
+        recovered = restore_engine(checkpoint)
+        replayed = 0
+        for record in read_wal_records(directory):
+            documents = [_document_from_record(entry) for entry in record["docs"]]
+            recovered.process_batch(documents)
+            replayed += len(documents)
+        recovery_ms = (time.perf_counter() - began) * 1000.0
+    return recovery_ms, [recovery_ms / replayed], replayed, 0
+
+
+def _measure_cell(cell: BenchCell, workload: GeneratedWorkload, batch_size: int) -> Measurement:
+    """One measurement of ``cell`` on a freshly prepared engine."""
+    # A non-default backend is built through its storage-qualified harness
+    # name ("ita-columnar") and recorded under the base kind, so backend
+    # pairs line up at the same (engine, mode).
+    name = cell.engine if cell.storage == "bisect" else f"{cell.engine}-{cell.storage}"
     measured = workload.measured
-    best_ingest = None  # (total_ms, samples, counters)
-    best_recovery = None  # (recovery_ms, replayed_documents)
-    for _ in range(repeats):
-        engine = prepare_engine(engine_name, case.point, workload)
-        checkpoint = snapshot_engine(engine)
-        directory = tempfile.mkdtemp(prefix="repro-wal-bench-")
+    # "instrumented" is the telemetry-overhead cell: the identical batched
+    # measurement with metrics + tracing on.
+    with obs_runtime.observed() if cell.mode == "instrumented" else nullcontext():
+        engine = prepare_engine(name, cell.point, workload)
         try:
-            wal = WriteAheadLog(directory, fsync="interval", fsync_interval=16)
-            total_ms, samples = measure_wal_ingest(engine, measured, batch_size, wal)
-            wal.close()
-            if best_ingest is None or total_ms < best_ingest[0]:
-                best_ingest = (total_ms, samples, engine.counters.copy())
-
-            began = time.perf_counter()
-            recovered = restore_engine(checkpoint)
-            replayed = 0
-            for record in read_wal_records(directory):
-                documents = [_document_from_record(entry) for entry in record["docs"]]
-                recovered.process_batch(documents)
-                replayed += len(documents)
-            recovery_ms = (time.perf_counter() - began) * 1000.0
-            if best_recovery is None or recovery_ms < best_recovery[0]:
-                best_recovery = (recovery_ms, replayed)
+            if cell.mode in ("wal", "wal-recovery"):
+                return _measure_durable(cell.mode, engine, measured, batch_size)
+            if cell.mode == "sequential":
+                timing = measure_chunks(lambda chunk: engine.process(chunk[0]), measured, 1)
+            elif cell.mode == "async":
+                timing = measure_async_ingest(engine, measured, batch_size)
+            else:  # batched, instrumented, proc: the plain batched hot path
+                timing = measure_chunks(engine.process_batch, measured, batch_size)
+            return timing + (len(measured), engine.counters.scores_computed)
         finally:
-            shutil.rmtree(directory, ignore_errors=True)
-
-    total_ms, samples, counters = best_ingest
-    events = len(measured)
-    mean_ms = total_ms / events if events else 0.0
-    summary = PercentileSummary.from_samples(samples)
-    recovery_ms, replayed = best_recovery
-    recovery_mean = recovery_ms / replayed if replayed else 0.0
-    return [
-        BenchRecord(
-            workload=case.workload,
-            point=case.point.label,
-            engine=engine_name,
-            mode="wal",
-            events=events,
-            docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-            mean_ms=mean_ms,
-            p50_ms=summary.p50,
-            p99_ms=summary.p99,
-            scores_per_event=(counters.scores_computed / events) if events else 0.0,
-            batch_size=batch_size,
-        ),
-        BenchRecord(
-            workload=case.workload,
-            point=case.point.label,
-            engine=engine_name,
-            mode="wal-recovery",
-            events=replayed,
-            docs_per_sec=(1000.0 / recovery_mean) if recovery_mean > 0 else 0.0,
-            mean_ms=recovery_mean,
-            p50_ms=recovery_mean,
-            p99_ms=recovery_mean,
-            scores_per_event=0.0,
-            batch_size=batch_size,
-        ),
-    ]
+            # Only the out-of-process cluster holds anything to release
+            # (its worker processes and their state directories).
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
 
 
-# --------------------------------------------------------------------------- #
-# the proc workload: the out-of-process cluster over framed RPC
-# --------------------------------------------------------------------------- #
-def _proc_records(
-    case: BenchCase,
-    workload,
-    batch_size: int,
-    repeats: int,
-    proc_workers: int,
-) -> List[BenchRecord]:
-    """The out-of-process cells: batched ingest through worker processes.
-
-    Each cell drives a :class:`~repro.net.cluster.ProcessClusterEngine` --
-    real worker processes, framed RPC over unix-domain sockets, per-shard
-    write-ahead logs -- through the identical batched chunks the
-    in-process cells use.  Measured at one worker and at ``proc_workers``
-    (the ``concurrency`` column), so the emitted document carries both
-    the RPC + WAL dispatch overhead against the in-process cluster and
-    the cross-process scale-out ratio
-    (``summary["cluster_proc_multi_over_single"]``).  On a single-core
-    host that ratio is honestly ~1.0 or below: the workers time-share one
-    CPU and the coordinator pipelines, so only multi-core hosts show the
-    scale-out.  Best-of-``repeats`` like every other cell.
-    """
-    # Imported lazily: repro.net pulls in the cluster/service stack.
-    from repro.net.cluster import ProcessClusterEngine
-    from repro.net.options import ProcOptions
-    from repro.service.spec import WindowSpec
-
-    measured = workload.measured
-    events = len(measured)
-    window_spec = WindowSpec.count(case.point.config.window_size)
-    records: List[BenchRecord] = []
-    for workers in sorted({1, proc_workers}):
-        best = None  # (total_ms, samples, scores_computed)
-        for _ in range(repeats):
-            cluster = ProcessClusterEngine(
-                num_workers=workers,
-                window_spec=window_spec,
-                placement="cost",
-                options=ProcOptions(),
-            )
-            try:
-                cluster.process_batch_events(workload.prefill)
-                for query in workload.queries:
-                    cluster.register_query(query)
-                samples: List[float] = []
-                total_ms = 0.0
-                for start in range(0, events, batch_size):
-                    chunk = measured[start : start + batch_size]
-                    began = time.perf_counter()
-                    cluster.process_batch_events(chunk)
-                    elapsed = (time.perf_counter() - began) * 1000.0
-                    total_ms += elapsed
-                    samples.append(elapsed / len(chunk))
-                scores = cluster.counters.scores_computed
-            finally:
-                cluster.close()
-            if best is None or total_ms < best[0]:
-                best = (total_ms, samples, scores)
-        total_ms, samples, scores = best
-        mean_ms = total_ms / events if events else 0.0
-        summary = PercentileSummary.from_samples(samples)
-        records.append(
-            BenchRecord(
-                workload=case.workload,
-                point=case.point.label,
-                engine="sharded-proc",
-                mode="proc",
-                events=events,
-                docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-                mean_ms=mean_ms,
-                p50_ms=summary.p50,
-                p99_ms=summary.p99,
-                scores_per_event=(scores / events) if events else 0.0,
-                batch_size=batch_size,
-                concurrency=workers,
-            )
-        )
-    return records
+def run_cell(
+    cell: BenchCell,
+    workload: GeneratedWorkload,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    repeats: int = 1,
+) -> BenchRecord:
+    """Measure one row on ``workload`` (the built ``cell.point.config``),
+    keeping the best of ``repeats`` fresh engines."""
+    measurement = best_of(repeats, lambda: _measure_cell(cell, workload, batch_size))
+    return _record(
+        cell.workload,
+        cell.point.label,
+        cell.engine,
+        cell.mode,
+        measurement,
+        batch_size=None if cell.mode == "sequential" else batch_size,
+        storage=cell.storage,
+        concurrency=cell.point.engine_options["num_shards"] if cell.mode == "proc" else None,
+    )
 
 
 # --------------------------------------------------------------------------- #
 # the query-scale workload: duplicate-heavy standing subscriptions
 # --------------------------------------------------------------------------- #
 def _query_scale_records(
-    batch_size: int,
-    progress: Progress = None,
-    queries_max: int = DEFAULT_QUERIES_MAX,
+    batch_size: int, say: Callable[[str], None], queries_max: int
 ) -> List[BenchRecord]:
     """The standing-query scaling cells: bytes/query and docs/sec by count.
 
     A duplicate-heavy subscription workload (:data:`QUERY_SCALE_FANOUT`
     subscribers per distinct term/weight set, the redundancy real alerting
     workloads show) is installed at each count of
-    :data:`QUERY_SCALE_SUBSCRIPTIONS` up to ``queries_max``, once through
-    the query-scale layer (``dedup-on``) and once directly on the engine
-    (``dedup-off``; skipped at 1M, where an undeduped registry alone is
-    gigabytes).  Each cell reports
+    :data:`QUERY_SCALE_SUBSCRIPTIONS` up to ``queries_max``, once per row
+    of :data:`QUERY_SCALE_VARIANTS`: through the query-scale layer
+    (``dedup-on``) and directly on the engine (``dedup-off``).  Each cell
+    reports
 
     * ``bytes_per_query`` -- the deep-size bytes of standing-query state
       per subscription: engine plus query-scale layer under a shared
@@ -553,8 +414,6 @@ def _query_scale_records(
     dominates the runtime; best-of-N would re-subscribe 100k queries per
     repeat for no extra signal).
     """
-    import random
-
     # Imported lazily: repro.service imports this package's runner.
     from repro.queryscale import QueryScaleOptions, deep_size_of
     from repro.service import EngineSpec, MonitoringService, WindowSpec
@@ -572,32 +431,22 @@ def _query_scale_records(
     doc_rng = random.Random(31)
     prefill = [" ".join(doc_rng.sample(vocabulary, 8)) for _ in range(64)]
     measured = [" ".join(doc_rng.sample(vocabulary, 8)) for _ in range(128)]
-    spec = EngineSpec(kind="ita", window=WindowSpec.count(256))
 
-    def run_cell(subscriptions: Optional[int], dedup: bool, storage: str = "bisect"):
-        cell_spec = spec
-        if storage != "bisect":
-            cell_spec = cell_spec.with_overrides(storage=storage)
-        if dedup:
-            cell_spec = cell_spec.with_overrides(queryscale=QueryScaleOptions(dedup=True))
-        service = MonitoringService(cell_spec)
+    def measure(subscriptions: int, dedup: bool, storage: str) -> Tuple[Measurement, int]:
+        spec = EngineSpec(
+            kind="ita",
+            window=WindowSpec.count(256),
+            storage=storage,
+            queryscale=QueryScaleOptions(dedup=True) if dedup else None,
+        )
+        service = MonitoringService(spec)
         try:
-            if subscriptions:
-                distinct = subscriptions // QUERY_SCALE_FANOUT
-                for index in range(subscriptions):
-                    service.subscribe(distinct_texts[index % distinct], k=5)
-            for start in range(0, len(prefill), batch_size):
-                service.ingest(prefill[start : start + batch_size])
+            distinct = subscriptions // QUERY_SCALE_FANOUT
+            for index in range(subscriptions):
+                service.subscribe(distinct_texts[index % distinct], k=5)
+            service.ingest(prefill)
             scores_before = service.engine.counters.scores_computed
-            samples: List[float] = []
-            total_ms = 0.0
-            for start in range(0, len(measured), batch_size):
-                chunk = measured[start : start + batch_size]
-                began = time.perf_counter()
-                service.ingest(chunk)
-                elapsed = (time.perf_counter() - began) * 1000.0
-                total_ms += elapsed
-                samples.append(elapsed / len(chunk))
+            timing = measure_chunks(service.ingest, measured, batch_size)
             scores = service.engine.counters.scores_computed - scores_before
             memo: set = set()
             total_bytes = deep_size_of(service.engine, memo)
@@ -605,54 +454,38 @@ def _query_scale_records(
                 total_bytes += service.queryscale.bytes_resident(memo)
         finally:
             service.close()
-        return total_ms, samples, scores, total_bytes
+        return timing + (len(measured), scores), total_bytes
 
     # The zero-subscription baselines over the identical stream: what the
     # window/document side costs regardless of any standing query.  One
     # baseline per storage backend, so each cell subtracts the substrate
     # it actually ran on.
     baseline_bytes = {
-        storage: run_cell(None, dedup=False, storage=storage)[3]
+        storage: measure(0, dedup=False, storage=storage)[1]
         for storage in ("bisect", "columnar")
     }
 
     records: List[BenchRecord] = []
-    events = len(measured)
     for subscriptions in counts:
-        # The dedup-on cell is additionally measured on the columnar
-        # storage backend (the deployment shape the scaling layer targets);
-        # the dedup-off cell stays bisect-only -- its purpose is the dedup
-        # ratio, not a backend comparison.
-        variants = [("dedup-on", "bisect"), ("dedup-on", "columnar")]
-        if subscriptions <= 100_000:
-            variants.insert(0, ("dedup-off", "bisect"))
-        for mode, storage in variants:
-            if progress is not None:
-                progress(
-                    f"[bench]   query-scale S={subscriptions} ({mode}, {storage})"
-                )
-            total_ms, samples, scores, total_bytes = run_cell(
+        for mode, storage, largest in QUERY_SCALE_VARIANTS:
+            if largest is not None and subscriptions > largest:
+                continue
+            say(f"[bench]   query-scale S={subscriptions} ({mode}, {storage})")
+            measurement, total_bytes = measure(
                 subscriptions, dedup=(mode == "dedup-on"), storage=storage
             )
-            mean_ms = total_ms / events if events else 0.0
-            summary = PercentileSummary.from_samples(samples)
             per_query = max(total_bytes - baseline_bytes[storage], 0) / subscriptions
             records.append(
-                BenchRecord(
-                    workload="query-scale",
-                    point=f"S={subscriptions}",
-                    engine="ita",
-                    mode=mode,
-                    events=events,
-                    docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-                    mean_ms=mean_ms,
-                    p50_ms=summary.p50,
-                    p99_ms=summary.p99,
-                    scores_per_event=(scores / events) if events else 0.0,
+                _record(
+                    "query-scale",
+                    f"S={subscriptions}",
+                    "ita",
+                    mode,
+                    measurement,
                     batch_size=batch_size,
+                    storage=storage,
                     subscriptions=subscriptions,
                     bytes_per_query=round(per_query, 2),
-                    storage=storage,
                 )
             )
     return records
@@ -661,21 +494,17 @@ def _query_scale_records(
 # --------------------------------------------------------------------------- #
 # the service-overhead workload
 # --------------------------------------------------------------------------- #
-def _service_overhead_records(
-    scale: str,
-    batch_size: int,
-    progress: Progress = None,
-) -> List[BenchRecord]:
+def _service_overhead_records(scale: str, batch_size: int) -> List[BenchRecord]:
     """Façade tax: MonitoringService.ingest versus the direct engine.
 
-    Both paths run the identical workload (change tracking on, as the
-    façade requires); the ``facade`` record rides ``service.ingest`` --
-    one ``engine.process_batch_events`` call per chunk plus the dispatch
-    loop -- and the ``direct`` record calls ``engine.process_batch`` itself.
+    Both rows of :data:`SERVICE_OVERHEAD_MODES` run the identical workload
+    (change tracking on, as the façade requires); the ``facade`` record
+    rides ``service.ingest`` -- one ``engine.process_batch_events`` call
+    per chunk plus the dispatch loop -- and the ``direct`` record calls
+    ``engine.process_batch`` itself.
     """
     # Imported lazily: repro.service imports this package's runner.
     from repro.service import EngineSpec, MonitoringService, WindowSpec
-    from repro.workloads.generators import WorkloadConfig
 
     preset = SCALES[scale]
     config = WorkloadConfig(
@@ -686,71 +515,121 @@ def _service_overhead_records(
         measured_events=int(preset["measured_events"]),
         seed=11,
     )
-    if progress is not None:
-        progress("[bench] workload service-overhead")
     workload = build_workload(config)
     spec = EngineSpec(kind="ita", window=WindowSpec.count(config.window_size))
 
-    def timed(run: Callable[[], Any], events: int, label: str) -> BenchRecord:
-        samples: List[float] = []
-        total_ms = run(samples)
-        mean_ms = total_ms / events
-        summary = PercentileSummary.from_samples(samples)
-        return BenchRecord(
-            workload="service-overhead",
-            point=f"Q={config.num_queries}",
-            engine="ita",
-            mode=label,
-            events=events,
-            docs_per_sec=(1000.0 / mean_ms) if mean_ms > 0 else 0.0,
-            mean_ms=mean_ms,
-            p50_ms=summary.p50,
-            p99_ms=summary.p99,
-            scores_per_event=0.0,
-            batch_size=batch_size,
-        )
-
-    measured = workload.measured
-    events = len(measured)
-
-    def run_direct(samples: List[float]) -> float:
+    def direct() -> Callable[[Sequence], object]:
         engine = spec.build()
         engine.process_batch(workload.prefill)
         for query in workload.queries:
             engine.register_query(query)
-        total = 0.0
-        for start in range(0, events, batch_size):
-            chunk = measured[start : start + batch_size]
-            began = time.perf_counter()
-            engine.process_batch(chunk)
-            elapsed = (time.perf_counter() - began) * 1000.0
-            total += elapsed
-            samples.append(elapsed / len(chunk))
-        return total
+        return engine.process_batch
 
-    def run_facade(samples: List[float]) -> float:
+    def facade() -> Callable[[Sequence], object]:
         service = MonitoringService(spec)
         service.ingest(workload.prefill)
-        # Low-level registration: with no façade subscriber, ingest takes
-        # the dispatcherless batched route -- the path under measurement.
+        # Low-level registration: the cell prices ingest's own shell
+        # (stamping, the one process_batch_events call, the per-event
+        # dispatch loop), not subscriber delivery, so the queries go on
+        # the engine without façade subscriptions.
         for query in workload.queries:
             service.engine.register_query(
                 ContinuousQuery(query_id=query.query_id, weights=query.weights, k=query.k)
             )
-        total = 0.0
-        for start in range(0, events, batch_size):
-            chunk = measured[start : start + batch_size]
-            began = time.perf_counter()
-            service.ingest(chunk)
-            elapsed = (time.perf_counter() - began) * 1000.0
-            total += elapsed
-            samples.append(elapsed / len(chunk))
-        return total
+        return service.ingest
 
+    prepare = {"direct": direct, "facade": facade}
+    measured = workload.measured
     return [
-        timed(run_direct, events, "direct"),
-        timed(run_facade, events, "facade"),
+        _record(
+            "service-overhead",
+            f"Q={config.num_queries}",
+            "ita",
+            mode,
+            # scores are not the subject of the façade-tax cells
+            measure_chunks(prepare[mode](), measured, batch_size) + (len(measured), 0),
+            batch_size=batch_size,
+        )
+        for mode in SERVICE_OVERHEAD_MODES
     ]
+
+
+# --------------------------------------------------------------------------- #
+# the summary: one table, one loop
+# --------------------------------------------------------------------------- #
+_BATCHED = ("figure3a", "ita", "batched", "bisect")
+_RECOVERY = ("figure3a", "ita", "wal-recovery", "bisect")
+_CLUSTER = ("cluster-scaling", "sharded-ita", "batched", "bisect")
+_DEDUP_ON = ("query-scale", "ita", "dedup-on", "bisect")
+_DEDUP_OFF = ("query-scale", "ita", "dedup-off", "bisect")
+
+#: Every published number, one row each: ``(summary name, numerator cell
+#: key, denominator cell key, field, note)``.  The value is the
+#: :class:`BenchRecord` attribute ``field`` of the numerator cell over that
+#: of the denominator cell -- or, with no denominator, of the numerator
+#: cell as it stands.  ``note`` is the meaning shown beside the number in
+#: the dashboard's headline table.  Query-scale keys resolve at the
+#: largest subscription count measured with dedup both on and off.
+SUMMARY: Tuple[Tuple[str, CellKey, Optional[CellKey], str, str], ...] = (
+    ("figure3a_columnar_over_batched",
+     ("figure3a", "ita", "batched", "columnar"), _BATCHED, "docs_per_sec",
+     "columnar kernel over batched bisect (bound: >= 2 in CI)"),
+    ("service_facade_over_direct",
+     ("service-overhead", "ita", "facade", "bisect"),
+     ("service-overhead", "ita", "direct", "bisect"), "mean_ms",
+     "service facade tax over the raw engine"),
+    ("figure3a_ita_instrumented_over_batched",
+     ("figure3a", "ita", "instrumented", "bisect"), _BATCHED, "mean_ms",
+     "telemetry overhead (bound: <= 1.05)"),
+    ("figure3a_ita_wal_over_batched",
+     ("figure3a", "ita", "wal", "bisect"), _BATCHED, "mean_ms",
+     "logged-ingest overhead (bound: < 1.25)"),
+    ("figure3a_wal_recovery_ms", _RECOVERY, None, "total_ms",
+     "crash-recovery wall time (ms)"),
+    ("figure3a_wal_recovery_docs_per_sec", _RECOVERY, None, "docs_per_sec",
+     "crash-recovery replay throughput"),
+    ("figure3a_ita_batched_over_naive_kmax",
+     ("figure3a", "naive-kmax", "sequential", "bisect"), _BATCHED, "mean_ms",
+     "ITA vs the paper's Naive-kmax competitor"),
+    ("cluster_async_over_batched",
+     ("cluster-scaling", "sharded-ita", "async", "bisect"), _CLUSTER, "docs_per_sec",
+     "one-worker async lane vs synchronous batched"),
+    ("cluster_proc_over_batched",
+     ("cluster-scaling", "sharded-proc", "proc", "bisect"), _CLUSTER, "docs_per_sec",
+     "same shards out of process over in process: RPC + WAL tax vs cross-core overlap "
+     "(values before PR 14, e.g. 0.47, were 1 worker over 4 shards: not comparable)"),
+    ("queries_dedup_bytes_ratio", _DEDUP_OFF, _DEDUP_ON, "bytes_per_query",
+     "bytes/query, dedup off over dedup on (bound: >= 3)"),
+    ("queries_dedup_bytes_ratio_at", _DEDUP_ON, None, "subscriptions",
+     "subscription count the dedup ratios were measured at"),
+    ("queries_dedup_throughput_ratio", _DEDUP_ON, _DEDUP_OFF, "docs_per_sec",
+     "ingest docs/sec, dedup on over dedup off"),
+)
+
+
+def _summarise(records: Sequence[BenchRecord]) -> Dict[str, Any]:
+    """Walk :data:`SUMMARY`; a row whose cells were not measured is skipped."""
+    # Stream cells are unique per key; the query-scale cells repeat per
+    # subscription count and resolve at the largest one both dedup rows
+    # ran at, so the dedup ratios compare like with like.
+    dedup_on, dedup_off = (
+        {record.subscriptions for record in records if record.key == key}
+        for key in (_DEDUP_ON, _DEDUP_OFF)
+    )
+    at = max(dedup_on & dedup_off, default=None)
+    cells = {record.key: record for record in records if record.subscriptions in (None, at)}
+    summary: Dict[str, Any] = {}
+    for name, numerator, denominator, field, _note in SUMMARY:
+        if numerator not in cells or (denominator is not None and denominator not in cells):
+            continue
+        value = getattr(cells[numerator], field)
+        if denominator is not None:
+            divisor = getattr(cells[denominator], field)
+            if not divisor:
+                continue
+            value /= divisor
+        summary[name] = round(value, 4)
+    return summary
 
 
 # --------------------------------------------------------------------------- #
@@ -760,158 +639,42 @@ def run_bench_suite(
     scale: str = "small",
     batch_size: int = DEFAULT_BATCH_SIZE,
     repeats: int = 3,
-    progress: Progress = None,
-    proc_workers: int = DEFAULT_PROC_WORKERS,
+    progress: Optional[Callable[[str], None]] = None,
     queries_max: int = DEFAULT_QUERIES_MAX,
 ) -> Dict[str, Any]:
     """Run the full suite and return the JSON-compatible result document.
 
-    The ``summary`` block pre-computes the ratios later PRs care about:
-    the columnar-over-batched-bisect ITA speedup on the headline figure-3a
-    workload, the façade-over-direct service overhead, the async
-    lane's throughput over the synchronous batched loop on the cluster
-    workload, the out-of-process cluster's
-    multi-worker-over-single-worker scale-out ratio, and the query-scale
-    layer's deduped-over-undeduped bytes/query ratio.  Dump the returned
-    dictionary with ``json.dump`` to produce ``BENCH_results.json``.
+    Every row of :func:`default_suite` is measured best-of-``repeats``,
+    the service-overhead and query-scale rows once, and the ``summary``
+    block is :data:`SUMMARY` evaluated over the records.  Dump the
+    returned dictionary with ``json.dump`` to produce
+    ``BENCH_results.json``.
 
     ``queries_max`` caps the query-scale subscription sweep (default
     100k; raise to 1_000_000 for the 1M cell, set 0 to skip the workload).
     """
+    say = progress if progress is not None else (lambda message: None)
     records: List[BenchRecord] = []
-    for case in default_suite(scale):
-        records.extend(
-            run_case(
-                case,
-                batch_size=batch_size,
-                repeats=repeats,
-                progress=progress,
-                proc_workers=proc_workers,
-            )
-        )
-    records.extend(_service_overhead_records(scale, batch_size, progress=progress))
-    records.extend(
-        _query_scale_records(batch_size, progress=progress, queries_max=queries_max)
-    )
-
-    by_key = {
-        (
-            record.workload,
-            record.engine,
-            record.mode,
-            record.concurrency,
-            record.storage,
-        ): record
-        for record in records
-    }
-    summary: Dict[str, Any] = {}
-    batched = by_key.get(("figure3a", "ita", "batched", None, "bisect"))
-    columnar = by_key.get(("figure3a", "ita", "batched", None, "columnar"))
-    if columnar and batched and batched.docs_per_sec > 0:
-        # The storage-backend headline: the array-backed columnar engine
-        # against the batched bisect path on the identical workload.
-        summary["figure3a_columnar_over_batched"] = round(
-            columnar.docs_per_sec / batched.docs_per_sec, 4
-        )
-    direct = by_key.get(("service-overhead", "ita", "direct", None, "bisect"))
-    facade = by_key.get(("service-overhead", "ita", "facade", None, "bisect"))
-    if direct and facade and direct.mean_ms > 0:
-        summary["service_facade_over_direct"] = round(facade.mean_ms / direct.mean_ms, 4)
-    instrumented = by_key.get(("figure3a", "ita", "instrumented", None, "bisect"))
-    if instrumented and batched and batched.mean_ms > 0:
-        # The telemetry-overhead bound the observability acceptance
-        # criterion refers to: <= 1.05 means metrics + tracing cost at
-        # most 5% of the batched hot path on the headline workload.
-        summary["figure3a_ita_instrumented_over_batched"] = round(
-            instrumented.mean_ms / batched.mean_ms, 4
-        )
-    wal = by_key.get(("figure3a", "ita", "wal", None, "bisect"))
-    if wal and batched and batched.mean_ms > 0:
-        # The logged-ingest overhead the durability acceptance bound
-        # refers to: < 1.25 means logging costs less than 25% of the
-        # batched hot path on the headline workload.
-        summary["figure3a_ita_wal_over_batched"] = round(
-            wal.mean_ms / batched.mean_ms, 4
-        )
-    recovery = by_key.get(("figure3a", "ita", "wal-recovery", None, "bisect"))
-    if recovery:
-        summary["figure3a_wal_recovery_ms"] = round(
-            recovery.mean_ms * recovery.events, 4
-        )
-        summary["figure3a_wal_recovery_docs_per_sec"] = round(
-            recovery.docs_per_sec, 2
-        )
-    naive_kmax = by_key.get(("figure3a", "naive-kmax", "sequential", None, "bisect"))
-    if naive_kmax and batched and batched.mean_ms > 0:
-        summary["figure3a_ita_batched_over_naive_kmax"] = round(
-            naive_kmax.mean_ms / batched.mean_ms, 4
-        )
-    cluster_async = by_key.get(("cluster-scaling", "sharded-ita", "async", None, "bisect"))
-    cluster_batched = by_key.get(("cluster-scaling", "sharded-ita", "batched", None, "bisect"))
-    if cluster_async and cluster_batched and cluster_batched.docs_per_sec > 0:
-        summary["cluster_async_over_batched"] = round(
-            cluster_async.docs_per_sec / cluster_batched.docs_per_sec, 4
-        )
-    proc_single = by_key.get(("cluster-scaling", "sharded-proc", "proc", 1, "bisect"))
-    # With proc_workers == 1 there is only the single-worker cell; a
-    # self-ratio of 1.0 would claim a scale-out that was never measured.
-    proc_multi = (
-        by_key.get(("cluster-scaling", "sharded-proc", "proc", proc_workers, "bisect"))
-        if proc_workers != 1
-        else None
-    )
-    if proc_single and proc_multi and proc_single.docs_per_sec > 0:
-        summary["cluster_proc_multi_over_single"] = round(
-            proc_multi.docs_per_sec / proc_single.docs_per_sec, 4
-        )
-    if proc_single and cluster_batched and cluster_batched.docs_per_sec > 0:
-        # The RPC + per-shard WAL dispatch tax of leaving the process,
-        # measured against the in-process batched cluster cell.
-        summary["cluster_proc_over_batched"] = round(
-            proc_single.docs_per_sec / cluster_batched.docs_per_sec, 4
-        )
-    # The dedup ratios compare like with like: bisect cells only (the
-    # columnar dedup-on cells are a storage comparison, not a dedup one).
-    on_cells = {
-        record.subscriptions: record
-        for record in records
-        if record.workload == "query-scale"
-        and record.mode == "dedup-on"
-        and record.storage == "bisect"
-    }
-    off_cells = {
-        record.subscriptions: record
-        for record in records
-        if record.workload == "query-scale" and record.mode == "dedup-off"
-    }
-    shared_counts = sorted(set(on_cells) & set(off_cells))
-    if shared_counts:
-        # The headline dedup claim, at the largest count measured both
-        # ways: bytes of standing-query state per subscription, undeduped
-        # over deduped (the memory-regression test pins this >= 3).
-        at = shared_counts[-1]
-        on_cell, off_cell = on_cells[at], off_cells[at]
-        if on_cell.bytes_per_query and off_cell.bytes_per_query is not None:
-            summary["queries_dedup_bytes_ratio"] = round(
-                off_cell.bytes_per_query / on_cell.bytes_per_query, 4
-            )
-            summary["queries_dedup_bytes_ratio_at"] = at
-        if off_cell.docs_per_sec > 0:
-            summary["queries_dedup_throughput_ratio"] = round(
-                on_cell.docs_per_sec / off_cell.docs_per_sec, 4
-            )
-
+    for name, cells in itertools.groupby(default_suite(scale), key=lambda cell: cell.workload):
+        rows = list(cells)
+        say(f"[bench] workload {name} ({rows[0].point.label})")
+        workload = build_workload(rows[0].point.config)
+        for cell in rows:
+            say(f"[bench]   engine {cell.engine} ({cell.mode}, {cell.storage})")
+            records.append(run_cell(cell, workload, batch_size, repeats))
+    say("[bench] workload service-overhead")
+    records.extend(_service_overhead_records(scale, batch_size))
+    records.extend(_query_scale_records(batch_size, say, queries_max))
     return {
         "schema": SCHEMA,
         "generated_by": "repro.workloads.perfjson",
         "scale": scale,
         "batch_size": batch_size,
-        "proc_workers": proc_workers,
         "queries_max": queries_max,
         "workloads": sorted({record.workload for record in records}),
         "engines": sorted({record.engine for record in records}),
         "results": [asdict(record) for record in records],
-        "summary": summary,
+        "summary": _summarise(records),
     }
 
 
@@ -924,9 +687,6 @@ HISTORY_FILENAME = "bench_history.jsonl"
 
 def _git_sha() -> Optional[str]:
     """Short commit id of the checkout this module runs from, else ``None``."""
-    import subprocess
-    from pathlib import Path
-
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -956,10 +716,6 @@ def history_entry(
     one environment, and a thread/process ratio without a core count is
     uninterpretable.
     """
-    import datetime
-    import os
-    import platform as platform_module
-
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -977,8 +733,8 @@ def history_entry(
         "schema": document.get("schema", SCHEMA),
         "scale": document.get("scale"),
         "batch_size": document.get("batch_size"),
-        "python": platform_module.python_version(),
-        "platform": platform_module.platform(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_sha": _git_sha(),
         "summary": dict(document.get("summary", {})),
@@ -996,9 +752,6 @@ def append_history(
     Returns the path appended to (``history_dir/bench_history.jsonl``;
     the directory is created on first use).
     """
-    import json
-    from pathlib import Path
-
     path = Path(history_dir) / HISTORY_FILENAME
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = history_entry(document, timestamp=timestamp)
@@ -1016,9 +769,6 @@ def read_history(history_dir: Any) -> List[Dict[str, Any]]:
     half-written final line -- fail loudly rather than silently trimming
     the trend).
     """
-    import json
-    from pathlib import Path
-
     path = Path(history_dir) / HISTORY_FILENAME
     if not path.is_file():
         return []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.workloads.perfjson import SUMMARY
 from repro.workloads.runner import ExperimentResult, PointResult
 
 __all__ = [
@@ -112,24 +113,6 @@ def format_speedup_summary(result: ExperimentResult) -> str:
 # --------------------------------------------------------------------------- #
 # the markdown perf dashboard (CI artifact)
 # --------------------------------------------------------------------------- #
-#: what each summary ratio means, for the dashboard's headline table
-_RATIO_NOTES = {
-    "figure3a_ita_instrumented_over_batched": "telemetry overhead (bound: <= 1.05)",
-    "figure3a_ita_wal_over_batched": "logged-ingest overhead (bound: < 1.25)",
-    "figure3a_ita_batched_over_naive_kmax": "ITA vs the paper's Naive-kmax competitor",
-    "figure3a_columnar_over_batched": "columnar kernel over batched bisect (bound: >= 2 in CI)",
-    "service_facade_over_direct": "service facade tax over the raw engine",
-    "cluster_async_over_batched": "one-worker async lane vs synchronous batched",
-    "cluster_proc_multi_over_single": "worker-process scale-out (needs multi-core)",
-    "cluster_proc_over_batched": "out-of-process RPC + WAL dispatch tax",
-    "figure3a_wal_recovery_ms": "crash-recovery wall time (ms)",
-    "figure3a_wal_recovery_docs_per_sec": "crash-recovery replay throughput",
-    "queries_dedup_bytes_ratio": "bytes/query, dedup off over dedup on (bound: >= 3)",
-    "queries_dedup_bytes_ratio_at": "subscription count the dedup ratios were measured at",
-    "queries_dedup_throughput_ratio": "ingest docs/sec, dedup on over dedup off",
-}
-
-
 def _markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> List[str]:
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
@@ -167,11 +150,12 @@ def render_perf_dashboard(
 
     summary = latest.get("summary", {})
     if summary:
+        notes = {name: note for name, *_cells, note in SUMMARY}
         lines.append("## Headline ratios (latest run)")
         lines.append("")
         rows = [
             (f"`{key}`", f"{value:.4f}" if isinstance(value, float) else str(value),
-             _RATIO_NOTES.get(key, ""))
+             notes.get(key, ""))
             for key, value in sorted(summary.items())
         ]
         lines.extend(_markdown_table(("ratio", "value", "meaning"), rows))

@@ -39,8 +39,9 @@ __all__ = [
     "spec_for",
     "build_engine",
     "prepare_engine",
+    "measure_chunks",
     "measure_async_ingest",
-    "measure_wal_ingest",
+    "best_of",
     "run_point",
     "run_experiment",
 ]
@@ -171,18 +172,52 @@ def prepare_engine(
     return engine
 
 
+def measure_chunks(
+    apply: Callable[[Sequence], object],
+    measured: Sequence,
+    batch_size: int,
+) -> Tuple[float, List[float]]:
+    """Time ``apply(chunk)`` over ``measured`` in ``batch_size`` chunks.
+
+    The one synchronous measurement loop of the harness; a mode is the
+    ``apply`` it passes: ``engine.process_batch`` (batched, instrumented,
+    proc), "append the WAL record, then ``process_batch``" (wal),
+    ``service.ingest`` (the façade and query-scale cells) or, with
+    ``batch_size=1``, ``engine.process`` on the chunk's only document
+    (sequential -- the paper's per-arrival metric).
+
+    Returns ``(total_ms, samples)``: the wall-clock summed over the timed
+    calls, and per chunk its *mean per-document* milliseconds (so
+    ``sample * len(chunk)`` is the chunk's wall time; only ``batch_size=1``
+    samples are true per-event service times).
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    total_ms = 0.0
+    samples: List[float] = []
+    for start in range(0, len(measured), batch_size):
+        chunk = measured[start : start + batch_size]
+        began = time.perf_counter()
+        apply(chunk)
+        elapsed_ms = (time.perf_counter() - began) * 1000.0
+        total_ms += elapsed_ms
+        samples.append(elapsed_ms / len(chunk))
+    return total_ms, samples
+
+
 def measure_async_ingest(
     engine: MonitoringEngine,
     measured: Sequence,
     batch_size: int,
-    queue_depth: Optional[int] = None,
 ) -> Tuple[float, List[float]]:
     """Feed ``measured`` through the asynchronous ingestion lane.
 
     Runs ``engine`` on an :class:`~repro.service.lane.IngestLane` (one
     worker thread, whatever the engine kind), submits the stream in
     ``batch_size`` chunks without waiting between submissions (the lane's
-    bound on in-flight batches provides backpressure), and drains.
+    bound on in-flight batches provides backpressure), and drains.  Not
+    waiting is why this mode cannot be an ``apply`` of
+    :func:`measure_chunks` and keeps a loop of its own.
 
     Returns
     -------
@@ -197,13 +232,11 @@ def measure_async_ingest(
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     # Imported lazily: the service package imports the whole engine stack.
-    from repro.service.lane import DEFAULT_QUEUE_DEPTH, IngestLane
-
-    depth = queue_depth if queue_depth is not None else DEFAULT_QUEUE_DEPTH
+    from repro.service.lane import IngestLane
 
     async def run() -> Tuple[float, List[float]]:
         samples: List[float] = []
-        async with IngestLane(engine, queue_depth=depth) as lane:
+        async with IngestLane(engine) as lane:
             started = time.perf_counter()
             for start in range(0, len(measured), batch_size):
                 chunk = measured[start : start + batch_size]
@@ -221,52 +254,16 @@ def measure_async_ingest(
     return asyncio.run(run())
 
 
-def measure_wal_ingest(
-    engine: MonitoringEngine,
-    measured: Sequence,
-    batch_size: int,
-    wal,
-) -> Tuple[float, List[float]]:
-    """Feed ``measured`` through the *logged* batched hot path.
+def best_of(repeats: int, run: Callable[[], Tuple]) -> Tuple:
+    """Call ``run`` ``repeats`` times; keep the result with the lowest total.
 
-    Per chunk: append one ingest record (documents encoded with the
-    persistence codec, exactly as the durable service logs them) to
-    ``wal`` -- a :class:`~repro.durability.wal.WriteAheadLog` -- and then
-    process the chunk.  This is the durable service's ingest lane without
-    the façade, so comparing it against the plain batched mode isolates
-    the write-ahead-logging overhead itself.
-
-    Returns
-    -------
-    (total_ms, samples)
-        As in :func:`run_point`'s batched mode: the overall wall-clock
-        time and one mean per-document sample per chunk, both including
-        the log append.
+    ``run`` measures one cell on a fresh engine and returns a tuple led by
+    its ``total_ms``.  Best-of-N squeezes scheduler and frequency-scaling
+    noise out of the trajectory artifact, which later PRs diff against.
     """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    # Imported lazily: repro.persistence pulls in the engine stack.
-    from repro.persistence import document_record
-
-    total_ms = 0.0
-    samples: List[float] = []
-    lsn = 0
-    for start in range(0, len(measured), batch_size):
-        chunk = measured[start : start + batch_size]
-        began = time.perf_counter()
-        lsn += 1
-        wal.append(
-            {
-                "lsn": lsn,
-                "op": "ingest",
-                "docs": [document_record(streamed) for streamed in chunk],
-            }
-        )
-        engine.process_batch(chunk)
-        elapsed_ms = (time.perf_counter() - began) * 1000.0
-        total_ms += elapsed_ms
-        samples.append(elapsed_ms / len(chunk))
-    return total_ms, samples
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    return min((run() for _ in range(repeats)), key=lambda measurement: measurement[0])
 
 
 def run_point(
@@ -274,61 +271,26 @@ def run_point(
     engines: Sequence[str],
     workload: Optional[GeneratedWorkload] = None,
     progress: Optional[Callable[[str], None]] = None,
-    batch_size: Optional[int] = None,
-    async_lane: bool = False,
 ) -> PointResult:
     """Run every engine on one sweep point and collect measurements.
 
-    With ``batch_size=None`` (the default, the paper's measurement model)
-    each arrival is processed and timed individually, so the percentile
-    summary holds true per-event service times.  With a positive
-    ``batch_size`` the measured stream is fed through the engines' batched
-    fast path (:meth:`~repro.core.base.MonitoringEngine.process_batch`) in
-    chunks of that size; one sample is then the *mean per-document* time
-    of one chunk (individual per-event times are not observable inside a
-    batch), while ``mean_ms`` stays the exact overall mean.
-
-    With ``async_lane`` set (requires ``batch_size``), the chunks go
-    through the asynchronous ingestion lane instead
-    (:func:`measure_async_ingest`): ``mean_ms`` is wall-clock over the
-    whole stream divided by the event count (true lane throughput), and
-    the percentile summary holds per-chunk submit-to-resolve latencies.
+    The paper's measurement model: each arrival is processed and timed
+    individually, so the percentile summary holds true per-event service
+    times.
     """
-    if async_lane and batch_size is None:
-        raise ValueError("async measurement is batched; pass batch_size with async_lane")
     if workload is None:
         workload = build_workload(point.config)
+    measured = workload.measured
     measurements: Dict[str, EngineMeasurement] = {}
     for engine_name in engines:
         if progress is not None:
             progress(f"    engine {engine_name}: preparing")
         engine = prepare_engine(engine_name, point, workload)
-        measured = workload.measured
-        samples: List[float] = []
         if progress is not None:
             progress(f"    engine {engine_name}: measuring {len(measured)} events")
-        if async_lane:
-            assert batch_size is not None
-            if batch_size <= 0:
-                raise ValueError("batch_size must be positive when given")
-            total_ms, samples = measure_async_ingest(engine, measured, batch_size)
-        elif batch_size is None:
-            for document in measured:
-                started = time.perf_counter()
-                engine.process(document)
-                samples.append((time.perf_counter() - started) * 1000.0)
-            total_ms = sum(samples)
-        else:
-            if batch_size <= 0:
-                raise ValueError("batch_size must be positive when given")
-            total_ms = 0.0
-            for start in range(0, len(measured), batch_size):
-                chunk = measured[start : start + batch_size]
-                started = time.perf_counter()
-                engine.process_batch(chunk)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                total_ms += elapsed_ms
-                samples.append(elapsed_ms / len(chunk))
+        total_ms, samples = measure_chunks(
+            lambda chunk: engine.process(chunk[0]), measured, 1
+        )
         measurements[engine_name] = EngineMeasurement(
             engine=engine_name,
             mean_ms=total_ms / len(measured) if measured else 0.0,

@@ -18,14 +18,14 @@ true overhead after the cached-child refactor sits around 2-3%.
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 from repro.observability import runtime
 from repro.workloads.experiments import figure_3a
 from repro.workloads.generators import build_workload
 from repro.workloads.perfjson import _point_by_label
-from repro.workloads.runner import prepare_engine, run_point
+from repro.workloads.runner import measure_chunks, prepare_engine
 
 OVERHEAD_BOUND = 1.05
 REPEATS = 5  # interleaved plain/instrumented passes per attempt
@@ -44,21 +44,13 @@ def _chunk_times(point, workload, instrumented: bool) -> list:
     """Per-chunk wall times for one full pass over the measured stream."""
     engine = prepare_engine("ita", point, workload)
     measured = workload.measured
-    times = []
-
-    def run():
-        for start in range(0, len(measured), BATCH_SIZE):
-            chunk = measured[start : start + BATCH_SIZE]
-            began = time.perf_counter()
-            engine.process_batch(chunk)
-            times.append(time.perf_counter() - began)
-
-    if instrumented:
-        with runtime.observed():
-            run()
-    else:
-        run()
-    return times
+    with runtime.observed() if instrumented else nullcontext():
+        _, samples = measure_chunks(engine.process_batch, measured, BATCH_SIZE)
+    # a sample is its chunk's mean per-document ms; the last chunk is short
+    return [
+        sample * len(measured[start : start + BATCH_SIZE])
+        for sample, start in zip(samples, range(0, len(measured), BATCH_SIZE))
+    ]
 
 
 def _overhead_ratio(point, workload) -> float:
@@ -114,7 +106,8 @@ def test_disabled_mode_is_effectively_free() -> None:
     assert runtime.active is False
     families_before = set(runtime.metrics.snapshot()["families"])
     spans_before = len(runtime.tracer)
-    run_point(point, ["ita"], workload=workload, batch_size=BATCH_SIZE)
+    engine = prepare_engine("ita", point, workload)
+    measure_chunks(engine.process_batch, workload.measured, BATCH_SIZE)
     assert set(runtime.metrics.snapshot()["families"]) == families_before
     assert len(runtime.tracer) == spans_before
     assert len(runtime.slowlog) == 0

@@ -7,140 +7,153 @@ import subprocess
 import pytest
 
 from repro.workloads.cli import main
+from repro.workloads.experiments import SCALES
+from repro.workloads.generators import build_workload
 from repro.workloads.perfjson import (
+    QUERY_SCALE_VARIANTS,
     SCHEMA,
+    SERVICE_OVERHEAD_MODES,
+    SUMMARY,
     BenchRecord,
     default_suite,
     history_entry,
     read_history,
     run_bench_suite,
-    run_case,
+    run_cell,
 )
+
+
+def _cells(workload, scale="smoke"):
+    return [cell for cell in default_suite(scale) if cell.workload == workload]
 
 
 class TestSuiteDefinition:
     def test_covers_enough_workloads_and_engines(self):
         suite = default_suite("smoke")
-        workloads = {case.workload for case in suite}
-        engines = {name for case in suite for name in case.modes}
-        assert len(workloads) >= 4
-        assert len(engines) >= 3
+        assert len({cell.workload for cell in suite}) >= 4
+        assert len({cell.engine for cell in suite}) >= 3
 
-    def test_headline_workload_measures_both_ita_modes(self):
+    def test_rows_are_unique(self):
         suite = default_suite("smoke")
-        figure3a = next(case for case in suite if case.workload == "figure3a")
-        assert tuple(figure3a.modes["ita"]) == (
-            "sequential", "batched", "instrumented", "wal",
-        )
+        assert len({cell.key for cell in suite}) == len(suite)
 
-    def test_every_case_resolves_a_point(self):
-        for case in default_suite("smoke"):
-            assert case.point in tuple(case.definition.points)
+    def test_headline_workload_measures_every_ita_mode(self):
+        modes = [
+            (cell.mode, cell.storage)
+            for cell in _cells("figure3a")
+            if cell.engine == "ita"
+        ]
+        assert modes == [
+            ("sequential", "bisect"),
+            ("batched", "bisect"),
+            ("instrumented", "bisect"),
+            ("wal", "bisect"),
+            ("wal-recovery", "bisect"),
+            ("batched", "columnar"),
+        ]
 
-    def test_cluster_workload_measures_the_async_pipeline(self):
-        suite = default_suite("smoke")
-        cluster = next(case for case in suite if case.workload == "cluster-scaling")
-        assert "async" in cluster.modes["sharded-ita"]
+    def test_every_row_resolves_its_point(self):
+        """_point_by_label falls back to the last point; no row may."""
+        labels = {
+            "figure3a": "n=10",
+            "figure3b": "N=100",
+            "ablation-queries": "Q=40",
+            "cluster-scaling": "shards=4",
+        }
+        for cell in default_suite("smoke"):
+            assert cell.point.label == labels[cell.workload]
+
+    def test_cluster_workload_measures_the_async_lane_and_the_proc_cluster(self):
+        modes = {(cell.engine, cell.mode) for cell in _cells("cluster-scaling")}
+        assert ("sharded-ita", "async") in modes
+        assert ("sharded-proc", "proc") in modes
 
     def test_rejects_non_positive_repeats(self):
-        case = default_suite("smoke")[0]
+        cell = default_suite("smoke")[0]
         with pytest.raises(ValueError):
-            run_case(case, repeats=0)
-
-    def test_rejects_non_positive_proc_workers(self):
-        case = default_suite("smoke")[0]
-        with pytest.raises(ValueError):
-            run_case(case, proc_workers=0)
-
-    def test_cluster_workload_measures_the_proc_cluster(self):
-        suite = default_suite("smoke")
-        cluster = next(case for case in suite if case.workload == "cluster-scaling")
-        assert tuple(cluster.modes["sharded-proc"]) == ("proc",)
+            run_cell(cell, build_workload(cell.point.config), repeats=0)
 
 
-class TestRunCase:
-    def test_records_have_consistent_metrics(self):
-        case = default_suite("smoke")[0]
-        records = run_case(case, batch_size=8, repeats=1)
-        assert {record.mode for record in records} == {
-            "sequential",
-            "batched",
-            "instrumented",
-            "wal",
-            "wal-recovery",
+class TestSummaryTable:
+    """The failure mode the old if-chain hid: a mistyped key drops a ratio."""
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    def test_every_row_names_cells_the_suite_produces(self, scale):
+        produced = {cell.key for cell in default_suite(scale)}
+        produced |= {
+            ("service-overhead", "ita", mode, "bisect")
+            for mode in SERVICE_OVERHEAD_MODES
         }
+        produced |= {
+            ("query-scale", "ita", mode, storage)
+            for mode, storage, _largest in QUERY_SCALE_VARIANTS
+        }
+        for name, numerator, denominator, field, note in SUMMARY:
+            assert numerator in produced, name
+            assert denominator is None or denominator in produced, name
+            assert field in BenchRecord.__dataclass_fields__ or hasattr(
+                BenchRecord, field
+            ), name
+            assert note, name
+
+    def test_names_are_unique(self):
+        names = [row[0] for row in SUMMARY]
+        assert len(set(names)) == len(names)
+
+
+class TestRunCell:
+    def test_records_have_consistent_metrics(self):
+        cells = _cells("figure3a")
+        workload = build_workload(cells[0].point.config)
+        records = [run_cell(cell, workload, batch_size=8) for cell in cells]
+        assert [record.key for record in records] == [cell.key for cell in cells]
         for record in records:
             assert isinstance(record, BenchRecord)
-            assert record.workload == case.workload
-            assert record.events == case.point.config.measured_events
+            assert record.events == cells[0].point.config.measured_events
             assert record.docs_per_sec == pytest.approx(1000.0 / record.mean_ms)
-            if record.mode in ("batched", "instrumented", "wal", "wal-recovery"):
-                assert record.batch_size == 8
-            else:
-                assert record.batch_size is None
+            assert record.batch_size == (None if record.mode == "sequential" else 8)
             assert record.concurrency is None
 
     def test_async_mode_measures_the_one_lane(self):
-        suite = default_suite("smoke")
-        cluster = next(case for case in suite if case.workload == "cluster-scaling")
-        records = run_case(cluster, batch_size=8, repeats=1)
-        [record] = [record for record in records if record.mode == "async"]
+        [cell] = [cell for cell in _cells("cluster-scaling") if cell.mode == "async"]
+        record = run_cell(cell, build_workload(cell.point.config), batch_size=8)
         assert record.concurrency is None
         assert record.batch_size == 8
         assert record.docs_per_sec > 0.0
         assert record.scores_per_event > 0.0
 
-    def test_proc_mode_measures_single_and_multi_worker(self):
-        suite = default_suite("smoke")
-        cluster = next(case for case in suite if case.workload == "cluster-scaling")
-        records = run_case(cluster, batch_size=8, repeats=1, proc_workers=2)
-        proc_records = [record for record in records if record.mode == "proc"]
-        assert sorted(record.concurrency for record in proc_records) == [1, 2]
-        for record in proc_records:
-            assert record.engine == "sharded-proc"
-            assert record.batch_size == 8
-            assert record.docs_per_sec > 0.0
-            assert record.scores_per_event > 0.0
+    def test_proc_cell_runs_at_the_shard_count_it_is_compared_at(self):
+        """cluster_proc_over_batched divides like by like: same shards,
+        placement and calibration, hence the same scoring work."""
+        cluster = _cells("cluster-scaling")
+        workload = build_workload(cluster[0].point.config)
+        by_mode = {
+            cell.mode: run_cell(cell, workload, batch_size=8)
+            for cell in cluster
+            if cell.mode in ("batched", "proc")
+        }
+        proc, batched = by_mode["proc"], by_mode["batched"]
+        assert proc.engine == "sharded-proc"
+        assert proc.concurrency == 4
+        assert proc.batch_size == 8
+        assert proc.docs_per_sec > 0.0
+        assert proc.scores_per_event == batched.scores_per_event > 0.0
 
 
 class TestRunBenchSuite:
-    def test_single_worker_only_run_omits_the_speedup_ratio(self):
-        """--proc-workers 1 measures only the baseline cell; the summary
-        must not fabricate a 1.0 self-ratio from it."""
-        document = run_bench_suite(
-            scale="smoke", repeats=1, proc_workers=1, queries_max=0,
-        )
-        async_cells = [r for r in document["results"] if r["mode"] == "async"]
-        assert [r["concurrency"] for r in async_cells] == [None]
-        assert "cluster_async_over_batched" in document["summary"]
-        proc_cells = [r for r in document["results"] if r["mode"] == "proc"]
-        assert [r["concurrency"] for r in proc_cells] == [1]
-        assert "cluster_proc_multi_over_single" not in document["summary"]
-        # The dispatch-tax ratio only needs the baseline cell, so it stays.
-        assert "cluster_proc_over_batched" in document["summary"]
-
     def test_smoke_suite_document_shape(self):
         # queries_max=10_000 keeps the query-scale cells to the small
-        # count (the 100k cell is CI's queryscale-smoke job's business).
+        # count (the 100k cell is CI's perf-smoke job's business).
         document = run_bench_suite(scale="smoke", repeats=1, queries_max=10_000)
         assert document["schema"] == SCHEMA
         assert document["scale"] == "smoke"
         assert document["queries_max"] == 10_000
         assert len(document["workloads"]) >= 4
         assert len(document["engines"]) >= 3
-        # a bisect batch *is* the sequential path, so that ratio is retired
-        assert "figure3a_ita_batched_over_sequential" not in document["summary"]
-        assert "service_facade_over_direct" in document["summary"]
-        # one async cell: the multi-over-single-worker ratio is retired
-        assert "cluster_async_multi_over_single_worker" not in document["summary"]
-        assert "async_workers" not in document
-        assert "cluster_async_over_batched" in document["summary"]
-        assert "figure3a_ita_wal_over_batched" in document["summary"]
-        assert "figure3a_wal_recovery_ms" in document["summary"]
-        assert "cluster_proc_multi_over_single" in document["summary"]
+        # every summary row was measured, and nothing else is published
+        assert list(document["summary"]) == [row[0] for row in SUMMARY]
         assert document["summary"]["queries_dedup_bytes_ratio_at"] == 10_000
         assert document["summary"]["queries_dedup_bytes_ratio"] > 1.0
-        assert "queries_dedup_throughput_ratio" in document["summary"]
         for record in document["results"]:
             assert record["events"] > 0
             assert record["docs_per_sec"] > 0.0
@@ -152,7 +165,7 @@ class TestRunBenchSuite:
                 "dedup-off", "dedup-on",
             )
             if record["mode"] == "proc":
-                assert record["concurrency"] >= 1
+                assert record["concurrency"] == 4
             else:
                 assert record["concurrency"] is None
             if record["workload"] == "query-scale":
@@ -168,7 +181,9 @@ class TestRunBenchSuite:
         document = run_bench_suite(scale="smoke", repeats=1, queries_max=0)
         assert "query-scale" not in document["workloads"]
         assert all(r["workload"] != "query-scale" for r in document["results"])
-        assert "queries_dedup_bytes_ratio" not in document["summary"]
+        assert set(document["summary"]) == {
+            name for name, numerator, *_ in SUMMARY if numerator[0] != "query-scale"
+        }
 
 
 class TestCLI:

@@ -70,10 +70,14 @@ class ITAEngine(MonitoringEngine):
         threshold descent to round-robin probing.
     storage:
         The storage backend holding the scoring state: a registered backend
-        name (``"bisect"`` -- the default -- or ``"columnar"``) or a
-        :class:`~repro.index.backend.StorageBackend` instance.  Backends
-        are semantically interchangeable; they differ in representation
-        and batch-path speed.
+        name or a :class:`~repro.index.backend.StorageBackend` instance.
+        An engine constructed directly defaults to ``"bisect"``, the
+        paper-faithful reference containers and the conformance oracle; a
+        service builds its engines from an
+        :class:`~repro.service.spec.EngineSpec`, whose default is
+        ``"columnar"`` (:data:`~repro.index.backend.DEFAULT_STORAGE`).
+        Backends are semantically interchangeable; they differ in
+        representation and speed.
     """
 
     name = "ita"

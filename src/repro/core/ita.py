@@ -10,7 +10,8 @@ Each installed query owns an :class:`ITAQueryState`, which bundles
 and implements the maintenance logic of Section III of the paper:
 
 * :meth:`initialise` -- the initial top-k search (an adapted threshold
-  algorithm, delegated to :func:`repro.core.descent.threshold_descent`),
+  algorithm, delegated to :func:`repro.core.descent.threshold_descent` or
+  to the storage backend's fused equivalent),
   followed by the registration of the local thresholds in the per-list
   threshold trees;
 * :meth:`handle_arrival` -- scoring of a potentially affected arriving
@@ -90,20 +91,35 @@ class ITAQueryState:
     # registration / termination
     # ------------------------------------------------------------------ #
     def initialise(self) -> None:
-        """Compute the initial top-k result and register the thresholds."""
-        outcome = threshold_descent(
-            self.query,
-            self.index,
-            self.results,
-            start_thresholds=None,
-            counters=self.counters,
-            probe_order=self.probe_order,
-        )
-        self.thresholds = outcome.thresholds
-        self.tau = outcome.tau
-        for term_id in self.query.weights:
-            tree = self.index.threshold_tree(term_id)
-            tree.register(self.query.query_id, self.thresholds[term_id])
+        """Compute the initial top-k result and register the thresholds.
+
+        The terms are watched first (their trees created), then searched:
+        a storage backend may build a term's list only once it is watched.
+        The search is the backend's fused descent when it has one
+        (:meth:`~repro.index.backend.StorageBackend.descent_kernel`) and
+        the reference :func:`~repro.core.descent.threshold_descent`
+        otherwise, as for the round-robin ablation; results, thresholds,
+        tau and counters are the same either way.
+        """
+        index = self.index
+        trees = [index.threshold_tree(term_id) for term_id in self.query.weights]
+        descent = index.backend.descent_kernel()
+        if descent is not None and self.probe_order is ProbeOrder.WEIGHTED:
+            self.thresholds, self.tau = descent(self)
+        else:
+            outcome = threshold_descent(
+                self.query,
+                index,
+                self.results,
+                start_thresholds=None,
+                counters=self.counters,
+                probe_order=self.probe_order,
+            )
+            self.thresholds = outcome.thresholds
+            self.tau = outcome.tau
+        query_id = self.query.query_id
+        for term_id, tree in zip(self.query.weights, trees):
+            tree.register(query_id, self.thresholds[term_id])
 
     def detach(self) -> None:
         """Remove this query's entries from every threshold tree."""

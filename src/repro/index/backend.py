@@ -14,18 +14,21 @@ A backend supplies
 
 * a factory per container family (``make_inverted_list`` /
   ``make_threshold_tree`` / ``make_document_store``), and
-* optionally a fused *batch kernel* -- a function
+* optionally two fused kernels -- a *batch kernel*
   ``kernel(engine, documents) -> per-event changes`` that
-  :meth:`repro.core.engine.ITAEngine.process_batch_events` dispatches to.
-  Backends without a kernel fall back to the engine's generic per-event
-  path, so third-party backends only need the three factories to be
-  correct; the kernel is purely a speed contract.
+  :meth:`repro.core.engine.ITAEngine.process_batch_events` dispatches to,
+  and a *descent kernel* that runs a query's initial top-k search.
+  Backends without them fall back to the engine's generic paths, so
+  third-party backends only need the three factories to be correct; the
+  kernels are purely a speed contract.
 
 Two backends ship with the repo:
 
-* ``"bisect"`` -- the original object-per-posting containers, unchanged.
-* ``"columnar"`` -- parallel ``array``-column storage with a fused batch
-  kernel (:mod:`repro.index.columnar`), imported lazily on first use.
+* ``"bisect"`` -- the original object-per-posting containers, unchanged:
+  the paper-faithful reference and the conformance oracle.
+* ``"columnar"`` -- parallel ``array``-column storage with fused kernels
+  (:mod:`repro.index.columnar`), imported lazily on first use.  It is what
+  a service runs unless told otherwise (:data:`DEFAULT_STORAGE`).
 
 Every container returned by a backend must be *semantically
 interchangeable* with the bisect one: same ordering convention
@@ -54,15 +57,17 @@ __all__ = [
     "storage_backends",
 ]
 
-#: The backend used when no ``storage=`` is specified anywhere.
-DEFAULT_STORAGE = "bisect"
+#: The backend of an :class:`~repro.service.spec.EngineSpec` that names
+#: none.  (``ITAEngine`` and ``InvertedIndex`` constructed directly keep
+#: the ``"bisect"`` reference as their own default.)
+DEFAULT_STORAGE = "columnar"
 
 
 class StorageBackend(ABC):
     """Factory bundle for one storage representation of the scoring state.
 
     Subclasses set :attr:`name` and implement the two abstract container
-    factories.  ``make_document_store`` and ``batch_kernel`` have sensible
+    factories.  ``make_document_store`` and the kernels have sensible
     defaults (the FIFO store is plain object storage and is shared by all
     backends; no kernel means the engine uses its generic path).
     """
@@ -70,12 +75,15 @@ class StorageBackend(ABC):
     #: registry key; also recorded in snapshots and bench schema rows
     name: str = "abstract"
 
-    #: When True, the index keeps *materialised* inverted lists only for
-    #: terms somebody is actually watching (a threshold tree exists or an
-    #: ordered read promoted the list); postings of all other ("cold")
-    #: terms stay implicit in the document store and lists for them are
-    #: rebuilt on demand.  This turns the per-term substrate work for the
-    #: typically dominant share of unwatched terms into a dictionary miss.
+    #: When True, the index keeps inverted lists only for terms somebody
+    #: is actually watching (a threshold tree exists, or an ordered read
+    #: promoted the list).  For every other ("cold") term it merely records
+    #: which documents brought the term -- one append per arrival, nothing
+    #: per expiration -- and builds the list from those documents' own
+    #: weights when the term is first watched: one sort of that term's
+    #: postings, no scan of the document store.  Only the lists of query
+    #: terms are ever probed, rolled up or descended, so the postings no
+    #: query reads are never sorted at all.
     virtual_cold_lists: bool = False
 
     @abstractmethod
@@ -87,23 +95,23 @@ class StorageBackend(ABC):
         """A fresh, empty threshold tree for ``term_id``."""
 
     def build_inverted_list(self, term_id: int, postings):
-        """An inverted list pre-filled from ``(doc_id, weight)`` pairs.
+        """An inverted list over the ``doc_id -> weight`` map ``postings``.
 
-        Used when a virtual cold list is promoted to a materialised one.
-        The default inserts one posting at a time; backends with a bulk
+        Used when a cold term is promoted; the list may adopt the map.  The
+        default inserts one posting at a time; backends with a bulk
         sorted-build path should override.
         """
         inverted_list = self.make_inverted_list(term_id)
-        for doc_id, weight in postings:
+        for doc_id, weight in postings.items():
             inverted_list.insert(doc_id, weight)
         return inverted_list
 
     def attach_tree(self, inverted_list, tree) -> None:
         """Let the list object reference its term's threshold tree.
 
-        Called whenever a list and a tree for the same term both exist.
-        The default is a no-op; backends whose kernel wants one-load access
-        to the tree store it on the list here.
+        Called once per term, when the term is first watched (its tree is
+        created).  The default is a no-op; backends whose kernel wants
+        one-load access to the tree store it on the list here.
         """
 
     def make_document_store(self) -> DocumentStore:
@@ -116,6 +124,18 @@ class StorageBackend(ABC):
         The callable has the signature ``kernel(engine, documents)`` and
         must produce exactly the same engine state, counters and per-event
         change lists as calling ``engine.process`` once per document.
+        """
+        return None
+
+    def descent_kernel(self) -> Optional[Callable]:
+        """A fused threshold descent, or ``None`` for the generic one.
+
+        The callable has the signature ``descent(state, start_thresholds)
+        -> (thresholds, tau)`` and must read the same postings, score the
+        same documents into ``state.results`` and add the same counts to
+        ``state.counters`` as :func:`repro.core.descent.threshold_descent`
+        in weighted probe order.  Every term of ``state.query`` is watched
+        when it is called.
         """
         return None
 

@@ -10,10 +10,10 @@ backend ships a fused batch kernel (:mod:`repro.index.columnar.kernel`)
 that inlines the whole per-event probe/score/roll-up/evict loop over the
 raw columns.
 
-numpy, when importable, accelerates compaction sweeps
-(:mod:`repro.index.columnar.accel`); it is auto-detected and never
-required -- every operation has a pure-Python fallback with identical
-results.
+Columns exist only for terms somebody watches (or whose order was read);
+for the rest the index records which documents brought the term and sorts
+that term's own postings on first watch, so the postings no query reads
+are never sorted.  Standard library only.
 
 Importing this package registers the backend under the name
 ``"columnar"`` (the registry in :mod:`repro.index.backend` also imports

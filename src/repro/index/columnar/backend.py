@@ -12,14 +12,15 @@ __all__ = ["ColumnarStorageBackend"]
 
 
 class ColumnarStorageBackend(StorageBackend):
-    """Array-column containers plus the fused batch kernel.
+    """Array-column containers plus the fused kernels.
 
     The backend opts into *virtual cold lists*: only terms with a
     registered query (or promoted by an explicit ordered read) carry
-    materialised columns; every other term's postings stay implicit in the
-    document store.  Since threshold probes, roll-up candidates and
-    descents only ever read query terms, the fused kernel reduces the
-    per-event substrate work for unwatched terms to a dictionary miss.
+    columns; for every other term the index records which documents
+    brought it and builds the columns from that term's own postings on
+    first watch.  Since threshold probes, roll-up candidates and descents
+    only ever read query terms, the per-event substrate work for unwatched
+    terms is one list append per arrival and nothing per expiration.
     """
 
     name = "columnar"
@@ -41,3 +42,8 @@ class ColumnarStorageBackend(StorageBackend):
         from repro.index.columnar.kernel import columnar_batch_events
 
         return columnar_batch_events
+
+    def descent_kernel(self) -> Callable:
+        from repro.index.columnar.kernel import columnar_descent
+
+        return columnar_descent

@@ -1,17 +1,17 @@
-"""The fused batch kernel of the columnar backend.
+"""The fused kernels of the columnar backend.
 
 :func:`columnar_batch_events` is what
 :meth:`repro.core.engine.ITAEngine.process_batch_events` dispatches to
 when the engine was built with ``storage="columnar"``.  It plays the role
 of the engine's per-event batch path but fuses the work along two axes:
 
-* **Virtual cold terms.**  With the columnar backend the index only
-  materialises lists for *watched* terms (terms with a threshold tree, or
-  promoted by an explicit ordered read); every other term's postings stay
-  implicit in the document store.  Since threshold probes, roll-up
-  candidates and descents only ever read watched terms, the kernel's
-  per-event work for the typically dominant share of unwatched terms is a
-  single dictionary miss.
+* **Virtual cold terms.**  With the columnar backend the index keeps
+  lists only for *watched* terms (terms with a threshold tree, or promoted
+  by an explicit ordered read); for every other term it records which
+  documents brought it.  Since threshold probes, roll-up candidates and
+  descents only ever read watched terms, the kernel's per-event work for
+  the typically dominant share of unwatched terms is one list append per
+  arrival and nothing per expiration.
 
 * **Fused handlers.**  For watched terms the substrate maintenance is
   fused with the threshold-tree probes, and the per-query handlers
@@ -32,7 +32,9 @@ reproduced exactly.  Two deviations are *provably* invisible:
   only the stepped term's threshold moves, so only that term's cached
   candidate is invalidated -- every step still scans the terms in the
   same order over the same values.
-* The inlined descent holds cursor state in parallel lists instead of
+* The descent (:func:`columnar_descent`, the kernel's refill stage and
+  -- started from the top of the lists -- the initial search of a newly
+  registered query) holds cursor state in parallel lists instead of
   :class:`~repro.core.descent._ListCursor` objects; positions, ceilings
   and priorities take exactly the values the cursor objects would hold
   (a live posting weight is strictly positive, so ``ceiling == 0.0`` is
@@ -63,7 +65,139 @@ from typing import Dict, List, Sequence
 from repro.index.columnar.postings import TOMBSTONE
 from repro.observability import runtime as _obs
 
-__all__ = ["columnar_batch_events"]
+__all__ = ["columnar_batch_events", "columnar_descent"]
+
+_INFINITY = float("inf")
+
+
+def columnar_descent(state, start_thresholds=None):
+    """The threshold descent of Section III-A over the raw columns.
+
+    The counterpart of :func:`repro.core.descent.threshold_descent` in
+    weighted probe order: from the top of the lists when
+    ``start_thresholds`` is ``None`` (the initial search), otherwise
+    resumed from the recorded local thresholds, inclusive (entries tied
+    with a threshold may not have been read before).  Scores unseen
+    documents into ``state.results``, adds the postings read and scores
+    computed to ``state.counters`` and returns ``(thresholds, tau)``; the
+    caller records them and updates the threshold trees.
+
+    Every term of the query must be watched, so its list exists and is
+    ordered.
+    """
+    if (
+        start_thresholds is not None
+        and state.tau == 0.0
+        and not any(start_thresholds.values())
+    ):
+        # Exhausted steady state: at threshold 0.0 the ordered read
+        # starts past the end of every list, so each ceiling stays 0.0 --
+        # the descent would consume nothing and leave tau at 0.0.
+        return start_thresholds, 0.0
+    query = state.query
+    query_weights = query._weights
+    k = query.k
+    results = state.results
+    scores_map = results._scores
+    ordered_items = results._ordered._items
+    index = state.index
+    lists = index._lists
+    # Phase 1: positions and ceilings only.  Most descents terminate on
+    # their very first verified check, so the full cursor state (column
+    # references, priorities) is only built when that check fails.
+    cursor_pos: list = []
+    cursor_ceiling: list = []
+    tau = 0.0
+    live = False
+    for cursor_term, query_weight in query_weights.items():
+        target_list = lists[cursor_term]
+        list_negw = target_list._negw
+        list_ids = target_list._ids
+        size = len(list_ids)
+        if start_thresholds is None:
+            position = 0
+        else:
+            position = _bisect_left(list_negw, -start_thresholds[cursor_term])
+        ceiling = 0.0
+        while position < size:
+            if list_ids[position] != TOMBSTONE:
+                ceiling = -list_negw[position]
+                live = True
+                break
+            position += 1
+        cursor_pos.append(position)
+        cursor_ceiling.append(ceiling)
+        tau += query_weight * ceiling
+    # With every cursor exhausted the descent can consume nothing -- the
+    # verified check and the consume loop are both no-ops.
+    if live and _bisect_right(ordered_items, (-tau, _INFINITY)) < k:
+        # Phase 2: the certificate failed -- materialise the full
+        # per-term cursor state and consume postings.
+        store_docs = index.documents._documents
+        query_len = len(query_weights)
+        cursor_qw = list(query_weights.values())
+        cursor_negw = [lists[cursor_term]._negw for cursor_term in query_weights]
+        cursor_ids = [lists[cursor_term]._ids for cursor_term in query_weights]
+        cursor_prio = [
+            query_weight * ceiling
+            for query_weight, ceiling in zip(cursor_qw, cursor_ceiling)
+        ]
+        n_cursors = len(cursor_qw)
+        postings_scanned = scores_computed = 0
+        while True:
+            best_index = -1
+            best_prio = 0.0
+            for cursor_index in range(n_cursors):
+                if cursor_ceiling[cursor_index] == 0.0:
+                    continue  # exhausted
+                priority = cursor_prio[cursor_index]
+                if best_index < 0 or priority > best_prio:
+                    best_prio = priority
+                    best_index = cursor_index
+            if best_index < 0:
+                break  # every list exhausted
+            list_negw = cursor_negw[best_index]
+            list_ids = cursor_ids[best_index]
+            position = cursor_pos[best_index]
+            entry_doc = list_ids[position]
+            postings_scanned += 1
+            size = len(list_ids)
+            ceiling = 0.0
+            position += 1
+            while position < size:
+                if list_ids[position] != TOMBSTONE:
+                    ceiling = -list_negw[position]
+                    break
+                position += 1
+            cursor_pos[best_index] = position
+            cursor_ceiling[best_index] = ceiling
+            cursor_prio[best_index] = cursor_qw[best_index] * ceiling
+            if entry_doc not in scores_map:
+                entry_weights = store_docs[entry_doc].document.composition._raw
+                # dot product: iterate the smaller mapping (same sum
+                # order as repro.weighting.schemes.dot_product)
+                if len(entry_weights) < query_len:
+                    small, large = entry_weights, query_weights
+                else:
+                    small, large = query_weights, entry_weights
+                large_get = large.get
+                entry_score = 0.0
+                for small_term, small_weight in small.items():
+                    other = large_get(small_term)
+                    if other is not None:
+                        entry_score += small_weight * other
+                scores_computed += 1
+                scores_map[entry_doc] = entry_score
+                _insort(ordered_items, (-entry_score, entry_doc))
+            tau = 0.0
+            for priority in cursor_prio:
+                tau += priority
+            if _bisect_right(ordered_items, (-tau, _INFINITY)) >= k:
+                break
+        counters = state.counters
+        counters.postings_scanned += postings_scanned
+        counters.scores_computed += scores_computed
+    return dict(zip(query_weights, cursor_ceiling)), tau
 
 
 def columnar_batch_events(engine, documents: Sequence) -> List[list]:
@@ -86,15 +220,16 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     trees = index._trees
     store = index.documents
     store_docs = store._documents
+    cold = index._cold
+    cold_get = cold.get
     states = engine._states
     window_insert = engine.window.insert
     track = engine.track_changes
     collect_changes = engine._collect_changes
-    infinity = float("inf")
+    infinity = _INFINITY
 
     arrivals = expirations = inserted = deleted = probes = candidates = 0
-    scores_computed = rollup_steps = result_evictions = 0
-    postings_scanned = refills = 0
+    scores_computed = rollup_steps = result_evictions = refills = 0
     per_event: List[list] = []
 
     for document in documents:
@@ -109,9 +244,9 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
             affected = set()
             update_affected = affected.update
             document_raw = expired_document.composition._raw
-            # Cold terms (no materialised list) need no work at all: the
-            # posting vanished with the store entry.  One C-level key
-            # intersection replaces the per-term dictionary misses.
+            # Cold terms (no list) need no work at all: their records drop
+            # expired documents lazily.  One C-level key intersection
+            # replaces the per-term dictionary misses.
             deleted += len(document_raw)
             for term_id in document_raw.keys() & lists.keys():
                 weight = document_raw[term_id]
@@ -169,134 +304,12 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 if state.probe_order is not weighted_order:
                     state._refill()  # round-robin ablation: generic path
                     continue
-                # slow path: resume the threshold descent from the
-                # recorded local thresholds, inclusive (entries tied with
-                # a threshold may not have been read before)
                 refills += 1
-                query_weights = query._weights
-                query_len = len(query_weights)
                 thresholds = state.thresholds
-                if tau == 0.0 and not any(thresholds.values()):
-                    # Exhausted steady state: at threshold 0.0 the
-                    # ordered read starts past the end of every list, so
-                    # each ceiling stays 0.0 -- the descent would consume
-                    # nothing, register nothing and leave tau at 0.0.
-                    continue
-                # Phase 1: positions and ceilings only.  Most descents
-                # terminate on their very first verified check, so the
-                # full cursor state (list references, priorities) is
-                # only built when that check actually fails.
-                cursor_pos: list = []
-                cursor_ceiling: list = []
-                tau = 0.0
-                live = False
-                for cursor_term, query_weight in query_weights.items():
-                    target_list = lists_get(cursor_term)
-                    ceiling = 0.0
-                    if target_list is None:
-                        # Query terms are always materialised while
-                        # watched; no list means no postings at all.
-                        position = 0
-                    else:
-                        list_negw = target_list._negw
-                        list_ids = target_list._ids
-                        size = len(list_ids)
-                        position = _bisect_left(list_negw, -thresholds[cursor_term])
-                        while position < size:
-                            if list_ids[position] != TOMBSTONE:
-                                ceiling = -list_negw[position]
-                                live = True
-                                break
-                            position += 1
-                    cursor_pos.append(position)
-                    cursor_ceiling.append(ceiling)
-                    tau += query_weight * ceiling
-                # With every cursor exhausted the descent can consume
-                # nothing -- the verified check and the consume loop are
-                # both no-ops, so only the threshold writeback remains.
-                if live and _bisect_right(ordered_items, (-tau, infinity)) < k:
-                    # Phase 2: the certificate failed -- materialise the
-                    # full per-term cursor state and consume postings.
-                    cursor_terms: list = []
-                    cursor_qw: list = []
-                    cursor_negw: list = []
-                    cursor_ids: list = []
-                    cursor_prio: list = []
-                    cursor_index = 0
-                    for cursor_term, query_weight in query_weights.items():
-                        target_list = lists_get(cursor_term)
-                        if target_list is None:
-                            cursor_negw.append(None)
-                            cursor_ids.append(None)
-                        else:
-                            cursor_negw.append(target_list._negw)
-                            cursor_ids.append(target_list._ids)
-                        cursor_terms.append(cursor_term)
-                        cursor_qw.append(query_weight)
-                        cursor_prio.append(query_weight * cursor_ceiling[cursor_index])
-                        cursor_index += 1
-                    n_cursors = len(cursor_terms)
-                    while True:
-                        best_index = -1
-                        best_prio = 0.0
-                        for cursor_index in range(n_cursors):
-                            if cursor_ceiling[cursor_index] == 0.0:
-                                continue  # exhausted
-                            priority = cursor_prio[cursor_index]
-                            if best_index < 0 or priority > best_prio:
-                                best_prio = priority
-                                best_index = cursor_index
-                        if best_index < 0:
-                            break  # every list exhausted
-                        list_negw = cursor_negw[best_index]
-                        list_ids = cursor_ids[best_index]
-                        position = cursor_pos[best_index]
-                        entry_doc = list_ids[position]
-                        postings_scanned += 1
-                        size = len(list_ids)
-                        ceiling = 0.0
-                        position += 1
-                        while position < size:
-                            if list_ids[position] != TOMBSTONE:
-                                ceiling = -list_negw[position]
-                                break
-                            position += 1
-                        cursor_pos[best_index] = position
-                        cursor_ceiling[best_index] = ceiling
-                        cursor_prio[best_index] = cursor_qw[best_index] * ceiling
-                        if entry_doc not in scores_map:
-                            entry_weights = (
-                                store_docs[entry_doc].document.composition._raw
-                            )
-                            # dot product: iterate the smaller mapping
-                            # (same sum order as
-                            # repro.weighting.schemes.dot_product)
-                            if len(entry_weights) < query_len:
-                                small, large = entry_weights, query_weights
-                            else:
-                                small, large = query_weights, entry_weights
-                            large_get = large.get
-                            entry_score = 0.0
-                            for small_term, small_weight in small.items():
-                                other = large_get(small_term)
-                                if other is not None:
-                                    entry_score += small_weight * other
-                            scores_computed += 1
-                            scores_map[entry_doc] = entry_score
-                            _insort(ordered_items, (-entry_score, entry_doc))
-                        tau = 0.0
-                        for priority in cursor_prio:
-                            tau += priority
-                        if _bisect_right(ordered_items, (-tau, infinity)) >= k:
-                            break
-                new_thresholds: Dict[int, float] = {}
-                cursor_index = 0
-                for cursor_term in query_weights:
-                    ceiling = cursor_ceiling[cursor_index]
-                    cursor_index += 1
-                    new_thresholds[cursor_term] = ceiling
-                    if ceiling != thresholds[cursor_term]:
-                        trees[cursor_term].register(query_id, ceiling)
+                new_thresholds, tau = columnar_descent(state, thresholds)
+                for term_id, ceiling in new_thresholds.items():
+                    if ceiling != thresholds[term_id]:
+                        trees[term_id].register(query_id, ceiling)
                 state.thresholds = new_thresholds
                 state.tau = tau
 
@@ -307,11 +320,20 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
         affected = set()
         update_affected = affected.update
         document_raw = composition._raw
-        # Cold terms stay implicit in the store; see the expiration loop.
         inserted += len(document_raw)
-        for term_id in document_raw.keys() & lists.keys():
-            weight = document_raw[term_id]
-            inverted_list = lists[term_id]
+        for term_id, weight in document_raw.items():
+            inverted_list = lists_get(term_id)
+            if inverted_list is None:
+                # Cold term: record the arrival (InvertedIndex._cold) and
+                # drop expired documents from the head of the record.
+                record = cold_get(term_id)
+                if record is None:
+                    cold[term_id] = [doc_id]
+                else:
+                    record.append(doc_id)
+                    while record[0] not in store_docs:
+                        del record[0]
+                continue
             # inline ColumnarInvertedList.insert
             negw_col = inverted_list._negw
             ids_col = inverted_list._ids
@@ -334,6 +356,8 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 if prefix:
                     update_affected(tree._qid[:prefix])
         candidates += len(affected)
+        if len(cold) > index._cold_limit:
+            index._sweep_cold()
 
         document_weights = composition._raw
         document_terms = len(document_weights)
@@ -521,6 +545,5 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     counters.scores_computed += scores_computed
     counters.rollup_steps += rollup_steps
     counters.result_evictions += result_evictions
-    counters.postings_scanned += postings_scanned
     counters.refills += refills
     return per_event

@@ -12,10 +12,9 @@ entries as two parallel slabs of unboxed machine values:
 
 Deletion writes a tombstone (id ``-1``; real ids are non-negative) instead
 of shifting the tail, keeping expirations O(log n + run).  Once tombstones
-outnumber live entries the columns are compacted in one sweep -- a numpy
-boolean mask when available, a plain loop otherwise; both produce the same
-bytes.  Tombstones keep their weight cell so binary searches stay valid;
-every read path skips them.
+outnumber live entries the columns are compacted in one sweep.  Tombstones
+keep their weight cell so binary searches stay valid; every read path
+skips them.
 
 The live id -> weight dict is retained for O(1) membership and duplicate
 detection, as in the bisect container.
@@ -28,17 +27,12 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import DuplicateDocumentError, UnknownDocumentError
-from repro.index.columnar.accel import numpy as _np
 from repro.index.inverted_list import PostingEntry
 
 __all__ = ["TOMBSTONE", "ColumnarInvertedList"]
 
 #: id value marking a dead cell; document ids are validated non-negative.
 TOMBSTONE = -1
-
-#: below this column length the pure-Python compaction sweep beats the
-#: numpy round-trip (frombuffer + mask + re-materialise)
-_NUMPY_COMPACT_MIN = 64
 
 
 class ColumnarInvertedList:
@@ -68,17 +62,17 @@ class ColumnarInvertedList:
         self._mutations = 0
 
     @classmethod
-    def from_postings(cls, term_id: int, pairs) -> "ColumnarInvertedList":
-        """Materialise a list from unordered ``(doc_id, weight)`` pairs."""
+    def from_postings(cls, term_id: int, weights: Dict[int, float]) -> "ColumnarInvertedList":
+        """A list over the ``doc_id -> weight`` map ``weights``, which it adopts.
+
+        How a term's list comes to be when the term is first watched: one
+        sort of that term's own postings, one ``array`` per column.
+        """
         instance = cls(term_id)
-        ordered = sorted((-weight, doc_id) for doc_id, weight in pairs)
-        negw = instance._negw
-        ids = instance._ids
-        weights = instance._weights
-        for negative_weight, doc_id in ordered:
-            negw.append(negative_weight)
-            ids.append(doc_id)
-            weights[doc_id] = -negative_weight
+        ordered = sorted((-weight, doc_id) for doc_id, weight in weights.items())
+        instance._negw = array("d", [pair[0] for pair in ordered])
+        instance._ids = array("q", [pair[1] for pair in ordered])
+        instance._weights = weights
         return instance
 
     # ------------------------------------------------------------------ #
@@ -155,26 +149,11 @@ class ColumnarInvertedList:
 
     def _compact(self) -> None:
         """Drop every tombstoned cell from both columns in one sweep."""
-        negw = self._negw
         ids = self._ids
-        if _np is not None and len(ids) >= _NUMPY_COMPACT_MIN:
-            id_view = _np.frombuffer(ids, dtype=_np.int64)
-            live = id_view != TOMBSTONE
-            new_ids = array("q")
-            new_ids.frombytes(id_view[live].tobytes())
-            new_negw = array("d")
-            new_negw.frombytes(
-                _np.frombuffer(negw, dtype=_np.float64)[live].tobytes()
-            )
-        else:
-            new_ids = array("q")
-            new_negw = array("d")
-            for position, doc_id in enumerate(ids):
-                if doc_id != TOMBSTONE:
-                    new_ids.append(doc_id)
-                    new_negw.append(negw[position])
-        self._ids = new_ids
-        self._negw = new_negw
+        self._negw = array(
+            "d", [value for value, doc_id in zip(self._negw, ids) if doc_id != TOMBSTONE]
+        )
+        self._ids = array("q", [doc_id for doc_id in ids if doc_id != TOMBSTONE])
         self._tombstones = 0
 
     # ------------------------------------------------------------------ #

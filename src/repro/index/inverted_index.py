@@ -15,16 +15,19 @@ evaluation is set up: both systems see the same stream and window).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.documents.document import StreamedDocument
 from repro.exceptions import UnknownDocumentError
 from repro.index.backend import StorageBackend, storage_backend
 from repro.index.document_store import DocumentStore
-from repro.index.inverted_list import InvertedList, PostingEntry
+from repro.index.inverted_list import InvertedList
 from repro.index.threshold_tree import ThresholdTree
 
 __all__ = ["InvertedIndex"]
+
+#: cold records below which the index never bothers to sweep
+_COLD_SWEEP_MIN = 1024
 
 
 class InvertedIndex:
@@ -34,6 +37,13 @@ class InvertedIndex:
     :class:`~repro.index.backend.StorageBackend` (default ``"bisect"``, the
     original object-per-posting containers); ``backend`` accepts either a
     registered backend name or a backend instance.
+
+    A *watched* term (one with a threshold tree) always has a list, empty
+    if need be, linked to its tree through
+    :meth:`StorageBackend.attach_tree`.  What an unwatched term has is the
+    backend's choice (:attr:`StorageBackend.virtual_cold_lists`): a list
+    like any other, or -- a *cold* term -- only a record of which documents
+    brought it, from which its list is built when somebody first reads it.
     """
 
     def __init__(self, backend: Union[None, str, StorageBackend] = None) -> None:
@@ -45,95 +55,110 @@ class InvertedIndex:
         self._virtual = bool(backend.virtual_cold_lists)
         self._lists: Dict[int, InvertedList] = {}
         self._trees: Dict[int, ThresholdTree] = {}
+        #: Cold terms (virtual backends only; empty otherwise): term id ->
+        #: ids of the documents that brought the term, oldest first.  An
+        #: arrival appends, an expiration does nothing, so a record may
+        #: name documents the store no longer holds: every reader skips
+        #: those, appending drops them from the head (windows expire oldest
+        #: first) and :meth:`_sweep_cold` drops records gone entirely
+        #: stale.  A term is never both cold and listed.
+        self._cold: Dict[int, List[int]] = {}
+        #: ``len(_cold)`` that triggers the next sweep (doubling: amortised O(1))
+        self._cold_limit = _COLD_SWEEP_MIN
         self.documents = backend.make_document_store()
+
+    # ------------------------------------------------------------------ #
+    # cold terms
+    # ------------------------------------------------------------------ #
+    def _cold_postings(self, term_id: int) -> Dict[int, float]:
+        """The valid postings ``{doc_id: weight}`` a cold record stands for.
+
+        Costs in proportion to the record, i.e. to the term's own postings
+        (at most as many stale ids again); the store is looked up by id,
+        never scanned.
+        """
+        postings: Dict[int, float] = {}
+        find = self.documents.find
+        for doc_id in self._cold.get(term_id, ()):
+            document = find(doc_id)
+            if document is not None:
+                weight = document.composition.weight(term_id)
+                if weight > 0.0:  # 0.0: the id was reused by a document without the term
+                    postings[doc_id] = weight
+        return postings
+
+    def _promote(self, term_id: int) -> Optional[InvertedList]:
+        """Turn the cold record of ``term_id`` into an ordered list.
+
+        Returns ``None`` (and installs nothing) when no valid document
+        contains the term.  Otherwise the list stays in the dictionary from
+        then on and every later update maintains it incrementally.
+        """
+        postings = self._cold_postings(term_id)
+        self._cold.pop(term_id, None)
+        if not postings:
+            return None
+        inverted_list = self.backend.build_inverted_list(term_id, postings)
+        self._lists[term_id] = inverted_list
+        return inverted_list
+
+    def _sweep_cold(self) -> None:
+        """Forget the cold terms whose every document has expired."""
+        # The store's own dict, as in the kernel: this runs on the ingest
+        # path, once per doubling, over every record.
+        valid = self.documents._documents
+        cold = self._cold
+        # Oldest first: a record whose newest document is gone is all stale.
+        for term_id in [t for t, ids in cold.items() if ids[-1] not in valid]:
+            del cold[term_id]
+        self._cold_limit = max(_COLD_SWEEP_MIN, 2 * len(cold))
 
     # ------------------------------------------------------------------ #
     # dictionary access
     # ------------------------------------------------------------------ #
-    def _materialize_list(self, term_id: int) -> Optional[InvertedList]:
-        """Promote a virtual cold list by rebuilding it from the store.
-
-        Returns ``None`` (and caches nothing) when no valid document
-        contains the term.  Otherwise the materialised list is installed in
-        the dictionary and linked to the term's tree, if one exists, and
-        stays hot from then on: every subsequent per-event update maintains
-        it incrementally.
-        """
-        postings = []
-        for streamed in self.documents:
-            inner = streamed.document
-            weight = inner.composition._raw.get(term_id)
-            if weight is not None:
-                postings.append((inner.doc_id, weight))
-        if not postings:
-            return None
-        inverted_list = self.backend.build_inverted_list(term_id, postings)
-        tree = self._trees.get(term_id)
-        if tree is not None:
-            self.backend.attach_tree(inverted_list, tree)
-        self._lists[term_id] = inverted_list
-        return inverted_list
-
     def inverted_list(self, term_id: int) -> InvertedList:
         """The inverted list of ``term_id``, created on first use."""
-        inverted_list = self._lists.get(term_id)
+        inverted_list = self.existing_list(term_id)
         if inverted_list is None:
-            if self._virtual:
-                inverted_list = self._materialize_list(term_id)
-                if inverted_list is not None:
-                    return inverted_list
+            # A term without a list has no tree either: watching a term
+            # creates its list, and a watched list is never reclaimed.
             inverted_list = self.backend.make_inverted_list(term_id)
             self._lists[term_id] = inverted_list
-            tree = self._trees.get(term_id)
-            if tree is not None:
-                self.backend.attach_tree(inverted_list, tree)
         return inverted_list
 
     def existing_list(self, term_id: int) -> Optional[InvertedList]:
-        """The inverted list of ``term_id`` or ``None`` if it has no state.
+        """The inverted list of ``term_id`` or ``None`` if it has no postings.
 
-        With a virtual backend a cold term that does occur in stored
-        documents is promoted (materialised) on the fly, so callers see
-        exactly the postings the eager backends would have kept.
+        A cold term that does occur in valid documents is promoted on the
+        fly, so callers see exactly the postings an eager backend keeps.
         """
         inverted_list = self._lists.get(term_id)
-        if inverted_list is None and self._virtual:
-            return self._materialize_list(term_id)
+        if inverted_list is None and term_id in self._cold:
+            return self._promote(term_id)
         return inverted_list
 
     def threshold_tree(self, term_id: int) -> ThresholdTree:
         """The threshold tree of ``term_id``, created on first use.
 
-        Creating a tree marks the term as *watched*: with a virtual
-        backend the term's list is materialised right here (empty if no
-        stored document contains the term yet) so that probes, roll-ups
-        and descents never pay a store scan on the hot path.
+        Creating a tree marks the term as *watched*: its list is built
+        right here (from the cold record if there is one; empty when no
+        valid document contains the term) and handed to the backend
+        together with the tree, so that probes, roll-ups and descents
+        always find the two linked.
         """
         tree = self._trees.get(term_id)
         if tree is None:
             tree = self.backend.make_threshold_tree(term_id)
             self._trees[term_id] = tree
-            inverted_list = self._lists.get(term_id)
-            if inverted_list is None and self._virtual:
-                inverted_list = self._materialize_list(term_id)
-                if inverted_list is None:
-                    inverted_list = self.backend.make_inverted_list(term_id)
-                    self._lists[term_id] = inverted_list
-            if inverted_list is not None:
-                self.backend.attach_tree(inverted_list, tree)
+            self.backend.attach_tree(self.inverted_list(term_id), tree)
         return tree
 
     def existing_tree(self, term_id: int) -> Optional[ThresholdTree]:
         return self._trees.get(term_id)
 
     def terms(self) -> Iterator[int]:
-        """Term ids that currently have postings or a materialised list."""
-        if self._virtual:
-            seen = set(self._lists.keys())
-            for document in self.documents:
-                seen.update(document.composition.terms())
-            return iter(seen)
-        return iter(self._lists.keys())
+        """Term ids that currently have postings or a watcher."""
+        return iter([*self._lists, *(t for t in self._cold if self._cold_postings(t))])
 
     def __len__(self) -> int:
         """Number of valid documents."""
@@ -150,26 +175,36 @@ class InvertedIndex:
 
         Scans the composition list and inserts one impact entry per term
         (paper, Section III-B: "We first scan its composition list and
-        insert impact entries into the corresponding inverted lists").
+        insert impact entries into the corresponding inverted lists"); for
+        a cold term the entry is only recorded, not placed in order.
         Returns the number of impact entries inserted.
         """
-        self.documents.add(document)
+        documents = self.documents
+        documents.add(document)
         doc_id = document.doc_id
         inserted = 0
         lists = self._lists
+        cold = self._cold
         virtual = self._virtual
         make_list = self.backend.make_inverted_list
         for term_id, weight in document.composition.items():
+            inserted += 1
             inverted_list = lists.get(term_id)
             if inverted_list is None:
                 if virtual:
-                    # Cold term: the posting lives implicitly in the store.
-                    inserted += 1
+                    record = cold.get(term_id)
+                    if record is None:
+                        cold[term_id] = [doc_id]
+                    else:
+                        record.append(doc_id)
+                        while record[0] not in documents:
+                            del record[0]
                     continue
                 inverted_list = make_list(term_id)
                 lists[term_id] = inverted_list
             inverted_list.insert(doc_id, weight)
-            inserted += 1
+        if len(cold) > self._cold_limit:
+            self._sweep_cold()
         return inserted
 
     def remove_document(self, doc_id: int) -> Tuple[StreamedDocument, int]:
@@ -185,17 +220,15 @@ class InvertedIndex:
         trees = self._trees
         virtual = self._virtual
         for term_id in document.composition.terms():
+            removed += 1
             inverted_list = lists.get(term_id)
             if inverted_list is None:
                 if virtual:
-                    # Cold term: the posting vanished with the store entry.
-                    removed += 1
-                    continue
+                    continue  # cold: the posting went with the store entry
                 raise UnknownDocumentError(
                     f"document {doc_id} lists term {term_id} but the term has no inverted list"
                 )
             inverted_list.delete(doc_id)
-            removed += 1
             if not inverted_list and term_id not in trees:
                 # Reclaim empty lists for terms no query is interested in;
                 # lists with registered queries are kept so the threshold
@@ -207,33 +240,24 @@ class InvertedIndex:
     # statistics / diagnostics
     # ------------------------------------------------------------------ #
     def posting_count(self) -> int:
-        """Total number of impact entries across all lists."""
-        if self._virtual:
-            # Every posting -- cold or materialised -- comes from a stored
-            # document's composition, so the store is the ground truth.
-            return sum(len(document.composition) for document in self.documents)
-        return sum(len(lst) for lst in self._lists.values())
+        """Total number of impact entries across all terms."""
+        return sum(self.list_lengths().values())
 
     def list_lengths(self) -> Dict[int, int]:
-        """``{term_id: postings}`` for every non-empty list."""
-        if self._virtual:
-            lengths: Dict[int, int] = {}
-            for document in self.documents:
-                for term_id in document.composition.terms():
-                    lengths[term_id] = lengths.get(term_id, 0) + 1
-            return lengths
-        return {term_id: len(lst) for term_id, lst in self._lists.items() if len(lst)}
+        """``{term_id: postings}`` for every term with postings."""
+        lengths = {term_id: len(lst) for term_id, lst in self._lists.items() if len(lst)}
+        for term_id in self._cold:
+            postings = len(self._cold_postings(term_id))
+            if postings:
+                lengths[term_id] = postings
+        return lengths
 
     def check_invariants(self) -> None:
-        """Cross-check lists against the document store (tests only)."""
-        virtual = self._virtual
+        """Cross-check lists and cold records against the store (tests only)."""
+        assert not (self._cold.keys() & self._lists.keys()), "term both cold and listed"
+        assert self._virtual or not self._cold, "cold record on an eager backend"
         for term_id, inverted_list in self._lists.items():
             inverted_list.check_invariants()
-            if virtual:
-                attached = getattr(inverted_list, "_tree", None)
-                assert attached is self._trees.get(term_id), (
-                    f"list/tree link out of sync for term {term_id}"
-                )
             for entry in inverted_list:
                 document = self.documents.find(entry.doc_id)
                 assert document is not None, (
@@ -244,13 +268,19 @@ class InvertedIndex:
             for term_id, weight in document.composition.items():
                 inverted_list = self._lists.get(term_id)
                 if inverted_list is None:
-                    assert virtual, f"missing list for term {term_id}"
-                    # Watched terms must always be materialised, or the
-                    # fused kernel would skip their probes.
-                    assert term_id not in self._trees, (
-                        f"watched term {term_id} has no materialised list"
+                    assert document.doc_id in self._cold.get(term_id, ()), (
+                        f"posting of document {document.doc_id} for term {term_id} "
+                        "is neither listed nor recorded"
                     )
-                    continue
-                assert inverted_list.weight_of(document.doc_id) == weight
+                else:
+                    assert inverted_list.weight_of(document.doc_id) == weight
         for term_id, tree in self._trees.items():
             tree.check_invariants()
+            # Watched terms always have a list, or the fused kernel would
+            # skip their probes; a list that mirrors its tree (columnar)
+            # mirrors this one.
+            inverted_list = self._lists.get(term_id)
+            assert inverted_list is not None, f"watched term {term_id} has no list"
+            assert getattr(inverted_list, "_tree", tree) is tree, (
+                f"list/tree link out of sync for term {term_id}"
+            )

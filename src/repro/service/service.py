@@ -195,10 +195,13 @@ class MonitoringService:
     engine:
         What to run behind the façade: an
         :class:`~repro.service.spec.EngineSpec` (recommended), a legacy
-        engine name ("ita", "sharded-ita-4", ...), a prebuilt
+        engine name ("ita", "sharded-ita-4", ...; the figure harness's
+        names, which mean the paper-faithful ``"bisect"`` storage unless
+        they say ``-columnar``), a prebuilt
         :class:`~repro.core.base.MonitoringEngine` (advanced wiring), or
-        ``None`` for the default ITA engine over a count-based window of
-        1,000 documents.  The engine must track result changes
+        ``None`` for the default ITA engine (``"columnar"`` storage) over
+        a count-based window of 1,000 documents.  The engine must track
+        result changes
         (``track_changes=True``) -- change notification is the point of
         the façade.
     analyzer, vocabulary, weighting:

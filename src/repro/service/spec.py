@@ -153,10 +153,14 @@ class EngineSpec:
     probe_order: str = ProbeOrder.WEIGHTED.value
     #: threshold roll-up on result entry (the paper's design; ablations disable)
     enable_rollup: bool = True
-    #: storage backend of the scoring state ("bisect" or "columnar"; any
-    #: name registered via repro.index.backend).  Consulted by the kinds
-    #: that build an inverted index -- "ita" directly, the cluster kinds
-    #: through their default shard spec -- and carried through otherwise.
+    #: storage backend of the scoring state: "columnar" (the default --
+    #: array columns, fused kernels, no list for a term until a query
+    #: watches it) or "bisect" (the paper-faithful reference containers and
+    #: conformance oracle); any name registered via repro.index.backend.
+    #: Consulted by the kinds that build an inverted index -- "ita"
+    #: directly, the cluster kinds through their default shard spec -- and
+    #: carried through otherwise.  Results, change streams and counters do
+    #: not depend on it, and a snapshot restores onto either.
     storage: str = DEFAULT_STORAGE
     # -- k_max-Naive knobs ----------------------------------------------- #
     #: "fixed", "adaptive" or "analytical"
@@ -667,7 +671,14 @@ def spec_from_name(
     ``"sharded-<inner>"`` (shard count from ``options["num_shards"]``,
     default 2) or ``"sharded-<inner>-<N>"`` with the count inlined; a bare
     ``"sharded"`` means ITA shards.  ``options`` carries the historical
-    untyped knobs (``kmax_multiplier``, ``num_shards``, ``placement``).
+    untyped knobs (``kmax_multiplier``, ``num_shards``, ``placement``,
+    ``storage``).
+
+    These names are the figure harness's, and there they mean the
+    paper-faithful engine: storage is ``"bisect"`` unless the name
+    (``-columnar``) or ``options["storage"]`` says otherwise -- not
+    :data:`~repro.index.backend.DEFAULT_STORAGE`, so a harness cell keyed
+    ``"bisect"`` measures what its key says.
 
     New code should construct :class:`EngineSpec` directly; this exists so
     the experiment harness's engine names resolve through the same
@@ -697,6 +708,7 @@ def spec_from_name(
             num_shards=num_shards,
             placement=str(options.get("placement", "cost")),
             calibration=calibration,
+            storage=inner.storage,
             inner=inner,
         )
 
@@ -720,6 +732,7 @@ def spec_from_name(
             num_shards=num_shards,
             placement=str(options.get("placement", "cost")),
             calibration=calibration,
+            storage=inner.storage,
             inner=inner,
         )
 
@@ -732,6 +745,5 @@ def spec_from_name(
         )
     if "kmax_multiplier" in options:
         overrides = {**overrides, "kmax_multiplier": float(options["kmax_multiplier"])}
-    if "storage" in options and "storage" not in overrides:
-        overrides = {**overrides, "storage": str(options["storage"])}
+    overrides = {"storage": str(options.get("storage", "bisect")), **overrides}
     return EngineSpec(window=window, track_changes=track_changes, **overrides)

@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="ita",
         help=(
             "serve only: engine spec name behind the service "
-            "('ita', 'sharded-4', 'sharded-proc-2', ...; default: ita)"
+            "('ita', 'sharded-4', 'sharded-proc-2', ...; default: ita), on "
+            "the service's default (columnar) storage"
         ),
     )
     parser.add_argument(
@@ -193,10 +194,13 @@ def _run_serve(args: argparse.Namespace, progress) -> int:
     import os
     import signal
 
+    from repro.index.backend import DEFAULT_STORAGE
     from repro.net.server import MonitoringServer
     from repro.service import MonitoringService, spec_from_name
 
-    spec = spec_from_name(args.engine)
+    # A served engine is a service, not a figure cell: it runs on the
+    # service's default storage, not on the harness names' "bisect".
+    spec = spec_from_name(args.engine, options={"storage": DEFAULT_STORAGE})
     if args.observe:
         from repro.observability import runtime as obs
 

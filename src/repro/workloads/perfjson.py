@@ -339,9 +339,11 @@ def _measure_durable(mode: str, engine, measured: Sequence, batch_size: int) -> 
 
 def _measure_cell(cell: BenchCell, workload: GeneratedWorkload, batch_size: int) -> Measurement:
     """One measurement of ``cell`` on a freshly prepared engine."""
-    # A non-default backend is built through its storage-qualified harness
-    # name ("ita-columnar") and recorded under the base kind, so backend
-    # pairs line up at the same (engine, mode).
+    # A bare harness name means the paper-faithful "bisect" engine (see
+    # spec_from_name), whatever the service default; another backend is
+    # built through its storage-qualified name ("ita-columnar") and
+    # recorded under the base kind, so backend pairs line up at the same
+    # (engine, mode).
     name = cell.engine if cell.storage == "bisect" else f"{cell.engine}-{cell.storage}"
     measured = workload.measured
     # "instrumented" is the telemetry-overhead cell: the identical batched
@@ -516,7 +518,10 @@ def _service_overhead_records(scale: str, batch_size: int) -> List[BenchRecord]:
         seed=11,
     )
     workload = build_workload(config)
-    spec = EngineSpec(kind="ita", window=WindowSpec.count(config.window_size))
+    # Both rows are recorded as "bisect" cells, so both build that engine.
+    spec = EngineSpec(
+        kind="ita", window=WindowSpec.count(config.window_size), storage="bisect"
+    )
 
     def direct() -> Callable[[Sequence], object]:
         engine = spec.build()
@@ -707,8 +712,8 @@ def history_entry(
 
     The line keeps what trend analysis needs -- the summary ratios plus a
     ``docs_per_sec`` map keyed ``workload/engine/mode`` (``@workers``
-    appended for proc cells, ``+storage`` for non-default storage
-    backends) -- and drops the per-cell latency detail, so years of runs
+    appended for proc cells, ``+storage`` for a backend other than
+    ``"bisect"``) -- and drops the per-cell latency detail, so years of runs
     stay grep-able and cheap to parse.  Each line also records the Python
     version, platform, CPU count and git commit of the run: the trajectory
     file accumulates runs from different containers (1-core CI against

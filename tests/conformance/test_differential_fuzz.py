@@ -175,10 +175,12 @@ class RunLog:
 # tape replay: synchronous and asynchronous backends
 # --------------------------------------------------------------------------- #
 def _spec(engine_name: str, storage: Optional[str] = None):
-    spec = spec_from_name(engine_name, window=WindowSpec.count(WINDOW_SIZE))
-    if storage is not None:
-        spec = spec.with_overrides(storage=storage)
-    return spec
+    # Through ``options`` the choice reaches the shards of a cluster name
+    # too; without it a harness name means the "bisect" reference.
+    options = {} if storage is None else {"storage": storage}
+    return spec_from_name(
+        engine_name, window=WindowSpec.count(WINDOW_SIZE), options=options
+    )
 
 
 def run_sync(

@@ -1,9 +1,10 @@
 """Storage-backend parity on the differential conformance tapes.
 
 The op tapes of :mod:`tests.conformance.test_differential_fuzz` are
-replayed twice per engine kind -- once on the default ``"bisect"``
-storage backend and once on ``"columnar"`` (the array-backed columns of
-:mod:`repro.index.columnar`) -- and the runs must be indistinguishable.
+replayed twice per engine kind -- once on the ``"bisect"`` reference
+backend and once on ``"columnar"`` (the array-backed columns of
+:mod:`repro.index.columnar`, what a service runs by default) -- and the
+runs must be indistinguishable.
 The columnar backend is a *representation* change: every probe, descent,
 roll-up and eviction must touch the same values in the same order, so the
 contract here is strictly tighter than the cross-kind conformance suite:
@@ -23,6 +24,13 @@ contract here is strictly tighter than the cross-kind conformance suite:
 
 The out-of-process cluster is covered on one tape (worker processes are
 expensive to spawn; the in-process kinds cover all three tapes).
+
+The tapes compare what a *service* shows.  Beneath them, a property test
+replays insert / expire / ``advance_time`` / subscribe / unsubscribe tapes
+on two bare engines and compares the **index** itself: the columnar
+backend keeps the lists of unwatched terms unordered, and whatever order
+they are promoted in, every term's list -- cold ones included -- must read
+back exactly as the bisect backend's does.
 """
 
 from __future__ import annotations
@@ -31,8 +39,14 @@ import copy
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.engine import ITAEngine
+from repro.documents.window import TimeBasedWindow
+from repro.query.query import ContinuousQuery
 from repro.service import MonitoringService
+from tests.conftest import make_document
 from tests.conformance.test_differential_fuzz import (
     TAPES,
     digest_results,
@@ -138,3 +152,82 @@ def test_snapshot_restores_across_storage_backends() -> None:
                 reference.close()
         finally:
             restored.close()
+
+
+# --------------------------------------------------------------------------- #
+# the index beneath the tapes: every term's list, cold ones included
+# --------------------------------------------------------------------------- #
+VOCABULARY = range(8)
+WINDOW_SPAN = 4.0
+
+_weights = st.dictionaries(
+    st.sampled_from(VOCABULARY),
+    st.sampled_from([0.1, 0.25, 0.5, 0.5, 1.0]),  # tie-heavy
+    min_size=1,
+    max_size=4,
+)
+_step = st.sampled_from([0.5, 1.0, 3.0])  # 3.0 expires most of the window
+_index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), _weights, _step),
+        st.tuples(st.just("advance"), _step),
+        st.tuples(st.just("subscribe"), _weights, st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=7)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def _replay_on_index(storage: str, ops) -> ITAEngine:
+    engine = ITAEngine(TimeBasedWindow(WINDOW_SPAN), storage=storage)
+    clock = 0.0
+    next_doc = next_query = 0
+    live = []
+    for op in ops:
+        if op[0] == "ingest":
+            clock += op[2]
+            document = make_document(next_doc, op[1], arrival_time=clock)
+            next_doc += 1
+            # the path a service drives: the fused kernel on columnar
+            engine.process_batch_events([document])
+        elif op[0] == "advance":
+            clock += op[1]
+            engine.advance_time(clock)
+        elif op[0] == "subscribe":
+            engine.register_query(
+                ContinuousQuery(query_id=next_query, weights=op[1], k=op[2])
+            )
+            live.append(next_query)
+            next_query += 1
+        elif live:
+            engine.unregister_query(live.pop(op[1] % len(live)))
+    engine.check_invariants()
+    return engine
+
+
+@given(ops=_index_ops)
+@settings(max_examples=120, deadline=None)
+def test_every_list_reads_back_identically_on_both_backends(ops) -> None:
+    bisect_engine = _replay_on_index("bisect", ops)
+    columnar_engine = _replay_on_index("columnar", ops)
+    reference, index = bisect_engine.index, columnar_engine.index
+
+    assert sorted(index.terms()) == sorted(reference.terms())
+    assert index.posting_count() == reference.posting_count()
+    assert index.list_lengths() == reference.list_lengths()
+    for term_id in VOCABULARY:
+        expected = reference.existing_list(term_id)
+        actual = index.existing_list(term_id)
+        if expected is None:
+            assert actual is None, f"term {term_id} has a list only on columnar"
+        else:
+            assert actual is not None, f"term {term_id} has a list only on bisect"
+            assert actual.to_pairs() == expected.to_pairs(), f"term {term_id}"
+    # reading the lists in order promoted the cold ones; nothing else moved
+    columnar_engine.check_invariants()
+    assert columnar_engine.counters.as_dict() == bisect_engine.counters.as_dict()
+    for query_id in bisect_engine.query_ids():
+        assert columnar_engine.current_result(query_id) == (
+            bisect_engine.current_result(query_id)
+        )

@@ -4,16 +4,23 @@ The conformance suites prove whole-engine parity; these tests pin the
 layer underneath -- the backend registry contract, the drop-in
 equivalence of the columnar containers against their bisect twins under
 randomised tie-heavy op sequences, the tombstone/compaction lifecycle of
-the postings columns, and the virtual cold-list semantics of the index.
+the postings columns, and the cold-record semantics of the index.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import ITAEngine
 from repro.documents.document import CompositionList, Document, StreamedDocument
+from repro.documents.window import CountBasedWindow
 from repro.exceptions import (
     ConfigurationError,
     DuplicateDocumentError,
@@ -28,11 +35,16 @@ from repro.index.backend import (
     storage_backend,
     storage_backends,
 )
+from repro.index.columnar import ColumnarStorageBackend
 from repro.index.columnar.postings import TOMBSTONE, ColumnarInvertedList
 from repro.index.columnar.thresholds import ColumnarThresholdTree
+from repro.index.document_store import DocumentStore
+from repro.index import inverted_index as inverted_index_module
 from repro.index.inverted_index import InvertedIndex
 from repro.index.inverted_list import InvertedList
 from repro.index.threshold_tree import ThresholdTree
+from repro.query.query import ContinuousQuery
+from tests.conftest import make_document
 
 #: few distinct values -> long equal-weight runs, the regime where the
 #: tombstoned columns and the bisect tuples are most likely to disagree
@@ -62,10 +74,12 @@ class TestBackendRegistry:
         assert columnar.name == "columnar"
         assert columnar.virtual_cold_lists is True
         assert callable(columnar.batch_kernel())
+        assert callable(columnar.descent_kernel())
 
-    def test_bisect_has_no_kernel_and_eager_lists(self):
+    def test_bisect_has_no_kernels_and_eager_lists(self):
         bisect_backend = storage_backend("bisect")
         assert bisect_backend.batch_kernel() is None
+        assert bisect_backend.descent_kernel() is None
         assert bisect_backend.virtual_cold_lists is False
 
     def test_registration_conflicts(self):
@@ -99,7 +113,8 @@ class TestBackendRegistry:
 
         minimal = MinimalBackend()
         assert minimal.batch_kernel() is None
-        built = minimal.build_inverted_list(7, [(1, 0.5), (2, 0.25)])
+        assert minimal.descent_kernel() is None
+        built = minimal.build_inverted_list(7, {1: 0.5, 2: 0.25})
         assert built.to_pairs() == [(1, 0.5), (2, 0.25)]
         # default attach_tree is a no-op
         minimal.attach_tree(built, ThresholdTree(7))
@@ -195,11 +210,43 @@ def test_bulk_build_equals_incremental_inserts():
     incremental = ColumnarInvertedList(9)
     for doc_id, weight in pairs:
         incremental.insert(doc_id, weight)
-    bulk = ColumnarInvertedList.from_postings(9, pairs)
+    weights = dict(reversed(pairs))
+    bulk = ColumnarInvertedList.from_postings(9, weights)
     bulk.check_invariants()
+    assert bulk._weights is weights  # adopted, not copied
     assert bulk.to_pairs() == incremental.to_pairs()
     assert bytes(bulk._negw) == bytes(incremental._negw)
     assert bytes(bulk._ids) == bytes(incremental._ids)
+
+
+_STDLIB_ONLY_SCRIPT = """
+import sys
+from repro import EngineSpec, MonitoringService, WindowSpec
+
+with MonitoringService(EngineSpec(window=WindowSpec.count(4))) as service:
+    assert service.engine.index.backend.name == "columnar"
+    service.subscribe("market rates", k=2)
+    for number in range(60):
+        service.ingest(f"market rates story {number}")
+    watched = [lst for lst in service.engine.index._lists.values() if lst._tree is not None]
+    # 56 expirations per watched list, yet few cells: the sweeps ran
+    assert watched and all(len(lst._ids) <= 8 for lst in watched)
+assert "numpy" not in sys.modules, "the columnar backend imported numpy"
+"""
+
+
+def test_a_columnar_service_stays_in_the_standard_library():
+    """Importing numpy alone triples a process's resident set; a default
+    service, and every ``sharded-proc`` worker, must not pay that."""
+    source = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 # --------------------------------------------------------------------- #
@@ -255,11 +302,74 @@ def streamed(doc_id, weights, timestamp=0.0):
     return StreamedDocument(Document(doc_id, CompositionList(weights)), timestamp)
 
 
+class _NoScanStore(DocumentStore):
+    """A store whose iteration is an error: promotion must not need it."""
+
+    def __iter__(self):
+        raise AssertionError("the document store was scanned")
+
+
+class _NoScanBackend(ColumnarStorageBackend):
+    def make_document_store(self):
+        return _NoScanStore()
+
+
 class TestVirtualColdLists:
-    def test_cold_terms_have_no_materialised_lists(self):
+    def test_cold_terms_have_records_not_lists(self):
         index = InvertedIndex("columnar")
         index.insert_document(streamed(1, {10: 0.5, 11: 0.25}))
-        assert not index._lists  # nobody watches: nothing materialised
+        index.insert_document(streamed(2, {10: 0.25}))
+        assert not index._lists  # nobody watches: nothing in order
+        assert index._cold == {10: [1, 2], 11: [1]}
+        assert sorted(index.terms()) == [10, 11]
+        assert index.posting_count() == 3
+        assert index.list_lengths() == {10: 2, 11: 1}
+        index.check_invariants()
+
+    def test_promoting_a_term_never_iterates_the_store(self):
+        engine = ITAEngine(CountBasedWindow(3), storage=_NoScanBackend())
+        for doc_id in range(1, 6):
+            engine.process(make_document(doc_id, {10: 0.1 * doc_id, 11: 0.5}))
+        engine.register_query(ContinuousQuery(query_id=1, weights={10: 1.0, 12: 1.0}, k=2))
+        assert [entry.doc_id for entry in engine.current_result(1)] == [5, 4]
+        index = engine.index
+        assert index._lists[10].to_pairs() == [(5, 0.5), (4, 0.4), (3, 0.30000000000000004)]
+        assert len(index._lists[12]) == 0  # watched, no postings yet
+        assert 11 in index._cold and 11 not in index._lists  # still cold
+        # an ordered read of a cold term does not scan the store either
+        assert index.existing_list(11).to_pairs() == [(3, 0.5), (4, 0.5), (5, 0.5)]
+        assert 11 in index._lists and 11 not in index._cold
+
+    def test_expirations_leave_cold_records_alone_and_readers_skip_them(self):
+        index = InvertedIndex("columnar")
+        for doc_id in (1, 2, 3):
+            index.insert_document(streamed(doc_id, {10: 0.5, 20 + doc_id: 1.0}))
+        index.remove_document(1)
+        index.remove_document(2)
+        assert index._cold[10] == [1, 2, 3]  # nothing was touched...
+        assert index.list_lengths() == {10: 1, 23: 1}  # ...and nothing stale is read
+        assert sorted(index.terms()) == [10, 23]
+        index.check_invariants()
+        # the next arrival of the term drops the expired head of its record
+        index.insert_document(streamed(4, {10: 0.25}))
+        assert index._cold[10] == [3, 4]
+        # a term whose every document expired reads as absent
+        assert index.existing_list(21) is None
+        assert 21 not in index._cold
+
+    def test_records_gone_stale_are_swept(self, monkeypatch):
+        monkeypatch.setattr(inverted_index_module, "_COLD_SWEEP_MIN", 2)  # sweep early
+        index = InvertedIndex("columnar")
+        for doc_id in range(1, 41):  # each document brings a term of its own
+            index.insert_document(streamed(doc_id, {100 + doc_id: 1.0}))
+            if doc_id > 2:
+                index.remove_document(doc_id - 2)
+        index.check_invariants()
+        assert {139, 140} <= set(index._cold)  # the valid ones are all there
+        # three documents are valid when a sweep runs, and the next one is
+        # due at twice what it leaves: garbage stays bounded
+        assert len(index._cold) <= 2 * 3
+        assert sorted(index.terms()) == [139, 140]
 
     def test_existing_list_rebuilds_cold_postings_on_demand(self):
         eager = InvertedIndex("bisect")
@@ -276,9 +386,9 @@ class TestVirtualColdLists:
         assert virtual.existing_list(99) is None
         assert eager.existing_list(99) is None
 
-    def test_watched_terms_stay_materialised_through_churn(self):
+    def test_watched_terms_stay_listed_through_churn(self):
         index = InvertedIndex("columnar")
-        index.threshold_tree(10)  # watching term 10 materialises its list
+        index.threshold_tree(10)  # watching term 10 gives it a list
         index.insert_document(streamed(1, {10: 0.5, 11: 0.25}))
         index.insert_document(streamed(2, {10: 0.25}))
         assert 10 in index._lists
@@ -304,9 +414,14 @@ class TestVirtualColdLists:
             index.remove_document(2)
             index.check_invariants()
             snapshots.append(
-                {
-                    term_id: index.existing_list(term_id).to_pairs()
-                    for term_id in (10, 11, 12)
-                }
+                (
+                    sorted(index.terms()),
+                    index.posting_count(),
+                    index.list_lengths(),
+                    {
+                        term_id: index.existing_list(term_id).to_pairs()
+                        for term_id in (10, 11, 12)
+                    },
+                )
             )
         assert snapshots[0] == snapshots[1]

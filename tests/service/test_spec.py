@@ -303,14 +303,14 @@ class TestRegistry:
 
 
 class TestStorageField:
-    def test_default_is_bisect(self):
+    def test_default_is_columnar(self):
         spec = EngineSpec(kind="ita", window=WindowSpec.count(10))
-        assert spec.storage == "bisect"
-        assert spec.build().index.backend.name == "bisect"
-
-    def test_columnar_builds_columnar_index(self):
-        spec = EngineSpec(kind="ita", window=WindowSpec.count(10), storage="columnar")
+        assert spec.storage == "columnar"
         assert spec.build().index.backend.name == "columnar"
+
+    def test_bisect_stays_selectable(self):
+        spec = EngineSpec(kind="ita", window=WindowSpec.count(10), storage="bisect")
+        assert spec.build().index.backend.name == "bisect"
 
     def test_unknown_storage_rejected(self):
         with pytest.raises(ConfigurationError, match="storage backend"):
@@ -323,24 +323,34 @@ class TestStorageField:
         data = spec.to_dict()
         assert data["storage"] == "columnar"
         assert EngineSpec.from_dict(data) == spec
-        # absent key falls back to the default, for snapshots predating
-        # the storage field
+        # absent key falls back to the default: storage is a restore-time
+        # choice, so a snapshot predating the field restores as columnar
         data.pop("storage")
-        assert EngineSpec.from_dict(data).storage == "bisect"
+        assert EngineSpec.from_dict(data).storage == "columnar"
 
     def test_with_overrides_switches_backend_only(self):
         spec = EngineSpec(kind="ita", window=WindowSpec.count(10))
-        overridden = spec.with_overrides(storage="columnar")
-        assert overridden.storage == "columnar"
+        overridden = spec.with_overrides(storage="bisect")
+        assert overridden.storage == "bisect"
         assert overridden == EngineSpec(
-            kind="ita", window=WindowSpec.count(10), storage="columnar"
+            kind="ita", window=WindowSpec.count(10), storage="bisect"
         )
-        assert spec.storage == "bisect"  # the original is untouched
+        assert spec.storage == "columnar"  # the original is untouched
 
     def test_named_columnar_alias(self):
         spec = spec_from_name("ita-columnar")
         assert spec.kind == "ita"
         assert spec.storage == "columnar"
+
+    def test_harness_names_mean_the_reference_engine(self):
+        """A legacy name resolves to "bisect", not to DEFAULT_STORAGE: the
+        figure harness keys its cells by these names."""
+        assert spec_from_name("ita").storage == "bisect"
+        assert spec_from_name("ita-no-rollup").storage == "bisect"
+        for name in ("sharded", "sharded-ita-2", "sharded-proc-2"):
+            spec = spec_from_name(name)
+            assert spec.storage == "bisect"
+            assert spec.shard_spec().storage == "bisect"
 
     def test_spec_from_name_storage_option(self):
         spec = spec_from_name("ita", options={"storage": "columnar"})

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from repro.workloads import perfjson
 from repro.workloads.cli import main
 from repro.workloads.experiments import SCALES
 from repro.workloads.generators import build_workload
@@ -21,6 +22,7 @@ from repro.workloads.perfjson import (
     run_bench_suite,
     run_cell,
 )
+from repro.workloads.runner import prepare_engine
 
 
 def _cells(workload, scale="smoke"):
@@ -113,6 +115,31 @@ class TestRunCell:
             assert record.docs_per_sec == pytest.approx(1000.0 / record.mean_ms)
             assert record.batch_size == (None if record.mode == "sequential" else 8)
             assert record.concurrency is None
+
+    def test_cells_run_the_storage_their_key_names(self, monkeypatch):
+        """The service default is "columnar"; a harness cell keyed "bisect"
+        must still build the paper-faithful engine, or every ratio against
+        it would compare columnar with itself."""
+        built = []
+
+        def recording(name, point, workload):
+            built.append(prepare_engine(name, point, workload))
+            return built[-1]
+
+        monkeypatch.setattr(perfjson, "prepare_engine", recording)
+        batched = [
+            cell
+            for workload in ("figure3a", "cluster-scaling")
+            for cell in _cells(workload)
+            if cell.mode == "batched"
+        ]
+        assert sorted(cell.storage for cell in batched) == ["bisect", "bisect", "columnar"]
+        for cell in batched:
+            run_cell(cell, build_workload(cell.point.config), batch_size=8)
+            engines = getattr(built[-1], "shards", [built[-1]])
+            assert [engine.index.backend.name for engine in engines] == (
+                [cell.storage] * len(engines)
+            )
 
     def test_async_mode_measures_the_one_lane(self):
         [cell] = [cell for cell in _cells("cluster-scaling") if cell.mode == "async"]

@@ -23,6 +23,7 @@ from repro.documents.corpus import (
     SyntheticCorpusConfig,
     TopicalCorpusConfig,
     TopicalSyntheticCorpus,
+    build_document,
 )
 from repro.documents.stream import (
     ArrivalProcess,
@@ -37,6 +38,7 @@ __all__ = [
     "CompositionList",
     "Document",
     "StreamedDocument",
+    "build_document",
     "Corpus",
     "InMemoryCorpus",
     "FileCorpus",

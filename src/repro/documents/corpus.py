@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.documents.document import CompositionList, Document
 from repro.exceptions import ConfigurationError, DocumentError
@@ -34,6 +34,7 @@ from repro.text.zipf import ZipfMandelbrotSampler
 from repro.weighting.schemes import CosineWeighting, WeightingScheme
 
 __all__ = [
+    "build_document",
     "Corpus",
     "InMemoryCorpus",
     "FileCorpus",
@@ -42,6 +43,34 @@ __all__ = [
     "TopicalCorpusConfig",
     "TopicalSyntheticCorpus",
 ]
+
+
+def build_document(
+    doc_id: int,
+    weighting: WeightingScheme,
+    term_frequencies: Optional[Mapping[int, int]] = None,
+    text: Optional[str] = None,
+    metadata: Optional[Dict[str, str]] = None,
+    analyzer: Optional[Analyzer] = None,
+    vocabulary: Optional[Vocabulary] = None,
+) -> Document:
+    """The one place frequencies become a :class:`Document`.
+
+    Given ``term_frequencies`` by term id, weight them; without them,
+    ``analyzer`` first counts the terms of ``text`` and ``vocabulary``
+    assigns their ids in first-seen order.  The corpora and
+    :meth:`MonitoringService.ingest` of a ``str`` all come through here, so
+    a text means the same composition list wherever it enters.
+    """
+    if term_frequencies is None:
+        add = vocabulary.add
+        term_frequencies = {add(term): count for term, count in analyzer.term_frequencies(text).items()}
+    return Document(
+        doc_id=doc_id,
+        composition=CompositionList(weighting.document_weights(term_frequencies)),
+        text=text,
+        metadata=metadata or {},
+    )
 
 
 class Corpus:
@@ -61,26 +90,28 @@ class Corpus:
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
         self.weighting = weighting if weighting is not None else CosineWeighting()
         self._next_doc_id = first_doc_id
+        #: set by the corpora that read raw text
+        self.analyzer: Optional[Analyzer] = None
 
     # ------------------------------------------------------------------ #
-    def _allocate_doc_id(self) -> int:
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        return doc_id
-
     def _build_document(
         self,
-        term_frequencies: Dict[int, int],
+        term_frequencies: Optional[Mapping[int, int]] = None,
         text: Optional[str] = None,
         metadata: Optional[Dict[str, str]] = None,
     ) -> Document:
-        weights = self.weighting.document_weights(term_frequencies)
-        return Document(
-            doc_id=self._allocate_doc_id(),
-            composition=CompositionList(weights),
+        """:func:`build_document` with this corpus's parts and next id."""
+        document = build_document(
+            self._next_doc_id,
+            self.weighting,
+            term_frequencies=term_frequencies,
             text=text,
-            metadata=metadata or {},
+            metadata=metadata,
+            analyzer=self.analyzer,
+            vocabulary=self.vocabulary,
         )
+        self._next_doc_id += 1
+        return document
 
     # ------------------------------------------------------------------ #
     def iter_documents(self) -> Iterator[Document]:
@@ -123,10 +154,8 @@ class InMemoryCorpus(Corpus):
 
     def iter_documents(self) -> Iterator[Document]:
         for position, text in enumerate(self._texts):
-            counts = self.analyzer.term_frequencies(text)
-            term_frequencies = {self.vocabulary.add(term): count for term, count in counts.items()}
             metadata = self._metadata[position] if self._metadata is not None else None
-            yield self._build_document(term_frequencies, text=text, metadata=metadata)
+            yield self._build_document(text=text, metadata=metadata)
 
 
 class FileCorpus(Corpus):
@@ -156,13 +185,7 @@ class FileCorpus(Corpus):
     def iter_documents(self) -> Iterator[Document]:
         for path in sorted(self.root.rglob(self.pattern)):
             text = path.read_text(encoding=self.encoding, errors="replace")
-            counts = self.analyzer.term_frequencies(text)
-            term_frequencies = {self.vocabulary.add(term): count for term, count in counts.items()}
-            yield self._build_document(
-                term_frequencies,
-                text=text,
-                metadata={"path": str(path)},
-            )
+            yield self._build_document(text=text, metadata={"path": str(path)})
 
 
 @dataclass

@@ -51,7 +51,8 @@ from typing import (
 
 from repro.alerting import Alert, AlertDispatcher, AlertSubscriber
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
-from repro.documents.document import CompositionList, Document, StreamedDocument
+from repro.documents.corpus import build_document
+from repro.documents.document import Document, StreamedDocument
 from repro.exceptions import (
     ConfigurationError,
     ServiceError,
@@ -313,7 +314,8 @@ class MonitoringService:
         unregisters = [
             registry.register_collector(
                 counters_collector(lambda: [self.engine.counters.copy()])
-            )
+            ),
+            registry.register_collector(self._text_samples),
         ]
         if self._queryscale is not None:
             unregisters.append(
@@ -326,6 +328,15 @@ class MonitoringService:
 
         self._collector_unregister = unregister_all
         self._collector_registry = registry
+
+    def _text_samples(self) -> Dict[Any, float]:
+        """Scrape-time samples of the analyzer's surface-form table."""
+        stats = self.analyzer.surface_table_stats()
+        return {
+            "repro_text_surface_forms": float(stats["entries"]),
+            "repro_text_tokens_total": float(stats["tokens"]),
+            "repro_text_surface_misses_total": float(stats["misses"]),
+        }
 
     def metrics(self) -> Dict[str, Any]:
         """A JSON snapshot of the process-wide metrics registry.
@@ -992,17 +1003,11 @@ class MonitoringService:
 
     def _analyse(self, text: str) -> Document:
         """Turn raw text into a document, exactly like the corpora do."""
-        counts = self.analyzer.term_frequencies(text)
-        term_frequencies = {
-            self.vocabulary.add(term): count for term, count in counts.items()
-        }
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        return Document(
-            doc_id=doc_id,
-            composition=CompositionList(self.weighting.document_weights(term_frequencies)),
-            text=text,
+        document = build_document(
+            self._next_doc_id, self.weighting, text=text, analyzer=self.analyzer, vocabulary=self.vocabulary
         )
+        self._next_doc_id += 1
+        return document
 
     def _next_time(self, at: Optional[float]) -> float:
         if at is not None:

@@ -20,13 +20,121 @@ algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["PorterStemmer", "NullStemmer"]
 
 
+#: ``a``-``z`` to ``v`` (vowel) or ``c`` (consonant); ``y`` is settled by
+#: :func:`_classes`, which never sends a word containing one through here.
+_CV = str.maketrans("abcdefghijklmnopqrstuvwxyz", "vcccvcccvcccccvcccccvccccc")
+
+
+def _classes(word: str) -> str:
+    """``word`` letter by letter as ``c`` (consonant) or ``v`` (vowel).
+
+    A ``y`` is a consonant at the start of the word and after a vowel, so
+    the class of letter *i* depends on letters ``<= i`` only: the classes of
+    a prefix are a prefix of the word's classes.  That is why :func:`_stem`
+    builds this string once and reads every condition off a slice of it.
+    """
+    if "y" not in word and word.isascii():
+        return word.translate(_CV)
+    consonant = False
+    classes = []
+    for letter in word:
+        consonant = letter not in "aeiou" and (letter != "y" or not consonant)
+        classes.append("c" if consonant else "v")
+    return "".join(classes)
+
+
+def _by_penultimate(*rules: Tuple[str, str]) -> Dict[str, Tuple[Tuple[str, str], ...]]:
+    """Group ``(suffix, replacement)`` rules by the suffix's second-to-last
+    letter, keeping their order: a word has one such letter, so scanning its
+    group alone finds the same first match as scanning every rule."""
+    groups: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+    for suffix, replacement in rules:
+        groups[suffix[-2]] = groups.get(suffix[-2], ()) + ((suffix, replacement),)
+    return groups
+
+
+_STEP2 = _by_penultimate(
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"), ("izer", "ize"),
+    ("abli", "able"), ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
+    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"), ("alism", "al"), ("iveness", "ive"),
+    ("fulness", "ful"), ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+)
+_STEP3 = _by_penultimate(
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"), ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+_STEP4 = _by_penultimate(
+    ("al", ""), ("ance", ""), ("ence", ""), ("er", ""), ("ic", ""), ("able", ""), ("ible", ""), ("ant", ""),
+    ("ement", ""), ("ment", ""), ("ent", ""), ("ou", ""), ("ism", ""), ("ate", ""), ("iti", ""), ("ous", ""),
+    ("ive", ""), ("ize", ""), ("ion", ""),
+)
+#: the rule tables in order, each with the measure its stem must exceed
+_SUFFIX_STEPS = ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1))
+
+
+def _stem(word: str) -> str:
+    """Porter's five steps on a lower-case alphabetic ``word`` of 3+ letters.
+
+    ``cv`` is ``_classes(word)`` throughout.  Removing a suffix truncates
+    it; the few rewrites (``+e``, ``y -> i``, a step-2/3 replacement) append
+    the new tail's classes, none of which contains a ``y``.  The measure of
+    the first ``n`` letters is ``cv.count("vc", 0, n)``.
+    """
+    cv = _classes(word)
+    # Step 1a: plurals.
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word = word[:-2]
+        elif word[-2] != "s":
+            word = word[:-1]
+        cv = cv[: len(word)]
+    # Step 1b: -eed, -ed, -ing.
+    if word.endswith("eed"):
+        if "vc" in cv[:-3]:
+            word, cv = word[:-1], cv[:-1]
+    else:
+        # n letters are left once -ed or -ing is gone; 0 when there is neither
+        n = len(word) - 2 if word.endswith("ed") else len(word) - 3 if word.endswith("ing") else 0
+        if "v" in cv[:n]:
+            word, cv = word[:n], cv[:n]
+            if word.endswith(("at", "bl", "iz")):
+                word, cv = word + "e", cv + "v"
+            elif word[-1:] == word[-2:-1] and cv[-1] == "c" and word[-1] not in "lsz":
+                word, cv = word[:-1], cv[:-1]
+            elif cv.count("vc") == 1 and cv.endswith("cvc") and word[-1] not in "wxy":
+                word, cv = word + "e", cv + "v"
+    # Step 1c: terminal y to i when the stem has a vowel.
+    if word[-1] == "y" and "v" in cv[:-1]:
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
+    # Steps 2, 3 and 4: the first suffix that matches decides, whether or
+    # not its stem is long enough.  Step 4 drops -ion only after s or t.
+    for rules, measure in _SUFFIX_STEPS:
+        for suffix, replacement in rules.get(word[-2:-1], ()):
+            if word.endswith(suffix):
+                n = len(word) - len(suffix)
+                if cv.count("vc", 0, n) > measure and (suffix != "ion" or word[n - 1 : n] in ("s", "t")):
+                    word, cv = word[:n] + replacement, cv[:n] + replacement.translate(_CV)
+                break
+    # Step 5a: final e.
+    if word[-1] == "e":
+        measure = cv.count("vc", 0, len(word) - 1)
+        if measure > 1 or (measure == 1 and not (cv[:-1].endswith("cvc") and word[-2] not in "wxy")):
+            word, cv = word[:-1], cv[:-1]
+    # Step 5b: -ll to -l.
+    if word.endswith("ll") and cv.count("vc") > 1:
+        word = word[:-1]
+    return word
+
+
 class PorterStemmer:
     """Porter (1980) suffix-stripping stemmer.
+
+    Stateless: the memo that makes stemming cheap on a stream lives in
+    :class:`repro.text.analyzer.Analyzer`, keyed by surface form.
 
     Example
     -------
@@ -37,30 +145,12 @@ class PorterStemmer:
     'caress'
     """
 
-    _VOWELS = "aeiou"
-
-    def __init__(self, cache_size: int = 50_000) -> None:
-        # Stemming is called once per token of every streamed document, so a
-        # small memoisation cache pays for itself on realistic corpora where
-        # term frequencies are Zipfian.
-        self._cache: Dict[str, str] = {}
-        self._cache_size = cache_size
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def stem(self, word: str) -> str:
         """Return the stem of ``word`` (lower-cased)."""
         word = word.lower()
         if len(word) <= 2 or not word.isalpha():
             return word
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        stem = self._stem(word)
-        if len(self._cache) < self._cache_size:
-            self._cache[word] = stem
-        return stem
+        return _stem(word)
 
     def stem_all(self, words: Iterable[str]) -> List[str]:
         """Stem every word in ``words`` and return the list of stems."""
@@ -68,217 +158,6 @@ class PorterStemmer:
 
     def __call__(self, word: str) -> str:
         return self.stem(word)
-
-    # ------------------------------------------------------------------ #
-    # helpers: consonant test, measure, vowel-in-stem, double consonant,
-    # cvc pattern
-    # ------------------------------------------------------------------ #
-    def _is_consonant(self, word: str, index: int) -> bool:
-        letter = word[index]
-        if letter in self._VOWELS:
-            return False
-        if letter == "y":
-            if index == 0:
-                return True
-            return not self._is_consonant(word, index - 1)
-        return True
-
-    def _measure(self, stem: str) -> int:
-        """Return m, the number of VC sequences in ``stem``."""
-        forms = []
-        for i in range(len(stem)):
-            forms.append("c" if self._is_consonant(stem, i) else "v")
-        collapsed = []
-        for form in forms:
-            if not collapsed or collapsed[-1] != form:
-                collapsed.append(form)
-        pattern = "".join(collapsed)
-        # Strip optional leading consonant run and trailing vowel run, then
-        # count "vc" pairs.
-        if pattern.startswith("c"):
-            pattern = pattern[1:]
-        if pattern.endswith("v"):
-            pattern = pattern[:-1]
-        return pattern.count("vc")
-
-    def _contains_vowel(self, stem: str) -> bool:
-        return any(not self._is_consonant(stem, i) for i in range(len(stem)))
-
-    def _ends_double_consonant(self, word: str) -> bool:
-        if len(word) < 2:
-            return False
-        if word[-1] != word[-2]:
-            return False
-        return self._is_consonant(word, len(word) - 1)
-
-    def _ends_cvc(self, word: str) -> bool:
-        """*o* condition: stem ends cvc where the final c is not w, x or y."""
-        if len(word) < 3:
-            return False
-        if not self._is_consonant(word, len(word) - 3):
-            return False
-        if self._is_consonant(word, len(word) - 2):
-            return False
-        if not self._is_consonant(word, len(word) - 1):
-            return False
-        return word[-1] not in "wxy"
-
-    # ------------------------------------------------------------------ #
-    # replacement helper
-    # ------------------------------------------------------------------ #
-    def _replace(self, word: str, suffix: str, replacement: str, min_measure: int) -> Optional[str]:
-        """If ``word`` ends with ``suffix`` and the stem before it has
-        measure > ``min_measure`` - 1, return the word with the suffix
-        replaced; otherwise return ``None``."""
-        if not word.endswith(suffix):
-            return None
-        stem = word[: len(word) - len(suffix)]
-        if self._measure(stem) >= min_measure:
-            return stem + replacement
-        return word  # suffix matched but condition failed: stop processing
-
-    # ------------------------------------------------------------------ #
-    # the five steps
-    # ------------------------------------------------------------------ #
-    def _step1a(self, word: str) -> str:
-        if word.endswith("sses"):
-            return word[:-2]
-        if word.endswith("ies"):
-            return word[:-2]
-        if word.endswith("ss"):
-            return word
-        if word.endswith("s"):
-            return word[:-1]
-        return word
-
-    def _step1b(self, word: str) -> str:
-        if word.endswith("eed"):
-            stem = word[:-3]
-            if self._measure(stem) > 0:
-                return word[:-1]
-            return word
-        flag = False
-        if word.endswith("ed"):
-            stem = word[:-2]
-            if self._contains_vowel(stem):
-                word = stem
-                flag = True
-        elif word.endswith("ing"):
-            stem = word[:-3]
-            if self._contains_vowel(stem):
-                word = stem
-                flag = True
-        if flag:
-            if word.endswith(("at", "bl", "iz")):
-                return word + "e"
-            if self._ends_double_consonant(word) and word[-1] not in "lsz":
-                return word[:-1]
-            if self._measure(word) == 1 and self._ends_cvc(word):
-                return word + "e"
-        return word
-
-    def _step1c(self, word: str) -> str:
-        if word.endswith("y") and self._contains_vowel(word[:-1]):
-            return word[:-1] + "i"
-        return word
-
-    _STEP2_SUFFIXES = (
-        ("ational", "ate"),
-        ("tional", "tion"),
-        ("enci", "ence"),
-        ("anci", "ance"),
-        ("izer", "ize"),
-        ("abli", "able"),
-        ("alli", "al"),
-        ("entli", "ent"),
-        ("eli", "e"),
-        ("ousli", "ous"),
-        ("ization", "ize"),
-        ("ation", "ate"),
-        ("ator", "ate"),
-        ("alism", "al"),
-        ("iveness", "ive"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("aliti", "al"),
-        ("iviti", "ive"),
-        ("biliti", "ble"),
-    )
-
-    def _step2(self, word: str) -> str:
-        for suffix, replacement in self._STEP2_SUFFIXES:
-            if word.endswith(suffix):
-                stem = word[: len(word) - len(suffix)]
-                if self._measure(stem) > 0:
-                    return stem + replacement
-                return word
-        return word
-
-    _STEP3_SUFFIXES = (
-        ("icate", "ic"),
-        ("ative", ""),
-        ("alize", "al"),
-        ("iciti", "ic"),
-        ("ical", "ic"),
-        ("ful", ""),
-        ("ness", ""),
-    )
-
-    def _step3(self, word: str) -> str:
-        for suffix, replacement in self._STEP3_SUFFIXES:
-            if word.endswith(suffix):
-                stem = word[: len(word) - len(suffix)]
-                if self._measure(stem) > 0:
-                    return stem + replacement
-                return word
-        return word
-
-    _STEP4_SUFFIXES = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    )
-
-    def _step4(self, word: str) -> str:
-        for suffix in self._STEP4_SUFFIXES:
-            if word.endswith(suffix):
-                stem = word[: len(word) - len(suffix)]
-                if suffix == "ion":
-                    # handled below via sion/tion
-                    continue
-                if self._measure(stem) > 1:
-                    return stem
-                return word
-        if word.endswith("ion"):
-            stem = word[:-3]
-            if stem and stem[-1] in "st" and self._measure(stem) > 1:
-                return stem
-        return word
-
-    def _step5a(self, word: str) -> str:
-        if word.endswith("e"):
-            stem = word[:-1]
-            measure = self._measure(stem)
-            if measure > 1:
-                return stem
-            if measure == 1 and not self._ends_cvc(stem):
-                return stem
-        return word
-
-    def _step5b(self, word: str) -> str:
-        if self._measure(word) > 1 and self._ends_double_consonant(word) and word.endswith("l"):
-            return word[:-1]
-        return word
-
-    def _stem(self, word: str) -> str:
-        word = self._step1a(word)
-        word = self._step1b(word)
-        word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
-        word = self._step4(word)
-        word = self._step5a(word)
-        word = self._step5b(word)
-        return word
 
 
 class NullStemmer:

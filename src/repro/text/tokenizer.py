@@ -94,8 +94,13 @@ class RegexTokenizer:
             yield Token(word, match.start(), match.end())
 
     def words(self, text: str) -> List[str]:
-        """Return just the token strings (no offsets)."""
-        return [token.text for token in self.iter_tokens(text)]
+        """Return just the token strings (no offsets, no :class:`Token`)."""
+        words = self._WORD_RE.findall(text)
+        if self.min_length > 1:
+            words = [word for word in words if len(word) >= self.min_length]
+        if not self.keep_numbers:
+            words = [word for word in words if not word.isdigit()]
+        return words
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

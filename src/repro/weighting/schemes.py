@@ -77,23 +77,21 @@ class CosineWeighting:
         self.log_tf = log_tf
 
     # ------------------------------------------------------------------ #
-    def _raw(self, frequency: int) -> float:
-        if frequency <= 0:
-            return 0.0
+    def document_weights(self, term_frequencies: Mapping[int, int]) -> WeightedVector:
         if self.log_tf:
-            return 1.0 + math.log(frequency)
-        return float(frequency)
-
-    def _normalise(self, raw: Mapping[int, float]) -> WeightedVector:
-        norm = math.sqrt(sum(value * value for value in raw.values()))
+            log = math.log
+            weights = {t: 1.0 + log(f) for t, f in term_frequencies.items() if f > 0}
+        else:
+            weights = {t: float(f) for t, f in term_frequencies.items() if f > 0}
+        # The built-in sum, in dict order: its rounding is the interpreter's
+        # (compensated from Python 3.12 on), and compositions must not
+        # depend on which loop added the squares up.
+        norm = math.sqrt(sum([value * value for value in weights.values()]))
         if norm == 0.0:
             return {}
-        return {term_id: value / norm for term_id, value in raw.items()}
-
-    # ------------------------------------------------------------------ #
-    def document_weights(self, term_frequencies: Mapping[int, int]) -> WeightedVector:
-        raw = {t: self._raw(f) for t, f in term_frequencies.items() if f > 0}
-        return self._normalise(raw)
+        for term_id, value in weights.items():
+            weights[term_id] = value / norm
+        return weights
 
     def query_weights(self, term_frequencies: Mapping[int, int]) -> WeightedVector:
         # Same normalisation; queries are normalised over their own terms,

@@ -69,6 +69,19 @@ def test_service_counters_and_alert_lag() -> None:
         assert "repro_service_ingest_ms_bucket" in prometheus
         assert 'repro_engine_ops_total{op="arrivals"}' in prometheus
 
+        # So does the analyzer's surface-form table: every token of the
+        # query and of both passes over DOCS was looked up, and the second
+        # pass met no new surface form.
+        collected = snapshot["collected"]
+        stats = service.analyzer.surface_table_stats()
+        distinct = {word for text in DOCS for word in text.split()}
+        assert stats["tokens"] == 3 + 2 * sum(len(text.split()) for text in DOCS)
+        assert stats["misses"] == stats["entries"] == len(distinct)
+        assert collected["repro_text_tokens_total"] == [{"labels": {}, "value": float(stats["tokens"])}]
+        assert collected["repro_text_surface_misses_total"] == [{"labels": {}, "value": float(stats["misses"])}]
+        assert collected["repro_text_surface_forms"] == [{"labels": {}, "value": float(stats["entries"])}]
+        assert "repro_text_surface_forms " in prometheus
+
 
 def test_service_metrics_survive_registry_swap() -> None:
     """enable() swaps the registry; the collector must re-register."""

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.stemmer import NullStemmer, PorterStemmer
+from tests.text.bench_text import TEXT_HEAVY, TextGenerator
+from tests.text.parent_chain import ParentPorterStemmer
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +112,12 @@ class TestPorterStemmerBehaviour:
     def test_stem_all(self, stemmer):
         assert stemmer.stem_all(["cats", "dogs"]) == ["cat", "dog"]
 
-    def test_cache_returns_consistent_results(self):
-        stemmer = PorterStemmer(cache_size=2)
-        first = stemmer.stem("nationalization")
-        # exceed the cache, then ask again
-        stemmer.stem("internationalization")
-        stemmer.stem("characterization")
-        assert stemmer.stem("nationalization") == first
+    def test_the_stemmer_keeps_no_cache(self):
+        # The memo is the analyzer's surface-form table; a second one here
+        # would hold the same strings twice.
+        with pytest.raises(TypeError):
+            PorterStemmer(cache_size=2)
+        assert not vars(PorterStemmer())
 
     @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=15))
     @settings(max_examples=200, deadline=None)
@@ -133,6 +134,43 @@ class TestPorterStemmerBehaviour:
     @settings(max_examples=200, deadline=None)
     def test_stem_is_nonempty_for_alpha_words(self, word):
         assert PorterStemmer().stem(word)
+
+
+# Letters and endings that steer a random word into the rules the rewrite
+# touched: y (consonant or vowel by position), doubled consonants, the *o
+# condition's w/x/y, and every step-1 to step-5 suffix.
+_SUFFIXES = (
+    "s sses ies ss eed ed ing at bl iz y e ll "
+    "ational tional enci anci izer abli alli entli eli ousli ization ation ator alism iveness fulness "
+    "ousness aliti iviti biliti icate ative alize iciti ical ful ness "
+    "al ance ence er ic able ible ant ement ment ent ou ism ate iti ous ive ize ion sion tion"
+).split()
+_letters = st.text(alphabet="abcdefghijklmnopqrstuvwxyz" + "y" * 6 + "aeiou" * 2 + "lstzwx", max_size=8)
+_doubled = st.sampled_from("bdfglmnprstz").map(lambda letter: letter * 2)
+_porter_word = st.builds(
+    "".join,
+    st.lists(st.one_of(_letters, _doubled, st.sampled_from(_SUFFIXES)), min_size=1, max_size=4),
+).filter(lambda word: 1 <= len(word) <= 20)
+
+
+class TestSameStemsAsTheParent:
+    """The rewrite (one consonant/vowel string per word, suffix rules found
+    by penultimate letter) changes no stem."""
+
+    def test_every_surface_form_of_the_text_heavy_workload(self):
+        forms = TextGenerator(7, TEXT_HEAVY)._population
+        assert len(forms) > 150_000
+        new, parent = PorterStemmer().stem, ParentPorterStemmer(cache_size=0).stem
+        assert [new(form) for form in forms] == [parent(form) for form in forms]
+
+    @given(_porter_word)
+    @settings(max_examples=3000, deadline=None)
+    def test_words_built_from_the_rules(self, word):
+        assert PorterStemmer().stem(word) == ParentPorterStemmer(cache_size=0).stem(word)
+
+    @pytest.mark.parametrize("word", ["Yyy", "SKY", "café", "naïve", "straße", "éééing", "yéying", "b2b", "it's", ""])
+    def test_case_and_letters_outside_a_to_z(self, word):
+        assert PorterStemmer().stem(word) == ParentPorterStemmer().stem(word)
 
 
 class TestNullStemmer:

@@ -92,6 +92,44 @@ class TestCosineWeighting:
         assert -1e-9 <= score <= 1.0 + 1e-9
 
 
+def _parent_document_weights(log_tf, term_frequencies):
+    """``CosineWeighting.document_weights`` at 3ffed57: a ``_raw`` call per
+    term, a generator sum, a second dict."""
+
+    def raw_of(frequency):
+        if frequency <= 0:
+            return 0.0
+        if log_tf:
+            return 1.0 + math.log(frequency)
+        return float(frequency)
+
+    raw = {t: raw_of(f) for t, f in term_frequencies.items() if f > 0}
+    norm = math.sqrt(sum(value * value for value in raw.values()))
+    if norm == 0.0:
+        return {}
+    return {term_id: value / norm for term_id, value in raw.items()}
+
+
+class TestCosineWeightsBitForBit:
+    @pytest.mark.parametrize("log_tf", [False, True])
+    @given(st.dictionaries(st.integers(0, 10_000), st.integers(-3, 400), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_floats_in_the_same_order_as_the_parent_formula(self, log_tf, frequencies):
+        weights = CosineWeighting(log_tf=log_tf).document_weights(frequencies)
+        expected = _parent_document_weights(log_tf, frequencies)
+        assert [(t, w.hex()) for t, w in weights.items()] == [(t, w.hex()) for t, w in expected.items()]
+        assert all(frequencies[term_id] > 0 for term_id in weights)
+
+    def test_only_non_positive_frequencies_is_an_empty_vector(self):
+        assert CosineWeighting().document_weights({1: 0, 2: -4}) == {}
+        assert CosineWeighting(log_tf=True).query_weights({1: 0}) == {}
+
+    def test_input_is_not_modified(self):
+        frequencies = {3: 2, 1: 0, 2: 1}
+        CosineWeighting().document_weights(frequencies)
+        assert frequencies == {3: 2, 1: 0, 2: 1}
+
+
 class TestOkapiBM25Weighting:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

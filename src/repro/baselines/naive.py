@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.base import MonitoringEngine, ResultChange, TopKResult
+from repro.core.base import MonitoringEngine, ResultChange, TopKPairs, TopKResult
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, SlidingWindow
 from repro.exceptions import UnknownQueryError
@@ -84,7 +84,7 @@ class NaiveEngine(MonitoringEngine):
     # ------------------------------------------------------------------ #
     def process(self, document: StreamedDocument) -> List[ResultChange]:
         self.counters.arrivals += 1
-        before: Dict[int, TopKResult] = {}
+        before: Dict[int, TopKPairs] = {}
         expired = self.window.insert(document)
         for expired_document in expired:
             self._process_expiration(expired_document, before)
@@ -92,7 +92,7 @@ class NaiveEngine(MonitoringEngine):
         return self._collect_changes(before)
 
     def advance_time(self, now: float) -> List[ResultChange]:
-        before: Dict[int, TopKResult] = {}
+        before: Dict[int, TopKPairs] = {}
         for expired_document in self.window.advance_time(now):
             self._process_expiration(expired_document, before)
         return self._collect_changes(before)
@@ -100,13 +100,14 @@ class NaiveEngine(MonitoringEngine):
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _snapshot(self, query: ContinuousQuery, before: Dict[int, TopKResult]) -> None:
-        if not self.track_changes:
-            return
-        if query.query_id not in before:
-            before[query.query_id] = self._results[query.query_id].top(query.k)
+    def _snapshot(self, query: ContinuousQuery, before: Dict[int, TopKPairs]) -> None:
+        if self.track_changes and query.query_id not in before:
+            before[query.query_id] = self._results[query.query_id].top_pairs(query.k)
 
-    def _process_arrival(self, document: StreamedDocument, before: Dict[int, TopKResult]) -> None:
+    def _top_pairs(self, query_id: int) -> TopKPairs:
+        return self._results[query_id].top_pairs(self.registry.get(query_id).k)
+
+    def _process_arrival(self, document: StreamedDocument, before: Dict[int, TopKPairs]) -> None:
         # Naive has no index: it must score the arriving document against
         # every single installed query.
         for query in self.registry:
@@ -127,11 +128,10 @@ class NaiveEngine(MonitoringEngine):
             results.add(document.doc_id, score)
             capacity = self._capacity(query)
             while len(results) > capacity:
-                worst_entry = results.top(len(results))[-1]
-                results.remove(worst_entry.doc_id)
+                results.remove(results.worst_doc_id())
                 self._complete[query.query_id] = False
 
-    def _process_expiration(self, document: StreamedDocument, before: Dict[int, TopKResult]) -> None:
+    def _process_expiration(self, document: StreamedDocument, before: Dict[int, TopKPairs]) -> None:
         self.counters.expirations += 1
         # Naive must check membership of the expiring document in every
         # query's materialised result.

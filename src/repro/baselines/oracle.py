@@ -66,6 +66,19 @@ class OracleEngine(MonitoringEngine):
             return {}
         return {query.query_id: self.current_result(query.query_id) for query in self.registry}
 
+    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
+        """The oracle's own full entry diff -- on purpose not the pair diff it is a model for."""
+        changes: List[ResultChange] = []
+        for query_id, old in sorted(before.items()):
+            new = self.current_result(query_id)
+            old_ids = {entry.doc_id for entry in old}
+            new_ids = {entry.doc_id for entry in new}
+            entered = tuple(entry for entry in new if entry.doc_id not in old_ids)
+            left = tuple(entry for entry in old if entry.doc_id not in new_ids)
+            if entered or left:
+                changes.append(ResultChange(query_id=query_id, entered=entered, left=left))
+        return changes
+
     # ------------------------------------------------------------------ #
     def current_result(self, query_id: int) -> TopKResult:
         query = self.registry.find(query_id)

@@ -9,8 +9,8 @@ Naive are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.documents.document import Document, StreamedDocument
 from repro.documents.window import SlidingWindow
@@ -18,11 +18,14 @@ from repro.observability.opcounters import OperationCounters
 from repro.query.query import ContinuousQuery
 from repro.query.result import ResultEntry
 
-__all__ = ["ResultChange", "MonitoringEngine", "TopKResult"]
+__all__ = ["ResultChange", "MonitoringEngine", "TopKPairs", "TopKResult"]
 
 
 #: A query's reported result: the top-k documents, best first.
 TopKResult = List[ResultEntry]
+
+#: The same prefix as the result container orders it: ``(-score, doc_id)``.
+TopKPairs = List[Tuple[float, int]]
 
 
 @dataclass(frozen=True)
@@ -135,33 +138,30 @@ class MonitoringEngine:
     # ------------------------------------------------------------------ #
     # helpers shared by implementations
     # ------------------------------------------------------------------ #
-    def _collect_changes(self, before: Dict[int, TopKResult]) -> List[ResultChange]:
+    def _top_pairs(self, query_id: int) -> TopKPairs:
+        """The reported top-k of ``query_id`` as ``(-score, doc_id)`` pairs."""
+        raise NotImplementedError
+
+    def _collect_changes(self, before: Dict[int, TopKPairs]) -> List[ResultChange]:
         """One event's result changes, **ordered by query id**.
 
-        ``before`` maps each query the event touched to the top-k it
-        reported beforehand (empty when the engine does not track
-        changes).  Query-id order is the canonical per-event order of the
-        whole system -- every engine, storage backend and batch size emits
-        it, and the cluster merger's sort is then a no-op.
+        ``before`` maps each query the event touched to the
+        :meth:`_top_pairs` it reported beforehand (empty when the engine
+        does not track changes).  An unchanged query costs one list
+        comparison; otherwise entries are built only for the documents
+        that entered or left.  Query-id order is the canonical per-event
+        order of the whole system -- every engine, storage backend and
+        batch size emits it, and the cluster merger's sort is then a no-op.
         """
         changes: List[ResultChange] = []
         for query_id in sorted(before):
-            change = self._diff_results(
-                query_id, before[query_id], self.current_result(query_id)
-            )
-            if change.changed:
-                changes.append(change)
+            old, new = before[query_id], self._top_pairs(query_id)
+            if old == new:
+                continue
+            old_ids = {pair[1] for pair in old}
+            new_ids = {pair[1] for pair in new}
+            entered = tuple(ResultEntry(doc_id, -key) for key, doc_id in new if doc_id not in old_ids)
+            left = tuple(ResultEntry(doc_id, -key) for key, doc_id in old if doc_id not in new_ids)
+            if entered or left:
+                changes.append(ResultChange(query_id, entered, left))
         return changes
-
-    @staticmethod
-    def _diff_results(
-        query_id: int,
-        before: Sequence[ResultEntry],
-        after: Sequence[ResultEntry],
-    ) -> ResultChange:
-        """Compute the entered/left sets between two reported results."""
-        before_ids = {entry.doc_id for entry in before}
-        after_ids = {entry.doc_id for entry in after}
-        entered = tuple(entry for entry in after if entry.doc_id not in before_ids)
-        left = tuple(entry for entry in before if entry.doc_id not in after_ids)
-        return ResultChange(query_id=query_id, entered=entered, left=left)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.observability import runtime as _obs
 
-from repro.core.base import MonitoringEngine, ResultChange, TopKResult
+from repro.core.base import MonitoringEngine, ResultChange, TopKPairs, TopKResult
 from repro.core.descent import ProbeOrder
 from repro.core.ita import ITAQueryState
 from repro.documents.document import StreamedDocument
@@ -146,7 +146,7 @@ class ITAEngine(MonitoringEngine):
         observed = _obs.active
         started = _perf_counter() if observed else 0.0
         self.counters.arrivals += 1
-        before: Dict[int, TopKResult] = {}
+        before: Dict[int, TopKPairs] = {}
         for expired_document in self.window.insert(document):
             self._process_expiration(expired_document, before)
         if observed:
@@ -179,7 +179,7 @@ class ITAEngine(MonitoringEngine):
         """Expire documents by the passage of time (time-based windows)."""
         observed = _obs.active
         started = _perf_counter() if observed else 0.0
-        before: Dict[int, TopKResult] = {}
+        before: Dict[int, TopKPairs] = {}
         for expired_document in self.window.advance_time(now):
             self._process_expiration(expired_document, before)
         changes = self._collect_changes(before)
@@ -190,11 +190,13 @@ class ITAEngine(MonitoringEngine):
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _snapshot(self, query_id: int, before: Dict[int, TopKResult]) -> None:
-        if not self.track_changes:
-            return
-        if query_id not in before:
-            before[query_id] = self._states[query_id].top_k()
+    def _snapshot(self, query_id: int, before: Dict[int, TopKPairs]) -> None:
+        if self.track_changes and query_id not in before:
+            before[query_id] = self._top_pairs(query_id)
+
+    def _top_pairs(self, query_id: int) -> TopKPairs:
+        state = self._states[query_id]
+        return state.results.top_pairs(state.query.k)
 
     def _affected_queries(self, document: StreamedDocument) -> Set[int]:
         """Probe the threshold trees: queries with a local threshold at or
@@ -210,7 +212,7 @@ class ITAEngine(MonitoringEngine):
         self.counters.candidate_matches += len(affected)
         return affected
 
-    def _process_arrival(self, document: StreamedDocument, before: Dict[int, TopKResult]) -> None:
+    def _process_arrival(self, document: StreamedDocument, before: Dict[int, TopKPairs]) -> None:
         """Index the arriving document and notify potentially affected queries."""
         inserted = self.index.insert_document(document)
         self.counters.postings_inserted += inserted
@@ -218,7 +220,7 @@ class ITAEngine(MonitoringEngine):
             self._snapshot(query_id, before)
             self._states[query_id].handle_arrival(document)
 
-    def _process_expiration(self, document: StreamedDocument, before: Dict[int, TopKResult]) -> None:
+    def _process_expiration(self, document: StreamedDocument, before: Dict[int, TopKPairs]) -> None:
         """Un-index the expiring document and notify potentially affected queries."""
         self.counters.expirations += 1
         _, removed = self.index.remove_document(document.doc_id)

@@ -47,6 +47,10 @@ those states are unreachable through the engine, whose document store
 rejects duplicate arrivals and whose compositions validate their weights
 at construction.  The containers keep the checks for direct API use.
 
+Change collection: ``before`` maps each query an event touches to the first
+``k`` ``(-score, doc_id)`` pairs of its ordered view ahead of the first mutation
+(a list slice, no entry objects); ``engine._collect_changes`` re-reads it after.
+
 With observability active the kernel falls back to the engine's sequential
 path so the per-stage timers keep their full resolution; queries running
 the round-robin probe-order ablation fall back to the state's own refill.
@@ -279,7 +283,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
             for query_id in affected:
                 state = states[query_id]
                 if track and query_id not in before:
-                    before[query_id] = state.top_k()
+                    before[query_id] = state.results.top_pairs(state.query.k)
                 # inline ITAQueryState.handle_expiration
                 results = state.results
                 scores_map = results._scores
@@ -364,7 +368,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
         for query_id in affected:
             state = states[query_id]
             if track and query_id not in before:
-                before[query_id] = state.top_k()
+                before[query_id] = state.results.top_pairs(state.query.k)
             # inline ITAQueryState.handle_arrival
             query = state.query
             query_weights = query._weights

@@ -113,13 +113,16 @@ class ResultList:
     def get(self, doc_id: int) -> Optional[float]:
         return self._scores.get(doc_id)
 
+    def top_pairs(self, k: int) -> List[Tuple[float, int]]:
+        """The ``k`` best entries as raw ``(-score, doc_id)`` pairs: one slice
+        of the ordered view, no objects -- what change collection compares."""
+        return self._ordered.head(k) if k > 0 else []
+
     def top(self, k: int) -> List[ResultEntry]:
         """The ``k`` best entries (descending score, ties by ascending id)."""
-        if k <= 0:
-            return []
         return [
             ResultEntry(doc_id=doc_id, score=-negative_score)
-            for negative_score, doc_id in self._ordered.head(k)
+            for negative_score, doc_id in self.top_pairs(k)
         ]
 
     def kth_score(self, k: int) -> float:
@@ -159,15 +162,13 @@ class ResultList:
         negative_score, _doc_id = self._ordered.last()
         return -negative_score
 
+    def worst_doc_id(self) -> int:
+        """The document a full k_max view trims: lowest score, then highest id."""
+        return self._ordered.last()[1]
+
     def is_in_top_k(self, doc_id: int, k: int) -> bool:
         """Whether ``doc_id`` is among the k best entries."""
-        score = self._scores.get(doc_id)
-        if score is None:
-            return False
-        for entry in self.top(k):
-            if entry.doc_id == doc_id:
-                return True
-        return False
+        return doc_id in self._scores and any(pair[1] == doc_id for pair in self.top_pairs(k))
 
     def count_at_or_above(self, score: float) -> int:
         """Number of documents with score >= ``score``.

@@ -38,7 +38,6 @@ boundary.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
@@ -316,8 +315,9 @@ class QueryScaleManager:
                 continue
             if track_idleness:
                 entry.last_change = self._events
+            entered, left = change.entered, change.left
             for subscriber_id in entry.subscribers:
-                expanded.append(replace(change, query_id=subscriber_id))
+                expanded.append(ResultChange(subscriber_id, entered, left))
         expanded.sort(key=lambda change: change.query_id)
         return expanded
 

@@ -29,11 +29,9 @@ the property tests.
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.descent import ProbeOrder, threshold_descent
-from repro.observability import runtime as _obs
 from repro.documents.document import StreamedDocument
 from repro.index.inverted_index import InvertedIndex
 from repro.observability.opcounters import OperationCounters
@@ -203,9 +201,6 @@ class ITAQueryState:
         s_k = self.s_k()
         if s_k <= 0.0:
             return
-        # Rare path relative to arrivals: a per-call switch check is fine.
-        observed = _obs.active
-        started = _perf_counter() if observed else 0.0
         query_weights = self.query.weights
         rolled = False
         while True:
@@ -237,10 +232,6 @@ class ITAQueryState:
             rolled = True
         if rolled:
             self._evict_uncovered()
-        if observed:
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "rollup"
-            ).add((_perf_counter() - started) * 1000.0)
 
     def _evict_uncovered(self) -> None:
         """Drop from ``R`` the documents below all local thresholds.
@@ -252,8 +243,6 @@ class ITAQueryState:
         expiration would not be routed to this query by the threshold
         trees, so keeping it would leave a stale entry behind (INV-REACH).
         """
-        observed = _obs.active
-        started = _perf_counter() if observed else 0.0
         to_evict: List[int] = []
         # Only entries with score < tau can be uncovered: score >= tau
         # implies at least one per-term weight at or above its threshold.
@@ -271,10 +260,6 @@ class ITAQueryState:
         for doc_id in to_evict:
             self.results.remove(doc_id)
             self.counters.result_evictions += 1
-        if observed:
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "evict"
-            ).add((_perf_counter() - started) * 1000.0)
 
     # ------------------------------------------------------------------ #
     # refill (expiration of a top-k document)
@@ -288,8 +273,6 @@ class ITAQueryState:
         if self.results.count_at_or_above(self.tau) >= self.query.k:
             return
         self.counters.refills += 1
-        observed = _obs.active
-        started = _perf_counter() if observed else 0.0
         outcome = threshold_descent(
             self.query,
             self.index,
@@ -304,10 +287,6 @@ class ITAQueryState:
                 self.index.threshold_tree(term_id).register(query_id, new_threshold)
         self.thresholds = outcome.thresholds
         self.tau = outcome.tau
-        if observed:
-            _obs.counter_child(
-                "repro_engine_stage_ms_total", "per-stage engine time", "stage", "descent"
-            ).add((_perf_counter() - started) * 1000.0)
 
     # ------------------------------------------------------------------ #
     # invariants (exercised by the test suite)

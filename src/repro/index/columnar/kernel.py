@@ -51,9 +51,10 @@ Change collection: ``before`` maps each query an event touches to the first
 ``k`` ``(-score, doc_id)`` pairs of its ordered view ahead of the first mutation
 (a list slice, no entry objects); ``engine._collect_changes`` re-reads it after.
 
-With observability active the kernel falls back to the engine's sequential
-path so the per-stage timers keep their full resolution; queries running
-the round-robin probe-order ablation fall back to the state's own refill.
+With observability on (read once per batch) the kernel laps ``perf_counter``
+at its stage boundaries: six self times that sum to the batch's wall time,
+flushed per batch to ``repro_engine_stage_ms_total``.  Queries running the
+round-robin probe-order ablation fall back to the state's own refill.
 
 This module deliberately imports nothing from :mod:`repro.core` at module
 level (the engine object is supplied at call time), keeping the index
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left as _bisect_left, bisect_right as _bisect_right, insort as _insort
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from time import perf_counter as _perf_counter
 from typing import Dict, List, Sequence
 
 from repro.index.columnar.postings import TOMBSTONE
@@ -204,15 +206,31 @@ def columnar_descent(state, start_thresholds=None):
     return dict(zip(query_weights, cursor_ceiling)), tau
 
 
+def _weight_above(target_list, threshold):
+    """A roll-up candidate: the live weight just above ``threshold`` in
+    ``target_list`` (``None`` without one), and the list's mutation count."""
+    if target_list is None:
+        return None, 0
+    list_negw = target_list._negw
+    list_ids = target_list._ids
+    # Stored weights are positive: the probe point of threshold 0.0 is the end.
+    position = len(list_negw) if threshold == 0.0 else _bisect_left(list_negw, -threshold)
+    while position > 0:
+        position -= 1
+        if list_ids[position] != TOMBSTONE:
+            return -list_negw[position], target_list._mutations
+    return None, target_list._mutations
+
+
 def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     """Process ``documents`` in one fused loop over the columnar state.
 
     Produces exactly the same engine state, counters and per-event change
     lists as calling ``engine.process`` once per document.
     """
-    if _obs.active:
-        # Full per-stage timing only exists on the sequential path.
-        return [engine.process(document) for document in documents]
+    observed = _obs.active
+    mark = _perf_counter() if observed else 0.0
+    t_expire = t_arrival = t_rollup = t_evict = t_descent = t_collect = 0.0
 
     from repro.core.descent import ProbeOrder
 
@@ -236,318 +254,333 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     scores_computed = rollup_steps = result_evictions = refills = 0
     per_event: List[list] = []
 
-    for document in documents:
-        arrivals += 1
-        before: Dict[int, list] = {}
+    try:
+        for document in documents:
+            arrivals += 1
+            before: Dict[int, list] = {}
 
-        # -- expirations caused by this arrival ------------------------- #
-        for expired_document in window_insert(document):
-            expirations += 1
-            doc_id = expired_document.doc_id
-            store.remove(doc_id)
+            # -- expirations caused by this arrival ------------------------- #
+            for expired_document in window_insert(document):
+                expirations += 1
+                doc_id = expired_document.doc_id
+                store.remove(doc_id)
+                affected = set()
+                update_affected = affected.update
+                document_raw = expired_document.composition._raw
+                # Cold terms (no list) need no work at all: their records drop
+                # expired documents lazily.  One C-level key intersection
+                # replaces the per-term dictionary misses.
+                deleted += len(document_raw)
+                for term_id in document_raw.keys() & lists.keys():
+                    weight = document_raw[term_id]
+                    inverted_list = lists[term_id]
+                    # inline ColumnarInvertedList.delete
+                    weights_map = inverted_list._weights
+                    del weights_map[doc_id]
+                    negw_col = inverted_list._negw
+                    ids_col = inverted_list._ids
+                    position = _bisect_left(negw_col, -weight)
+                    while ids_col[position] != doc_id:
+                        position += 1
+                    ids_col[position] = TOMBSTONE
+                    tombstones = inverted_list._tombstones + 1
+                    inverted_list._tombstones = tombstones
+                    inverted_list._mutations += 1
+                    if tombstones * 2 > len(ids_col):
+                        inverted_list._compact()
+                    tree = inverted_list._tree
+                    if tree is None:
+                        if not weights_map:
+                            # Unwatched and empty: back to virtual-cold.
+                            del lists[term_id]
+                    elif tree._thresholds:
+                        probes += 1
+                        prefix = _bisect_right(tree._thr, weight)
+                        if prefix:
+                            update_affected(tree._qid[:prefix])
+                candidates += len(affected)
+                for query_id in affected:
+                    state = states[query_id]
+                    if track and query_id not in before:
+                        before[query_id] = state.results.top_pairs(state.query.k)
+                    # inline ITAQueryState.handle_expiration
+                    results = state.results
+                    scores_map = results._scores
+                    score = scores_map.get(doc_id)
+                    if score is None:
+                        continue
+                    ordered_items = results._ordered._items
+                    query = state.query
+                    k = query.k
+                    if len(ordered_items) >= k:
+                        s_k_before = -ordered_items[k - 1][0]
+                    else:
+                        s_k_before = 0.0
+                    del scores_map[doc_id]
+                    del ordered_items[_bisect_left(ordered_items, (-score, doc_id))]
+                    if score < s_k_before:
+                        continue
+                    # inline ITAQueryState._refill: verified-count fast path
+                    tau = state.tau
+                    if _bisect_right(ordered_items, (-tau, infinity)) >= k:
+                        continue
+                    if observed:
+                        now = _perf_counter()
+                        t_expire += now - mark
+                        mark = now
+                    if state.probe_order is not weighted_order:
+                        state._refill()  # round-robin ablation: generic path
+                    else:
+                        refills += 1
+                        thresholds = state.thresholds
+                        new_thresholds, tau = columnar_descent(state, thresholds)
+                        for term_id, ceiling in new_thresholds.items():
+                            if ceiling != thresholds[term_id]:
+                                trees[term_id].register(query_id, ceiling)
+                        state.thresholds = new_thresholds
+                        state.tau = tau
+                    if observed:
+                        now = _perf_counter()
+                        t_descent += now - mark
+                        mark = now
+            if observed:
+                now = _perf_counter()
+                t_expire += now - mark
+                mark = now
+
+            # -- the arrival itself ----------------------------------------- #
+            doc_id = document.doc_id
+            store.add(document)
+            composition = document.composition
             affected = set()
             update_affected = affected.update
-            document_raw = expired_document.composition._raw
-            # Cold terms (no list) need no work at all: their records drop
-            # expired documents lazily.  One C-level key intersection
-            # replaces the per-term dictionary misses.
-            deleted += len(document_raw)
-            for term_id in document_raw.keys() & lists.keys():
-                weight = document_raw[term_id]
-                inverted_list = lists[term_id]
-                # inline ColumnarInvertedList.delete
-                weights_map = inverted_list._weights
-                del weights_map[doc_id]
+            document_raw = composition._raw
+            inserted += len(document_raw)
+            for term_id, weight in document_raw.items():
+                inverted_list = lists_get(term_id)
+                if inverted_list is None:
+                    # Cold term: record the arrival (InvertedIndex._cold) and
+                    # drop expired documents from the head of the record.
+                    record = cold_get(term_id)
+                    if record is None:
+                        cold[term_id] = [doc_id]
+                    else:
+                        record.append(doc_id)
+                        while record[0] not in store_docs:
+                            del record[0]
+                    continue
+                # inline ColumnarInvertedList.insert
                 negw_col = inverted_list._negw
                 ids_col = inverted_list._ids
-                position = _bisect_left(negw_col, -weight)
-                while ids_col[position] != doc_id:
+                negative_weight = -weight
+                position = _bisect_left(negw_col, negative_weight)
+                size = len(ids_col)
+                while position < size and negw_col[position] == negative_weight:
+                    existing = ids_col[position]
+                    if existing != TOMBSTONE and existing > doc_id:
+                        break
                     position += 1
-                ids_col[position] = TOMBSTONE
-                tombstones = inverted_list._tombstones + 1
-                inverted_list._tombstones = tombstones
+                negw_col.insert(position, negative_weight)
+                ids_col.insert(position, doc_id)
+                inverted_list._weights[doc_id] = weight
                 inverted_list._mutations += 1
-                if tombstones * 2 > len(ids_col):
-                    inverted_list._compact()
                 tree = inverted_list._tree
-                if tree is None:
-                    if not weights_map:
-                        # Unwatched and empty: back to virtual-cold.
-                        del lists[term_id]
-                elif tree._thresholds:
+                if tree is not None and tree._thresholds:
                     probes += 1
                     prefix = _bisect_right(tree._thr, weight)
                     if prefix:
                         update_affected(tree._qid[:prefix])
             candidates += len(affected)
+            if len(cold) > index._cold_limit:
+                index._sweep_cold()
+
+            document_weights = composition._raw
+            document_terms = len(document_weights)
             for query_id in affected:
                 state = states[query_id]
                 if track and query_id not in before:
                     before[query_id] = state.results.top_pairs(state.query.k)
-                # inline ITAQueryState.handle_expiration
-                results = state.results
-                scores_map = results._scores
-                score = scores_map.get(doc_id)
-                if score is None:
-                    continue
-                ordered_items = results._ordered._items
+                # inline ITAQueryState.handle_arrival
                 query = state.query
+                query_weights = query._weights
+                # dot product: iterate the smaller mapping (same sum order as
+                # repro.weighting.schemes.dot_product)
+                if document_terms < len(query_weights):
+                    small, large = document_weights, query_weights
+                else:
+                    small, large = query_weights, document_weights
+                large_get = large.get
+                score = 0.0
+                for term_id, term_weight in small.items():
+                    other = large_get(term_id)
+                    if other is not None:
+                        score += term_weight * other
+                scores_computed += 1
+                if score <= 0.0:
+                    continue
+                results = state.results
+                ordered_items = results._ordered._items
                 k = query.k
                 if len(ordered_items) >= k:
                     s_k_before = -ordered_items[k - 1][0]
                 else:
                     s_k_before = 0.0
-                del scores_map[doc_id]
-                del ordered_items[_bisect_left(ordered_items, (-score, doc_id))]
-                if score < s_k_before:
+                # R insertion: an arriving document is never already in R
+                results._scores[doc_id] = score
+                _insort(ordered_items, (-score, doc_id))
+                if score <= s_k_before or not state.enable_rollup:
                     continue
-                # inline ITAQueryState._refill: verified-count fast path
-                tau = state.tau
-                if _bisect_right(ordered_items, (-tau, infinity)) >= k:
+                # inline ITAQueryState._roll_up
+                if len(ordered_items) >= k:
+                    s_k = -ordered_items[k - 1][0]
+                else:
+                    s_k = 0.0
+                if s_k <= 0.0:
                     continue
-                if state.probe_order is not weighted_order:
-                    state._refill()  # round-robin ablation: generic path
-                    continue
-                refills += 1
+                if observed:
+                    now = _perf_counter()
+                    t_arrival += now - mark
+                    mark = now
                 thresholds = state.thresholds
-                new_thresholds, tau = columnar_descent(state, thresholds)
-                for term_id, ceiling in new_thresholds.items():
-                    if ceiling != thresholds[term_id]:
-                        trees[term_id].register(query_id, ceiling)
-                state.thresholds = new_thresholds
-                state.tau = tau
-
-        # -- the arrival itself ----------------------------------------- #
-        doc_id = document.doc_id
-        store.add(document)
-        composition = document.composition
-        affected = set()
-        update_affected = affected.update
-        document_raw = composition._raw
-        inserted += len(document_raw)
-        for term_id, weight in document_raw.items():
-            inverted_list = lists_get(term_id)
-            if inverted_list is None:
-                # Cold term: record the arrival (InvertedIndex._cold) and
-                # drop expired documents from the head of the record.
-                record = cold_get(term_id)
-                if record is None:
-                    cold[term_id] = [doc_id]
-                else:
-                    record.append(doc_id)
-                    while record[0] not in store_docs:
-                        del record[0]
-                continue
-            # inline ColumnarInvertedList.insert
-            negw_col = inverted_list._negw
-            ids_col = inverted_list._ids
-            negative_weight = -weight
-            position = _bisect_left(negw_col, negative_weight)
-            size = len(ids_col)
-            while position < size and negw_col[position] == negative_weight:
-                existing = ids_col[position]
-                if existing != TOMBSTONE and existing > doc_id:
-                    break
-                position += 1
-            negw_col.insert(position, negative_weight)
-            ids_col.insert(position, doc_id)
-            inverted_list._weights[doc_id] = weight
-            inverted_list._mutations += 1
-            tree = inverted_list._tree
-            if tree is not None and tree._thresholds:
-                probes += 1
-                prefix = _bisect_right(tree._thr, weight)
-                if prefix:
-                    update_affected(tree._qid[:prefix])
-        candidates += len(affected)
-        if len(cold) > index._cold_limit:
-            index._sweep_cold()
-
-        document_weights = composition._raw
-        document_terms = len(document_weights)
-        for query_id in affected:
-            state = states[query_id]
-            if track and query_id not in before:
-                before[query_id] = state.results.top_pairs(state.query.k)
-            # inline ITAQueryState.handle_arrival
-            query = state.query
-            query_weights = query._weights
-            # dot product: iterate the smaller mapping (same sum order as
-            # repro.weighting.schemes.dot_product)
-            if document_terms < len(query_weights):
-                small, large = document_weights, query_weights
-            else:
-                small, large = query_weights, document_weights
-            large_get = large.get
-            score = 0.0
-            for term_id, term_weight in small.items():
-                other = large_get(term_id)
-                if other is not None:
-                    score += term_weight * other
-            scores_computed += 1
-            if score <= 0.0:
-                continue
-            results = state.results
-            ordered_items = results._ordered._items
-            k = query.k
-            if len(ordered_items) >= k:
-                s_k_before = -ordered_items[k - 1][0]
-            else:
-                s_k_before = 0.0
-            # R insertion: an arriving document is never already in R
-            results._scores[doc_id] = score
-            _insort(ordered_items, (-score, doc_id))
-            if score <= s_k_before or not state.enable_rollup:
-                continue
-            # inline ITAQueryState._roll_up
-            if len(ordered_items) >= k:
-                s_k = -ordered_items[k - 1][0]
-            else:
-                s_k = 0.0
-            if s_k <= 0.0:
-                continue
-            thresholds = state.thresholds
-            tau = state.tau
-            # Lazy-deletion min-heap over (value, order, term, candidate):
-            # the sequential roll-up rescans every term per step and picks
-            # the first term (in query order) of strictly least value, so
-            # ordering the heap by (value, query-order) reproduces its
-            # pick exactly; only the stepped term's candidate ever
-            # changes, and stale heap entries are skipped by comparing
-            # against the live candidate.
-            # A candidate (next weight strictly above the local threshold)
-            # depends only on the list's content and the threshold, so it
-            # is cached across roll-up invocations in the state's scratch
-            # dict, validated by (list identity, mutation count,
-            # threshold) -- recomputation is pure reading, so a cache hit
-            # is observably indistinguishable from recomputing.
-            scratch = state._scratch
-            if scratch is None:
-                scratch = {}
-                state._scratch = scratch
-            scratch_get = scratch.get
-            candidate_cache: Dict[int, float] = {}
-            candidate_heap: list = []
-            order = 0
-            for term_id, query_weight in query_weights.items():
-                target_list = lists_get(term_id)
-                term_threshold = thresholds[term_id]
-                cached = scratch_get(term_id)
-                if (
-                    cached is not None
-                    and cached[1] is target_list
-                    and (target_list is None or cached[2] == target_list._mutations)
-                    and cached[3] == term_threshold
-                ):
-                    candidate = cached[0]
-                else:
-                    candidate = None
-                    mutations = 0
-                    if target_list is not None:
-                        list_negw = target_list._negw
-                        list_ids = target_list._ids
-                        mutations = target_list._mutations
-                        if term_threshold == 0.0:
-                            # Stored weights are positive, so the probe
-                            # point of threshold 0.0 is the list's end.
-                            list_position = len(list_negw)
-                        else:
-                            list_position = _bisect_left(list_negw, -term_threshold)
-                        while list_position > 0:
-                            list_position -= 1
-                            if list_ids[list_position] != TOMBSTONE:
-                                candidate = -list_negw[list_position]
-                                break
-                    scratch[term_id] = (candidate, target_list, mutations, term_threshold)
-                candidate_cache[term_id] = candidate
-                if candidate is not None:
-                    candidate_heap.append(
-                        (query_weight * candidate, order, term_id, candidate)
-                    )
-                order += 1
-            _heapify(candidate_heap)
-            rolled = False
-            while candidate_heap:
-                entry = candidate_heap[0]
-                best_term = entry[2]
-                best_candidate = entry[3]
-                if best_candidate != candidate_cache[best_term]:
-                    _heappop(candidate_heap)  # stale: term stepped since
-                    continue
-                query_weight = query_weights[best_term]
-                new_tau = tau + query_weight * (best_candidate - thresholds[best_term])
-                if new_tau > s_k:
-                    break
-                thresholds[best_term] = best_candidate
-                tau = new_tau
-                tree = trees.get(best_term)
-                if tree is None:
-                    tree = index.threshold_tree(best_term)
-                tree.register(query_id, best_candidate)
-                rollup_steps += 1
-                rolled = True
-                _heappop(candidate_heap)
-                target_list = lists_get(best_term)
-                candidate = None
-                mutations = 0
-                if target_list is not None:
-                    list_negw = target_list._negw
-                    list_ids = target_list._ids
-                    mutations = target_list._mutations
-                    list_position = _bisect_left(list_negw, -best_candidate)
-                    while list_position > 0:
-                        list_position -= 1
-                        if list_ids[list_position] != TOMBSTONE:
-                            candidate = -list_negw[list_position]
-                            break
-                candidate_cache[best_term] = candidate
-                scratch[best_term] = (candidate, target_list, mutations, best_candidate)
-                if candidate is not None:
-                    _heappush(
-                        candidate_heap,
-                        (query_weight * candidate, entry[1], best_term, candidate),
-                    )
-            state.tau = tau
-            if not rolled:
-                continue
-            # inline ITAQueryState._evict_uncovered
-            start = _bisect_right(ordered_items, (-tau, infinity))
-            size_ordered = len(ordered_items)
-            if start >= size_ordered:
-                continue
-            to_evict = []
-            for position in range(start, size_ordered):
-                pair = ordered_items[position]
-                candidate_weights = store_docs[pair[1]].document.composition._raw
-                weights_get = candidate_weights.get
-                covered = False
-                # state.thresholds carries exactly the query's terms, and
-                # only the resulting boolean is observable, so iterating
-                # it directly (saving a lookup per term) is invisible.
-                for term_id, term_threshold in thresholds.items():
-                    term_weight = weights_get(term_id, 0.0)
-                    if term_weight > 0.0 and term_weight >= term_threshold:
-                        covered = True
+                tau = state.tau
+                # Lazy-deletion min-heap over (value, order, term, candidate):
+                # the sequential roll-up rescans every term per step and picks
+                # the first term (in query order) of strictly least value, so
+                # ordering the heap by (value, query-order) reproduces its
+                # pick exactly; only the stepped term's candidate ever
+                # changes, and stale heap entries are skipped by comparing
+                # against the live candidate.
+                # A candidate (next weight strictly above the local threshold)
+                # depends only on the list's content and the threshold, so it
+                # is cached across roll-up invocations in the state's scratch
+                # dict, validated by (list identity, mutation count,
+                # threshold) -- recomputation is pure reading, so a cache hit
+                # is observably indistinguishable from recomputing.
+                scratch = state._scratch
+                if scratch is None:
+                    scratch = {}
+                    state._scratch = scratch
+                scratch_get = scratch.get
+                candidate_cache: Dict[int, float] = {}
+                candidate_heap: list = []
+                order = 0
+                for term_id, query_weight in query_weights.items():
+                    target_list = lists_get(term_id)
+                    term_threshold = thresholds[term_id]
+                    cached = scratch_get(term_id)
+                    if (
+                        cached is not None
+                        and cached[1] is target_list
+                        and (target_list is None or cached[2] == target_list._mutations)
+                        and cached[3] == term_threshold
+                    ):
+                        candidate = cached[0]
+                    else:
+                        candidate, mutations = _weight_above(target_list, term_threshold)
+                        scratch[term_id] = (candidate, target_list, mutations, term_threshold)
+                    candidate_cache[term_id] = candidate
+                    if candidate is not None:
+                        candidate_heap.append(
+                            (query_weight * candidate, order, term_id, candidate)
+                        )
+                    order += 1
+                _heapify(candidate_heap)
+                rolled = False
+                while candidate_heap:
+                    entry = candidate_heap[0]
+                    best_term = entry[2]
+                    best_candidate = entry[3]
+                    if best_candidate != candidate_cache[best_term]:
+                        _heappop(candidate_heap)  # stale: term stepped since
+                        continue
+                    query_weight = query_weights[best_term]
+                    new_tau = tau + query_weight * (best_candidate - thresholds[best_term])
+                    if new_tau > s_k:
                         break
-                if not covered:
-                    to_evict.append(pair)
-            scores_map = results._scores
-            for pair in to_evict:
-                del scores_map[pair[1]]
-                del ordered_items[_bisect_left(ordered_items, pair)]
-                result_evictions += 1
+                    thresholds[best_term] = best_candidate
+                    tau = new_tau
+                    tree = trees.get(best_term)
+                    if tree is None:
+                        tree = index.threshold_tree(best_term)
+                    tree.register(query_id, best_candidate)
+                    rollup_steps += 1
+                    rolled = True
+                    _heappop(candidate_heap)
+                    target_list = lists_get(best_term)
+                    candidate, mutations = _weight_above(target_list, best_candidate)
+                    candidate_cache[best_term] = candidate
+                    scratch[best_term] = (candidate, target_list, mutations, best_candidate)
+                    if candidate is not None:
+                        _heappush(
+                            candidate_heap,
+                            (query_weight * candidate, entry[1], best_term, candidate),
+                        )
+                state.tau = tau
+                if observed:
+                    now = _perf_counter()
+                    t_rollup += now - mark
+                    mark = now
+                if not rolled:
+                    continue
+                # inline ITAQueryState._evict_uncovered
+                start = _bisect_right(ordered_items, (-tau, infinity))
+                size_ordered = len(ordered_items)
+                if start >= size_ordered:
+                    continue
+                to_evict = []
+                for position in range(start, size_ordered):
+                    pair = ordered_items[position]
+                    candidate_weights = store_docs[pair[1]].document.composition._raw
+                    weights_get = candidate_weights.get
+                    covered = False
+                    # state.thresholds carries exactly the query's terms, and
+                    # only the resulting boolean is observable, so iterating
+                    # it directly (saving a lookup per term) is invisible.
+                    for term_id, term_threshold in thresholds.items():
+                        term_weight = weights_get(term_id, 0.0)
+                        if term_weight > 0.0 and term_weight >= term_threshold:
+                            covered = True
+                            break
+                    if not covered:
+                        to_evict.append(pair)
+                scores_map = results._scores
+                for pair in to_evict:
+                    del scores_map[pair[1]]
+                    del ordered_items[_bisect_left(ordered_items, pair)]
+                    result_evictions += 1
+                if observed:
+                    now = _perf_counter()
+                    t_evict += now - mark
+                    mark = now
 
-        # ``before`` stays empty when the engine does not track changes.
-        per_event.append(collect_changes(before) if before else [])
-
-    counters.arrivals += arrivals
-    counters.expirations += expirations
-    counters.postings_inserted += inserted
-    counters.postings_deleted += deleted
-    counters.threshold_probes += probes
-    counters.candidate_matches += candidates
-    counters.scores_computed += scores_computed
-    counters.rollup_steps += rollup_steps
-    counters.result_evictions += result_evictions
-    counters.refills += refills
+            if observed:
+                now = _perf_counter()
+                t_arrival += now - mark
+                mark = now
+            # ``before`` stays empty when the engine does not track changes.
+            per_event.append(collect_changes(before) if before else [])
+            if observed:
+                now = _perf_counter()
+                t_collect += now - mark
+                mark = now
+    finally:
+        # also on a batch that raises part-way: its applied events count
+        counters.arrivals += arrivals
+        counters.expirations += expirations
+        counters.postings_inserted += inserted
+        counters.postings_deleted += deleted
+        counters.threshold_probes += probes
+        counters.candidate_matches += candidates
+        counters.scores_computed += scores_computed
+        counters.rollup_steps += rollup_steps
+        counters.result_evictions += result_evictions
+        counters.refills += refills
+        if observed:
+            for stage, seconds in (
+                ("expire", t_expire), ("arrival", t_arrival), ("rollup", t_rollup),
+                ("evict", t_evict), ("descent", t_descent), ("collect", t_collect),
+            ):
+                _obs.counter_child(
+                    "repro_engine_stage_ms_total", "per-stage engine time", "stage", stage
+                ).add(seconds * 1000.0)
     return per_event

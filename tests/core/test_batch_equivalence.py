@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.baselines.naive import NaiveEngine
 from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, WindowSpec
+from repro.exceptions import WindowError
 from repro.query.query import ContinuousQuery
 from repro.queryscale.options import QueryScaleOptions
 from repro.service import EngineSpec, MonitoringService
@@ -146,6 +147,32 @@ class TestITAVariants:
             assert seq_state.tau == bat_state.tau
             assert seq_state.results.as_dict() == bat_state.results.as_dict()
         batched.check_invariants()
+
+    @pytest.mark.parametrize("storage", ["bisect", "columnar"])
+    def test_batch_that_raises_part_way_counts_what_it_applied(self, storage):
+        """The second document travels back in time: the first is applied,
+        the batch raises, and the counters say so on either storage."""
+
+        def engine_for(storage):
+            engine = ITAEngine(CountBasedWindow(4), storage=storage)
+            engine.register_query(ContinuousQuery(query_id=1, weights={1: 1.0}, k=2))
+            return engine
+
+        documents = [
+            make_document(1, {1: 0.6, 2: 0.8}, arrival_time=5.0),
+            make_document(2, {1: 1.0}, arrival_time=3.0),
+        ]
+        reference, batched = engine_for("bisect"), engine_for(storage)
+        with pytest.raises(WindowError):
+            for document in documents:
+                reference.process(document)
+        with pytest.raises(WindowError):
+            batched.process_batch_events(documents)
+        counted = batched.counters.as_dict()
+        assert counted == reference.counters.as_dict()
+        assert (counted["arrivals"], counted["postings_inserted"]) == (2, 2)
+        assert counted["scores_computed"] == 1
+        assert [entry.doc_id for entry in batched.current_result(1)] == [1]
 
     def test_time_based_window_batched_matches_sequential(self):
         from repro.documents.window import TimeBasedWindow

@@ -55,7 +55,8 @@ def test_instrumented_replay_actually_recorded_telemetry() -> None:
     """Guard against the guard: the observed run must produce metrics."""
     tape = generate_tape(SEED, tie_heavy=False, num_ops=120)
     with runtime.observed() as registry:
-        run_sync("ita", tape)
+        # the default storage: per-stage time comes from the columnar kernel
+        run_sync("ita", tape, storage="columnar")
         families = registry.snapshot()["families"]
     assert families["repro_service_ingest_documents_total"]["samples"][0]["value"] > 0
     assert families["repro_service_subscribe_total"]["samples"][0]["value"] > 0

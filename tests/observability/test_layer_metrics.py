@@ -105,6 +105,18 @@ def test_service_metrics_survive_registry_swap() -> None:
             assert ops[(("op", "arrivals"),)] == float(2 * len(DOCS))
 
 
+STAGES = {"expire", "arrival", "rollup", "evict", "descent", "collect"}
+
+
+def _stage_ms(registry):
+    return {
+        sample["labels"]["stage"]: sample["value"]
+        for sample in registry.snapshot()["families"]["repro_engine_stage_ms_total"][
+            "samples"
+        ]
+    }
+
+
 def test_engine_stage_timers_cover_rare_paths_too() -> None:
     with runtime.observed() as registry:
         with MonitoringService(
@@ -113,17 +125,61 @@ def test_engine_stage_timers_cover_rare_paths_too() -> None:
             service.subscribe("market rates rally storm", k=3)
             for _ in range(12):
                 service.ingest(DOCS)
-        stages = {
-            sample["labels"]["stage"]: sample["value"]
-            for sample in registry.snapshot()["families"][
-                "repro_engine_stage_ms_total"
-            ]["samples"]
-        }
-    # expire/arrival accrue on every batch; rollup fires once the window
-    # turns over with a registered query.
+        stages = _stage_ms(registry)
+    # expire/arrival accrue on every batch; the rare stages (roll-up,
+    # eviction, descent) and collect are flushed with them, worked or not.
     assert stages["expire"] >= 0.0
     assert stages["arrival"] > 0.0
-    assert "rollup" in stages
+    assert set(stages) == STAGES
+
+
+def test_default_service_is_timed_by_the_kernel_not_the_reference_loop(monkeypatch) -> None:
+    """Telemetry on must not hand a default service's documents to
+    ``ITAEngine.process``: the columnar kernel reports all six stages."""
+    from repro.core.engine import ITAEngine
+
+    def handed_off(self, document):
+        raise AssertionError("the observed kernel handed off to ITAEngine.process")
+
+    monkeypatch.setattr(ITAEngine, "process", handed_off)
+    with runtime.observed() as registry:
+        with MonitoringService(
+            EngineSpec(kind="ita", window=WindowSpec.count(4))
+        ) as service:
+            service.subscribe("market rates rally storm", k=3)
+            service.ingest(DOCS)
+        stages = _stage_ms(registry)
+    assert set(stages) == STAGES
+
+
+def test_stage_times_sum_to_the_kernel_wall_time() -> None:
+    """Self times: the six stages add up to the time spent inside
+    ``process_batch_events`` -- never more, and (best of three) >= 90%."""
+    from time import perf_counter
+
+    from repro.workloads.generators import build_workload
+    from repro.workloads.runner import prepare_engine
+    from tests.observability.test_overhead import _figure3a_point
+
+    point = _figure3a_point()  # n=10, 4000 measured events
+    workload = build_workload(point.config)
+    coverage = []
+    for _ in range(3):
+        engine = prepare_engine("ita-columnar", point, workload)
+        engine.track_changes = True  # so ``collect`` has work to time
+        wall_ms = 0.0
+        with runtime.observed() as registry:
+            for start in range(0, len(workload.measured), 64):
+                chunk = workload.measured[start : start + 64]
+                began = perf_counter()
+                engine.process_batch_events(chunk)
+                wall_ms += (perf_counter() - began) * 1000.0
+            stages = _stage_ms(registry)
+        assert set(stages) == STAGES
+        assert all(value >= 0.0 for value in stages.values())
+        assert sum(stages.values()) <= wall_ms
+        coverage.append(sum(stages.values()) / wall_ms)
+    assert max(coverage) >= 0.9, coverage
 
 
 # --------------------------------------------------------------------------- #

@@ -7,13 +7,10 @@ the figure-3a headline point), so a PR that regresses the disabled-mode
 guard or bloats the per-batch instrumentation fails in the tier-1 suite,
 not just in CI's perf job.
 
-Both sides of the ratio run the reference path on ``"bisect"`` storage
-(the bare harness name ``"ita"``), as bench-all's ``("figure3a", "ita",
-"instrumented", "bisect")`` cell does: that is the path the per-stage
-timers instrument.  A default (columnar) service with observability on
-falls back to the same reference loop over columnar containers, which
-costs more than 5% against the fused kernel it replaces -- an open item
-(ROADMAP 2(a)/5(e)), not what this budget measures.
+Both sides of the ratio run the fused kernel on ``"columnar"`` storage
+(the harness name ``"ita-columnar"``), as bench-all's ``("figure3a", "ita",
+"instrumented", "columnar")`` cell does: the loop every default service
+runs, which times its own stages once observability is on.
 
 Timing on a shared box is noisy, so the measurement is deliberately
 defensive: the smoke workload is enlarged to 4000 measured events, the
@@ -21,7 +18,7 @@ plain and instrumented passes run interleaved (both see the same
 scheduler drift), the per-chunk times are reduced with an elementwise
 minimum across repeats (a jitter spike in one repeat cannot poison the
 estimate), and the bound is checked on the best of three attempts.  The
-true overhead after the cached-child refactor sits around 2-3%.
+true overhead of the kernel's lap timing sits around 2-4%.
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ def _figure3a_point():
 
 def _chunk_times(point, workload, instrumented: bool) -> list:
     """Per-chunk wall times for one full pass over the measured stream."""
-    engine = prepare_engine("ita", point, workload)
-    assert engine.index.backend.name == "bisect"
+    engine = prepare_engine("ita-columnar", point, workload)
+    assert engine.index.backend.name == "columnar"
     measured = workload.measured
     with runtime.observed() if instrumented else nullcontext():
         _, samples = measure_chunks(engine.process_batch, measured, BATCH_SIZE)

@@ -48,10 +48,10 @@ class TestSuiteDefinition:
         assert modes == [
             ("sequential", "bisect"),
             ("batched", "bisect"),
-            ("instrumented", "bisect"),
             ("wal", "bisect"),
             ("wal-recovery", "bisect"),
             ("batched", "columnar"),
+            ("instrumented", "columnar"),
         ]
 
     def test_every_row_resolves_its_point(self):

@@ -5,10 +5,11 @@ stores each inverted list as two parallel stdlib :mod:`array` columns --
 ``array('d')`` of negated weights and ``array('q')`` of document ids --
 and each threshold tree as parallel threshold/query-id columns.  The flat
 C buffers keep the binary searches of the hot path on contiguous memory,
-deletions become tombstones reclaimed by periodic compaction, and the
-backend ships a fused batch kernel (:mod:`repro.index.columnar.kernel`)
-that inlines the whole per-event probe/score/roll-up/evict loop over the
-raw columns.
+a deletion removes its cell as an insertion adds one (every cell is a
+posting), and the backend ships a fused batch kernel
+(:mod:`repro.index.columnar.kernel`) that inlines the whole per-event
+probe/score/roll-up/evict loop over the raw columns and reports an event's
+result changes from the pairs that crossed position k.
 
 Columns exist only for terms somebody watches (or whose order was read);
 for the rest the index records which documents brought the term and sorts

@@ -37,7 +37,7 @@ reproduced exactly.  Two deviations are *provably* invisible:
   registered query) holds cursor state in parallel lists instead of
   :class:`~repro.core.descent._ListCursor` objects; positions, ceilings
   and priorities take exactly the values the cursor objects would hold
-  (a live posting weight is strictly positive, so ``ceiling == 0.0`` is
+  (a posting weight is strictly positive, so ``ceiling == 0.0`` is
   equivalent to cursor exhaustion), and ``tau`` is recomputed as the same
   ordered sum after every consumed entry.
 
@@ -47,9 +47,16 @@ those states are unreachable through the engine, whose document store
 rejects duplicate arrivals and whose compositions validate their weights
 at construction.  The containers keep the checks for direct API use.
 
-Change collection: ``before`` maps each query an event touches to the first
-``k`` ``(-score, doc_id)`` pairs of its ordered view ahead of the first mutation
-(a list slice, no entry objects); ``engine._collect_changes`` re-reads it after.
+Change collection: a reported top-k moves only where a ``(-score, doc_id)``
+pair crosses position ``k`` of the ordered view, so each such site adds the
+pair to ``moves[query_id]`` (+1 entered, -1 left) and an untouched top-k costs
+nothing.  Sites: an arrival landing at a position below ``k`` (it enters,
+``ordered[k]`` leaves); an expiration at one (it leaves; with the certificate
+intact ``ordered[k - 1]`` enters); a descent, diffed against what is left of
+the *reported* prefix -- not the post-removal one: the pair that slid up into
+position ``k - 1`` was in R but not reported, and the descent may admit a tie
+that outranks it by id.  Evictions sit under ``tau <= S_k``.  Pairs that net
+to zero over the event cancel; the rest, sorted, are the event's changes.
 
 With observability on (read once per batch) the kernel laps ``perf_counter``
 at its stage boundaries: six self times that sum to the batch's wall time,
@@ -64,11 +71,11 @@ layer import-cycle free.
 from __future__ import annotations
 
 from bisect import bisect_left as _bisect_left, bisect_right as _bisect_right, insort as _insort
+from collections import defaultdict
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Sequence
 
-from repro.index.columnar.postings import TOMBSTONE
 from repro.observability import runtime as _obs
 
 __all__ = ["columnar_batch_events", "columnar_descent"]
@@ -118,19 +125,15 @@ def columnar_descent(state, start_thresholds=None):
     for cursor_term, query_weight in query_weights.items():
         target_list = lists[cursor_term]
         list_negw = target_list._negw
-        list_ids = target_list._ids
-        size = len(list_ids)
         if start_thresholds is None:
             position = 0
         else:
             position = _bisect_left(list_negw, -start_thresholds[cursor_term])
-        ceiling = 0.0
-        while position < size:
-            if list_ids[position] != TOMBSTONE:
-                ceiling = -list_negw[position]
-                live = True
-                break
-            position += 1
+        if position < len(list_negw):
+            ceiling = -list_negw[position]
+            live = True
+        else:
+            ceiling = 0.0
         cursor_pos.append(position)
         cursor_ceiling.append(ceiling)
         tau += query_weight * ceiling
@@ -163,18 +166,11 @@ def columnar_descent(state, start_thresholds=None):
             if best_index < 0:
                 break  # every list exhausted
             list_negw = cursor_negw[best_index]
-            list_ids = cursor_ids[best_index]
             position = cursor_pos[best_index]
-            entry_doc = list_ids[position]
+            entry_doc = cursor_ids[best_index][position]
             postings_scanned += 1
-            size = len(list_ids)
-            ceiling = 0.0
             position += 1
-            while position < size:
-                if list_ids[position] != TOMBSTONE:
-                    ceiling = -list_negw[position]
-                    break
-                position += 1
+            ceiling = -list_negw[position] if position < len(list_negw) else 0.0
             cursor_pos[best_index] = position
             cursor_ceiling[best_index] = ceiling
             cursor_prio[best_index] = cursor_qw[best_index] * ceiling
@@ -207,19 +203,16 @@ def columnar_descent(state, start_thresholds=None):
 
 
 def _weight_above(target_list, threshold):
-    """A roll-up candidate: the live weight just above ``threshold`` in
+    """A roll-up candidate: the weight just above ``threshold`` in
     ``target_list`` (``None`` without one), and the list's mutation count."""
     if target_list is None:
         return None, 0
     list_negw = target_list._negw
-    list_ids = target_list._ids
     # Stored weights are positive: the probe point of threshold 0.0 is the end.
     position = len(list_negw) if threshold == 0.0 else _bisect_left(list_negw, -threshold)
-    while position > 0:
-        position -= 1
-        if list_ids[position] != TOMBSTONE:
-            return -list_negw[position], target_list._mutations
-    return None, target_list._mutations
+    if position == 0:
+        return None, target_list._mutations
+    return -list_negw[position - 1], target_list._mutations
 
 
 def columnar_batch_events(engine, documents: Sequence) -> List[list]:
@@ -232,7 +225,9 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     mark = _perf_counter() if observed else 0.0
     t_expire = t_arrival = t_rollup = t_evict = t_descent = t_collect = 0.0
 
+    from repro.core.base import ResultChange
     from repro.core.descent import ProbeOrder
+    from repro.query.result import ResultEntry
 
     weighted_order = ProbeOrder.WEIGHTED
     counters = engine.counters
@@ -247,7 +242,6 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     states = engine._states
     window_insert = engine.window.insert
     track = engine.track_changes
-    collect_changes = engine._collect_changes
     infinity = _INFINITY
 
     arrivals = expirations = inserted = deleted = probes = candidates = 0
@@ -257,7 +251,8 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     try:
         for document in documents:
             arrivals += 1
-            before: Dict[int, list] = {}
+            # query id -> pair -> net crossings of position k (+1 in, -1 out)
+            moves: Dict[int, dict] = defaultdict(dict)
 
             # -- expirations caused by this arrival ------------------------- #
             for expired_document in window_insert(document):
@@ -282,12 +277,9 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                     position = _bisect_left(negw_col, -weight)
                     while ids_col[position] != doc_id:
                         position += 1
-                    ids_col[position] = TOMBSTONE
-                    tombstones = inverted_list._tombstones + 1
-                    inverted_list._tombstones = tombstones
+                    del negw_col[position]
+                    del ids_col[position]
                     inverted_list._mutations += 1
-                    if tombstones * 2 > len(ids_col):
-                        inverted_list._compact()
                     tree = inverted_list._tree
                     if tree is None:
                         if not weights_map:
@@ -301,8 +293,6 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 candidates += len(affected)
                 for query_id in affected:
                     state = states[query_id]
-                    if track and query_id not in before:
-                        before[query_id] = state.results.top_pairs(state.query.k)
                     # inline ITAQueryState.handle_expiration
                     results = state.results
                     scores_map = results._scores
@@ -317,13 +307,25 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                     else:
                         s_k_before = 0.0
                     del scores_map[doc_id]
-                    del ordered_items[_bisect_left(ordered_items, (-score, doc_id))]
+                    pair = (-score, doc_id)
+                    position = _bisect_left(ordered_items, pair)
+                    del ordered_items[position]
+                    reported = track and position < k
+                    if reported:
+                        delta = moves[query_id]
+                        delta[pair] = delta.get(pair, 0) - 1
                     if score < s_k_before:
                         continue
                     # inline ITAQueryState._refill: verified-count fast path
                     tau = state.tau
                     if _bisect_right(ordered_items, (-tau, infinity)) >= k:
+                        if reported:
+                            pair = ordered_items[k - 1]
+                            delta[pair] = delta.get(pair, 0) + 1
                         continue
+                    if track:
+                        # what is left of the reported prefix
+                        remaining = ordered_items[: k - 1] if reported else ordered_items[:k]
                     if observed:
                         now = _perf_counter()
                         t_expire += now - mark
@@ -343,6 +345,12 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                         now = _perf_counter()
                         t_descent += now - mark
                         mark = now
+                    if track and ordered_items[:k] != remaining:
+                        delta = moves[query_id]
+                        for pair in remaining:
+                            delta[pair] = delta.get(pair, 0) - 1
+                        for pair in ordered_items[:k]:
+                            delta[pair] = delta.get(pair, 0) + 1
             if observed:
                 now = _perf_counter()
                 t_expire += now - mark
@@ -375,10 +383,11 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 negative_weight = -weight
                 position = _bisect_left(negw_col, negative_weight)
                 size = len(ids_col)
-                while position < size and negw_col[position] == negative_weight:
-                    existing = ids_col[position]
-                    if existing != TOMBSTONE and existing > doc_id:
-                        break
+                while (
+                    position < size
+                    and negw_col[position] == negative_weight
+                    and ids_col[position] < doc_id
+                ):
                     position += 1
                 negw_col.insert(position, negative_weight)
                 ids_col.insert(position, doc_id)
@@ -398,8 +407,6 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
             document_terms = len(document_weights)
             for query_id in affected:
                 state = states[query_id]
-                if track and query_id not in before:
-                    before[query_id] = state.results.top_pairs(state.query.k)
                 # inline ITAQueryState.handle_arrival
                 query = state.query
                 query_weights = query._weights
@@ -427,7 +434,14 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                     s_k_before = 0.0
                 # R insertion: an arriving document is never already in R
                 results._scores[doc_id] = score
-                _insort(ordered_items, (-score, doc_id))
+                pair = (-score, doc_id)
+                _insort(ordered_items, pair)
+                if track and (len(ordered_items) <= k or pair < ordered_items[k]):
+                    delta = moves[query_id]
+                    delta[pair] = 1
+                    if len(ordered_items) > k:
+                        pair = ordered_items[k]
+                        delta[pair] = delta.get(pair, 0) - 1
                 if score <= s_k_before or not state.enable_rollup:
                     continue
                 # inline ITAQueryState._roll_up
@@ -557,8 +571,15 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 now = _perf_counter()
                 t_arrival += now - mark
                 mark = now
-            # ``before`` stays empty when the engine does not track changes.
-            per_event.append(collect_changes(before) if before else [])
+            # ``moves`` stays empty when the engine does not track changes.
+            changes = []
+            for query_id in sorted(moves):
+                ranked = sorted(moves[query_id].items())  # pair order is rank order
+                entered = tuple([ResultEntry(pair[1], -pair[0]) for pair, net in ranked if net > 0])
+                left = tuple([ResultEntry(pair[1], -pair[0]) for pair, net in ranked if net < 0])
+                if entered or left:
+                    changes.append(ResultChange(query_id, entered, left))
+            per_event.append(changes)
             if observed:
                 now = _perf_counter()
                 t_collect += now - mark

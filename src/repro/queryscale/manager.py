@@ -139,6 +139,9 @@ class QueryScaleManager:
         self._next_subscriber_id = 0
         self.hibernations_total = 0
         self.wakes_total = 0
+        #: canonicals with ``entry.hibernated`` set, kept where the flag is
+        #: written: every ingest reads it, and a scan is O(canonicals)
+        self.hibernated_count = 0
 
     # ------------------------------------------------------------------ #
     # subscriber management
@@ -211,6 +214,7 @@ class QueryScaleManager:
         del self._by_key[canonical_key(entry.query)]
         if entry.hibernated:
             self._drop_wake_indexes(entry)
+            self.hibernated_count -= 1
         else:
             self.engine.unregister_query(canonical_id)
         return canonical_id
@@ -257,10 +261,6 @@ class QueryScaleManager:
     @property
     def canonical_count(self) -> int:
         return len(self._canonicals)
-
-    @property
-    def hibernated_count(self) -> int:
-        return sum(1 for entry in self._canonicals.values() if entry.hibernated)
 
     # ------------------------------------------------------------------ #
     # results
@@ -441,6 +441,7 @@ class QueryScaleManager:
         self._log_record({"op": "hibernate", "query_id": canonical_id})
         self.engine.unregister_query(canonical_id)
         entry.hibernated = True
+        self.hibernated_count += 1
         entry.stored_entries = list(entries)
         for term_id in entry.query.weights.keys():
             self._term_wakers.setdefault(term_id, set()).add(canonical_id)
@@ -455,6 +456,7 @@ class QueryScaleManager:
             self._log_record({"op": "wake", "query_id": canonical_id})
         self._drop_wake_indexes(entry)
         entry.hibernated = False
+        self.hibernated_count -= 1
         entry.stored_entries = None
         self._register_on_engine(entry.query, entry.shard)
         self.wakes_total += 1
@@ -655,6 +657,7 @@ class QueryScaleManager:
             self._by_key[canonical_key(query)] = canonical_id
             if record.get("hibernated"):
                 entry.hibernated = True
+                self.hibernated_count += 1
                 entry.stored_entries = [
                     ResultEntry(doc_id=int(doc_id), score=float(score))
                     for doc_id, score in record.get("entries", [])
@@ -684,6 +687,9 @@ class QueryScaleManager:
                 assert entry.stored_entries is not None
             else:
                 assert canonical_id in self.engine.registry
+        assert self.hibernated_count == sum(
+            1 for entry in self._canonicals.values() if entry.hibernated
+        ), "hibernated count out of sync"
         for listeners in self._term_wakers.values():
             for canonical_id in listeners:
                 assert self._canonicals[canonical_id].hibernated

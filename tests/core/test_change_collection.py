@@ -16,7 +16,11 @@ that entered or left.  Three claims are pinned down here:
   baselines);
 * on the ingest path nothing builds an entry that is not reported:
   ``ResultList.top`` is never called and the number of ``ResultEntry``
-  objects constructed is the number of entries in the emitted changes.
+  objects constructed is the number of entries in the emitted changes;
+* the columnar kernel takes no snapshots at all: it records the pairs
+  that cross position ``k`` where they cross it, and what it reports is
+  still the snapshot diff -- on tie-heavy tapes, and on hand-written
+  events built around the ways a record of moves can go wrong.
 """
 
 import random
@@ -25,7 +29,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import MonitoringEngine
+from repro.core.base import MonitoringEngine, ResultChange
+from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.query.query import ContinuousQuery
@@ -271,3 +276,186 @@ class TestIngestBuildsOnlyReportedEntries:
         if storage == "columnar":
             assert not scanned
         assert len(built) - len(scanned) == reported
+
+
+# --------------------------------------------------------------------------- #
+# 4. the kernel's moves across position k
+# --------------------------------------------------------------------------- #
+#: Every weight from four values: products and sums of them collide all the
+#: time, so equal scores, arrivals at exactly a local threshold and ties
+#: admitted by a descent are the norm rather than the exception.
+ALPHABET = [0.25, 0.5, 0.75, 1.0]
+
+
+def tie_tape(seed, k, num_documents=140):
+    """Six queries of the same ``k`` and a stream whose clock sometimes jumps
+    most of a 7.0 time window, expiring several documents in one event."""
+    rng = random.Random(seed)
+
+    def composition(num_terms):
+        return {term: rng.choice(ALPHABET) for term in rng.sample(range(num_terms), rng.randint(1, 3))}
+
+    queries = [ContinuousQuery(query_id=query_id, weights=composition(6), k=k) for query_id in range(6)]
+    documents = []
+    clock = 0.0
+    for doc_id in range(num_documents):
+        clock += rng.choice([0.5, 1.0, 2.0, 6.0])
+        documents.append(make_document(doc_id, composition(7), arrival_time=clock))
+    return queries, documents
+
+
+def columnar_engine(window, queries, **options):
+    engine = ITAEngine(window.build(), storage="columnar", **options)
+    for query in queries:
+        engine.register_query(query)
+    return engine
+
+
+def full_lists(engine):
+    """Every query's whole R as ``(-score, doc_id)`` pairs, rank order."""
+    return {
+        query_id: list(engine.state_of(query_id).results._ordered._items)
+        for query_id in engine.query_ids()
+    }
+
+
+class TestKernelMovesEqualTheSnapshotDiff:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @WINDOWS
+    @pytest.mark.parametrize("probe_order", list(ProbeOrder), ids=lambda order: order.name.lower())
+    def test_tie_heavy_tapes(self, k, window, probe_order):
+        queries, documents = tie_tape(seed=10 + k, k=k)
+        engine = columnar_engine(window, queries, probe_order=probe_order)
+        events = []
+        most_expirations = 0
+        for document in documents:
+            before = engine.current_results()
+            expirations = engine.counters.expirations
+            (event,) = engine.process_batch_events([document])
+            assert event == parent_collect_changes(before, engine.current_result)
+            most_expirations = max(most_expirations, engine.counters.expirations - expirations)
+            events.append(event)
+        assert sum(len(event) for event in events) > len(documents)
+        assert engine.counters.refills > 10
+        if window.kind == "time":
+            assert most_expirations >= 3
+
+        batched = columnar_engine(window, queries, probe_order=probe_order)
+        assert run_events(batched, documents, 8, timed=False) == events
+
+        # Untracked, the same state and work and nothing reported.
+        for batch_size in (1, 8):
+            untracked = columnar_engine(
+                window, queries, probe_order=probe_order, track_changes=False
+            )
+            silent = run_events(untracked, documents, batch_size, timed=False)
+            assert silent == [[] for _ in documents]
+            assert full_lists(untracked) == full_lists(engine)
+            assert untracked.counters.as_dict() == engine.counters.as_dict()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @WINDOWS
+    def test_no_eviction_names_a_reported_pair(self, k, window):
+        """Evictions are the one mutation of R the kernel does not record: they
+        come last in an event, so each must lie past the k-th pair that is left."""
+        queries, documents = tie_tape(seed=20 + k, k=k)
+        engine = columnar_engine(window, queries)
+        evicted = 0
+        for document in documents:
+            before = full_lists(engine)
+            engine.process_batch_events([document])
+            in_window = engine.index.documents._documents
+            for query_id, after in full_lists(engine).items():
+                gone = [
+                    pair
+                    for pair in set(before[query_id]).difference(after)
+                    if pair[1] in in_window
+                ]
+                evicted += len(gone)
+                for pair in gone:
+                    assert len(after) >= k and pair > after[k - 1]
+        assert 0 < evicted <= engine.counters.result_evictions
+
+
+def ingest(engine, doc_id, weights, arrival_time=None):
+    """One event on ``engine``, checked against the snapshot diff."""
+    clock = float(doc_id) if arrival_time is None else arrival_time
+    before = engine.current_results()
+    (event,) = engine.process_batch_events([make_document(doc_id, weights, arrival_time=clock)])
+    assert event == parent_collect_changes(before, engine.current_result)
+    return event
+
+
+def change(query_id, entered, left):
+    return ResultChange(query_id, tuple(entries(entered)), tuple(entries(left)))
+
+
+class TestTheWaysARecordOfMovesGoesWrong:
+    def test_the_pair_that_slid_up_was_not_reported(self):
+        """A descent is diffed against what is left of the *reported* prefix.
+        Document 1 sits at position k in R; when 0 expires it slides up and
+        the (empty) descent leaves it there, so it enters -- and the arrival
+        pushes it straight out again, so over the event it does neither."""
+        query = ContinuousQuery(query_id=0, weights={0: 0.25, 1: 1.0}, k=1)
+        engine = columnar_engine(WindowSpec.count(2), [query])
+        assert ingest(engine, 0, {1: 1.0}) == [change(0, [(-1.0, 0)], [])]
+        assert ingest(engine, 1, {0: 0.5}) == []
+        assert full_lists(engine)[0] == [(-1.0, 0), (-0.125, 1)]
+        refills = engine.counters.refills
+        assert ingest(engine, 2, {1: 0.5}) == [change(0, [(-0.5, 2)], [(-1.0, 0)])]
+        assert engine.counters.refills == refills + 1
+
+    def test_slid_up_on_the_fast_path_then_pushed_out(self):
+        """Entered and left within one event with the certificate intact: 1 ties
+        the reported 0 and is verified, slides up when 0 expires, and leaves
+        again (R too: the roll-up uncovers it) when the arrival outscores it."""
+        query = ContinuousQuery(query_id=0, weights={0: 1.0}, k=1)
+        engine = columnar_engine(WindowSpec.count(2), [query])
+        ingest(engine, 0, {0: 0.5})
+        assert ingest(engine, 1, {0: 0.5}) == []
+        assert full_lists(engine)[0] == [(-0.5, 0), (-0.5, 1)]
+        refills = engine.counters.refills
+        assert ingest(engine, 2, {0: 0.75}) == [change(0, [(-0.75, 2)], [(-0.5, 0)])]
+        assert engine.counters.refills == refills
+        assert full_lists(engine)[0] == [(-0.75, 2)]
+
+    def test_a_refill_admits_a_tie_that_outranks_a_reported_pair(self):
+        """Document 4 arrived at exactly a local threshold and is reported while
+        its older twin 3 is still unread.  The refill after 2 expires reads 3,
+        which ties 4 and outranks it by id; the arrival then pushes 4 out."""
+        query = ContinuousQuery(query_id=0, weights={0: 0.5, 1: 0.5}, k=2)
+        engine = columnar_engine(WindowSpec.count(4), [query])
+        ingest(engine, 0, {2: 1.0})
+        ingest(engine, 1, {0: 1.0})
+        ingest(engine, 2, {0: 0.75})
+        assert ingest(engine, 3, {0: 0.5}) == []  # under the threshold roll-up left at 0.75
+        ingest(engine, 4, {2: 0.75, 1: 0.5})
+        assert ingest(engine, 5, {2: 0.5}) == [change(0, [(-0.25, 4)], [(-0.5, 1)])]
+        assert full_lists(engine)[0] == [(-0.375, 2), (-0.25, 4)]
+        assert ingest(engine, 6, {2: 0.5, 0: 0.75}) == [
+            change(0, [(-0.375, 6), (-0.25, 3)], [(-0.375, 2), (-0.25, 4)])
+        ]
+
+    def test_a_tie_removed_below_position_k_that_still_refills(self):
+        """``score >= S_k`` also holds for a tie *below* position k, whose
+        removal leaves the reported prefix whole: the base of that diff is all
+        k pairs, or the reported 4 would be taken for a newcomer.  With the
+        certificate intact such a removal never refills, so it is taken away
+        by hand here."""
+        query = ContinuousQuery(query_id=0, weights={0: 1.0}, k=1)
+        engine = columnar_engine(WindowSpec.time(10.0), [query])
+        ingest(engine, 1, {0: 1.0}, arrival_time=0.0)
+        ingest(engine, 7, {0: 1.0}, arrival_time=1.0)
+        assert ingest(engine, 2, {0: 0.5}, arrival_time=5.0) == []  # under the threshold at 1.0
+        ingest(engine, 4, {0: 1.0}, arrival_time=7.0)
+        assert full_lists(engine)[0] == [(-1.0, 1), (-1.0, 4), (-1.0, 7)]
+        assert ingest(engine, 8, {1: 1.0}, arrival_time=10.5) == [
+            change(0, [(-1.0, 4)], [(-1.0, 1)])
+        ]
+        # no document verifies: the next removal at or above S_k refills
+        engine.state_of(0).tau = 2.0
+        refills = engine.counters.refills
+        assert ingest(engine, 9, {1: 1.0}, arrival_time=11.5) == []  # 7 expires, 4 stays
+        assert engine.counters.refills == refills + 1
+        assert full_lists(engine)[0] == [(-1.0, 4)]
+        assert engine.state_of(0).tau == 1.0

@@ -3,9 +3,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import DurabilityPolicy
-from repro.durability.log import MANIFEST_NAME, DurabilityLog, read_manifest
+from repro.durability.log import (
+    MANIFEST_NAME,
+    DurabilityLog,
+    _json_pieces,
+    read_manifest,
+    write_json_atomic,
+)
 from repro.durability.wal import segment_paths
 from repro.exceptions import (
     ConfigurationError,
@@ -217,6 +225,34 @@ class TestCheckpoints:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(DurabilityError):
             MonitoringService.open(tmp_path)
+
+
+#: JSON-compatible values with everything the piecewise writer branches on:
+#: lists on both sides of its run length, empty containers, non-string keys.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, min_size=60, max_size=70)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4)
+        | st.dictionaries(st.integers(0, 9), children, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+class TestAtomicJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_pieces_join_to_the_one_shot_encoding(self, value):
+        assert "".join(_json_pieces(value)) == json.dumps(value, separators=(",", ":"))
+
+    def test_long_lists_are_cut_into_runs_and_nothing_is_left_behind(self, tmp_path):
+        payload = {"engine": {"documents": [{"doc_id": index} for index in range(200)]}, "shards": [{}, []]}
+        assert max(piece.count("doc_id") for piece in _json_pieces(payload)) == 64
+        write_json_atomic(tmp_path / "state.json", payload)
+        assert json.loads((tmp_path / "state.json").read_text()) == payload
+        assert [path.name for path in tmp_path.iterdir()] == ["state.json"]
 
 
 class TestSpecSerialisation:

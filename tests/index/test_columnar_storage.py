@@ -3,7 +3,7 @@
 The conformance suites prove whole-engine parity; these tests pin the
 layer underneath -- the backend registry contract, the drop-in
 equivalence of the columnar containers against their bisect twins under
-randomised tie-heavy op sequences, the tombstone/compaction lifecycle of
+randomised tie-heavy op sequences, the every-cell-is-a-posting shape of
 the postings columns, and the cold-record semantics of the index.
 """
 
@@ -36,7 +36,7 @@ from repro.index.backend import (
     storage_backends,
 )
 from repro.index.columnar import ColumnarStorageBackend
-from repro.index.columnar.postings import TOMBSTONE, ColumnarInvertedList
+from repro.index.columnar.postings import ColumnarInvertedList
 from repro.index.columnar.thresholds import ColumnarThresholdTree
 from repro.index.document_store import DocumentStore
 from repro.index import inverted_index as inverted_index_module
@@ -47,7 +47,7 @@ from repro.query.query import ContinuousQuery
 from tests.conftest import make_document
 
 #: few distinct values -> long equal-weight runs, the regime where the
-#: tombstoned columns and the bisect tuples are most likely to disagree
+#: columns and the bisect tuples are most likely to disagree
 TIE_WEIGHTS = [0.1, 0.25, 0.5, 0.5, 1.0]
 
 
@@ -189,20 +189,40 @@ def test_columnar_list_exceptions_match_bisect():
         assert lst.weight_of(6) == 0.0  # absent docs read as weightless
 
 
-def test_tombstones_compact_once_they_outnumber_live_entries():
+@given(
+    ops=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=15), st.sampled_from(TIE_WEIGHTS)),
+        max_size=80,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_every_cell_is_a_posting_and_tie_runs_ascend(ops):
+    """Delete removes the cell: after any interleaving of inserts and deletes
+    the columns and the weight map are the same length, and the ids of an
+    equal-weight run ascend."""
     columnar = ColumnarInvertedList(1)
-    for doc_id in range(40):
-        columnar.insert(doc_id, 0.25 if doc_id % 2 else 0.5)
-    for doc_id in range(0, 40, 2):
-        columnar.delete(doc_id)
-    # 20 tombstones among 40 cells: dead cells do not yet outnumber live
-    assert TOMBSTONE in columnar._ids
-    columnar.delete(1)  # 21st tombstone tips the balance: one sweep
-    # content is intact and the dead cells are gone again
-    columnar.check_invariants()
-    assert len(columnar) == 19
-    assert all(doc_id != TOMBSTONE for doc_id in columnar._ids)
-    assert columnar.to_pairs() == [(doc_id, 0.25) for doc_id in range(3, 40, 2)]
+    for doc_id, weight in ops:
+        mutations = columnar._mutations
+        if doc_id in columnar:
+            columnar.delete(doc_id)
+        else:
+            columnar.insert(doc_id, weight)
+        assert columnar._mutations == mutations + 1
+        assert len(columnar._ids) == len(columnar._negw) == len(columnar._weights)
+        cells = list(zip(columnar._negw, columnar._ids))
+        assert cells == sorted(cells)
+        assert {doc_id: -negative for negative, doc_id in cells} == columnar._weights
+        columnar.check_invariants()
+
+
+def test_check_invariants_rejects_a_descending_tie_run():
+    columnar = ColumnarInvertedList(1)
+    for doc_id in (4, 2, 9):
+        columnar.insert(doc_id, 0.5)
+    assert list(columnar._ids) == [2, 4, 9]
+    columnar._ids[0], columnar._ids[1] = 4, 2
+    with pytest.raises(AssertionError, match="order"):
+        columnar.check_invariants()
 
 
 def test_bulk_build_equals_incremental_inserts():

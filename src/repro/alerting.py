@@ -23,9 +23,7 @@ capability through ``subscribe(text, k, on_change=...)`` and
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.core.base import MonitoringEngine, ResultChange
 from repro.documents.document import StreamedDocument
@@ -37,8 +35,7 @@ __all__ = ["Alert", "AlertDispatcher", "AlertSubscriber"]
 AlertSubscriber = Callable[["Alert"], None]
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     """One delivered alert: a result change plus its triggering event.
 
     ``document`` is the arriving document that caused the change; for
@@ -52,6 +49,15 @@ class Alert:
     @property
     def query_id(self) -> int:
         return self.change.query_id
+
+
+def _without(callbacks: List[AlertSubscriber], callback: AlertSubscriber) -> List[AlertSubscriber]:
+    """A copy of ``callbacks`` minus the first ``callback`` (the same list if absent)."""
+    if callback not in callbacks:
+        return callbacks
+    copy = list(callbacks)
+    copy.remove(callback)
+    return copy
 
 
 class AlertDispatcher:
@@ -78,8 +84,13 @@ class AlertDispatcher:
                 "AlertDispatcher requires an engine with track_changes=True"
             )
         self.engine = engine
+        # Both subscriber lists are copy-on-write: subscribe / unsubscribe
+        # rebind a new list and dispatch iterates the one it fetched, so a
+        # callback that unsubscribes (itself or a neighbour) mid-delivery
+        # cannot make the loop skip anyone.  A query id with no callback
+        # left has no key.
         self._global_subscribers: List[AlertSubscriber] = []
-        self._query_subscribers: Dict[int, List[AlertSubscriber]] = defaultdict(list)
+        self._query_subscribers: Dict[int, List[AlertSubscriber]] = {}
         self._delivered = 0
         self._transform: Optional[
             Callable[[List[ResultChange]], List[ResultChange]]
@@ -108,20 +119,22 @@ class AlertDispatcher:
         otherwise only for that query.
         """
         if query_id is None:
-            self._global_subscribers.append(callback)
+            self._global_subscribers = self._global_subscribers + [callback]
 
             def unsubscribe_global() -> None:
-                if callback in self._global_subscribers:
-                    self._global_subscribers.remove(callback)
+                self._global_subscribers = _without(self._global_subscribers, callback)
 
             return unsubscribe_global
 
-        self._query_subscribers[query_id].append(callback)
+        scoped = self._query_subscribers
+        scoped[query_id] = scoped.get(query_id, []) + [callback]
 
         def unsubscribe_scoped() -> None:
-            callbacks = self._query_subscribers.get(query_id)
-            if callbacks and callback in callbacks:
-                callbacks.remove(callback)
+            remaining = _without(scoped.get(query_id, []), callback)
+            if remaining:
+                scoped[query_id] = remaining
+            else:
+                scoped.pop(query_id, None)
 
         return unsubscribe_scoped
 
@@ -179,12 +192,22 @@ class AlertDispatcher:
         """
         if self._transform is not None and changes:
             changes = self._transform(changes)
-        for change in changes:
-            alert = Alert(change=change, document=document)
-            for callback in self._global_subscribers:
-                callback(alert)
-                self._delivered += 1
-            for callback in self._query_subscribers.get(change.query_id, ()):
-                callback(alert)
-                self._delivered += 1
+        everyone = self._global_subscribers
+        scoped_get = self._query_subscribers.get
+        delivered = 0
+        try:
+            for change in changes:
+                alert = Alert(change, document)
+                if everyone:
+                    for callback in everyone:
+                        callback(alert)
+                        delivered += 1
+                callbacks = scoped_get(change.query_id)
+                if callbacks is not None:
+                    for callback in callbacks:
+                        callback(alert)
+                        delivered += 1
+        finally:
+            # also when a callback raises: the ones that returned count
+            self._delivered += delivered
         return changes

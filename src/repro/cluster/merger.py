@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.base import ResultChange, TopKResult
+from repro.core.base import ResultChange, TopKResult, by_query_id
 from repro.exceptions import DuplicateQueryError
 from repro.query.result import ResultEntry
 
@@ -37,7 +37,7 @@ class ResultMerger:
         merged: List[ResultChange] = []
         for changes in per_shard:
             merged.extend(changes)
-        merged.sort(key=lambda change: change.query_id)
+        merged.sort(key=by_query_id)
         return merged
 
     @staticmethod
@@ -76,7 +76,4 @@ class ResultMerger:
         ranked: List[Tuple[float, int]] = sorted(
             ((-score, doc_id) for doc_id, score in best.items())
         )
-        return [
-            ResultEntry(doc_id=doc_id, score=-negative_score)
-            for negative_score, doc_id in ranked[:limit]
-        ]
+        return [ResultEntry(doc_id, -negative_score) for negative_score, doc_id in ranked[:limit]]

@@ -9,8 +9,8 @@ Naive are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.documents.document import Document, StreamedDocument
 from repro.documents.window import SlidingWindow
@@ -18,7 +18,7 @@ from repro.observability.opcounters import OperationCounters
 from repro.query.query import ContinuousQuery
 from repro.query.result import ResultEntry
 
-__all__ = ["ResultChange", "MonitoringEngine", "TopKPairs", "TopKResult"]
+__all__ = ["ResultChange", "MonitoringEngine", "TopKPairs", "TopKResult", "by_query_id"]
 
 
 #: A query's reported result: the top-k documents, best first.
@@ -28,8 +28,7 @@ TopKResult = List[ResultEntry]
 TopKPairs = List[Tuple[float, int]]
 
 
-@dataclass(frozen=True)
-class ResultChange:
+class ResultChange(NamedTuple):
     """A change to one query's reported top-k result.
 
     Engines return these from :meth:`MonitoringEngine.process` so that
@@ -47,6 +46,11 @@ class ResultChange:
     @property
     def changed(self) -> bool:
         return bool(self.entered or self.left)
+
+
+#: Sort key of the canonical per-event order (ascending query id), C-level:
+#: what dedup's fan-out and the cluster merger re-sort an event's changes by.
+by_query_id = attrgetter("query_id")
 
 
 class MonitoringEngine:

@@ -40,14 +40,14 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # result entries
 # --------------------------------------------------------------------------- #
-def entries_to_wire(entries: TopKResult) -> List[List[Any]]:
+def entries_to_wire(entries: Sequence[ResultEntry]) -> List[List[Any]]:
     """Encode a top-k result as ``[[doc_id, score], ...]`` (rank order)."""
-    return [[entry.doc_id, entry.score] for entry in entries]
+    return [[doc_id, score] for doc_id, score in entries]
 
 
 def entries_from_wire(data: Sequence[Sequence[Any]]) -> TopKResult:
     """Decode :func:`entries_to_wire` output."""
-    return [ResultEntry(doc_id=int(pair[0]), score=float(pair[1])) for pair in data]
+    return [ResultEntry(int(doc_id), float(score)) for doc_id, score in data]
 
 
 # --------------------------------------------------------------------------- #
@@ -57,17 +57,17 @@ def change_to_wire(change: ResultChange) -> Dict[str, Any]:
     """Encode one per-query result change."""
     return {
         "query_id": change.query_id,
-        "entered": entries_to_wire(list(change.entered)),
-        "left": entries_to_wire(list(change.left)),
+        "entered": entries_to_wire(change.entered),
+        "left": entries_to_wire(change.left),
     }
 
 
 def change_from_wire(data: Dict[str, Any]) -> ResultChange:
     """Decode :func:`change_to_wire` output."""
     return ResultChange(
-        query_id=int(data["query_id"]),
-        entered=tuple(entries_from_wire(data.get("entered", ()))),
-        left=tuple(entries_from_wire(data.get("left", ()))),
+        int(data["query_id"]),
+        tuple(entries_from_wire(data.get("entered", ()))),
+        tuple(entries_from_wire(data.get("left", ()))),
     )
 
 
@@ -111,4 +111,4 @@ def alert_from_wire(data: Dict[str, Any]) -> Alert:
     document: Optional[StreamedDocument] = None
     if data.get("document") is not None:
         document = _document_from_record(data["document"])
-    return Alert(change=change_from_wire(data["change"]), document=document)
+    return Alert(change_from_wire(data["change"]), document)

@@ -21,8 +21,7 @@ deterministic convention shared with the oracle baseline used in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import UnknownDocumentError
 from repro.index.sorted_list import SortedKeyList
@@ -30,8 +29,7 @@ from repro.index.sorted_list import SortedKeyList
 __all__ = ["ResultEntry", "ResultList"]
 
 
-@dataclass(frozen=True)
-class ResultEntry:
+class ResultEntry(NamedTuple):
     """One scored document inside ``R``."""
 
     doc_id: int
@@ -64,7 +62,7 @@ class ResultList:
     def __iter__(self) -> Iterator[ResultEntry]:
         """Iterate entries from the highest score downwards."""
         for negative_score, doc_id in self._ordered:
-            yield ResultEntry(doc_id=doc_id, score=-negative_score)
+            yield ResultEntry(doc_id, -negative_score)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({len(self)} documents)"
@@ -121,7 +119,7 @@ class ResultList:
     def top(self, k: int) -> List[ResultEntry]:
         """The ``k`` best entries (descending score, ties by ascending id)."""
         return [
-            ResultEntry(doc_id=doc_id, score=-negative_score)
+            ResultEntry(doc_id, -negative_score)
             for negative_score, doc_id in self.top_pairs(k)
         ]
 
@@ -147,7 +145,7 @@ class ResultList:
         verified prefix.
         """
         return [
-            ResultEntry(doc_id=doc_id, score=-negative_score)
+            ResultEntry(doc_id, -negative_score)
             for negative_score, doc_id in self._ordered.suffix_gt((-score, float("inf")))
         ]
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.base import MonitoringEngine, ResultChange, TopKResult
+from repro.core.base import MonitoringEngine, ResultChange, TopKResult, by_query_id
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, TimeBasedWindow
 from repro.exceptions import DuplicateQueryError, UnknownQueryError
@@ -318,7 +318,7 @@ class QueryScaleManager:
             entered, left = change.entered, change.left
             for subscriber_id in entry.subscribers:
                 expanded.append(ResultChange(subscriber_id, entered, left))
-        expanded.sort(key=lambda change: change.query_id)
+        expanded.sort(key=by_query_id)
         return expanded
 
     # ------------------------------------------------------------------ #

@@ -817,7 +817,7 @@ class MonitoringService:
                 # crash between the append and the apply is healed by replay.
                 durability.log_ingest(batch)
             per_event = self.engine.process_batch_events(batch)
-            lag = obs.metrics.histogram(
+            lag = obs.histogram_child(
                 "repro_service_alert_delivery_lag_ms",
                 "document arrival to last alert callback return",
             ) if observed else None
@@ -838,15 +838,15 @@ class MonitoringService:
         if observed:
             self._ensure_collector()
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            metrics = obs.metrics
-            metrics.counter("repro_service_ingest_calls_total", "ingest() calls").inc()
-            metrics.counter(
+            # cached children (as in the kernel): no look-up by family name per call
+            obs.counter_child("repro_service_ingest_calls_total", "ingest() calls").inc()
+            obs.counter_child(
                 "repro_service_ingest_documents_total", "documents ingested"
             ).inc(len(batch))
-            metrics.histogram("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
+            obs.histogram_child("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
             delivered = self.dispatcher.delivered - delivered_before
             if delivered:
-                metrics.counter(
+                obs.counter_child(
                     "repro_service_alerts_delivered_total", "alert callbacks invoked"
                 ).inc(delivered)
             note_slow("service.ingest", elapsed_ms, documents=len(batch))

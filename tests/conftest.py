@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
@@ -87,6 +88,32 @@ def assert_same_topk(reference: Sequence, candidate: Sequence, context: str = ""
         # A candidate document is acceptable if some reference document has
         # the same score -- this only relaxes the comparison at exact ties.
         assert key in ref_by_score, f"unexpected score {key} {context}"
+
+
+def count_constructions(monkeypatch, *classes) -> Counter:
+    """Count, per class, the instances built by calling it -- through ``__new__``.
+
+    The change stream's value types are tuples: ``__init__`` is ``object``'s
+    and sees no arguments worth counting.  ``_make`` / ``_replace`` go
+    straight to ``tuple.__new__`` and are not counted.  The counter is live
+    until ``monkeypatch.undo()``.
+    """
+    built: Counter = Counter()
+
+    def counted(cls):
+        original = cls.__new__
+
+        def counting_new(klass, *args, **kwargs):
+            built[cls] += 1
+            if original is object.__new__:  # the arguments are __init__'s
+                return original(klass)
+            return original(klass, *args, **kwargs)
+
+        return counting_new
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__new__", counted(cls))
+    return built
 
 
 @pytest.fixture

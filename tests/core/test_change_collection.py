@@ -36,7 +36,7 @@ from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.query.query import ContinuousQuery
 from repro.query.result import ResultEntry, ResultList
 from repro.service.spec import spec_from_name
-from tests.conftest import make_document
+from tests.conftest import count_constructions, make_document
 from tests.core.parent_changes import parent_collect_changes
 
 ENGINE_NAMES = ["ita", "ita-columnar", "naive", "naive-kmax", "sharded-ita-2"]
@@ -242,14 +242,8 @@ class TestIngestBuildsOnlyReportedEntries:
         for query in queries:
             engine.register_query(query)
 
-        built = []
         scanned = []
-        original_init = ResultEntry.__init__
         original_below = ResultList.entries_below
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            original_init(self, *args, **kwargs)
 
         def counting_below(self, score):
             found = original_below(self, score)
@@ -259,7 +253,7 @@ class TestIngestBuildsOnlyReportedEntries:
         def forbidden_top(self, k):
             raise AssertionError("ResultList.top called on the ingest path")
 
-        monkeypatch.setattr(ResultEntry, "__init__", counting_init)
+        built = count_constructions(monkeypatch, ResultEntry)
         monkeypatch.setattr(ResultList, "entries_below", counting_below)
         monkeypatch.setattr(ResultList, "top", forbidden_top)
         events = []
@@ -275,7 +269,7 @@ class TestIngestBuildsOnlyReportedEntries:
         # under tau; the fused kernel walks the same suffix as raw pairs.
         if storage == "columnar":
             assert not scanned
-        assert len(built) - len(scanned) == reported
+        assert built[ResultEntry] - len(scanned) == reported
 
 
 # --------------------------------------------------------------------------- #

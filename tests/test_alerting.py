@@ -5,6 +5,7 @@ import pytest
 from repro.alerting import Alert, AlertDispatcher
 from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, TimeBasedWindow
+from repro.service import MonitoringService
 from tests.conftest import make_document, make_query
 
 
@@ -62,6 +63,53 @@ class TestSubscription:
         dispatcher.process(make_document(0, {1: 0.9}, arrival_time=0.0))
         # one global + one scoped to query 0
         assert dispatcher.delivered == 2
+
+
+class TestSubscriberTablesAreCopyOnWrite:
+    """Subscribe and unsubscribe rebind a new list; a delivery in progress
+    keeps iterating the one it fetched."""
+
+    @pytest.mark.parametrize("query_id", [None, 0], ids=["global", "scoped"])
+    def test_unsubscribing_inside_the_callback_costs_the_neighbour_nothing(self, query_id):
+        dispatcher, _ = build_dispatcher()
+        seen = []
+
+        def once(alert):
+            seen.append("once")
+            stop()
+
+        stop = dispatcher.subscribe(once, query_id=query_id)
+        dispatcher.subscribe(lambda alert: seen.append("always"), query_id=query_id)
+        dispatcher.process(make_document(0, {1: 0.5}, arrival_time=0.0))
+        assert seen == ["once", "always"]
+        dispatcher.process(make_document(1, {1: 0.9}, arrival_time=1.0))
+        assert seen == ["once", "always", "always"]
+        assert dispatcher.delivered == 3
+
+    def test_the_facades_observers(self):
+        seen = []
+
+        def once(alert):
+            seen.append("once")
+            stop()
+
+        with MonitoringService() as service:
+            service.subscribe("market news", k=1)
+            stop = service.on_change(once)
+            service.on_change(lambda alert: seen.append("always"))
+            service.ingest("breaking news about markets")
+        assert seen == ["once", "always"]
+
+    def test_a_retired_query_id_leaves_no_key(self):
+        with MonitoringService() as service:
+            for _ in range(500):
+                service.subscribe("market news", k=2).unsubscribe()
+            assert service.dispatcher._query_subscribers == {}
+            seen = []
+            handle = service.subscribe("market news", k=2, on_change=seen.append)
+            service.ingest("breaking news about markets")
+            assert [alert.query_id for alert in seen] == [handle.query_id]
+            assert list(service.dispatcher._query_subscribers) == [handle.query_id]
 
 
 class TestAlertContent:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
-__all__ = ["TextGenerator", "TextShape", "TEXT_HEAVY", "NEWS"]
+__all__ = ["TextGenerator", "TextShape", "TEXT_HEAVY", "NEWS", "WORKLOADS"]
 
 _BENCH = Path(__file__).resolve().parents[2] / "bench"
 
@@ -39,6 +39,8 @@ finally:
 
 TextGenerator = _textgen.TextGenerator
 TextShape = _textgen.TextShape
+#: the benchmark's workloads by name (sizes, fan-out, window)
+WORKLOADS = _workloads.BY_NAME
 #: the shapes of the ``text_heavy`` workload and of the five news-like ones
-TEXT_HEAVY = _workloads.BY_NAME["text_heavy"].shape
-NEWS = _workloads.BY_NAME["alerts_steady"].shape
+TEXT_HEAVY = WORKLOADS["text_heavy"].shape
+NEWS = WORKLOADS["alerts_steady"].shape

@@ -88,7 +88,7 @@ def main() -> None:
 
     # --- 5. the dashboard ------------------------------------------------
     bench_document = {
-        "schema": "repro-bench/4",
+        "schema": "repro-bench/8",
         "scale": "demo",
         "batch_size": 64,
         "results": [
@@ -96,11 +96,11 @@ def main() -> None:
                 "workload": "figure3a",
                 "engine": "ita",
                 "mode": "batched",
+                "storage": "columnar",
                 "docs_per_sec": 9000.0,
-                "concurrency": None,
             }
         ],
-        "summary": {"figure3a_ita_instrumented_over_batched": 1.02},
+        "summary": {"figure3a_columnar_over_batched": 2.4},
     }
     entry = history_entry(bench_document, timestamp="2026-08-08T00:00:00+00:00")
     dashboard = render_perf_dashboard([entry], metrics=snapshot)

@@ -14,11 +14,12 @@
 * :mod:`repro.workloads.reporting` -- renders results as text tables
   (the same rows/series as the paper's figures).
 * :mod:`repro.workloads.perfjson` -- the machine-readable performance
-  harness behind ``bench-all``: a table of cell rows (workload, point,
-  engine, mode, storage) and a table of summary ratios over them,
-  emitting ``BENCH_results.json`` (see ``docs/BENCHMARKING.md``).
+  harness behind ``bench-all``: the paper's cells as a table of rows
+  (workload, point, engine, mode, storage), a table of summary ratios
+  over them and the checks on the emitted ``BENCH_results.json`` (see
+  ``docs/BENCHMARKING.md``).
 * :mod:`repro.workloads.cli` -- ``python -m repro.workloads.cli figure3a``
-  / ``bench-all``.
+  / ``bench-all`` / ``report``.
 """
 
 from repro.workloads.experiments import (

@@ -10,10 +10,13 @@ Run every experiment at smoke scale and write the tables to a file::
 
     python -m repro.workloads.cli all --scale smoke --output results.txt
 
-Run the machine-readable performance harness and write the JSON artifact
-(see ``docs/BENCHMARKING.md`` for the schema and comparison recipe)::
+Run the machine-readable performance harness: measure the paper's cells,
+validate the document, write it, append the history line and render the
+dashboard (see ``docs/BENCHMARKING.md`` for the schema and comparison
+recipe); ``report`` re-renders the dashboard from the history alone::
 
     python -m repro.workloads.cli bench-all --out BENCH_results.json
+    python -m repro.workloads.cli report --metrics obs.json --output PERF_dashboard.md
 
 Run an instrumented workload and print its Prometheus exposition (see
 ``docs/OBSERVABILITY.md`` for the metric catalog)::
@@ -42,11 +45,16 @@ from typing import Dict, List, Optional
 from repro.workloads.experiments import SCALES, ExperimentDefinition, all_experiments
 from repro.workloads.perfjson import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_QUERIES_MAX,
     append_history,
+    check_document,
+    read_history,
     run_bench_suite,
 )
-from repro.workloads.reporting import format_result_table, format_speedup_summary
+from repro.workloads.reporting import (
+    format_result_table,
+    format_speedup_summary,
+    render_perf_dashboard,
+)
 from repro.workloads.runner import run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -67,10 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_definitions("smoke")) + ["all", "bench-all", "obs", "serve", "list"],
+        choices=sorted(_definitions("smoke"))
+        + ["all", "bench-all", "report", "obs", "serve", "list"],
         help=(
             "which experiment to run ('all' for every one, 'bench-all' for the "
-            "machine-readable performance harness, 'obs' for an instrumented "
+            "machine-readable performance harness, 'report' to render the perf "
+            "dashboard from the bench history, 'obs' for an instrumented "
             "workload exposing the full telemetry surface, 'serve' to expose a "
             "monitoring service over TCP, 'list' to enumerate them)"
         ),
@@ -84,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         default=None,
-        help="also write the rendered tables to this file",
+        help=(
+            "also write the rendered tables to this file; bench-all and report: "
+            "where to write the markdown dashboard (default: PERF_dashboard.md)"
+        ),
     )
     parser.add_argument(
         "--out",
@@ -104,28 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench-all only: best-of-N repetitions per measurement (default: 3)",
     )
     parser.add_argument(
-        "--queries-max",
-        type=int,
-        default=DEFAULT_QUERIES_MAX,
-        help=(
-            "bench-all only: largest subscription count of the query-scale "
-            "workload (default: 100000; set 1000000 to include the 1M cell, "
-            "0 to skip the workload)"
-        ),
-    )
-    parser.add_argument(
         "--history-dir",
         default="benchmarks/history",
         help=(
-            "bench-all only: directory whose bench_history.jsonl trajectory "
-            "each run appends a condensed entry to "
-            "(default: benchmarks/history; --no-history disables)"
+            "bench-all and report: directory of the bench_history.jsonl trajectory "
+            "a run appends its condensed entry to and the dashboard is rendered "
+            "from (default: benchmarks/history)"
         ),
     )
     parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="bench-all only: do not append this run to the history trajectory",
+        "--metrics",
+        default=None,
+        metavar="SNAPSHOT.json",
+        help=(
+            "bench-all and report: telemetry snapshot to append as a dashboard "
+            "section -- a raw registry snapshot or the 'obs --format json' document"
+        ),
     )
     parser.add_argument(
         "--format",
@@ -229,6 +236,24 @@ def _run_serve(args: argparse.Namespace, progress) -> int:
     return 0
 
 
+def _write_dashboard(args: argparse.Namespace, progress) -> None:
+    """The one reporter: render ``--history-dir`` (plus an optional
+    ``--metrics`` telemetry snapshot) into the markdown dashboard."""
+    entries = read_history(args.history_dir)
+    metrics = None
+    if args.metrics:
+        with open(args.metrics, "r", encoding="utf-8") as handle:
+            metrics = json.load(handle)
+        # Accept the whole `obs --format json` document too.
+        if "snapshot" in metrics and "families" not in metrics:
+            metrics = metrics["snapshot"]
+    path = args.output or "PERF_dashboard.md"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(render_perf_dashboard(entries, metrics=metrics))
+    if progress is not None:
+        progress(f"wrote {path} ({len(entries)} history entries)")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -280,27 +305,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--batch-size must be positive")
         if args.repeats <= 0:
             parser.error("--repeats must be positive")
-        if args.queries_max < 0:
-            parser.error("--queries-max must be non-negative")
         document = run_bench_suite(
             scale=args.scale,
             batch_size=args.batch_size,
             repeats=args.repeats,
             progress=progress,
-            queries_max=args.queries_max,
         )
+        # Nothing is written, appended or rendered from an invalid document.
+        check_document(document)
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=False)
             handle.write("\n")
-        if not args.quiet:
-            print(f"wrote {args.out}", file=sys.stderr)
-        if not args.no_history:
-            history_path = append_history(document, args.history_dir)
-            if not args.quiet:
-                print(f"appended history entry to {history_path}", file=sys.stderr)
+        history_path = append_history(document, args.history_dir)
+        if progress is not None:
+            progress(f"wrote {args.out}; appended history entry to {history_path}")
+        _write_dashboard(args, progress)
         for key, value in document["summary"].items():
             print(f"{key}: {value}")
         return 0
+
+    if args.experiment == "report":
+        _write_dashboard(args, progress)
+        return 0
+
     sections: List[str] = []
     definitions = _definitions(args.scale)
     selected = definitions.values() if args.experiment == "all" else [definitions[args.experiment]]

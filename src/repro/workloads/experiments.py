@@ -3,8 +3,8 @@
 Each function returns an :class:`ExperimentDefinition` describing one of
 the paper's figures (or one of the ablations listed in DESIGN.md) as a
 sweep over a single parameter, together with the engines to compare.  The
-:mod:`repro.workloads.runner` executes a definition; the ``benchmarks/``
-directory exposes one pytest-benchmark target per definition.
+:mod:`repro.workloads.runner` executes a definition; the CLI
+(``python -m repro.workloads.cli <experiment>``) runs one by name.
 
 Scaling
 -------
@@ -14,7 +14,7 @@ definition is built at one of three *scales*:
 
 * ``"smoke"``  -- seconds; used by the integration tests,
 * ``"small"``  -- a couple of minutes for the whole suite; the default for
-  ``pytest benchmarks/`` and the CLI,
+  the CLI,
 * ``"paper"``  -- the parameters of the paper; expect long runtimes.
 
 The sweep values (query lengths 4..40, window sizes 10..100,000) follow
@@ -362,11 +362,10 @@ def cluster_scaling(scale: str = "small") -> ExperimentDefinition:
     scores against the full window, so the stream is replicated to each of
     them and they run one after another in one call -- the headline
     ``mean_ms`` stays roughly flat.  What shrinks with N is the *per-shard*
-    service time (1/N of the queries each), reported by
-    ``benchmarks/bench_cluster_scaling.py`` via the dispatcher's per-shard
-    timers.  ``bench-all`` reuses the 4-shard point for its in-process,
-    async-lane and ``sharded-proc`` cells; the last buys crash isolation,
-    not speed.
+    service time (1/N of the queries each), which the dispatcher's
+    per-shard timers report (``tests/cluster/test_sharded_engine.py``).
+    The cluster's end-to-end throughput is ``bench/``'s ``proc_cluster``
+    workload against ``alerts_steady``.
     """
     base = _base_config(scale)
     window = min(1_000, int(SCALES[scale]["max_window"]))

@@ -144,7 +144,11 @@ def render_perf_dashboard(
         f"{len(entries)} bench-all run(s) recorded, "
         f"{entries[0].get('ts', '?')} to {latest.get('ts', '?')} "
         f"(latest at scale `{latest.get('scale', '?')}`, "
-        f"schema `{latest.get('schema', '?')}`)."
+        f"schema `{latest.get('schema', '?')}`, "
+        f"commit `{latest.get('git_sha') or '?'}`, "
+        f"{latest.get('cpu_count') or '?'} CPU(s), "
+        f"Python {latest.get('python') or '?'}, "
+        f"best of {latest.get('repeats') or '?'})."
     )
     lines.append("")
 

@@ -15,7 +15,6 @@ hardware-independent cost proxy.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +39,6 @@ __all__ = [
     "build_engine",
     "prepare_engine",
     "measure_chunks",
-    "measure_async_ingest",
     "best_of",
     "run_point",
     "run_experiment",
@@ -179,12 +177,10 @@ def measure_chunks(
 ) -> Tuple[float, List[float]]:
     """Time ``apply(chunk)`` over ``measured`` in ``batch_size`` chunks.
 
-    The one synchronous measurement loop of the harness; a mode is the
-    ``apply`` it passes: ``engine.process_batch`` (batched, instrumented,
-    proc), "append the WAL record, then ``process_batch``" (wal),
-    ``service.ingest`` (the façade and query-scale cells) or, with
-    ``batch_size=1``, ``engine.process`` on the chunk's only document
-    (sequential -- the paper's per-arrival metric).
+    The one measurement loop of the harness; a mode is the ``apply`` it
+    passes: ``engine.process_batch`` (batched) or, with ``batch_size=1``,
+    ``engine.process`` on the chunk's only document (sequential -- the
+    paper's per-arrival metric).
 
     Returns ``(total_ms, samples)``: the wall-clock summed over the timed
     calls, and per chunk its *mean per-document* milliseconds (so
@@ -203,55 +199,6 @@ def measure_chunks(
         total_ms += elapsed_ms
         samples.append(elapsed_ms / len(chunk))
     return total_ms, samples
-
-
-def measure_async_ingest(
-    engine: MonitoringEngine,
-    measured: Sequence,
-    batch_size: int,
-) -> Tuple[float, List[float]]:
-    """Feed ``measured`` through the asynchronous ingestion lane.
-
-    Runs ``engine`` on an :class:`~repro.service.lane.IngestLane` (one
-    worker thread, whatever the engine kind), submits the stream in
-    ``batch_size`` chunks without waiting between submissions (the lane's
-    bound on in-flight batches provides backpressure), and drains.  Not
-    waiting is why this mode cannot be an ``apply`` of
-    :func:`measure_chunks` and keeps a loop of its own.
-
-    Returns
-    -------
-    (total_ms, samples)
-        ``total_ms`` is the wall-clock time from the first submission to
-        the drain -- its inverse is the lane's true throughput.  Each
-        sample is one chunk's submit-to-resolve latency divided by the
-        chunk length; with a full lane that latency includes queue wait,
-        so the percentiles describe end-to-end delivery lag, not pure
-        service time.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    # Imported lazily: the service package imports the whole engine stack.
-    from repro.service.lane import IngestLane
-
-    async def run() -> Tuple[float, List[float]]:
-        samples: List[float] = []
-        async with IngestLane(engine) as lane:
-            started = time.perf_counter()
-            for start in range(0, len(measured), batch_size):
-                chunk = measured[start : start + batch_size]
-                began = time.perf_counter()
-                future = await lane.submit(chunk)
-
-                def record(_future, began=began, count=len(chunk)) -> None:
-                    samples.append((time.perf_counter() - began) * 1000.0 / count)
-
-                future.add_done_callback(record)
-            await lane.drain()
-            total_ms = (time.perf_counter() - started) * 1000.0
-        return total_ms, samples
-
-    return asyncio.run(run())
 
 
 def best_of(repeats: int, run: Callable[[], Tuple]) -> Tuple:

@@ -16,7 +16,7 @@ from repro.workloads.perfjson import (
 from repro.workloads.reporting import render_perf_dashboard
 
 _BENCH_DOC = {
-    "schema": "repro-bench/4",
+    "schema": "repro-bench/8",
     "scale": "smoke",
     "batch_size": 64,
     "results": [
@@ -24,27 +24,20 @@ _BENCH_DOC = {
             "workload": "figure3a",
             "engine": "ita",
             "mode": "batched",
+            "storage": "bisect",
             "docs_per_sec": 9000.0,
-            "concurrency": None,
         },
         {
-            "workload": "cluster-scaling",
-            "engine": "sharded-ita",
-            "mode": "async",
-            "docs_per_sec": 4000.0,
-            "concurrency": None,
-        },
-        {
-            "workload": "cluster-scaling",
-            "engine": "sharded-proc",
-            "mode": "proc",
-            "docs_per_sec": 2000.0,
-            "concurrency": 2,
+            "workload": "figure3a",
+            "engine": "ita",
+            "mode": "batched",
+            "storage": "columnar",
+            "docs_per_sec": 21000.0,
         },
     ],
     "summary": {
         "figure3a_columnar_over_batched": 1.3,
-        "figure3a_ita_instrumented_over_batched": 1.02,
+        "figure3a_ita_batched_over_naive_kmax": 1.02,
     },
 }
 
@@ -91,13 +84,12 @@ def test_obs_cli_json_format(capsys) -> None:
 def test_history_entry_condenses_the_document() -> None:
     entry = history_entry(_BENCH_DOC, timestamp="2026-08-08T00:00:00+00:00")
     assert entry["ts"] == "2026-08-08T00:00:00+00:00"
-    assert entry["schema"] == "repro-bench/4"
+    assert entry["schema"] == "repro-bench/8"
     assert entry["docs_per_sec"] == {
         "figure3a/ita/batched": 9000.0,
-        "cluster-scaling/sharded-ita/async": 4000.0,
-        "cluster-scaling/sharded-proc/proc@2": 2000.0,
+        "figure3a/ita/batched+columnar": 21000.0,
     }
-    assert entry["summary"]["figure3a_ita_instrumented_over_batched"] == 1.02
+    assert entry["summary"]["figure3a_ita_batched_over_naive_kmax"] == 1.02
 
 
 def test_append_and_read_history_roundtrip(tmp_path) -> None:
@@ -134,7 +126,7 @@ def test_dashboard_renders_trend_and_throughput() -> None:
     assert text.startswith("# Performance dashboard")
     assert "## Headline ratios" in text
     assert "## Trend" in text
-    assert "`figure3a_ita_instrumented_over_batched` | 1.0200" in text
+    assert "`figure3a_ita_batched_over_naive_kmax` | 1.0200" in text
     assert "+10.0%" in text  # 1.3 -> 1.43
     assert "`figure3a/ita/batched` | 9,000" in text
 

@@ -1,16 +1,14 @@
 """The telemetry-overhead budget: instrumented figure-3a ingest <= 5%.
 
-The acceptance bound the benchmark suite publishes as
-``summary["figure3a_ita_instrumented_over_batched"]`` is enforced here
-with the same hot path (``prepare_engine`` + ``process_batch`` chunks on
-the figure-3a headline point), so a PR that regresses the disabled-mode
-guard or bloats the per-batch instrumentation fails in the tier-1 suite,
-not just in CI's perf job.
+This test is the budget's only owner: a PR that regresses the
+disabled-mode guard or bloats the per-batch instrumentation fails here, in
+the tier-1 suite.  It measures the hot path every default service runs
+(``prepare_engine`` + ``process_batch`` chunks on the figure-3a headline
+point) with observability off and on.
 
 Both sides of the ratio run the fused kernel on ``"columnar"`` storage
-(the harness name ``"ita-columnar"``), as bench-all's ``("figure3a", "ita",
-"instrumented", "columnar")`` cell does: the loop every default service
-runs, which times its own stages once observability is on.
+(the harness name ``"ita-columnar"``), which times its own stages once
+observability is on.
 
 Timing on a shared box is noisy, so the measurement is deliberately
 defensive: the smoke workload is enlarged to 4000 measured events, the
@@ -29,7 +27,7 @@ from dataclasses import replace
 from repro.observability import runtime
 from repro.workloads.experiments import figure_3a
 from repro.workloads.generators import build_workload
-from repro.workloads.perfjson import _point_by_label
+from repro.workloads.perfjson import point_by_label
 from repro.workloads.runner import measure_chunks, prepare_engine
 
 OVERHEAD_BOUND = 1.05
@@ -41,7 +39,7 @@ BATCH_SIZE = 64
 
 def _figure3a_point():
     definition = figure_3a("smoke")
-    point = _point_by_label(definition, "n=10")
+    point = point_by_label(definition, "n=10")
     return replace(point, config=replace(point.config, measured_events=MEASURED_EVENTS))
 
 
@@ -107,7 +105,7 @@ def test_disabled_mode_is_effectively_free() -> None:
     disabled-mode branch must not touch the registry, tracer or slowlog.
     """
     definition = figure_3a("smoke")
-    point = _point_by_label(definition, "n=10")
+    point = point_by_label(definition, "n=10")
     workload = build_workload(point.config)
     assert runtime.active is False
     families_before = set(runtime.metrics.snapshot()["families"])

@@ -1,74 +1,82 @@
 """Tests for the machine-readable performance harness."""
 
+import copy
 import json
 import os
-import subprocess
 
 import pytest
 
+from repro.exceptions import ExperimentError
 from repro.workloads import perfjson
 from repro.workloads.cli import main
-from repro.workloads.experiments import SCALES
+from repro.workloads.experiments import SCALES, figure_3a
 from repro.workloads.generators import build_workload
 from repro.workloads.perfjson import (
-    QUERY_SCALE_VARIANTS,
+    PROVENANCE,
     SCHEMA,
-    SERVICE_OVERHEAD_MODES,
     SUMMARY,
     BenchRecord,
+    check_document,
     default_suite,
     history_entry,
+    point_by_label,
     read_history,
     run_bench_suite,
     run_cell,
 )
 from repro.workloads.runner import prepare_engine
 
+#: the paper's comparison on one sweep point: (engine, mode, storage)
+_PAPER_ROWS = [
+    ("ita", "sequential", "bisect"),
+    ("ita", "batched", "bisect"),
+    ("naive", "sequential", "bisect"),
+    ("naive-kmax", "sequential", "bisect"),
+]
+_SUITE = (
+    [("figure3a",) + row for row in _PAPER_ROWS[:2] + [("ita", "batched", "columnar")] + _PAPER_ROWS[2:]]
+    + [("figure3b",) + row for row in _PAPER_ROWS]
+    + [("ablation-queries",) + row for row in _PAPER_ROWS]
+)
 
-def _cells(workload, scale="smoke"):
-    return [cell for cell in default_suite(scale) if cell.workload == workload]
+#: what a smoke cell must read whatever the host: (workload, engine) ->
+#: (point label, scores per event); every cell measures 30 events
+_SMOKE_PINS = {
+    ("figure3a", "ita"): ("n=10", 1.8333333333333333),
+    ("figure3a", "naive"): ("n=10", 170.0),
+    ("figure3a", "naive-kmax"): ("n=10", 20.0),
+    ("figure3b", "ita"): ("N=100", 1.9),
+    ("figure3b", "naive"): ("N=100", 93.33333333333333),
+    ("figure3b", "naive-kmax"): ("N=100", 20.0),
+    ("ablation-queries", "ita"): ("Q=40", 4.0),
+    ("ablation-queries", "naive"): ("Q=40", 590.0),
+    ("ablation-queries", "naive-kmax"): ("Q=40", 40.0),
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_document():
+    return run_bench_suite(scale="smoke", repeats=1)
 
 
 class TestSuiteDefinition:
-    def test_covers_enough_workloads_and_engines(self):
-        suite = default_suite("smoke")
-        assert len({cell.workload for cell in suite}) >= 4
-        assert len({cell.engine for cell in suite}) >= 3
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    def test_the_suite_is_the_thirteen_paper_rows(self, scale):
+        suite = default_suite(scale)
+        assert [(cell.workload, cell.engine, cell.mode, cell.storage) for cell in suite] == _SUITE
+        assert len(set(_SUITE)) == len(_SUITE) == 13
+        queries = 2 * int(SCALES[scale]["num_queries"])
+        labels = {"figure3a": "n=10", "figure3b": "N=100", "ablation-queries": f"Q={queries}"}
+        assert all(cell.point.label == labels[cell.workload] for cell in suite)
 
-    def test_rows_are_unique(self):
-        suite = default_suite("smoke")
-        assert len({cell.key for cell in suite}) == len(suite)
-
-    def test_headline_workload_measures_every_ita_mode(self):
-        modes = [
-            (cell.mode, cell.storage)
-            for cell in _cells("figure3a")
-            if cell.engine == "ita"
-        ]
-        assert modes == [
-            ("sequential", "bisect"),
-            ("batched", "bisect"),
-            ("wal", "bisect"),
-            ("wal-recovery", "bisect"),
-            ("batched", "columnar"),
-            ("instrumented", "columnar"),
-        ]
-
-    def test_every_row_resolves_its_point(self):
-        """_point_by_label falls back to the last point; no row may."""
-        labels = {
-            "figure3a": "n=10",
-            "figure3b": "N=100",
-            "ablation-queries": "Q=40",
-            "cluster-scaling": "shards=4",
-        }
-        for cell in default_suite("smoke"):
-            assert cell.point.label == labels[cell.workload]
-
-    def test_cluster_workload_measures_the_async_lane_and_the_proc_cluster(self):
-        modes = {(cell.engine, cell.mode) for cell in _cells("cluster-scaling")}
-        assert ("sharded-ita", "async") in modes
-        assert ("sharded-proc", "proc") in modes
+    def test_a_label_the_sweep_lacks_is_an_error_not_another_point(self):
+        """It used to match by prefix and fall back to the last point, so a
+        renamed label timed another cell under the asked-for key."""
+        definition = figure_3a("smoke")
+        assert point_by_label(definition, "n=10").value == 10
+        for label in ("n=1", "n=11"):
+            with pytest.raises(ExperimentError, match="known: n=4, n=10, n=20, n=30, n=40"):
+                point_by_label(definition, label)
 
     def test_rejects_non_positive_repeats(self):
         cell = default_suite("smoke")[0]
@@ -82,40 +90,20 @@ class TestSummaryTable:
     @pytest.mark.parametrize("scale", sorted(SCALES))
     def test_every_row_names_cells_the_suite_produces(self, scale):
         produced = {cell.key for cell in default_suite(scale)}
-        produced |= {
-            ("service-overhead", "ita", mode, "bisect")
-            for mode in SERVICE_OVERHEAD_MODES
-        }
-        produced |= {
-            ("query-scale", "ita", mode, storage)
-            for mode, storage, _largest in QUERY_SCALE_VARIANTS
-        }
         for name, numerator, denominator, field, note in SUMMARY:
             assert numerator in produced, name
-            assert denominator is None or denominator in produced, name
-            assert field in BenchRecord.__dataclass_fields__ or hasattr(
-                BenchRecord, field
-            ), name
+            assert denominator in produced, name
+            assert field in BenchRecord.__dataclass_fields__, name
             assert note, name
 
-    def test_names_are_unique(self):
-        names = [row[0] for row in SUMMARY]
-        assert len(set(names)) == len(names)
+    def test_the_table_is_the_two_paper_ratios(self):
+        assert [row[0] for row in SUMMARY] == [
+            "figure3a_ita_batched_over_naive_kmax",
+            "figure3a_columnar_over_batched",
+        ]
 
 
 class TestRunCell:
-    def test_records_have_consistent_metrics(self):
-        cells = _cells("figure3a")
-        workload = build_workload(cells[0].point.config)
-        records = [run_cell(cell, workload, batch_size=8) for cell in cells]
-        assert [record.key for record in records] == [cell.key for cell in cells]
-        for record in records:
-            assert isinstance(record, BenchRecord)
-            assert record.events == cells[0].point.config.measured_events
-            assert record.docs_per_sec == pytest.approx(1000.0 / record.mean_ms)
-            assert record.batch_size == (None if record.mode == "sequential" else 8)
-            assert record.concurrency is None
-
     def test_cells_run_the_storage_their_key_names(self, monkeypatch):
         """The service default is "columnar"; a harness cell keyed "bisect"
         must still build the paper-faithful engine, or every ratio against
@@ -129,133 +117,87 @@ class TestRunCell:
         monkeypatch.setattr(perfjson, "prepare_engine", recording)
         batched = [
             cell
-            for workload in ("figure3a", "cluster-scaling")
-            for cell in _cells(workload)
-            if cell.mode == "batched"
+            for cell in default_suite("smoke")
+            if cell.workload == "figure3a" and cell.mode == "batched"
         ]
-        assert sorted(cell.storage for cell in batched) == ["bisect", "bisect", "columnar"]
+        assert [cell.storage for cell in batched] == ["bisect", "columnar"]
+        workload = build_workload(batched[0].point.config)
         for cell in batched:
-            run_cell(cell, build_workload(cell.point.config), batch_size=8)
-            engines = getattr(built[-1], "shards", [built[-1]])
-            assert [engine.index.backend.name for engine in engines] == (
-                [cell.storage] * len(engines)
-            )
-
-    def test_async_mode_measures_the_one_lane(self):
-        [cell] = [cell for cell in _cells("cluster-scaling") if cell.mode == "async"]
-        record = run_cell(cell, build_workload(cell.point.config), batch_size=8)
-        assert record.concurrency is None
-        assert record.batch_size == 8
-        assert record.docs_per_sec > 0.0
-        assert record.scores_per_event > 0.0
-
-    def test_proc_cell_runs_at_the_shard_count_it_is_compared_at(self):
-        """cluster_proc_over_batched divides like by like: same shards,
-        placement and calibration, hence the same scoring work."""
-        cluster = _cells("cluster-scaling")
-        workload = build_workload(cluster[0].point.config)
-        by_mode = {
-            cell.mode: run_cell(cell, workload, batch_size=8)
-            for cell in cluster
-            if cell.mode in ("batched", "proc")
-        }
-        proc, batched = by_mode["proc"], by_mode["batched"]
-        assert proc.engine == "sharded-proc"
-        assert proc.concurrency == 4
-        assert proc.batch_size == 8
-        assert proc.docs_per_sec > 0.0
-        assert proc.scores_per_event == batched.scores_per_event > 0.0
+            record = run_cell(cell, workload, batch_size=8)
+            assert record.key == cell.key
+            assert record.batch_size == 8
+            assert record.docs_per_sec == pytest.approx(1000.0 / record.mean_ms)
+            assert built[-1].index.backend.name == cell.storage
 
 
-class TestRunBenchSuite:
-    def test_smoke_suite_document_shape(self):
-        # queries_max=10_000 keeps the query-scale cells to the small
-        # count (the 100k cell is CI's perf-smoke job's business).
-        document = run_bench_suite(scale="smoke", repeats=1, queries_max=10_000)
-        assert document["schema"] == SCHEMA
-        assert document["scale"] == "smoke"
-        assert document["queries_max"] == 10_000
-        assert len(document["workloads"]) >= 4
-        assert len(document["engines"]) >= 3
-        # every summary row was measured, and nothing else is published
-        assert list(document["summary"]) == [row[0] for row in SUMMARY]
-        assert document["summary"]["queries_dedup_bytes_ratio_at"] == 10_000
-        assert document["summary"]["queries_dedup_bytes_ratio"] > 1.0
-        for record in document["results"]:
-            assert record["events"] > 0
-            assert record["docs_per_sec"] > 0.0
-            assert record["mean_ms"] > 0.0
-            assert record["p99_ms"] >= record["p50_ms"] >= 0.0
-            assert record["mode"] in (
-                "sequential", "batched", "instrumented", "async", "proc",
-                "wal", "wal-recovery", "direct", "facade",
-                "dedup-off", "dedup-on",
-            )
-            if record["mode"] == "proc":
-                assert record["concurrency"] == 4
-            else:
-                assert record["concurrency"] is None
-            if record["workload"] == "query-scale":
-                assert record["subscriptions"] == 10_000
-                assert record["bytes_per_query"] > 0.0
-            else:
-                assert record["subscriptions"] is None
-                assert record["bytes_per_query"] is None
-        # The document must survive a JSON round-trip unchanged.
-        assert json.loads(json.dumps(document)) == document
+class TestDocument:
+    def test_smoke_document_is_valid_and_stamped(self, smoke_document):
+        """The structural self-check nothing used to collect."""
+        check_document(smoke_document)
+        assert smoke_document["schema"] == SCHEMA
+        assert [smoke_document[name] for name in ("scale", "batch_size", "repeats")] == [
+            "smoke", 64, 1,
+        ]
+        assert smoke_document["cpu_count"] == os.cpu_count()
+        assert list(smoke_document["summary"]) == [row[0] for row in SUMMARY]
 
-    def test_queries_max_zero_skips_the_workload(self):
-        document = run_bench_suite(scale="smoke", repeats=1, queries_max=0)
-        assert "query-scale" not in document["workloads"]
-        assert all(r["workload"] != "query-scale" for r in document["results"])
-        assert set(document["summary"]) == {
-            name for name, numerator, *_ in SUMMARY if numerator[0] != "query-scale"
-        }
+    def test_deterministic_columns_are_pinned(self, smoke_document):
+        for record in smoke_document["results"]:
+            label, scores = _SMOKE_PINS[record["workload"], record["engine"]]
+            assert (record["point"], record["events"]) == (label, 30), record
+            assert record["scores_per_event"] == scores, record
+            assert record["batch_size"] == (None if record["mode"] == "sequential" else 64)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc.update(schema="repro-bench/7"), "schema"),
+            (lambda doc: doc.pop("git_sha"), "git_sha"),
+            (lambda doc: doc["results"].pop(), "cells are"),
+            (lambda doc: doc["results"][0].update(events=0), "nothing measured"),
+            (lambda doc: doc["summary"].popitem(), "summary keys"),
+        ],
+    )
+    def test_check_document_names_what_is_wrong(self, smoke_document, damage, message):
+        document = copy.deepcopy(smoke_document)
+        damage(document)
+        with pytest.raises(ExperimentError, match=message):
+            check_document(document)
 
 
 class TestCLI:
-    def test_bench_all_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_results.json"
-        history = tmp_path / "history"
-        code = main(
-            ["bench-all", "--scale", "smoke", "--quiet", "--repeats", "1",
-             "--queries-max", "0", "--out", str(out),
-             "--history-dir", str(history)]
-        )
-        assert code == 0
+    def test_bench_all_writes_document_history_and_dashboard(self, tmp_path, capsys):
+        out, history, dashboard = tmp_path / "b.json", tmp_path / "history", tmp_path / "d.md"
+        arguments = ["bench-all", "--scale", "smoke", "--quiet", "--repeats", "1", "--out", str(out),
+                     "--history-dir", str(history), "--output", str(dashboard)]
+        assert main(arguments) == 0
+        document = json.loads(out.read_text())
+        check_document(document)
         # the trajectory entry lands in the directory given, nowhere else
         [entry] = read_history(history)
-        assert entry["scale"] == "smoke"
-        assert entry["cpu_count"] == os.cpu_count()
-        assert "git_sha" in entry
-        document = json.loads(out.read_text())
-        assert document["schema"] == SCHEMA
-        assert len(document["workloads"]) >= 4
-        assert len(document["engines"]) >= 3
-        printed = capsys.readouterr().out
-        assert "figure3a_ita_wal_over_batched" in printed
+        assert [entry[name] for name in PROVENANCE] == [document[name] for name in PROVENANCE]
+        assert "figure3a_columnar_over_batched" in capsys.readouterr().out
+        assert f"commit `{document['git_sha'] or '?'}`" in dashboard.read_text()
+        # the reporter alone renders the same history
+        dashboard.unlink()
+        assert main(["report", "--history-dir", str(history), "--output", str(dashboard)]) == 0
+        assert "## Headline ratios" in dashboard.read_text()
 
-    def test_bench_all_rejects_negative_queries_max(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["bench-all", "--scale", "smoke", "--quiet",
-                 "--queries-max", "-1", "--out", str(tmp_path / "out.json"),
-                 "--history-dir", str(tmp_path / "history")]
-            )
+    def test_an_invalid_document_is_not_written(self, tmp_path, monkeypatch, smoke_document):
+        broken = copy.deepcopy(smoke_document)
+        del broken["results"][2]
+        monkeypatch.setattr("repro.workloads.cli.run_bench_suite", lambda **_: broken)
+        with pytest.raises(ExperimentError):
+            main(["bench-all", "--scale", "smoke", "--quiet", "--out", str(tmp_path / "b.json"),
+                  "--history-dir", str(tmp_path / "history"), "--output", str(tmp_path / "d.md")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHistoryEntry:
-    def test_entry_is_attributable_to_a_host_and_a_commit(self):
-        """A thread/process ratio without a core count is uninterpretable,
-        and a trend line without a commit cannot be bisected."""
-        entry = history_entry({"scale": "smoke", "results": [], "summary": {}})
-        assert entry["cpu_count"] == os.cpu_count()
-        try:
-            checkout = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=os.path.dirname(__file__), capture_output=True, text=True,
-            )
-            expected = checkout.stdout.strip() if checkout.returncode == 0 else None
-        except OSError:  # no git on this host
-            expected = None
-        assert entry["git_sha"] == expected
+    def test_entry_describes_the_run_not_the_reader(self):
+        """CI condensed one runner's document on another runner, and the
+        dashboard attributed its throughput to the wrong core count."""
+        stamp = {"scale": "small", "batch_size": 64, "repeats": 3, "python": "3.9.0",
+                 "platform": "elsewhere", "cpu_count": 64, "git_sha": "feedbee"}
+        entry = history_entry({**stamp, "results": [], "summary": {}})
+        assert {name: entry[name] for name in PROVENANCE} == stamp

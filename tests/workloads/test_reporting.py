@@ -113,15 +113,15 @@ class TestFormatting:
 class TestPerfDashboardTrend:
     """The trend compares runs at one scale only: ratios move with the
     scale as much as with the code (a `small` run diffed against a `smoke`
-    run once reported a -33% "recovery regression")."""
+    run once reported a -33% "regression")."""
 
     @staticmethod
-    def entry(ts, scale, recovery):
+    def entry(ts, scale, value):
         return {
             "ts": ts,
-            "schema": "repro-bench/7",
+            "schema": "repro-bench/8",
             "scale": scale,
-            "summary": {"figure3a_wal_recovery_docs_per_sec": recovery},
+            "summary": {"figure3a_columnar_over_batched": value},
             "docs_per_sec": {},
         }
 

@@ -25,8 +25,8 @@ from repro import (
     InMemoryCorpus,
     Vocabulary,
     WindowSpec,
-    restore_cluster,
-    snapshot_cluster,
+    restore_into,
+    snapshot_engine,
 )
 
 
@@ -96,10 +96,11 @@ def main() -> None:
     assert cluster.current_result(0) == before
     print(f"\nmigrated query 0 to shard {target}; result unchanged")
 
-    # Whole-cluster checkpoint: the restored cluster has the same shard
-    # count, placement and per-query results.
-    snapshot = snapshot_cluster(cluster)
-    restored = restore_cluster(snapshot)
+    # Whole-cluster checkpoint, in the one snapshot format (the window
+    # once, each query with its shard), loaded into a fresh cluster built
+    # from the same spec: same placement, same per-query results.
+    snapshot = snapshot_engine(cluster)
+    restored = restore_into(snapshot, spec.build())
     assert restored.assignment() == cluster.assignment()
     assert restored.current_results() == cluster.current_results()
     print(

@@ -52,10 +52,10 @@ wire the parts themselves (the experiment harness does, and the examples
   :class:`~repro.cluster.engine.ShardedEngine` partitions the installed
   queries across N inner engines (round-robin, hash or cost-model
   placement), replicates the stream to all shards, and merges the
-  per-shard answers back into this same API -- with whole-cluster
-  snapshots (:func:`~repro.cluster.persistence.snapshot_cluster` /
-  :func:`~repro.cluster.persistence.restore_cluster`) and live query
-  migration/rebalancing.
+  per-shard answers back into this same API -- with live query
+  migration/rebalancing, and snapshots that keep every query on its
+  shard (:func:`~repro.persistence.snapshot_engine` /
+  :func:`~repro.persistence.restore_into`, as for any engine).
 * :mod:`repro.alerting` -- the change-subscription layer the façade
   dispatches through.
 * :mod:`repro.documents` -- documents, corpora (including the synthetic
@@ -74,7 +74,6 @@ from repro.baselines.naive import NaiveEngine
 from repro.baselines.oracle import OracleEngine
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.merger import ResultMerger
-from repro.cluster.persistence import restore_cluster, snapshot_cluster
 from repro.cluster.placement import (
     CostModelPlacement,
     HashPlacement,
@@ -86,7 +85,7 @@ from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
 from repro.core.ita import ITAQueryState
 from repro.alerting import Alert, AlertDispatcher
-from repro.persistence import restore_engine, snapshot_engine
+from repro.persistence import restore_engine, restore_into, snapshot_engine
 from repro.documents.corpus import (
     Corpus,
     FileCorpus,
@@ -156,6 +155,7 @@ __all__ = [
     "ResultChange",
     "snapshot_engine",
     "restore_engine",
+    "restore_into",
     "Alert",
     "AlertDispatcher",
     # cluster subsystem
@@ -165,8 +165,6 @@ __all__ = [
     "RoundRobinPlacement",
     "HashPlacement",
     "CostModelPlacement",
-    "snapshot_cluster",
-    "restore_cluster",
     # queries and results
     "ContinuousQuery",
     "ResultEntry",

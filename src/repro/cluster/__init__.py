@@ -8,9 +8,10 @@ stream event to all shards through an
 :class:`~repro.cluster.dispatcher.EventDispatcher` (with a batch fan-out
 that amortises per-event overhead), and merges the per-shard answers back
 into the single-engine API with a
-:class:`~repro.cluster.merger.ResultMerger`.  Whole-cluster checkpoints and
-live query migration/rebalancing live in
-:mod:`repro.cluster.persistence` and on the engine itself.
+:class:`~repro.cluster.merger.ResultMerger`.  Live query
+migration/rebalancing live on the engine itself; a cluster checkpoints
+through :mod:`repro.persistence` like any engine, each query carrying its
+shard.
 
 Because every query runs the full algorithm on exactly one shard over a
 full copy of the window, the merged results are *identical* (including
@@ -23,7 +24,6 @@ that breaks the single-engine stability ceiling measured by
 from repro.cluster.dispatcher import EventDispatcher
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.merger import ResultMerger
-from repro.cluster.persistence import restore_cluster, snapshot_cluster
 from repro.cluster.placement import (
     CostModelPlacement,
     HashPlacement,
@@ -41,6 +41,4 @@ __all__ = [
     "HashPlacement",
     "CostModelPlacement",
     "make_placement",
-    "snapshot_cluster",
-    "restore_cluster",
 ]

@@ -27,7 +27,7 @@ from repro.cluster.placement import CostModelPlacement, PlacementPolicy, make_pl
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
 from repro.core.engine import ITAEngine
 from repro.documents.document import StreamedDocument
-from repro.documents.window import CountBasedWindow, SlidingWindow
+from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.exceptions import ConfigurationError, UnknownQueryError
 from repro.observability.timing import AggregatedCounters
 from repro.query.query import ContinuousQuery
@@ -35,10 +35,8 @@ from repro.query.registry import QueryRegistry
 
 __all__ = ["ShardedEngine"]
 
-#: builds one shard's private sliding window
-WindowFactory = Callable[[], SlidingWindow]
-#: builds one shard engine around its private window
-EngineFactory = Callable[[SlidingWindow], MonitoringEngine]
+#: builds one shard engine, its private sliding window included
+ShardFactory = Callable[[], MonitoringEngine]
 
 
 class ShardedEngine(MonitoringEngine):
@@ -49,15 +47,13 @@ class ShardedEngine(MonitoringEngine):
     num_shards:
         Number of inner engines.  ``1`` is allowed and behaves exactly like
         the inner engine alone (useful as the scaling baseline).
-    window_factory:
-        Builds one *private* sliding window per shard (plus one mirror for
-        the cluster itself).  Shards cannot share a window object -- each
-        engine mutates its own -- but identically-configured windows over
-        the same stream expire identically, which keeps the shards
-        consistent.  Defaults to count-based windows of 1,000 documents.
-    engine_factory:
-        Builds one shard engine around its window; defaults to
-        ``ITAEngine(window, track_changes=track_changes)``.
+    shard_factory:
+        Builds one shard engine over its own *private* sliding window
+        (``EngineSpec.build`` is one).  Shards cannot share a window object
+        -- each engine mutates its own -- but identically-configured
+        windows over the same stream expire identically, which keeps the
+        shards consistent.  Defaults to
+        ``ITAEngine(CountBasedWindow(1000), track_changes=track_changes)``.
     placement:
         A :class:`~repro.cluster.placement.PlacementPolicy` instance or one
         of the policy names ``"round-robin"``, ``"hash"``, ``"cost"``
@@ -72,28 +68,24 @@ class ShardedEngine(MonitoringEngine):
     def __init__(
         self,
         num_shards: int = 2,
-        window_factory: Optional[WindowFactory] = None,
-        engine_factory: Optional[EngineFactory] = None,
+        shard_factory: Optional[ShardFactory] = None,
         placement: Union[str, PlacementPolicy] = "cost",
         track_changes: bool = True,
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("a cluster needs at least one shard")
-        if window_factory is None:
-            window_factory = lambda: CountBasedWindow(1000)  # noqa: E731
-        if engine_factory is None:
-            engine_factory = lambda window: ITAEngine(window, track_changes=track_changes)  # noqa: E731
-        # The cluster keeps a mirror window of its own so that generic code
-        # inspecting ``engine.window`` (length, valid documents, snapshots)
-        # sees the same contents as every shard.
-        super().__init__(window_factory())
+        if shard_factory is None:
+            shard_factory = lambda: ITAEngine(  # noqa: E731
+                CountBasedWindow(1000), track_changes=track_changes
+            )
+        self.shards: List[MonitoringEngine] = [shard_factory() for _ in range(num_shards)]
+        # The cluster keeps a mirror window of its own -- a fresh window
+        # configured like shard 0's -- so that generic code inspecting
+        # ``engine.window`` (length, valid documents, snapshots) sees the
+        # same contents as every shard.
+        super().__init__(WindowSpec.of(self.shards[0].window).build())
         self.num_shards = num_shards
-        self.window_factory = window_factory
-        self.engine_factory = engine_factory
         self.track_changes = track_changes
-        self.shards: List[MonitoringEngine] = [
-            engine_factory(window_factory()) for _ in range(num_shards)
-        ]
         self.dispatcher = EventDispatcher(self.shards)
         self.merger = ResultMerger()
         if isinstance(placement, PlacementPolicy):

@@ -51,7 +51,7 @@ from repro.observability import runtime as _obs
 from repro.persistence import (
     _document_from_record,
     _query_from_record,
-    restore_engine,
+    restore_into,
     snapshot_engine,
 )
 
@@ -99,9 +99,9 @@ class ShardWorker:
     shard_index:
         This worker's shard number (labels, error messages, diagnostics).
     spec:
-        The *shard* spec (an inner engine kind such as ``"ita"``); the
-        engine is built via ``spec.engine_factory()`` so the restore path
-        rebuilds the identical kind.
+        The *shard* spec (an inner engine kind such as ``"ita"``); fresh
+        start and checkpoint recovery both build the engine with
+        ``spec.build()``.
     directory:
         The shard's private state directory, holding ``checkpoint.json``
         and the ``wal/`` segments.
@@ -142,7 +142,7 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     def _recover(self) -> Any:
         """Checkpoint restore plus WAL-tail replay; returns the engine."""
-        factory = self.spec.engine_factory()
+        engine = self.spec.build()
         if self._checkpoint_path.exists():
             with open(self._checkpoint_path, "r", encoding="utf-8") as handle:
                 checkpoint = json.load(handle)
@@ -151,10 +151,8 @@ class ShardWorker:
                     f"shard {self.shard_index} checkpoint has format "
                     f"{checkpoint.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
                 )
-            engine = restore_engine(checkpoint["engine"], factory)
+            restore_into(checkpoint["engine"], engine)
             self._last_lsn = int(checkpoint["lsn"])
-        else:
-            engine = factory(self.spec.window.build())
         self._wal_dir.mkdir(parents=True, exist_ok=True)
         # repair=True: a torn final record is the expected crash artifact.
         # Responses are recomputed so a retry of the last acked lsn gets

@@ -20,13 +20,13 @@ with :func:`json.dump` without any custom encoder.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Dict, List
 
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
 from repro.documents.document import CompositionList, Document, StreamedDocument
-from repro.documents.window import SlidingWindow, WindowSpec
+from repro.documents.window import WindowSpec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.query.query import ContinuousQuery
 
@@ -41,15 +41,9 @@ __all__ = [
 
 SNAPSHOT_VERSION = 1
 
-
-def _window_to_dict(window: SlidingWindow) -> Dict[str, Any]:
-    # The window encoding is owned by WindowSpec; snapshots and engine
-    # specs deliberately share the one codec.
-    return WindowSpec.of(window).to_dict()
-
-
-def _window_from_dict(data: Dict[str, Any]) -> SlidingWindow:
-    return WindowSpec.from_dict(data).build()
+#: documents per ``process_batch_events`` call while a restore replays the
+#: window (on the process cluster one call is one RPC round per worker)
+REPLAY_CHUNK = 256
 
 
 def _engine_config(engine: MonitoringEngine) -> Dict[str, Any]:
@@ -57,36 +51,24 @@ def _engine_config(engine: MonitoringEngine) -> Dict[str, Any]:
 
     Only knobs every restore target understands-or-ignores are recorded:
     the probe order, roll-up switch and storage backend of ITA, and the
-    change-tracking flag shared by all engines.  Absent keys simply fall
-    back to the defaults, which keeps old snapshots restorable.
+    change-tracking flag shared by all engines.  A cluster records its
+    shard engines' knobs, once -- shards are homogeneous.  Absent keys
+    simply fall back to the defaults, which keeps old snapshots restorable.
     """
+    shards = getattr(engine, "shards", None)
+    source = shards[0] if shards else getattr(engine, "shard_spec", engine)
     config: Dict[str, Any] = {}
-    probe_order = getattr(engine, "probe_order", None)
-    if isinstance(probe_order, ProbeOrder):
-        config["probe_order"] = probe_order.value
+    probe_order = getattr(source, "probe_order", None)
+    if probe_order is not None:
+        config["probe_order"] = ProbeOrder(probe_order).value
     for attr in ("enable_rollup", "track_changes"):
-        value = getattr(engine, attr, None)
+        value = getattr(source, attr, None)
         if isinstance(value, bool):
             config[attr] = value
-    storage = getattr(engine, "storage", None)
+    storage = getattr(source, "storage", None)
     if isinstance(storage, str):
         config["storage"] = storage
     return config
-
-
-def _default_engine(window: SlidingWindow, config: Dict[str, Any]) -> ITAEngine:
-    """The restore target when no factory is given: ITA with the
-    snapshotted configuration."""
-    kwargs: Dict[str, Any] = {}
-    if "probe_order" in config:
-        kwargs["probe_order"] = ProbeOrder(config["probe_order"])
-    if "enable_rollup" in config:
-        kwargs["enable_rollup"] = bool(config["enable_rollup"])
-    if "track_changes" in config:
-        kwargs["track_changes"] = bool(config["track_changes"])
-    if "storage" in config:
-        kwargs["storage"] = str(config["storage"])
-    return ITAEngine(window, **kwargs)
 
 
 def document_record(streamed: StreamedDocument) -> Dict[str, Any]:
@@ -157,89 +139,104 @@ def _valid_documents(engine: MonitoringEngine) -> List[StreamedDocument]:
 def snapshot_engine(engine: MonitoringEngine) -> Dict[str, Any]:
     """Serialise ``engine`` to a JSON-compatible dictionary.
 
-    The snapshot captures the window configuration, the engine construction
-    knobs (probe order, roll-up, change tracking), the valid documents
-    (id, arrival time, composition list, text, metadata), and the installed
-    queries (id, k, term weights, text).
+    The one format for every engine kind: the window configuration, the
+    engine construction knobs (probe order, roll-up, change tracking), the
+    valid documents *once* (id, arrival time, composition list, text,
+    metadata), and the installed queries in registry order (id, k, term
+    weights, text).  An engine that places queries (it reports an
+    ``assignment()``) also records its shard count and each query's shard.
     """
     registry = getattr(engine, "registry", None)
     if registry is None:
         raise ReproError("engine does not expose a query registry to snapshot")
 
-    documents = [document_record(streamed) for streamed in _valid_documents(engine)]
-    queries = [query_record(query) for query in registry]
-
-    return {
+    snapshot = {
         "version": SNAPSHOT_VERSION,
         "engine": engine.name,
-        "window": _window_to_dict(engine.window),
+        # The window encoding is owned by WindowSpec; snapshots and engine
+        # specs deliberately share the one codec.
+        "window": WindowSpec.of(engine.window).to_dict(),
         # The window's observed clock (latest arrival or advance_time).
         # Without it a restored time-based window would accept an arrival
         # older than a clock advance the original had already seen.
         "clock": engine.window.clock,
         "config": _engine_config(engine),
-        "documents": documents,
-        "queries": queries,
+        "documents": [document_record(streamed) for streamed in _valid_documents(engine)],
+        "queries": [query_record(query) for query in registry],
     }
+    assignment = getattr(engine, "assignment", None)
+    if assignment is not None:
+        placed = assignment()
+        snapshot["num_shards"] = engine.num_shards
+        for record in snapshot["queries"]:
+            record["shard"] = placed[record["query_id"]]
+    return snapshot
 
 
 EngineSnapshot = Dict[str, Any]
 
 
-def restore_engine(
-    snapshot: EngineSnapshot,
-    engine_factory: Optional[Callable[[SlidingWindow], MonitoringEngine]] = None,
-) -> MonitoringEngine:
-    """Rebuild a monitoring engine from a :func:`snapshot_engine` result.
+def restore_engine(snapshot: EngineSnapshot) -> ITAEngine:
+    """Rebuild an ITA engine from a bare :func:`snapshot_engine` result.
 
-    Parameters
-    ----------
-    snapshot:
-        A dictionary produced by :func:`snapshot_engine`.
-    engine_factory:
-        Callable taking the restored window and returning a fresh engine.
-        Defaults to building an :class:`~repro.core.engine.ITAEngine` with
-        the snapshotted configuration (probe order, roll-up, change
-        tracking); pass a different factory to restore the same logical
-        state into a baseline engine.
-
-    The documents are replayed through the engine in arrival order *before*
-    the queries are registered, so each query's initial result is computed
-    over the full restored window -- reproducing the exact logical state of
-    the snapshotted engine.
+    The convenience for a snapshot that travels without a spec: an
+    :class:`~repro.core.engine.ITAEngine` with the recorded configuration
+    (probe order, roll-up, change tracking, storage) over the recorded
+    window, filled by :func:`restore_into` -- which is also how a cluster
+    snapshot collapses into one engine.  To restore into any other engine,
+    build it and call :func:`restore_into`.
     """
-    _check_engine_snapshot(snapshot)
-
-    window = _window_from_dict(snapshot["window"])
-    config = snapshot.get("config", {})
-    factory = engine_factory or (lambda w: _default_engine(w, config))
-    engine = factory(window)
+    snapshot = _flat_snapshot(snapshot)
+    config = dict(snapshot.get("config", {}))
+    if "probe_order" in config:
+        config["probe_order"] = ProbeOrder(config["probe_order"])
+    engine = ITAEngine(WindowSpec.from_dict(snapshot["window"]).build(), **config)
     return restore_into(snapshot, engine)
 
 
-def _check_engine_snapshot(snapshot: EngineSnapshot) -> None:
+def _flat_snapshot(snapshot: EngineSnapshot) -> EngineSnapshot:
+    """Check the version; fold a legacy per-shard cluster document flat.
+
+    Durability directories written before the one format hold
+    ``"kind": "cluster"`` checkpoints: one full engine snapshot per shard.
+    The window is replicated, so shard 0's documents are the cluster's;
+    each shard's queries are tagged with its index.
+    """
     version = snapshot.get("version")
     if version != SNAPSHOT_VERSION:
         raise ConfigurationError(f"unsupported snapshot version {version!r}")
-    if snapshot.get("kind") == "cluster":
-        raise ConfigurationError(
-            "this is a cluster snapshot; use repro.cluster.restore_cluster "
-            "(or snapshot the cluster with snapshot_engine to collapse it)"
-        )
+    if snapshot.get("kind") != "cluster":
+        return snapshot
+    shards = snapshot["shards"]
+    return {
+        **shards[0],
+        "window": snapshot["window"],
+        "num_shards": snapshot["num_shards"],
+        "queries": [
+            {**record, "shard": index}
+            for index, shard in enumerate(shards)
+            for record in shard["queries"]
+        ],
+    }
 
 
 def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> MonitoringEngine:
     """Replay a snapshot's documents, clock and queries into ``engine``.
 
-    The seam for engines that build their own windows (the process
-    cluster): the caller constructs the engine -- its window configured
-    like the snapshotted one -- and this replays the logical state.
-    :func:`restore_engine` composes window construction with this.
+    The one loader: the caller builds the engine (``spec.build()``, or by
+    hand) with its window configured like the snapshotted one, and this
+    replays the logical state.  The documents go through
+    ``process_batch_events`` oldest-first *before* the queries are
+    registered, so each query's initial result is computed over the full
+    restored window; an engine that places queries gets each one back on
+    its recorded shard.
     """
-    _check_engine_snapshot(snapshot)
+    snapshot = _flat_snapshot(snapshot)
 
-    for record in sorted(snapshot["documents"], key=lambda r: r["arrival_time"]):
-        engine.process(_document_from_record(record))
+    records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
+    documents = [_document_from_record(record) for record in records]
+    for start in range(0, len(documents), REPLAY_CHUNK):
+        engine.process_batch_events(documents[start : start + REPLAY_CHUNK])
 
     # Re-advance the snapshotted clock (a no-op for expirations: every
     # snapshotted document was valid at that clock) so replayed streams
@@ -249,7 +246,12 @@ def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> Monitori
     if clock is not None:
         engine.advance_time(float(clock))
 
+    places_queries = hasattr(engine, "assignment")
     for record in snapshot["queries"]:
-        engine.register_query(_query_from_record(record))
+        query = _query_from_record(record)
+        if places_queries and record.get("shard") is not None:
+            engine.register_query(query, shard=int(record["shard"]))
+        else:
+            engine.register_query(query)
 
     return engine

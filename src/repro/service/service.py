@@ -63,7 +63,7 @@ from repro.observability import runtime as obs
 from repro.observability.opcounters import counters_collector
 from repro.observability.slowlog import note_slow
 from repro.observability.trace import trace_span
-from repro.persistence import restore_engine, restore_into, snapshot_engine
+from repro.persistence import _flat_snapshot, restore_into, snapshot_engine
 from repro.query.query import ContinuousQuery
 from repro.queryscale.manager import QueryScaleManager
 from repro.service.spec import EngineSpec, spec_from_name
@@ -74,6 +74,20 @@ from repro.weighting.schemes import CosineWeighting, WeightingScheme
 __all__ = ["MonitoringService", "QueryHandle"]
 
 SERVICE_SNAPSHOT_VERSION = 1
+
+
+def _implied_spec(snapshot: Dict[str, Any]) -> EngineSpec:
+    """The spec a bare engine snapshot implies: ITA with the recorded
+    configuration (``ITAEngine``'s own ``"bisect"`` storage when the
+    snapshot predates that key), sharded when it records a shard count."""
+    spec = EngineSpec.from_dict(
+        {"storage": "bisect", **snapshot.get("config", {}), "window": snapshot["window"]}
+    )
+    num_shards = snapshot.get("num_shards")
+    if num_shards is None:
+        return spec
+    return spec.with_overrides(kind="sharded", num_shards=int(num_shards), inner=spec)
+
 
 #: anything ``ingest`` accepts as a single stream element
 Ingestible = Union[str, Document, StreamedDocument]
@@ -1073,8 +1087,8 @@ class MonitoringService:
     def snapshot(self) -> Dict[str, Any]:
         """Serialise the whole service to a JSON-compatible dictionary.
 
-        Routes to the cluster checkpoint for sharded engines and the
-        single-engine snapshot otherwise, and wraps the result in a
+        Wraps the engine snapshot (one format for every kind; a cluster's
+        queries carry their shards) in a
         service envelope carrying the vocabulary (term strings in id
         order), the virtual clock, the document-id sequence and the engine
         spec.  The envelope holds the service's *data*; configuration that
@@ -1088,18 +1102,8 @@ class MonitoringService:
         -------
         dict
             A JSON-compatible envelope (``kind == "service"``) wrapping
-            the engine or cluster snapshot; feed it back to
-            :meth:`restore`.
+            the engine snapshot; feed it back to :meth:`restore`.
         """
-        # Imported lazily: the cluster's cost-model placement imports
-        # repro.workloads, whose runner imports this package.
-        from repro.cluster.engine import ShardedEngine
-        from repro.cluster.persistence import snapshot_cluster
-
-        if isinstance(self.engine, ShardedEngine):
-            engine_snapshot = snapshot_cluster(self.engine)
-        else:
-            engine_snapshot = snapshot_engine(self.engine)
         envelope = {
             "kind": "service",
             "version": SERVICE_SNAPSHOT_VERSION,
@@ -1107,7 +1111,7 @@ class MonitoringService:
             "clock": self._clock,
             "next_doc_id": self._next_doc_id,
             "spec": self.spec.to_dict() if self.spec is not None else None,
-            "engine": engine_snapshot,
+            "engine": snapshot_engine(self.engine),
         }
         if self._queryscale is not None:
             # The engine snapshot holds the *awake* canonical queries; the
@@ -1128,11 +1132,13 @@ class MonitoringService:
         """Rebuild a service from a snapshot.
 
         Accepts a full service snapshot (from :meth:`snapshot`) or a bare
-        engine/cluster snapshot (from :func:`repro.persistence.snapshot_engine`
-        or :func:`repro.cluster.persistence.snapshot_cluster`) and routes
-        to the matching restore path automatically.  Subscription
-        callbacks are not part of a snapshot; re-attach them with
-        :meth:`handle`.
+        engine snapshot (from :func:`repro.persistence.snapshot_engine`).
+        Every kind restores one way: the engine is built from the
+        envelope's spec -- or, without one, from the spec the snapshot
+        implies (ITA with the recorded configuration, sharded when it
+        records a shard count) -- and filled by
+        :func:`repro.persistence.restore_into`.  Subscription callbacks
+        are not part of a snapshot; re-attach them with :meth:`handle`.
 
         A service snapshot carries its own vocabulary (passing one is
         rejected).  When restoring a *bare* engine snapshot, pass the
@@ -1154,8 +1160,6 @@ class MonitoringService:
             passed alongside a service snapshot, or the snapshot payload
             is malformed.
         """
-        from repro.cluster.persistence import restore_cluster
-
         spec: Optional[EngineSpec] = None
         clock: Optional[float] = None
         next_doc_id: Optional[int] = None
@@ -1180,33 +1184,17 @@ class MonitoringService:
             queryscale_state = snapshot.get("queryscale")
             engine_snapshot = snapshot["engine"]
 
-        if engine_snapshot.get("kind") == "cluster":
-            engine_factory = None
-            placement: Any = "cost"
-            if spec is not None and spec.kind == "sharded":
-                engine_factory = spec.shard_spec().engine_factory()
-                placement = spec.placement_policy(int(engine_snapshot["num_shards"]))
-            engine: MonitoringEngine = restore_cluster(
-                engine_snapshot, engine_factory=engine_factory, placement=placement
-            )
-        elif spec is not None and spec.kind != "sharded" and spec.builds_own_windows():
-            # A kind that manages its own windows (the process cluster):
-            # build it from the spec, then replay the snapshot into it.
-            # If the replay fails the engine's resources (worker
-            # processes) must not leak.
-            engine = spec.build()
-            try:
-                restore_into(engine_snapshot, engine)
-            except Exception:
-                engine_close = getattr(engine, "close", None)
-                if engine_close is not None:
-                    engine_close()
-                raise
-        else:
-            engine_factory = None
-            if spec is not None and spec.kind != "sharded":
-                engine_factory = spec.engine_factory()
-            engine = restore_engine(engine_snapshot, engine_factory=engine_factory)
+        engine_snapshot = _flat_snapshot(engine_snapshot)
+        engine = (spec or _implied_spec(engine_snapshot)).build()
+        try:
+            restore_into(engine_snapshot, engine)
+        except Exception:
+            # A failed replay must not leak the engine's resources (the
+            # process cluster's workers).
+            engine_close = getattr(engine, "close", None)
+            if engine_close is not None:
+                engine_close()
+            raise
 
         service = cls(
             engine,

@@ -41,7 +41,7 @@ from repro.baselines.oracle import OracleEngine
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
-from repro.documents.window import SlidingWindow, WindowSpec
+from repro.documents.window import WindowSpec
 from repro.durability.policy import DurabilityPolicy
 from repro.exceptions import ConfigurationError, UnknownEngineError
 from repro.index.backend import DEFAULT_STORAGE, storage_backends
@@ -309,46 +309,6 @@ class EngineSpec:
         self.validate()
         return _KINDS[self.kind].build(self)
 
-    def engine_factory(self) -> Callable[[SlidingWindow], MonitoringEngine]:
-        """A factory building this engine kind around an *existing* window.
-
-        This is the seam the persistence layer and the sharded cluster
-        use: they own the window (restored from a snapshot, or one private
-        window per shard) and need the engine built around it.
-
-        Returns
-        -------
-        callable
-            A one-argument factory mapping a
-            :class:`~repro.documents.window.SlidingWindow` to a fresh
-            engine of this spec's kind.
-
-        Raises
-        ------
-        ConfigurationError
-            If the kind manages its own windows (the sharded cluster) and
-            cannot be built around an existing one, or if the spec is
-            invalid.
-        """
-        self.validate()
-        build_around = _KINDS[self.kind].build_around
-        if build_around is None:
-            raise ConfigurationError(
-                f"engine kind {self.kind!r} builds its own windows and cannot "
-                "be constructed around an existing one"
-            )
-        return lambda window: build_around(self, window)
-
-    def builds_own_windows(self) -> bool:
-        """Whether this kind manages its own windows (no ``build_around``).
-
-        Such kinds -- the sharded cluster, the process cluster -- cannot
-        be constructed via :meth:`engine_factory`; restore paths build the
-        engine with :meth:`build` and replay state into it instead.
-        """
-        self.validate()
-        return _KINDS[self.kind].build_around is None
-
     def shard_spec(self) -> "EngineSpec":
         """The effective per-shard spec of a sharded engine.
 
@@ -375,15 +335,12 @@ class EngineSpec:
             storage=self.storage,
         )
 
-    def placement_policy(self, num_shards: Optional[int] = None):
+    def placement_policy(self):
         """The placement argument for a :class:`ShardedEngine`.
 
         Returns the calibrated cost-model policy instance when the spec
         carries a :class:`PlacementCalibration`, and the policy name
-        otherwise.  Both the spec builder and the service restore path use
-        this, so a calibrated cluster is reconstructed identically
-        everywhere.  ``num_shards`` overrides the spec's shard count
-        (restore sizes the policy from the snapshot).
+        otherwise.
 
         Returns
         -------
@@ -405,7 +362,7 @@ class EngineSpec:
         from repro.cluster.placement import CostModelPlacement
 
         return CostModelPlacement(
-            num_shards if num_shards is not None else self.num_shards,
+            self.num_shards,
             dictionary_size=self.calibration.dictionary_size,
             mean_doc_terms=self.calibration.mean_doc_terms,
             window_size=self.calibration.window_size,
@@ -505,16 +462,11 @@ class EngineSpec:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class EngineKind:
-    """One registered engine kind.
-
-    ``build`` constructs the engine from a spec (window included);
-    ``build_around`` constructs it around an existing window and is
-    ``None`` for kinds that manage their own windows (the sharded cluster).
-    """
+    """One registered engine kind: ``build`` constructs the engine from a
+    spec, window included."""
 
     name: str
     build: Callable[[EngineSpec], MonitoringEngine]
-    build_around: Optional[Callable[[EngineSpec, SlidingWindow], MonitoringEngine]]
     description: str = ""
 
 
@@ -523,27 +475,15 @@ _KINDS: Dict[str, EngineKind] = {}
 
 def register_engine_kind(
     name: str,
-    build_around: Optional[Callable[[EngineSpec, SlidingWindow], MonitoringEngine]] = None,
-    build: Optional[Callable[[EngineSpec], MonitoringEngine]] = None,
+    build: Callable[[EngineSpec], MonitoringEngine],
     description: str = "",
     replace_existing: bool = False,
 ) -> EngineKind:
-    """Register an engine kind under ``name``.
-
-    Most kinds only need ``build_around`` (the registry derives ``build``
-    by constructing the spec's window first); kinds that manage their own
-    windows pass ``build`` instead.
-    """
-    if build_around is None and build is None:
-        raise ConfigurationError("an engine kind needs build_around or build")
+    """Register an engine kind under ``name``; ``build(spec)`` is its one
+    builder and makes the engine's own window (``spec.window.build()``)."""
     if name in _KINDS and not replace_existing:
         raise ConfigurationError(f"engine kind {name!r} is already registered")
-    if build is None:
-        def build(spec: EngineSpec, _around=build_around) -> MonitoringEngine:
-            return _around(spec, spec.window.build())
-    kind = EngineKind(
-        name=name, build=build, build_around=build_around, description=description
-    )
+    kind = EngineKind(name=name, build=build, description=description)
     _KINDS[name] = kind
     return kind
 
@@ -556,9 +496,9 @@ def engine_kinds() -> List[str]:
 # --------------------------------------------------------------------------- #
 # builtin kinds
 # --------------------------------------------------------------------------- #
-def _build_ita(spec: EngineSpec, window: SlidingWindow) -> ITAEngine:
+def _build_ita(spec: EngineSpec) -> ITAEngine:
     return ITAEngine(
-        window,
+        spec.window.build(),
         track_changes=spec.track_changes,
         enable_rollup=spec.enable_rollup,
         probe_order=ProbeOrder(spec.probe_order),
@@ -566,8 +506,8 @@ def _build_ita(spec: EngineSpec, window: SlidingWindow) -> ITAEngine:
     )
 
 
-def _build_naive(spec: EngineSpec, window: SlidingWindow) -> NaiveEngine:
-    return NaiveEngine(window, track_changes=spec.track_changes)
+def _build_naive(spec: EngineSpec) -> NaiveEngine:
+    return NaiveEngine(spec.window.build(), track_changes=spec.track_changes)
 
 
 def _kmax_policy(spec: EngineSpec) -> KMaxPolicy:
@@ -579,14 +519,14 @@ def _kmax_policy(spec: EngineSpec) -> KMaxPolicy:
     return FixedKMaxPolicy(spec.kmax_multiplier)
 
 
-def _build_kmax(spec: EngineSpec, window: SlidingWindow) -> KMaxNaiveEngine:
+def _build_kmax(spec: EngineSpec) -> KMaxNaiveEngine:
     return KMaxNaiveEngine(
-        window, policy=_kmax_policy(spec), track_changes=spec.track_changes
+        spec.window.build(), policy=_kmax_policy(spec), track_changes=spec.track_changes
     )
 
 
-def _build_oracle(spec: EngineSpec, window: SlidingWindow) -> OracleEngine:
-    return OracleEngine(window, track_changes=spec.track_changes)
+def _build_oracle(spec: EngineSpec) -> OracleEngine:
+    return OracleEngine(spec.window.build(), track_changes=spec.track_changes)
 
 
 def _build_sharded(spec: EngineSpec) -> MonitoringEngine:
@@ -596,8 +536,7 @@ def _build_sharded(spec: EngineSpec) -> MonitoringEngine:
 
     return ShardedEngine(
         num_shards=spec.num_shards,
-        window_factory=spec.window.build,
-        engine_factory=spec.shard_spec().engine_factory(),
+        shard_factory=spec.shard_spec().build,
         placement=spec.placement_policy(),
         track_changes=spec.track_changes,
     )
@@ -632,12 +571,12 @@ def _build_proc(spec: EngineSpec) -> MonitoringEngine:
 
 register_engine_kind(
     "sharded",
-    build=_build_sharded,
+    _build_sharded,
     description="query-sharded cluster over any inner engine kind",
 )
 register_engine_kind(
     "sharded-proc",
-    build=_build_proc,
+    _build_proc,
     description="query-sharded cluster of worker processes over framed RPC",
 )
 

@@ -4,9 +4,10 @@ uninterrupted one.
 The cluster (and the service façade above it) advertises snapshot/restore
 as a *pause* button: checkpoint between two batches, rebuild from the
 snapshot, keep streaming, and nobody downstream can tell.  These tests pin
-that down at both layers -- :func:`repro.cluster.persistence.snapshot_cluster`
-directly, and :meth:`repro.service.MonitoringService.snapshot` including
-the asynchronous ingestion path -- comparing final top-k results, the
+that down at both layers -- :func:`repro.persistence.snapshot_engine` and
+:func:`repro.persistence.restore_into` directly, and
+:meth:`repro.service.MonitoringService.snapshot` including the
+asynchronous ingestion path -- comparing final top-k results, the
 continuation's change stream, and the final snapshots themselves.
 
 The workloads here draw continuous weights, so score ties are absent and
@@ -20,50 +21,26 @@ suite covers it on its tie-heavy tape.
 """
 
 import asyncio
-import random
 
 import pytest
 
 from repro.cluster.engine import ShardedEngine
-from repro.cluster.persistence import restore_cluster, snapshot_cluster
+from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, WindowSpec
+from repro.persistence import restore_into, snapshot_engine
 from repro.query.query import ContinuousQuery
 from repro.service import AsyncMonitoringService, MonitoringService, spec_from_name
-from tests.conftest import make_document
-
-
-class TieFreeCase:
-    """A seeded workload with continuous weights (score ties absent)."""
-
-    def __init__(self, seed, num_terms=12, num_queries=8, num_documents=160):
-        rng = random.Random(seed)
-        self.queries = []
-        for query_id in range(num_queries):
-            terms = rng.sample(range(num_terms), rng.randint(1, 4))
-            weights = {term: round(rng.uniform(0.05, 1.0), 6) for term in terms}
-            self.queries.append(
-                ContinuousQuery(query_id=query_id, weights=weights, k=rng.randint(1, 4))
-            )
-        self.documents = []
-        clock = 0.0
-        for doc_id in range(num_documents):
-            clock += rng.choice([0.1, 0.5, 1.0])
-            count = rng.randint(0, 5)
-            terms = rng.sample(range(num_terms), count) if count else []
-            weights = {term: round(rng.uniform(0.05, 1.0), 6) for term in terms}
-            self.documents.append(
-                make_document(doc_id, weights, arrival_time=round(clock, 6))
-            )
+from tests.conftest import TieFreeCase
 
 
 def chunked(documents, size):
     return [documents[start : start + size] for start in range(0, len(documents), size)]
 
 
-def build_cluster(num_shards, window, queries):
+def build_cluster(num_shards, window, queries=()):
     cluster = ShardedEngine(
         num_shards=num_shards,
-        window_factory=lambda: CountBasedWindow(window),
+        shard_factory=lambda: ITAEngine(CountBasedWindow(window)),
         placement="cost",
     )
     for query in queries:
@@ -88,7 +65,7 @@ def test_cluster_restored_between_batches_matches_uninterrupted(num_shards):
         restored.process_batch(batch)
 
     # Pause: checkpoint the second cluster and rebuild it from scratch.
-    restored = restore_cluster(snapshot_cluster(restored))
+    restored = restore_into(snapshot_engine(restored), build_cluster(num_shards, window))
     assert restored.num_shards == num_shards
     restored.check_invariants()
 
@@ -101,7 +78,7 @@ def test_cluster_restored_between_batches_matches_uninterrupted(num_shards):
 
     assert restored.current_results() == uninterrupted.current_results()
     assert restored.assignment() == uninterrupted.assignment()
-    assert snapshot_cluster(restored) == snapshot_cluster(uninterrupted)
+    assert snapshot_engine(restored) == snapshot_engine(uninterrupted)
     restored.check_invariants()
 
 

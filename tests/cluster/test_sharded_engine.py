@@ -19,12 +19,12 @@ from repro.exceptions import (
 from tests.conftest import StreamCase, make_document, make_query
 
 
-def make_cluster(num_shards=3, window_size=10, placement="round-robin", **kwargs):
+def make_cluster(num_shards=3, window_size=10, placement="round-robin", track_changes=True):
     return ShardedEngine(
         num_shards=num_shards,
-        window_factory=lambda: CountBasedWindow(window_size),
+        shard_factory=lambda: ITAEngine(CountBasedWindow(window_size), track_changes=track_changes),
         placement=placement,
-        **kwargs,
+        track_changes=track_changes,
     )
 
 
@@ -79,8 +79,7 @@ class TestQueryManagement:
 
         cluster = ShardedEngine(
             num_shards=2,
-            window_factory=lambda: CountBasedWindow(5),
-            engine_factory=lambda window: FlakyShard(window),
+            shard_factory=lambda: FlakyShard(CountBasedWindow(5)),
             placement="cost",
         )
         cluster.register_query(make_query(0, {1: 1.0}))
@@ -106,8 +105,7 @@ class TestQueryManagement:
 
         cluster = ShardedEngine(
             num_shards=2,
-            window_factory=lambda: CountBasedWindow(5),
-            engine_factory=lambda window: FlakyShard(window),
+            shard_factory=lambda: FlakyShard(CountBasedWindow(5)),
             placement="round-robin",
         )
         cluster.register_query(make_query(0, {1: 1.0}, k=1))
@@ -168,7 +166,7 @@ class TestProcessing:
     def test_advance_time_fans_out(self):
         cluster = ShardedEngine(
             num_shards=2,
-            window_factory=lambda: TimeBasedWindow(span=5.0),
+            shard_factory=lambda: ITAEngine(TimeBasedWindow(span=5.0)),
             placement="round-robin",
         )
         cluster.register_query(make_query(0, {1: 1.0}, k=1))

@@ -33,7 +33,7 @@ def test_merged_results_identical_to_single_engine(num_shards, placement):
     single = ITAEngine(CountBasedWindow(window))
     cluster = ShardedEngine(
         num_shards=num_shards,
-        window_factory=lambda: CountBasedWindow(window),
+        shard_factory=lambda: ITAEngine(CountBasedWindow(window)),
         placement=placement,
     )
     for query in case.queries:
@@ -68,7 +68,7 @@ def test_equivalence_on_synthetic_corpus_workload(num_shards):
     single = ITAEngine(CountBasedWindow(40))
     cluster = ShardedEngine(
         num_shards=num_shards,
-        window_factory=lambda: CountBasedWindow(40),
+        shard_factory=lambda: ITAEngine(CountBasedWindow(40)),
         placement="cost",
     )
     for query in queries:
@@ -90,7 +90,7 @@ def test_equivalence_with_time_based_windows(num_shards):
     single = ITAEngine(TimeBasedWindow(span))
     cluster = ShardedEngine(
         num_shards=num_shards,
-        window_factory=lambda: TimeBasedWindow(span),
+        shard_factory=lambda: ITAEngine(TimeBasedWindow(span)),
         placement="hash",
     )
     for query in case.queries:
@@ -112,7 +112,7 @@ def test_equivalence_survives_mid_stream_registration_and_migration():
     single = ITAEngine(CountBasedWindow(14))
     cluster = ShardedEngine(
         num_shards=3,
-        window_factory=lambda: CountBasedWindow(14),
+        shard_factory=lambda: ITAEngine(CountBasedWindow(14)),
         placement="round-robin",
     )
     half = len(case.queries) // 2

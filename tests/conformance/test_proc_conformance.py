@@ -65,6 +65,11 @@ def strip_envelope(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     engine = dict(snapshot["engine"])
     engine.pop("engine", None)  # the engine kind name
     engine.pop("config", None)  # per-kind construction knobs
+    engine.pop("num_shards", None)  # placement: clusters only
+    engine["queries"] = [
+        {key: value for key, value in record.items() if key != "shard"}
+        for record in engine["queries"]
+    ]
     return {
         "vocabulary": snapshot["vocabulary"],
         "clock": snapshot["clock"],

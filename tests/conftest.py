@@ -65,6 +65,30 @@ class StreamCase:
             self.documents.append(make_document(doc_id, weights, arrival_time=clock))
 
 
+class TieFreeCase:
+    """A seeded workload with continuous weights (score ties absent)."""
+
+    def __init__(self, seed, num_terms=12, num_queries=8, num_documents=160):
+        rng = random.Random(seed)
+        self.queries = []
+        for query_id in range(num_queries):
+            terms = rng.sample(range(num_terms), rng.randint(1, 4))
+            weights = {term: round(rng.uniform(0.05, 1.0), 6) for term in terms}
+            self.queries.append(
+                ContinuousQuery(query_id=query_id, weights=weights, k=rng.randint(1, 4))
+            )
+        self.documents = []
+        clock = 0.0
+        for doc_id in range(num_documents):
+            clock += rng.choice([0.1, 0.5, 1.0])
+            count = rng.randint(0, 5)
+            terms = rng.sample(range(num_terms), count) if count else []
+            weights = {term: round(rng.uniform(0.05, 1.0), 6) for term in terms}
+            self.documents.append(
+                make_document(doc_id, weights, arrival_time=round(clock, 6))
+            )
+
+
 def score_signature(entries: Sequence) -> List[float]:
     """The sorted score list of a result -- the tie-tolerant comparison key."""
     return [round(entry.score, 9) for entry in entries]

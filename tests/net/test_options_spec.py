@@ -116,13 +116,3 @@ def test_spec_from_name_parses_proc_names():
     assert (spec.kind, spec.num_shards) == ("sharded-proc", 4)
     with pytest.raises(UnknownEngineError):
         spec_from_name("sharded-proc-banana")
-
-
-def test_builds_own_windows_flags_the_cluster_kinds():
-    # Both cluster kinds construct their own (per-shard) windows; the
-    # restore path must not build one for them.  Plain engines take the
-    # restored window through their factory.
-    assert EngineSpec(kind="sharded-proc").builds_own_windows()
-    assert EngineSpec(kind="sharded").builds_own_windows()
-    assert not EngineSpec(kind="ita").builds_own_windows()
-    assert not EngineSpec(kind="naive").builds_own_windows()

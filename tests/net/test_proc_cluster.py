@@ -52,8 +52,7 @@ def test_bit_identical_to_in_process_sharded_cluster(seed):
     case = StreamCase(seed, num_queries=6, num_documents=90)
     reference = ShardedEngine(
         num_shards=2,
-        window_factory=lambda: WindowSpec.count(WINDOW).build(),
-        engine_factory=lambda window: ITAEngine(window, track_changes=True),
+        shard_factory=lambda: ITAEngine(WindowSpec.count(WINDOW).build(), track_changes=True),
         placement="hash",
     )
     with make_cluster() as cluster:
@@ -93,8 +92,7 @@ def test_sigkill_mid_stream_recovers_from_wal_bit_identically():
     case = StreamCase(88, num_queries=6, num_documents=80)
     reference = ShardedEngine(
         num_shards=2,
-        window_factory=lambda: WindowSpec.count(WINDOW).build(),
-        engine_factory=lambda window: ITAEngine(window, track_changes=True),
+        shard_factory=lambda: ITAEngine(WindowSpec.count(WINDOW).build(), track_changes=True),
         placement="hash",
     )
     with make_cluster() as cluster:

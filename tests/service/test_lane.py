@@ -25,14 +25,13 @@ from tests.conftest import StreamCase
 KINDS = ["ita", "sharded"]
 
 
-def make_engine(kind, window_factory=lambda: CountBasedWindow(16), engine_class=ITAEngine,
+def make_engine(kind, make_window=lambda: CountBasedWindow(16), engine_class=ITAEngine,
                 num_shards=3):
     if kind == "ita":
-        return engine_class(window_factory())
+        return engine_class(make_window())
     return ShardedEngine(
         num_shards=num_shards,
-        window_factory=window_factory,
-        engine_factory=engine_class,
+        shard_factory=lambda: engine_class(make_window()),
         placement="round-robin",
     )
 
@@ -118,7 +117,7 @@ class TestOrderingAndEquivalence:
 
         def make_time_engine():
             engine = make_engine(
-                kind, window_factory=lambda: TimeBasedWindow(9.0), num_shards=2
+                kind, make_window=lambda: TimeBasedWindow(9.0), num_shards=2
             )
             register_case(engine, case)
             return engine

@@ -390,11 +390,11 @@ class TestSnapshotRestore:
             MonitoringService.restore(service.snapshot(), vocabulary=Vocabulary())
 
     def test_restore_accepts_bare_cluster_snapshot(self):
-        from repro.cluster.persistence import snapshot_cluster
+        from repro.persistence import snapshot_engine
 
         spec = EngineSpec(kind="sharded", num_shards=2, window=WindowSpec.count(10))
         service = self._populated(spec)
-        restored = MonitoringService.restore(snapshot_cluster(service.engine))
+        restored = MonitoringService.restore(snapshot_engine(service.engine))
         assert isinstance(restored.engine, ShardedEngine)
         assert doc_ids(restored.result(0)) == doc_ids(service.result(0))
 

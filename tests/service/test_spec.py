@@ -281,7 +281,7 @@ class TestRegistry:
 
         register_engine_kind(
             "tagged-naive",
-            lambda spec, window: TaggedNaive(window, track_changes=spec.track_changes),
+            lambda spec: TaggedNaive(spec.window.build(), track_changes=spec.track_changes),
             description="test-only kind",
         )
         try:
@@ -295,11 +295,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):
-            register_engine_kind("ita", lambda spec, window: None)
-
-    def test_sharded_engine_factory_unavailable(self):
-        with pytest.raises(ConfigurationError):
-            EngineSpec(kind="sharded").engine_factory()
+            register_engine_kind("ita", lambda spec: None)
 
 
 class TestStorageField:

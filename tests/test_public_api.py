@@ -34,13 +34,13 @@ class TestPublicAPI:
             ResultMerger,
             RoundRobinPlacement,
             ShardedEngine,
-            restore_cluster,
-            snapshot_cluster,
+            restore_into,
+            snapshot_engine,
         )
 
         for policy_class in (RoundRobinPlacement, HashPlacement, CostModelPlacement):
             assert issubclass(policy_class, PlacementPolicy)
-        assert callable(snapshot_cluster) and callable(restore_cluster)
+        assert callable(snapshot_engine) and callable(restore_into)
         assert hasattr(ResultMerger, "merge_changes")
         assert ShardedEngine.name == "sharded"
 
@@ -56,8 +56,8 @@ class TestPublicAPI:
             ITAEngine,
             ShardedEngine,
             Vocabulary,
-            restore_cluster,
-            snapshot_cluster,
+            restore_into,
+            snapshot_engine,
         )
 
         analyzer, vocabulary = Analyzer(), Vocabulary()
@@ -66,11 +66,14 @@ class TestPublicAPI:
             analyzer=analyzer,
             vocabulary=vocabulary,
         )
-        cluster = ShardedEngine(
-            num_shards=2,
-            window_factory=lambda: CountBasedWindow(100),
-            placement="cost",
-        )
+        def make_cluster():
+            return ShardedEngine(
+                num_shards=2,
+                shard_factory=lambda: ITAEngine(CountBasedWindow(100)),
+                placement="cost",
+            )
+
+        cluster = make_cluster()
         single = ITAEngine(CountBasedWindow(100))
         query = ContinuousQuery.from_text(
             0, "market news", k=1, analyzer=analyzer, vocabulary=vocabulary
@@ -81,7 +84,7 @@ class TestPublicAPI:
         cluster.process_many(stream)
         single.process_many(stream)
         assert cluster.current_result(0) == single.current_result(0)
-        restored = restore_cluster(snapshot_cluster(cluster))
+        restored = restore_into(snapshot_engine(cluster), make_cluster())
         assert restored.current_result(0) == cluster.current_result(0)
 
     def test_service_facade_exported(self):

@@ -26,7 +26,7 @@ ENGINE_FACTORIES = {
     "naive-kmax": lambda: KMaxNaiveEngine(CountBasedWindow(10)),
     "oracle": lambda: OracleEngine(CountBasedWindow(10)),
     "sharded": lambda: ShardedEngine(
-        num_shards=2, window_factory=lambda: CountBasedWindow(10)
+        num_shards=2, shard_factory=lambda: ITAEngine(CountBasedWindow(10))
     ),
 }
 
@@ -79,7 +79,7 @@ class TestEngineSpecificAccessors:
             NaiveEngine(CountBasedWindow(10)).result_list(7)
 
     def test_sharded_shard_of_unknown(self):
-        cluster = ShardedEngine(num_shards=2, window_factory=lambda: CountBasedWindow(10))
+        cluster = ShardedEngine(num_shards=2, shard_factory=lambda: ITAEngine(CountBasedWindow(10)))
         with pytest.raises(UnknownQueryError):
             cluster.shard_of(7)
         with pytest.raises(UnknownQueryError):

@@ -11,15 +11,14 @@ remote clients can hit:
 1. a :class:`~repro.net.MonitoringServer` serving a
    :class:`~repro.MonitoringService` over TCP -- here backed by the
    out-of-process cluster (``kind="sharded-proc"``): two worker
-   *processes*, each owning one engine shard and its own write-ahead log,
-   driven over framed RPC,
+   *processes*, each owning one engine shard and nothing else (the
+   coordinator re-seeds one that dies), driven over framed RPC,
 2. a :class:`~repro.net.RemoteMonitoringClient` with the same facade
    API: ``subscribe``/``ingest``/``result``/``changes`` work unchanged
    across the network, and alerts are drained by polling,
 3. typed errors crossing the wire (``except UnknownQueryError`` works
    remotely),
-4. graceful shutdown: the server drains, the workers flush their WALs,
-   checkpoint and exit.
+4. graceful shutdown: the server drains and the workers exit.
 
 (The production entry point for step 1 is the CLI:
 ``python -m repro.workloads.cli serve --engine sharded-proc-2``.)
@@ -83,7 +82,7 @@ def main() -> None:
         except UnknownQueryError as error:
             print(f"\ntyped error across the wire: {error}")
 
-        # 4. Graceful stop: drain, flush worker WALs, checkpoint, exit.
+        # 4. Graceful stop: drain, stop the workers, exit.
         client.shutdown_server()
     thread.join(timeout=10.0)
     print("server stopped, workers shut down cleanly")

@@ -28,7 +28,7 @@ from repro.core.base import MonitoringEngine, ResultChange, TopKResult
 from repro.core.engine import ITAEngine
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, WindowSpec
-from repro.exceptions import ConfigurationError, UnknownQueryError
+from repro.exceptions import ConfigurationError, UnknownQueryError, WindowError
 from repro.observability.timing import AggregatedCounters
 from repro.query.query import ContinuousQuery
 from repro.query.registry import QueryRegistry
@@ -183,11 +183,17 @@ class ShardedEngine(MonitoringEngine):
         amortising the per-event dispatch overhead.  The merged change
         stream is re-interleaved event-major, so the result is identical
         to unbatched per-event processing (``process_batch`` and
-        ``process_many`` flatten it).
+        ``process_many`` flatten it).  Like a single engine, a batch
+        rejected part-way keeps its accepted prefix: the shards get the
+        prefix, then the error is re-raised.
         """
         batch = list(documents)
-        for document in batch:
-            self.window.insert(document)
+        for accepted, document in enumerate(batch):
+            try:
+                self.window.insert(document)
+            except WindowError:
+                self.dispatcher.dispatch_batch(batch[:accepted])
+                raise
         per_shard = self.dispatcher.dispatch_batch(batch)
         return [
             self.merger.merge_changes(

@@ -9,10 +9,10 @@ and ingest:
 * :mod:`repro.net.protocol` -- the length-prefixed framed JSON RPC layer
   (request ids, typed errors, per-call deadlines) everything else rides;
 * :mod:`repro.net.worker` -- the ``ShardWorker`` process hosting one
-  engine shard behind its own per-shard write-ahead log;
+  engine shard and nothing else (it writes no file);
 * :mod:`repro.net.cluster` -- the ``ProcessClusterEngine`` coordinator
-  (engine kind ``"sharded-proc"``) that spawns, supervises and restarts
-  the workers;
+  (engine kind ``"sharded-proc"``) that spawns, supervises, restarts and
+  re-seeds the workers;
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- the
   ``MonitoringServer`` serving tier and the ``RemoteMonitoringClient``
   facade mirroring the in-process service API;

@@ -23,15 +23,20 @@ the request frame to every worker before reading any response, so the
 workers compute concurrently while the coordinator is only ever blocked
 on the slowest of them.
 
-**Supervision.**  A broken worker connection
+**Supervision.**  A worker holds its engine and nothing else; the
+coordinator is the recovery state.  A broken worker connection
 (:class:`~repro.exceptions.RpcTransportError`) triggers a restart: the
-dead process is reaped, a replacement is spawned against the shard's
-surviving state directory (checkpoint + WAL tail replay), and the call is
-retried with exponential backoff under the original deadline.  Retried
-mutations are exactly-once -- every mutating RPC carries a coordinator
-lsn the worker deduplicates on.  Past ``max_restarts`` the call fails
-with :class:`~repro.exceptions.WorkerCrashError`; past its deadline,
-with :class:`~repro.exceptions.RpcTimeoutError`.
+dead process is reaped, the coordinator backs off exponentially, spawns
+a replacement, seeds it over the ``restore`` RPC with exactly the state
+it had acknowledged before the failed call -- its mirror window (minus
+the call's batch, plus what the call expired, at the pre-call clock) and
+the registry's queries placed on that shard -- and re-sends the call.
+The replacement never saw the call, so a retried mutation is applied
+exactly once by construction.  The seed is built only on failure, and a
+replacement that dies while being seeded is one more restart attempt.
+Past ``max_restarts`` the call fails with
+:class:`~repro.exceptions.WorkerCrashError`; past its deadline, with
+:class:`~repro.exceptions.RpcTimeoutError`.
 
 **Metrics.**  With observability enabled the coordinator records worker
 restarts (``repro_worker_restarts_total{shard=}``) and in-flight fan-out
@@ -49,8 +54,9 @@ import socket
 import tempfile
 import time
 import weakref
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cluster.merger import ResultMerger
 from repro.cluster.placement import PlacementPolicy, make_placement
@@ -63,6 +69,7 @@ from repro.exceptions import (
     RpcTimeoutError,
     RpcTransportError,
     UnknownQueryError,
+    WindowError,
     WorkerCrashError,
 )
 from repro.net.codec import (
@@ -76,7 +83,7 @@ from repro.net.worker import worker_main
 from repro.observability import runtime as _obs
 from repro.observability.opcounters import OperationCounters
 from repro.observability.timing import aggregate_counters
-from repro.persistence import document_record, query_record
+from repro.persistence import SNAPSHOT_VERSION, document_record, query_record
 from repro.query.query import ContinuousQuery
 from repro.query.registry import QueryRegistry
 
@@ -84,6 +91,9 @@ __all__ = ["ProcessClusterEngine"]
 
 #: how long the coordinator gives a worker to exit after a shutdown RPC
 _SHUTDOWN_GRACE_SECONDS = 5.0
+
+#: builds, for a shard index, the snapshot a replacement worker is seeded with
+Seed = Callable[[int], Dict[str, Any]]
 
 
 class _Worker:
@@ -184,7 +194,8 @@ class ProcessClusterEngine(MonitoringEngine):
     window_spec:
         The shared window configuration; also builds the coordinator's
         *mirror* window, which pre-validates arrivals (so a bad document
-        is rejected before any worker logs it) and serves generic
+        is rejected before any worker sees it), holds the documents a
+        restarted worker is seeded with, and serves generic
         ``engine.window`` introspection.
     placement:
         A placement policy instance or name, exactly as for
@@ -236,7 +247,6 @@ class ProcessClusterEngine(MonitoringEngine):
         self.registry = QueryRegistry()
         self._assignment: Dict[int, int] = {}
         self.counters = _RemoteCounters(self)
-        self._lsn = 0
         self._closed = False
         self.total_restarts = 0
         self._collector_registry: Optional[Any] = None
@@ -270,7 +280,7 @@ class ProcessClusterEngine(MonitoringEngine):
         self._workers: List[_Worker] = []
         try:
             for shard in range(self.num_shards):
-                self._workers.append(self._spawn(shard, fresh=True))
+                self._workers.append(self._spawn(shard))
         except Exception:
             self.close()
             raise
@@ -278,10 +288,7 @@ class ProcessClusterEngine(MonitoringEngine):
     # ------------------------------------------------------------------ #
     # spawning and supervision
     # ------------------------------------------------------------------ #
-    def _shard_directory(self, shard: int) -> Path:
-        return self._data_dir / f"shard-{shard}"
-
-    def _spawn(self, shard: int, fresh: bool) -> _Worker:
+    def _spawn(self, shard: int) -> _Worker:
         """Start one worker and accept its connection.
 
         The coordinator listens and the worker dials back: the listener is
@@ -307,10 +314,7 @@ class ProcessClusterEngine(MonitoringEngine):
             "address": address,
             "spec": self.shard_spec.to_dict(),
             "shard_index": shard,
-            "directory": str(self._shard_directory(shard)),
-            "checkpoint_every": self.options.checkpoint_every,
             "connect_timeout_ms": self.options.connect_timeout_ms,
-            "fresh": fresh,
             "observe": _obs.active,
         }
         process = self._mp.Process(
@@ -341,8 +345,14 @@ class ProcessClusterEngine(MonitoringEngine):
         )
         return _Worker(process, connection, observing=_obs.active)
 
-    def _restart(self, shard: int, attempt: int, deadline: float) -> None:
-        """Replace a dead worker, enforcing the budget and the deadline."""
+    def _restart(self, shard: int, attempt: int, deadline: float, seed: Seed) -> None:
+        """Replace a dead worker, enforcing the budget and the deadline.
+
+        Reap, back off, spawn, then restore ``seed(shard)`` into the
+        replacement.  A replacement that dies while being seeded raises
+        :class:`~repro.exceptions.RpcTransportError` to the caller, which
+        counts it as one more attempt.
+        """
         worker = self._workers[shard]
         worker.connection.close()
         _reap(worker.process)
@@ -362,7 +372,7 @@ class ProcessClusterEngine(MonitoringEngine):
             )
         backoff = (self.options.backoff_ms / 1000.0) * (2 ** (attempt - 1))
         time.sleep(min(backoff, remaining))
-        replacement = self._spawn(shard, fresh=False)
+        replacement = self._spawn(shard)
         replacement.restarts = worker.restarts + 1
         self._workers[shard] = replacement
         self.total_restarts += 1
@@ -373,6 +383,38 @@ class ProcessClusterEngine(MonitoringEngine):
                 "shard",
                 str(shard),
             ).inc()
+        connection = replacement.connection
+        connection.read_response(
+            connection.send_request("restore", {"snapshot": seed(shard)}, deadline),
+            deadline,
+        )
+
+    def _seed(
+        self, shard: int, clock: Optional[float], documents: Iterable[StreamedDocument]
+    ) -> Dict[str, Any]:
+        """A :func:`~repro.persistence.snapshot_engine`-format image of one shard.
+
+        ``documents`` and ``clock`` describe the window; the queries are
+        the registry's queries assigned to ``shard``, in registry order.
+        A query is assigned only once its worker acknowledged it and
+        unassigned only once its removal was acknowledged, so during a
+        subscribe or unsubscribe this is the shard as it was before.
+        """
+        return {
+            "version": SNAPSHOT_VERSION,
+            "window": self.window_spec.to_dict(),
+            "clock": clock,
+            "documents": [document_record(document) for document in documents],
+            "queries": [
+                query_record(query)
+                for query in self.registry
+                if self._assignment.get(query.query_id) == shard
+            ],
+        }
+
+    def _current_state(self, shard: int) -> Dict[str, Any]:
+        """The seed of a call that changes no window: the mirror as it is."""
+        return self._seed(shard, self.window.clock, self.window)
 
     # ------------------------------------------------------------------ #
     # RPC plumbing
@@ -386,10 +428,16 @@ class ProcessClusterEngine(MonitoringEngine):
         method: str,
         params: Optional[Dict[str, Any]] = None,
         deadline: Optional[float] = None,
+        seed: Optional[Seed] = None,
     ) -> Any:
-        """One supervised call: restart the worker and retry on transport
-        failure, under a single deadline.  Mutating retries are safe --
-        the worker deduplicates on the request's lsn."""
+        """One supervised call under a single deadline.
+
+        On a transport failure the worker is replaced and seeded with
+        ``seed`` (the state before the call; by default the coordinator's
+        current state) and the call is re-sent -- never on the broken
+        connection.  The replacement never saw the call, so a mutation is
+        applied exactly once.
+        """
         self._ensure_worker_collector()
         if deadline is None:
             deadline = self._deadline()
@@ -397,13 +445,14 @@ class ProcessClusterEngine(MonitoringEngine):
         started = time.perf_counter() if observed else 0.0
         attempt = 0
         while True:
-            connection = self._workers[shard].connection
             try:
+                if attempt:
+                    self._restart(shard, attempt, deadline, seed or self._current_state)
+                connection = self._workers[shard].connection
                 request_id = connection.send_request(method, params or {}, deadline)
                 result = connection.read_response(request_id, deadline)
             except RpcTransportError:
                 attempt += 1
-                self._restart(shard, attempt, deadline)
                 continue
             if observed:
                 _obs.counter_child(
@@ -418,11 +467,13 @@ class ProcessClusterEngine(MonitoringEngine):
         self,
         method: str,
         params: Optional[Dict[str, Any]] = None,
+        seed: Optional[Seed] = None,
     ) -> List[Any]:
         """Pipelined fan-out: write to every worker, then read in order.
 
         Shards whose connection breaks anywhere in the exchange fall back
-        to the supervised :meth:`_call` retry path; remote (typed) errors
+        to the supervised :meth:`_call` path, which replaces the worker,
+        seeds it with ``seed`` and re-sends; remote (typed) errors
         are drained from every shard before the first one is re-raised, so
         the surviving connections stay request/response aligned.
 
@@ -470,7 +521,10 @@ class ProcessClusterEngine(MonitoringEngine):
         if errors:
             raise errors[min(errors)]
         for shard in failed:
-            results[shard] = self._call(shard, method, params, deadline)
+            # The worker may have applied the call: closing its connection
+            # makes _call's first send fail, so it replaces the worker first.
+            self._workers[shard].connection.close()
+            results[shard] = self._call(shard, method, params, deadline, seed)
         if observed:
             _obs.counter_child(
                 "repro_rpc_client_calls_total", "RPC calls issued", "method", method
@@ -515,10 +569,6 @@ class ProcessClusterEngine(MonitoringEngine):
                 samples[key] = samples.get(key, 0.0) + float(value)
         return samples
 
-    def _next_lsn(self) -> int:
-        self._lsn += 1
-        return self._lsn
-
     # ------------------------------------------------------------------ #
     # query management (mirrors ShardedEngine)
     # ------------------------------------------------------------------ #
@@ -536,11 +586,7 @@ class ProcessClusterEngine(MonitoringEngine):
             self.registry.unregister(query.query_id)
             raise
         try:
-            self._call(
-                shard,
-                "subscribe",
-                {"lsn": self._next_lsn(), "query": query_record(query)},
-            )
+            self._call(shard, "subscribe", {"query": query_record(query)})
         except Exception:
             self.placement.forget(query, shard)
             self.registry.unregister(query.query_id)
@@ -549,14 +595,19 @@ class ProcessClusterEngine(MonitoringEngine):
         return shard
 
     def unregister_query(self, query_id: int) -> None:
-        """Terminate ``query_id`` on whichever worker hosts it."""
-        query = self.registry.unregister(query_id)
-        shard = self._assignment.pop(query_id)
+        """Terminate ``query_id`` on whichever worker hosts it.
+
+        The query stays registered and assigned until the worker
+        acknowledges, so a worker restarted during the call is seeded
+        with it and the re-sent unsubscribe finds it.
+        """
+        query = self.registry.get(query_id)
+        shard = self._assignment[query_id]
         try:
-            self._call(
-                shard, "unsubscribe", {"lsn": self._next_lsn(), "query_id": query_id}
-            )
+            self._call(shard, "unsubscribe", {"query_id": query_id})
         finally:
+            self.registry.unregister(query_id)
+            del self._assignment[query_id]
             self.placement.forget(query, shard)
 
     def query_ids(self) -> List[int]:
@@ -593,18 +644,45 @@ class ProcessClusterEngine(MonitoringEngine):
         """Replicate a batch to every worker; event-major merged changes.
 
         The mirror window takes the batch *first*: it applies exactly the
-        validation the workers would (duplicate ids, stale arrivals), so
-        a rejected document never reaches a worker's WAL.
+        validation the workers would (stale arrivals), so a rejected
+        document never reaches a worker.  Like a single engine, a batch
+        rejected part-way keeps its accepted prefix: the workers get the
+        prefix, then the error is re-raised.
         """
         batch = list(documents)
-        for document in batch:
-            self.window.insert(document)
+        clock = self.window.clock
+        expired: List[StreamedDocument] = []
+        for accepted, document in enumerate(batch):
+            try:
+                expired.extend(self.window.insert(document))
+            except WindowError:
+                self._replicate(batch[:accepted], clock, expired)
+                raise
+        return self._replicate(batch, clock, expired)
+
+    def _replicate(
+        self,
+        batch: Sequence[StreamedDocument],
+        clock: Optional[float],
+        expired: List[StreamedDocument],
+    ) -> List[List[ResultChange]]:
+        """Fan a batch the mirror already took out to every worker.
+
+        A restarted worker is seeded with the window before the batch:
+        the mirror minus the batch plus what the batch expired (a batch
+        longer than the window expires some of its own documents), at the
+        pre-batch ``clock``.
+        """
         if not batch:
             return []
+
+        def seed(shard: int) -> Dict[str, Any]:
+            fresh = {id(document) for document in batch}
+            before = chain(expired, self.window)
+            return self._seed(shard, clock, (d for d in before if id(d) not in fresh))
+
         records = [document_record(document) for document in batch]
-        responses = self._fanout(
-            "ingest", {"lsn": self._next_lsn(), "docs": records}
-        )
+        responses = self._fanout("ingest", {"docs": records}, seed)
         per_shard = [event_changes_from_wire(r["changes"]) for r in responses]
         return [
             self.merger.merge_changes(
@@ -615,9 +693,12 @@ class ProcessClusterEngine(MonitoringEngine):
 
     def advance_time(self, now: float) -> List[ResultChange]:
         """Advance every worker's clock consistently (time-based windows)."""
-        self.window.advance_time(now)
+        clock = self.window.clock
+        expired = self.window.advance_time(now)
         responses = self._fanout(
-            "advance_time", {"lsn": self._next_lsn(), "now": float(now)}
+            "advance_time",
+            {"now": float(now)},
+            lambda shard: self._seed(shard, clock, chain(expired, self.window)),
         )
         return self.merger.merge_changes(
             changes_from_wire(r["changes"]) for r in responses
@@ -645,12 +726,8 @@ class ProcessClusterEngine(MonitoringEngine):
         return self.merger.top_documents(self.current_results(), limit)
 
     # ------------------------------------------------------------------ #
-    # durability and diagnostics
+    # diagnostics
     # ------------------------------------------------------------------ #
-    def checkpoint_workers(self) -> List[int]:
-        """Force every worker to checkpoint; returns their acked lsns."""
-        return [int(r["lsn"]) for r in self._fanout("checkpoint")]
-
     def worker_pids(self) -> List[int]:
         """The live worker process ids, by shard (kill-point tests)."""
         return [worker.process.pid for worker in self._workers]
@@ -679,10 +756,10 @@ class ProcessClusterEngine(MonitoringEngine):
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Gracefully stop every worker and release the state directory.
+        """Gracefully stop every worker and release the socket directory.
 
-        Each worker gets a ``shutdown`` RPC (drain + final checkpoint +
-        exit 0) and a grace period; stragglers are reaped.  Idempotent.
+        Each worker gets a ``shutdown`` RPC (drain + exit 0) and a grace
+        period; stragglers are reaped.  Idempotent.
         """
         if self._closed:
             return

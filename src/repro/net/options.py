@@ -32,18 +32,18 @@ class ProcOptions:
 
     The defaults are production-lean: unix-domain sockets (falling back to
     TCP loopback on platforms without them), a 30-second per-call
-    deadline, two restart attempts with exponential backoff, and a
-    checkpoint of each worker's WAL every 512 applied records.
+    deadline, and two restart attempts with exponential backoff.  Workers
+    keep no state on disk: the coordinator re-seeds a restarted one.
     """
 
     #: "unix" (unix-domain sockets, the default) or "tcp" (loopback)
     transport: str = "unix"
-    #: directory holding the per-worker WALs, checkpoints and sockets;
-    #: ``None`` (default) uses a private temporary directory removed when
-    #: the coordinator closes
+    #: directory holding the workers' unix sockets; ``None`` (default)
+    #: uses a private temporary directory removed when the coordinator
+    #: closes
     data_dir: Optional[str] = None
-    #: per-call deadline: a worker RPC (including any restart + WAL-replay
-    #: recovery attempts) must complete within this budget
+    #: per-call deadline: a worker RPC (including any restart + re-seed
+    #: attempts) must complete within this budget
     request_timeout_ms: float = 30_000.0
     #: how long to wait for a freshly spawned worker to connect back
     connect_timeout_ms: float = 15_000.0
@@ -52,9 +52,6 @@ class ProcOptions:
     max_restarts: int = 2
     #: initial retry backoff, doubled per attempt (capped by the deadline)
     backoff_ms: float = 50.0
-    #: each worker checkpoints + truncates its WAL every this many applied
-    #: records (bounds replay time after a crash)
-    checkpoint_every: int = 512
     #: :mod:`multiprocessing` start method; "default" defers to the platform
     start_method: str = "default"
 
@@ -80,8 +77,6 @@ class ProcOptions:
             raise ConfigurationError("proc max_restarts must be >= 0")
         if self.backoff_ms < 0:
             raise ConfigurationError("proc backoff_ms must be >= 0")
-        if self.checkpoint_every <= 0:
-            raise ConfigurationError("proc checkpoint_every must be positive")
         if self.start_method not in _START_METHODS:
             raise ConfigurationError(
                 f"unknown proc start_method {self.start_method!r}; "
@@ -97,7 +92,6 @@ class ProcOptions:
             "connect_timeout_ms": self.connect_timeout_ms,
             "max_restarts": self.max_restarts,
             "backoff_ms": self.backoff_ms,
-            "checkpoint_every": self.checkpoint_every,
             "start_method": self.start_method,
         }
         if self.data_dir is not None:
@@ -109,9 +103,11 @@ class ProcOptions:
         """Rebuild options from :meth:`to_dict` output.
 
         Missing keys fall back to the defaults (old serialised specs stay
-        loadable); an *unknown* key is a hard error naming the field --
-        a misspelt transport or worker option must not silently become
-        the default.
+        loadable), and the legacy ``checkpoint_every`` key -- the period
+        of the per-worker checkpoints workers no longer write -- is
+        accepted and ignored; any other *unknown* key is a hard error
+        naming the field -- a misspelt transport or worker option must
+        not silently become the default.
 
         Raises
         ------
@@ -120,7 +116,7 @@ class ProcOptions:
             matches, or a known field fails validation.
         """
         known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - {"checkpoint_every"})
         if unknown:
             raise ConfigurationError(
                 f"unknown proc option(s) {', '.join(repr(k) for k in unknown)}; "
@@ -139,7 +135,6 @@ class ProcOptions:
             ),
             max_restarts=int(data.get("max_restarts", defaults.max_restarts)),
             backoff_ms=float(data.get("backoff_ms", defaults.backoff_ms)),
-            checkpoint_every=int(data.get("checkpoint_every", defaults.checkpoint_every)),
             start_method=str(data.get("start_method", defaults.start_method)),
         )
         options.validate()

@@ -147,7 +147,7 @@ class MonitoringServer:
         self._threads = []
         # The service close is the durability flush: the WAL is synced,
         # a final checkpoint is written when a durability log is
-        # attached, and a process cluster's workers checkpoint and exit.
+        # attached, and a process cluster's workers exit.
         durability = getattr(self.service, "durability", None)
         if durability is not None and not self.service.closed:
             self.service.checkpoint()

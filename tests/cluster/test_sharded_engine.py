@@ -15,6 +15,7 @@ from repro.exceptions import (
     ConfigurationError,
     DuplicateQueryError,
     UnknownQueryError,
+    WindowError,
 )
 from tests.conftest import StreamCase, make_document, make_query
 
@@ -176,6 +177,27 @@ class TestProcessing:
         assert cluster.current_result(0) == []
         assert [change.query_id for change in changes] == [0]
         assert len(cluster.window) == 0
+
+    def test_batch_rejected_part_way_keeps_its_prefix_like_ita(self):
+        """A stale arrival mid-batch: the shards keep the accepted prefix,
+        exactly as one engine does, instead of lagging the mirror."""
+        single = ITAEngine(CountBasedWindow(10), track_changes=True)
+        cluster = make_cluster(num_shards=2)
+        for engine in (single, cluster):
+            engine.register_query(make_query(0, {1: 1.0}, k=2))
+            engine.process_batch_events([make_document(0, {1: 0.2}, arrival_time=1.0)])
+            with pytest.raises(WindowError):
+                engine.process_batch_events(
+                    [
+                        make_document(1, {1: 0.5}, arrival_time=5.0),
+                        make_document(2, {1: 0.9}, arrival_time=3.0),
+                    ]
+                )
+        ids = [streamed.document.doc_id for streamed in single.window]
+        assert ids == [0, 1]
+        assert [streamed.document.doc_id for streamed in cluster.window] == ids
+        assert cluster.current_results() == single.current_results()
+        cluster.check_invariants()
 
     def test_track_changes_false_returns_no_changes(self):
         cluster = make_cluster(num_shards=2, track_changes=False)

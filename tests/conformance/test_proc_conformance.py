@@ -24,8 +24,9 @@ from the in-process engines:
   why the original fuzz suite never compares counters across kinds.
 
 A second test SIGKILLs one worker mid-tape: the supervisor must restart
-it, replay its WAL, and finish the tape with every stream still
-bit-identical -- crash recovery is invisible to the client.
+it, re-seed it from the coordinator's own state, and finish the tape with
+every stream still bit-identical -- crash recovery is invisible to the
+client.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def run_sync_with_kill(
     """Replay ``tape`` like ``run_sync`` but SIGKILL worker 0 at one op.
 
     No checkpoint/restore ops here -- the point is that the *same*
-    cluster object survives the crash via supervised restart + WAL
-    replay, so checkpoint ops are replayed as observations instead.
+    cluster object survives the crash via supervised restart + re-seed,
+    so checkpoint ops are replayed as observations instead.
     """
     log = RunLog()
     service = MonitoringService(_spec(engine_name, storage))
@@ -191,10 +192,10 @@ def run_sync_with_kill(
 
 
 @pytest.mark.parametrize("storage", ["bisect", "columnar"])
-def test_sigkill_mid_tape_is_invisible_after_wal_replay(storage: str) -> None:
-    """Both storage backends: the restarted worker replays its WAL through
-    the normal event path, so the columnar backend must come back
-    bit-identical too."""
+def test_sigkill_mid_tape_is_invisible_after_coordinator_reseed(storage: str) -> None:
+    """Both storage backends: the restarted worker is seeded through the
+    normal event path (``restore_into``), so the columnar backend must
+    come back bit-identical too."""
     seed, tie_heavy = TAPES[0]
     tape = generate_tape(seed, tie_heavy)
     kill_at = len(tape) // 2

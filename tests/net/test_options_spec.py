@@ -20,7 +20,6 @@ def test_proc_options_round_trip():
         connect_timeout_ms=2_000.0,
         max_restarts=3,
         backoff_ms=10.0,
-        checkpoint_every=64,
         start_method="fork",
     )
     assert ProcOptions.from_dict(options.to_dict()) == options
@@ -39,6 +38,22 @@ def test_unknown_proc_option_is_named():
         ProcOptions.from_dict({"trnsport": "unix"})
 
 
+def test_legacy_checkpoint_every_is_accepted_and_ignored():
+    # Specs and durability manifests written while workers checkpointed
+    # carry the key; they must reopen.
+    legacy = {**ProcOptions(max_restarts=3).to_dict(), "checkpoint_every": 512}
+    assert ProcOptions.from_dict(legacy) == ProcOptions(max_restarts=3)
+    spec = EngineSpec.from_dict(
+        {**EngineSpec(kind="sharded-proc", num_shards=2).to_dict(), "proc": legacy}
+    )
+    assert spec.proc == ProcOptions(max_restarts=3)
+    assert "checkpoint_every" not in ProcOptions().to_dict()
+    with pytest.raises(ConfigurationError, match="'checkpoint_evry'"):
+        ProcOptions.from_dict({**legacy, "checkpoint_evry": 512})
+    with pytest.raises(TypeError):
+        ProcOptions(checkpoint_every=512)
+
+
 def test_unknown_transport_is_named():
     with pytest.raises(ConfigurationError, match="transport 'carrier-pigeon'"):
         ProcOptions(transport="carrier-pigeon").validate()
@@ -53,7 +68,6 @@ def test_unknown_transport_is_named():
         ("connect_timeout_ms", -1, "connect_timeout_ms"),
         ("max_restarts", -1, "max_restarts"),
         ("backoff_ms", -0.5, "backoff_ms"),
-        ("checkpoint_every", 0, "checkpoint_every"),
         ("start_method", "threads", "start_method"),
     ],
 )
@@ -71,7 +85,7 @@ def test_spec_round_trip_with_proc_options():
         num_shards=3,
         window=WindowSpec.count(64),
         placement="hash",
-        proc=ProcOptions(transport="tcp", checkpoint_every=32),
+        proc=ProcOptions(transport="tcp", max_restarts=3),
     )
     spec.validate()
     encoded = spec.to_dict()

@@ -13,27 +13,60 @@ from repro.core.engine import ITAEngine
 from repro.exceptions import (
     ConfigurationError,
     DuplicateQueryError,
+    RpcTransportError,
     UnknownQueryError,
+    WindowError,
     WorkerCrashError,
 )
 from repro.net.cluster import ProcessClusterEngine
 from repro.net.options import ProcOptions
 from repro.service import EngineSpec, MonitoringService, WindowSpec
-from tests.conftest import StreamCase
+from tests.conftest import StreamCase, TieFreeCase, make_document, make_query
 
 WINDOW = 32
-FAST = ProcOptions(
-    request_timeout_ms=30_000.0, backoff_ms=5.0, checkpoint_every=16
-)
+FAST = ProcOptions(request_timeout_ms=30_000.0, backoff_ms=5.0)
 
 
 def make_cluster(num_workers=2, placement="hash", options=FAST, window=WINDOW):
+    if not isinstance(window, WindowSpec):
+        window = WindowSpec.count(window)
     return ProcessClusterEngine(
         num_workers=num_workers,
-        window_spec=WindowSpec.count(window),
+        window_spec=window,
         placement=placement,
         options=options,
     )
+
+
+def make_reference(window=WindowSpec.count(WINDOW)):
+    return ShardedEngine(
+        num_shards=2,
+        shard_factory=lambda: ITAEngine(window.build(), track_changes=True),
+        placement="hash",
+    )
+
+
+def digest(engine):
+    return {
+        query_id: [(entry.doc_id, entry.score) for entry in result]
+        for query_id, result in engine.current_results().items()
+    }
+
+
+def lose_next_ack(cluster, shard):
+    """Make ``shard``'s next response read SIGKILL its worker *after* the
+    worker applied the request and answered, then fail as a torn
+    connection would: the coordinator never learns the call succeeded."""
+    connection = cluster._workers[shard].connection
+    read_response = connection.read_response
+    pid = cluster.worker_pids()[shard]
+
+    def lost(request_id, deadline=None):
+        read_response(request_id, deadline)
+        os.kill(pid, signal.SIGKILL)
+        raise RpcTransportError("the ack was lost")
+
+    connection.read_response = lost
 
 
 def normalize(changes):
@@ -88,7 +121,7 @@ def test_batched_ingest_matches_per_document_changes():
         ]
 
 
-def test_sigkill_mid_stream_recovers_from_wal_bit_identically():
+def test_sigkill_mid_stream_recovers_from_coordinator_bit_identically():
     case = StreamCase(88, num_queries=6, num_documents=80)
     reference = ShardedEngine(
         num_shards=2,
@@ -200,3 +233,137 @@ def test_service_snapshot_restores_into_a_fresh_proc_cluster():
             restored.close()
     finally:
         service.close()
+
+
+def test_batch_rejected_part_way_keeps_its_prefix_like_ita():
+    """A stale arrival mid-batch: the workers keep the accepted prefix,
+    exactly as one engine does, instead of lagging the mirror."""
+    single = ITAEngine(WindowSpec.count(WINDOW).build(), track_changes=True)
+    with make_cluster() as cluster:
+        for engine in (single, cluster):
+            engine.register_query(make_query(0, {1: 1.0}, k=2))
+            engine.process_batch_events([make_document(0, {1: 0.2}, arrival_time=1.0)])
+            with pytest.raises(WindowError):
+                engine.process_batch_events(
+                    [
+                        make_document(1, {1: 0.5}, arrival_time=5.0),
+                        make_document(2, {1: 0.9}, arrival_time=3.0),
+                    ]
+                )
+        ids = [streamed.document.doc_id for streamed in single.window]
+        assert ids == [0, 1]
+        assert [streamed.document.doc_id for streamed in cluster.window] == ids
+        assert digest(cluster) == digest(single)
+        cluster.check_invariants()
+
+
+@pytest.mark.parametrize("op", ["ingest", "advance_time", "subscribe", "unsubscribe"])
+def test_an_operation_whose_ack_is_lost_is_applied_exactly_once(op):
+    """The worker applies the call, answers, and dies before the answer is
+    read: the replacement is seeded with the state *before* the call and
+    the call is re-sent, so it takes effect once."""
+    case = TieFreeCase(31, num_queries=6, num_documents=70)
+    window = WindowSpec.time(6.0) if op == "advance_time" else WindowSpec.count(WINDOW)
+    reference = make_reference(window)
+    late = case.queries[-1]
+    with make_cluster(window=window) as cluster:
+        for query in case.queries[:-1]:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:40]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        rest = case.documents[40:]
+        if op == "ingest":
+            shard, batch, rest = 0, rest[:5], rest[5:]
+            expected = reference.process_batch_events(batch)
+            lose_next_ack(cluster, shard)
+            actual = cluster.process_batch_events(batch)
+            assert [normalize(e) for e in actual] == [normalize(e) for e in expected]
+        elif op == "advance_time":
+            shard, now = 1, case.documents[39].arrival_time + 4.0
+            rest = [document for document in rest if document.arrival_time >= now]
+            expected = reference.advance_time(now)
+            assert expected, "the advance must expire something"
+            lose_next_ack(cluster, shard)
+            assert normalize(cluster.advance_time(now)) == normalize(expected)
+        elif op == "subscribe":
+            shard = reference.register_query(late)
+            lose_next_ack(cluster, shard)
+            assert cluster.register_query(late) == shard
+        else:
+            query_id = case.queries[0].query_id
+            shard = cluster.shard_of(query_id)
+            reference.unregister_query(query_id)
+            lose_next_ack(cluster, shard)
+            cluster.unregister_query(query_id)
+            assert query_id not in cluster.query_ids()
+        restarts = [0, 0]
+        restarts[shard] = 1
+        assert cluster.restart_counts() == restarts
+        assert digest(cluster) == digest(reference)
+        for document in rest:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert digest(cluster) == digest(reference)
+        cluster.check_invariants()
+
+
+@pytest.mark.parametrize("max_restarts", [0, 1])
+def test_a_worker_killed_while_being_seeded_spends_the_budget(max_restarts):
+    """Every replacement dies as its seed arrives: each is one more restart
+    attempt, the call ends in WorkerCrashError, and no process survives."""
+    options = ProcOptions(max_restarts=max_restarts, backoff_ms=1.0, request_timeout_ms=10_000.0)
+    cluster = make_cluster(options=options)
+    processes = [worker.process for worker in cluster._workers]
+    seeds = []
+    spawn = cluster._spawn
+
+    def spawn_then_die_on_restore(shard):
+        worker = spawn(shard)
+        processes.append(worker.process)
+        send_request = worker.connection.send_request
+
+        def send(method, params=None, deadline=None):
+            if method == "restore":
+                seeds.append(shard)
+                os.kill(worker.process.pid, signal.SIGKILL)
+                worker.process.join(5.0)
+            return send_request(method, params, deadline)
+
+        worker.connection.send_request = send
+        return worker
+
+    cluster._spawn = spawn_then_die_on_restore
+    try:
+        case = StreamCase(3, num_documents=4)
+        cluster.register_query(case.queries[0])
+        cluster.process(case.documents[0])
+        os.kill(cluster.worker_pids()[0], signal.SIGKILL)
+        time.sleep(0.1)  # let the kernel tear the socket down
+        with pytest.raises(WorkerCrashError):
+            cluster.process(case.documents[1])
+        assert seeds == [0] * max_restarts
+        assert cluster.total_restarts == max_restarts
+    finally:
+        cluster.close()
+    for process in processes:
+        process.join(5.0)
+        assert not process.is_alive(), f"worker {process.pid} outlived close()"
+
+
+def test_workers_write_nothing(tmp_path):
+    """Subscribe, ingest, SIGKILL and recover under a caller's data_dir:
+    no WAL, no checkpoint -- the unix sockets are gone once connected."""
+    case = StreamCase(12, num_queries=4, num_documents=30)
+    options = ProcOptions(data_dir=str(tmp_path), backoff_ms=5.0)
+    with make_cluster(options=options) as cluster:
+        for query in case.queries:
+            cluster.register_query(query)
+        for index, document in enumerate(case.documents):
+            if index == 15:
+                os.kill(cluster.worker_pids()[0], signal.SIGKILL)
+                time.sleep(0.1)  # let the kernel tear the socket down
+            cluster.process(document)
+        assert cluster.restart_counts() == [1, 0]
+    assert not list(tmp_path.glob("**/wal"))
+    assert not list(tmp_path.glob("**/checkpoint*.json"))
+    assert sorted(tmp_path.rglob("*")) == []

@@ -13,8 +13,9 @@ remote user would take:
   queries and ingests a document stream, and every remote result is
   bit-identical to a local reference service fed the same stream,
 * one worker process is SIGKILLed mid-stream; the coordinator restarts
-  it, replays its WAL, and the continued stream stays bit-identical
-  (``worker_restarts`` proves the failover actually happened),
+  it, re-seeds it from its own mirror window and placement, and the
+  continued stream stays bit-identical (``worker_restarts`` proves the
+  failover actually happened),
 * typed errors cross the wire (``UnknownQueryError`` after an
   unsubscribe),
 * SIGTERM takes the graceful path: in-flight work drains, worker

@@ -1,100 +1,104 @@
-"""Fan-out of stream events to the shards of a cluster.
+"""Fan-out of engine calls to the shards of a cluster.
 
 Every shard of a :class:`~repro.cluster.engine.ShardedEngine` owns a full
 copy of the sliding window (the *queries* are partitioned, the *documents*
 are replicated), so each arrival, expiration and clock advancement must
-reach every shard -- and in the same order, so all shard windows slide
-consistently.  The dispatcher centralises that fan-out and measures the
-service time each shard spends on it, which is the quantity a real
-deployment cares about: with shards on separate cores or machines the
-cluster's latency is the per-shard time, not the sum.
+reach every shard, in the same order.  The dispatcher centralises that
+fan-out and times each shard: with shards on separate cores or machines
+the cluster's latency is the per-shard time, not the sum.
 
-The batch API (:meth:`EventDispatcher.dispatch_batch`) groups consecutive
-stream elements and feeds each shard the whole group in one inner loop,
-amortising the per-event dispatch overhead (attribute lookups, timer
-starts) and improving locality: a shard's index stays hot while it
-processes the entire batch.
+:meth:`EventDispatcher.fan_out` is *pipelined*: every shard is sent the
+call before any is read.  An in-process shard computes when it is sent; a
+:class:`~repro.net.remote.RemoteShard`'s worker computes while the other
+shards are sent theirs, and is read afterwards.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.base import MonitoringEngine, ResultChange
-from repro.documents.document import StreamedDocument
+from repro.exceptions import ReproError
+from repro.observability import runtime as _obs
 from repro.observability.timing import Timer
 
-__all__ = ["EventDispatcher"]
+__all__ = ["EventDispatcher", "Seed", "ShardCall"]
+
+#: ``seed(shard)``: that shard's state before a call, as a
+#: :func:`~repro.persistence.snapshot_engine`-format document
+Seed = Callable[[int], Dict[str, Any]]
+
+
+class ShardCall:
+    """One engine call, fanned out to every shard or made on one."""
+
+    __slots__ = ("method", "args", "seed", "encoded")
+
+    def __init__(self, method: str, args: Sequence[Any] = (), seed: Optional[Seed] = None) -> None:
+        #: the engine method each shard runs, with ``args``
+        self.method = method
+        self.args = tuple(args)
+        #: what a remote shard replacing its worker mid-call seeds it with
+        #: (``None``: the coordinator's state now)
+        self.seed = seed
+        #: the wire encoding, made by the first remote shard that sends the
+        #: call and reused by the others: once per fan-out, not per shard
+        self.encoded: Optional[bytes] = None
 
 
 class EventDispatcher:
-    """Delivers stream events to every shard and times the work per shard."""
+    """Delivers engine calls to every shard and times the work per shard."""
 
-    def __init__(self, shards: Sequence[MonitoringEngine]) -> None:
+    def __init__(self, shards: Sequence[Any]) -> None:
         self.shards = list(shards)
-        #: one stopwatch per shard, accumulating that shard's service time
+        self._remote = [hasattr(shard, "send") for shard in self.shards]
+        #: one stopwatch per shard: one measurement per fan-out -- an
+        #: in-process shard's computation, or the wait for a remote one
         self.shard_timers: List[Timer] = [Timer() for _ in self.shards]
 
-    # ------------------------------------------------------------------ #
-    # fan-out
-    # ------------------------------------------------------------------ #
-    def dispatch(self, document: StreamedDocument) -> List[List[ResultChange]]:
-        """Deliver one arrival to every shard; per-shard result changes."""
-        per_shard: List[List[ResultChange]] = []
-        for shard, timer in zip(self.shards, self.shard_timers):
-            with timer:
-                per_shard.append(shard.process(document))
-        return per_shard
+    def fan_out(
+        self, method: str, args: Sequence[Any] = (), seed: Optional[Seed] = None
+    ) -> List[Any]:
+        """Call ``method(*args)`` on every shard; the results by shard.
 
-    def dispatch_batch(
-        self, documents: Sequence[StreamedDocument]
-    ) -> List[List[List[ResultChange]]]:
-        """Deliver a batch of consecutive arrivals to every shard.
-
-        Each shard runs its own batched fast path over the whole batch
-        (:meth:`~repro.core.base.MonitoringEngine.process_batch_events`,
-        one timer measurement per shard and batch), so per-event dispatch
-        overhead is amortised over the batch.  Equivalent to calling
-        :meth:`dispatch` once per document -- every shard sees the same
-        documents in the same order -- and the changes come back per shard
-        *per event* (``result[shard][event]``), so the caller can
-        reconstruct the exact event-major change stream of unbatched
-        processing.
+        Every remote shard is read even after one of them failed, so the
+        connections stay request/response aligned; then the first shard's
+        error is raised.
         """
-        per_shard: List[List[List[ResultChange]]] = []
-        for shard, timer in zip(self.shards, self.shard_timers):
-            with timer:
-                per_shard.append(shard.process_batch_events(documents))
-        return per_shard
-
-    def advance_time(self, now: float) -> List[List[ResultChange]]:
-        """Advance every shard's clock (time-based windows)."""
-        per_shard: List[List[ResultChange]] = []
-        for shard, timer in zip(self.shards, self.shard_timers):
-            with timer:
-                per_shard.append(shard.advance_time(now))
-        return per_shard
+        observed = _obs.active
+        started = time.perf_counter() if observed else 0.0
+        call = ShardCall(method, args, seed)
+        results: List[Any] = []
+        for shard, remote, timer in zip(self.shards, self._remote, self.shard_timers):
+            if remote:
+                shard.send(call)
+                results.append(None)
+            else:
+                with timer:
+                    results.append(getattr(shard, method)(*call.args))
+        error: Optional[ReproError] = None
+        for index, shard in enumerate(self.shards):
+            if not self._remote[index]:
+                continue
+            try:
+                with self.shard_timers[index]:
+                    results[index] = shard.receive(call)
+            except ReproError as failure:
+                error = error or failure
+        if error is not None:
+            raise error
+        if observed:
+            _obs.histogram_child(
+                "repro_cluster_dispatch_ms", "pipelined fan-out latency", "method", method
+            ).observe((time.perf_counter() - started) * 1000.0)
+        return results
 
     # ------------------------------------------------------------------ #
     # timing introspection
     # ------------------------------------------------------------------ #
-    def shard_mean_ms(self) -> List[float]:
-        """Mean measured service time per shard, in milliseconds.
-
-        For :meth:`dispatch` one measurement is one event; for
-        :meth:`dispatch_batch` one measurement is one batch.
-        """
-        return [timer.mean_ms for timer in self.shard_timers]
-
     def shard_total_ms(self) -> List[float]:
-        """Total measured service time per shard, in milliseconds."""
+        """Total measured time per shard, in milliseconds."""
         return [timer.total_ms for timer in self.shard_timers]
-
-    def max_shard_total_ms(self) -> float:
-        """The busiest shard's total service time -- the cluster's critical
-        path when shards run in parallel."""
-        totals = self.shard_total_ms()
-        return max(totals) if totals else 0.0
 
     def reset_timers(self) -> None:
         """Zero every shard stopwatch (e.g. after a warm-up phase)."""

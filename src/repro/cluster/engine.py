@@ -1,25 +1,32 @@
-"""The query-sharded monitoring cluster.
+"""The query-sharded monitoring cluster: one coordinator for every transport.
 
 :class:`ShardedEngine` scales the paper's single main-memory server out
-horizontally: it owns ``N`` inner monitoring engines (ITA by default, any
-engine via the factory), *partitions* the installed queries across them
-with a pluggable placement policy, and *replicates* the document stream to
-every shard so all shard windows slide consistently.  Each query is
-evaluated by exactly one shard running the full algorithm over the full
-window, so the merged results are identical -- including tie-breaks -- to a
-single engine hosting every query, while the per-arrival query-processing
-work on each shard shrinks to its share of the queries.
+horizontally: it *partitions* the installed queries across ``N`` shard
+engines with a pluggable placement policy and *replicates* the document
+stream to every shard, so all shard windows slide consistently.  Each
+query is evaluated by exactly one shard running the full algorithm over
+the full window, so the merged results are identical -- tie-breaks
+included -- to a single engine hosting every query, while each shard does
+only its share of the per-arrival query-processing work.
 
-The class implements the :class:`~repro.core.base.MonitoringEngine`
-interface, so the experiment harness, persistence, throughput analysis and
-the examples drive a cluster exactly like a single engine.  Cluster-only
-capabilities (live query migration, rebalancing, per-shard introspection)
-are additive.
+A shard is anything with the engine interface: an in-process engine
+(kind ``"sharded"``) or a :class:`~repro.net.remote.RemoteShard` whose
+engine runs in a worker process (kind ``"sharded-proc"``).  The mirror
+window, registry, placement, part-way-batch prefix rule, event-major
+merge, migration and invariants are written once, here, for both.
+
+**Seeds.**  Every call that changes a shard can hand it the shard's state
+before the call: the mirror's documents at the pre-call clock and the
+registry's queries assigned to it (a query is assigned once its shard
+acknowledged it, and unassigned once its removal was).  A remote shard
+that must replace its worker mid-call seeds the replacement with it; the
+seed is built only when asked for.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from itertools import chain
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cluster.dispatcher import EventDispatcher
 from repro.cluster.merger import ResultMerger
@@ -30,6 +37,7 @@ from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.exceptions import ConfigurationError, UnknownQueryError, WindowError
 from repro.observability.timing import AggregatedCounters
+from repro.persistence import SNAPSHOT_VERSION, document_record, query_record
 from repro.query.query import ContinuousQuery
 from repro.query.registry import QueryRegistry
 
@@ -78,29 +86,66 @@ class ShardedEngine(MonitoringEngine):
             shard_factory = lambda: ITAEngine(  # noqa: E731
                 CountBasedWindow(1000), track_changes=track_changes
             )
-        self.shards: List[MonitoringEngine] = [shard_factory() for _ in range(num_shards)]
-        # The cluster keeps a mirror window of its own -- a fresh window
-        # configured like shard 0's -- so that generic code inspecting
-        # ``engine.window`` (length, valid documents, snapshots) sees the
-        # same contents as every shard.
-        super().__init__(WindowSpec.of(self.shards[0].window).build())
-        self.num_shards = num_shards
+        shards = [shard_factory() for _ in range(num_shards)]
+        self._assemble(shards, WindowSpec.of(shards[0].window), placement, track_changes)
+
+    def _assemble(
+        self,
+        shards: Sequence[Any],
+        window_spec: WindowSpec,
+        placement: Union[str, PlacementPolicy],
+        track_changes: bool,
+    ) -> None:
+        """Coordinate ``shards`` with a *mirror* window of ``window_spec``.
+
+        The mirror pre-validates arrivals (a rejected document reaches no
+        shard), holds what seeds are built from, and serves
+        ``engine.window`` (length, valid documents, snapshots).
+        """
+        super().__init__(window_spec.build())
+        self.shards = list(shards)
+        self.num_shards = len(self.shards)
+        self.window_spec = window_spec
         self.track_changes = track_changes
         self.dispatcher = EventDispatcher(self.shards)
         self.merger = ResultMerger()
         if isinstance(placement, PlacementPolicy):
-            if placement.num_shards != num_shards:
+            if placement.num_shards != self.num_shards:
                 raise ConfigurationError(
                     f"placement policy is sized for {placement.num_shards} shards, "
-                    f"cluster has {num_shards}"
+                    f"cluster has {self.num_shards}"
                 )
             self.placement = placement
         else:
-            self.placement = make_placement(placement, num_shards)
+            self.placement = make_placement(placement, self.num_shards)
         self.registry = QueryRegistry()
         self._assignment: Dict[int, int] = {}
         # Cluster counters are the live sum over the shards' blocks.
         self.counters = AggregatedCounters(lambda: [shard.counters for shard in self.shards])
+
+    # ------------------------------------------------------------------ #
+    # seeds
+    # ------------------------------------------------------------------ #
+    def _seed(
+        self, shard: int, clock: Optional[float], documents: Iterable[StreamedDocument]
+    ) -> Dict[str, Any]:
+        """``shard`` as a :func:`~repro.persistence.snapshot_engine` document:
+        ``documents`` at ``clock``, and the queries assigned to it."""
+        return {
+            "version": SNAPSHOT_VERSION,
+            "window": self.window_spec.to_dict(),
+            "clock": clock,
+            "documents": [document_record(document) for document in documents],
+            "queries": [
+                query_record(query)
+                for query in self.registry
+                if self._assignment.get(query.query_id) == shard
+            ],
+        }
+
+    def _current_state(self, shard: int) -> Dict[str, Any]:
+        """The seed of a call that changes no window: the mirror as it is."""
+        return self._seed(shard, self.window.clock, self.window)
 
     # ------------------------------------------------------------------ #
     # query management
@@ -112,9 +157,7 @@ class ShardedEngine(MonitoringEngine):
         restore and migration pass the shard explicitly.
         """
         if shard is not None and not 0 <= shard < self.num_shards:
-            raise ConfigurationError(
-                f"shard {shard} outside 0..{self.num_shards - 1}"
-            )
+            raise ConfigurationError(f"shard {shard} outside 0..{self.num_shards - 1}")
         self.registry.register(query)
         try:
             if shard is None:
@@ -136,11 +179,20 @@ class ShardedEngine(MonitoringEngine):
         return shard
 
     def unregister_query(self, query_id: int) -> None:
-        """Terminate ``query_id`` on whichever shard hosts it."""
-        query = self.registry.unregister(query_id)
-        shard = self._assignment.pop(query_id)
-        self.shards[shard].unregister_query(query_id)
-        self.placement.forget(query, shard)
+        """Terminate ``query_id`` on whichever shard hosts it.
+
+        The query stays registered and assigned until its shard
+        acknowledges the removal, so a seed built during the call still
+        holds it.
+        """
+        query = self.registry.get(query_id)
+        shard = self._assignment[query_id]
+        try:
+            self.shards[shard].unregister_query(query_id)
+        finally:
+            self.registry.unregister(query_id)
+            del self._assignment[query_id]
+            self.placement.forget(query, shard)
 
     def query_ids(self) -> List[int]:
         return self.registry.query_ids()
@@ -168,44 +220,61 @@ class ShardedEngine(MonitoringEngine):
     # ------------------------------------------------------------------ #
     def process(self, document: StreamedDocument) -> List[ResultChange]:
         """Fan one arrival out to every shard; merged result changes."""
-        self.window.insert(document)
-        per_shard = self.dispatcher.dispatch(document)
-        return self.merger.merge_changes(per_shard)
+        return self.process_batch_events([document])[0]
 
-    def process_batch_events(
-        self, documents: Sequence[StreamedDocument]
-    ) -> List[List[ResultChange]]:
-        """Feed a batch of stream elements through the batch fan-out.
+    def process_batch_events(self, documents: Iterable[StreamedDocument]) -> List[List[ResultChange]]:
+        """Replicate a batch to every shard; event-major merged changes.
 
-        Consecutive elements are grouped so each shard runs its own
-        batched fast path over the whole batch (see
-        :meth:`~repro.cluster.dispatcher.EventDispatcher.dispatch_batch`),
-        amortising the per-event dispatch overhead.  The merged change
-        stream is re-interleaved event-major, so the result is identical
-        to unbatched per-event processing (``process_batch`` and
-        ``process_many`` flatten it).  Like a single engine, a batch
+        Each shard runs its own batched fast path over the whole batch,
+        and the merged change stream is re-interleaved event-major, so the
+        result is identical to unbatched per-event processing
+        (``process_batch`` and ``process_many`` flatten it).  The mirror
+        window takes the batch first and applies exactly the validation
+        the shards would (stale arrivals).  Like a single engine, a batch
         rejected part-way keeps its accepted prefix: the shards get the
         prefix, then the error is re-raised.
         """
         batch = list(documents)
+        clock = self.window.clock
+        expired: List[StreamedDocument] = []
         for accepted, document in enumerate(batch):
             try:
-                self.window.insert(document)
+                expired.extend(self.window.insert(document))
             except WindowError:
-                self.dispatcher.dispatch_batch(batch[:accepted])
+                self._replicate(batch[:accepted], clock, expired)
                 raise
-        per_shard = self.dispatcher.dispatch_batch(batch)
+        return self._replicate(batch, clock, expired)
+
+    def _replicate(
+        self, batch: Sequence[StreamedDocument], clock: Optional[float], expired: List[StreamedDocument]
+    ) -> List[List[ResultChange]]:
+        """Fan a batch the mirror already took out to every shard.
+
+        The seed is the window before the batch: the mirror minus the
+        batch plus what the batch expired (a batch longer than the window
+        expires some of its own documents), at the pre-batch ``clock``.
+        """
+        if not batch:
+            return []
+
+        def seed(shard: int) -> Dict[str, Any]:
+            fresh = {id(document) for document in batch}
+            before = chain(expired, self.window)
+            return self._seed(shard, clock, (d for d in before if id(d) not in fresh))
+
+        per_shard = self.dispatcher.fan_out("process_batch_events", (batch,), seed)
         return [
-            self.merger.merge_changes(
-                shard_events[event_index] for shard_events in per_shard
-            )
-            for event_index in range(len(batch))
+            self.merger.merge_changes(shard_events[event] for shard_events in per_shard)
+            for event in range(len(batch))
         ]
 
     def advance_time(self, now: float) -> List[ResultChange]:
         """Advance every shard's clock consistently (time-based windows)."""
-        self.window.advance_time(now)
-        per_shard = self.dispatcher.advance_time(now)
+        clock = self.window.clock
+        expired = self.window.advance_time(now)
+        per_shard = self.dispatcher.fan_out(
+            "advance_time", (now,), lambda shard: self._seed(shard, clock, chain(expired, self.window))
+        )
         return self.merger.merge_changes(per_shard)
 
     # ------------------------------------------------------------------ #
@@ -216,7 +285,7 @@ class ShardedEngine(MonitoringEngine):
 
     def current_results(self) -> Dict[int, TopKResult]:
         """The merged results of every installed query, across all shards."""
-        return self.merger.merge_results(shard.current_results() for shard in self.shards)
+        return self.merger.merge_results(self.dispatcher.fan_out("current_results"))
 
     def top_documents(self, limit: int) -> TopKResult:
         """Cluster-wide best documents across all queries (dashboard view)."""
@@ -233,15 +302,15 @@ class ShardedEngine(MonitoringEngine):
         is unchanged by the move.
         """
         if not 0 <= target_shard < self.num_shards:
-            raise ConfigurationError(
-                f"shard {target_shard} outside 0..{self.num_shards - 1}"
-            )
+            raise ConfigurationError(f"shard {target_shard} outside 0..{self.num_shards - 1}")
         source_shard = self.shard_of(query_id)
         if source_shard == target_shard:
             return
         query = self.registry.get(query_id)
         self.shards[source_shard].unregister_query(query_id)
         self.placement.forget(query, source_shard)
+        # Hosted nowhere until a shard acknowledges it again.
+        del self._assignment[query_id]
         try:
             self.shards[target_shard].register_query(query)
         except Exception:
@@ -249,6 +318,7 @@ class ShardedEngine(MonitoringEngine):
             # not lose it from every shard.
             self.shards[source_shard].register_query(query)
             self.placement.record(query, source_shard)
+            self._assignment[query_id] = source_shard
             raise
         self.placement.record(query, target_shard)
         self._assignment[query_id] = target_shard
@@ -293,16 +363,20 @@ class ShardedEngine(MonitoringEngine):
     def check_invariants(self) -> None:
         """Validate placement bookkeeping and every shard (tests only)."""
         assert sorted(self._assignment) == sorted(self.registry.query_ids())
-        for query_id, shard in self._assignment.items():
-            assert query_id in self.shards[shard].query_ids(), (
-                f"query {query_id} assigned to shard {shard} but not hosted there"
-            )
-        hosted = [query_id for shard in self.shards for query_id in shard.query_ids()]
-        assert len(hosted) == len(set(hosted)), "a query is hosted by several shards"
-        for shard in self.shards:
+        hosted: List[int] = []
+        for index, shard in enumerate(self.shards):
+            for query_id in shard.query_ids():
+                assert self._assignment.get(query_id) == index, (
+                    f"query {query_id} hosted on shard {index} but assigned to "
+                    f"{self._assignment.get(query_id)}"
+                )
+                hosted.append(query_id)
             assert len(shard.window) == len(self.window), (
-                "shard window diverged from the cluster mirror window"
+                f"shard {index} window diverged from the cluster mirror window"
             )
             validate = getattr(shard, "check_invariants", None)
             if validate is not None:
                 validate()
+        assert sorted(hosted) == sorted(self._assignment), (
+            "an assigned query is not hosted, or a query is hosted by several shards"
+        )

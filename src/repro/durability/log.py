@@ -18,27 +18,28 @@ to a directory and makes its state recoverable:
   :func:`~repro.durability.recovery.recover_service` can re-assemble the
   service without any other input.
 
-For a sharded engine the log keeps **one WAL per shard**
-(``shard-0/``, ``shard-1/``, ...), modelling a deployment where every
-shard node logs locally: the replicated events (ingest, time advancement)
-are appended to every shard's log under one shared ``lsn``, while
-subscribe/unsubscribe records land only in the owning shard's log --
-recovery merges the shard logs by ``lsn`` and re-registers every query on
-exactly the shard that owned it.  The single-engine layout is the same
-thing with one ``wal/`` directory.
+Every engine kind, a cluster included, has **one** WAL: the service is the
+one writer, and each record is appended once.  A ``subscribe`` record of
+a cluster carries the query's ``shard``, which recovery pins the query
+on.
 
 Directory layout::
 
     MANIFEST.json                 # layout, policy, spec, live checkpoint
     checkpoint-<lsn>.json         # the service snapshot covering lsn
-    wal/wal-<seq>.jsonl           # single-engine layout
-    shard-<k>/wal-<seq>.jsonl     # cluster layout, one directory per shard
+    wal/wal-<seq>.jsonl           # the log
+
+Directories written before the one log held a cluster's log as
+``shard-<k>/`` directories, one per shard, each with every replicated
+record.  Recovery still reads them, merged by ``lsn``; the resumed log
+appends to ``wal/``, and its first checkpoint deletes them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -142,10 +143,9 @@ def _checkpoint_name(lsn: int) -> str:
     return f"{_CHECKPOINT_PREFIX}{lsn:0{_LSN_DIGITS}d}.json"
 
 
-def _wal_directories(path: Path, layout: str, num_shards: int) -> List[Path]:
-    if layout == "cluster":
-        return [path / f"shard-{shard}" for shard in range(num_shards)]
-    return [path / "wal"]
+def _wal_directories(path: Path) -> List[Path]:
+    """The log, and the per-shard logs of a directory written before it."""
+    return [path / "wal", *sorted(path.glob("shard-*"))]
 
 
 class DurabilityLog:
@@ -163,8 +163,6 @@ class DurabilityLog:
         service: Any,
         path: Path,
         policy: DurabilityPolicy,
-        layout: str,
-        num_shards: int,
         manifest: Dict[str, Any],
         next_lsn: int,
         records_since_checkpoint: int = 0,
@@ -172,8 +170,6 @@ class DurabilityLog:
         self._service = service
         self.path = Path(path)
         self.policy = policy
-        self.layout = layout
-        self.num_shards = num_shards
         self._manifest = manifest
         self._next_lsn = next_lsn
         self._records_since_checkpoint = records_since_checkpoint
@@ -184,30 +180,16 @@ class DurabilityLog:
         #: engine has not applied yet.
         self._logged_clock: Optional[float] = service.window.clock
         self._closed = False
-        self._wals = [
-            WriteAheadLog(
-                directory,
-                fsync=policy.fsync,
-                fsync_interval=policy.fsync_interval,
-                segment_max_records=policy.segment_max_records,
-            )
-            for directory in _wal_directories(self.path, layout, num_shards)
-        ]
+        self._wal = WriteAheadLog(
+            self.path / "wal",
+            fsync=policy.fsync,
+            fsync_interval=policy.fsync_interval,
+            segment_max_records=policy.segment_max_records,
+        )
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _layout_of(engine: Any) -> Dict[str, Any]:
-        # Imported lazily: the cluster's cost-model placement imports
-        # repro.workloads, whose runner imports repro.service.spec, which
-        # imports this package's policy module.
-        from repro.cluster.engine import ShardedEngine
-
-        if isinstance(engine, ShardedEngine):
-            return {"layout": "cluster", "num_shards": engine.num_shards}
-        return {"layout": "single", "num_shards": 1}
-
     @classmethod
     def create(
         cls, service: Any, path: Union[str, Path], policy: Optional[DurabilityPolicy] = None
@@ -228,25 +210,15 @@ class DurabilityLog:
                 "MonitoringService.open() instead of creating over it"
             )
         path.mkdir(parents=True, exist_ok=True)
-        shape = cls._layout_of(service.engine)
         manifest = {
             "format": MANIFEST_FORMAT,
-            "layout": shape["layout"],
-            "num_shards": shape["num_shards"],
+            "layout": "single",
             "policy": policy.to_dict(),
             "spec": service.spec.to_dict() if service.spec is not None else None,
             "checkpoint": None,
         }
         write_json_atomic(path / MANIFEST_NAME, manifest)
-        log = cls(
-            service,
-            path,
-            policy,
-            shape["layout"],
-            shape["num_shards"],
-            manifest,
-            next_lsn=1,
-        )
+        log = cls(service, path, policy, manifest, next_lsn=1)
         log.checkpoint()
         return log
 
@@ -267,13 +239,15 @@ class DurabilityLog:
         )
         resumed_policy.validate()
         checkpoint = manifest.get("checkpoint") or {"lsn": 0}
+        # A per-shard directory becomes the one log; its next checkpoint
+        # deletes the shard logs.
+        manifest = dict(manifest, layout="single")
+        manifest.pop("num_shards", None)
         return cls(
             service,
             Path(path),
             resumed_policy,
-            str(manifest.get("layout", "single")),
-            int(manifest.get("num_shards", 1)),
-            dict(manifest),
+            manifest,
             next_lsn=last_lsn + 1,
             records_since_checkpoint=max(0, last_lsn - int(checkpoint.get("lsn", 0))),
         )
@@ -307,13 +281,6 @@ class DurabilityLog:
         """The highest arrival/advance time appended to the log so far."""
         return self._logged_clock
 
-    def wal_segments(self) -> List[Path]:
-        """Every live WAL segment across every shard directory."""
-        segments: List[Path] = []
-        for wal in self._wals:
-            segments.extend(wal.segments)
-        return segments
-
     # ------------------------------------------------------------------ #
     # logging
     # ------------------------------------------------------------------ #
@@ -327,25 +294,27 @@ class DurabilityLog:
         return delta
 
     def _append(self, payload: Dict[str, Any], shard: Optional[int] = None) -> int:
+        """Append one record; ``shard`` is the shard a subscribe placed its
+        query on (recorded so recovery pins the query there)."""
         if self._closed:
             raise DurabilityError("the durability log is closed")
         lsn = self._next_lsn
         record = {"lsn": lsn, **payload}
+        if shard is not None:
+            record["shard"] = shard
         # Vocabulary growth rides on the record that caused it, so a WAL
         # prefix always pairs documents/queries with the exact term ids
         # they were analysed under.
         delta = self._vocab_delta()
         if delta:
             record["vocab"] = delta
-        targets = self._wals if shard is None else [self._wals[shard]]
-        for wal in targets:
-            wal.append(record)
+        self._wal.append(record)
         self._next_lsn = lsn + 1
         self._records_since_checkpoint += 1
         return lsn
 
     def log_ingest(self, batch: Sequence[StreamedDocument]) -> int:
-        """Append one ingest record (replicated to every shard log)."""
+        """Append one ingest record."""
         lsn = self._append(
             {"op": "ingest", "docs": [document_record(streamed) for streamed in batch]}
         )
@@ -358,27 +327,19 @@ class DurabilityLog:
         return lsn
 
     def log_subscribe(self, query: ContinuousQuery, shard: Optional[int] = None) -> int:
-        """Append a subscribe record to the owning shard's log."""
-        payload: Dict[str, Any] = {"op": "subscribe", "query": query_record(query)}
-        if shard is not None:
-            payload["shard"] = shard
-        return self._append(payload, shard=shard)
+        """Append a subscribe record (with the query's shard on a cluster)."""
+        return self._append({"op": "subscribe", "query": query_record(query)}, shard)
 
-    def log_unsubscribe(self, query_id: int, shard: Optional[int] = None) -> int:
-        """Append an unsubscribe record to the owning shard's log."""
-        return self._append({"op": "unsubscribe", "query_id": query_id}, shard=shard)
+    def log_unsubscribe(self, query_id: int) -> int:
+        """Append an unsubscribe record."""
+        return self._append({"op": "unsubscribe", "query_id": query_id})
 
     def log_queryscale(self, payload: Dict[str, Any]) -> int:
-        """Append a query-scale transition record (``hibernate``/``wake``).
-
-        Replicated to every shard log: hibernation state lives at the
-        service layer, above the shard partition, and recovery must see
-        the transition whichever shard log survives.
-        """
+        """Append a query-scale transition record (``hibernate``/``wake``)."""
         return self._append(dict(payload))
 
     def log_advance_time(self, now: float) -> int:
-        """Append a clock-advance record (replicated to every shard log)."""
+        """Append a clock-advance record."""
         lsn = self._append({"op": "advance_time", "now": now})
         if self._logged_clock is None or now > self._logged_clock:
             self._logged_clock = now
@@ -411,9 +372,10 @@ class DurabilityLog:
 
         # Everything appended so far has lsn <= the checkpoint's; rotating
         # makes those segments immutable and deletable as whole files.
-        for wal in self._wals:
-            for segment in wal.rotate():
-                segment.unlink(missing_ok=True)
+        for segment in self._wal.rotate():
+            segment.unlink(missing_ok=True)
+        for legacy in self.path.glob("shard-*"):
+            shutil.rmtree(legacy, ignore_errors=True)
         if previous and previous.get("file") and previous["file"] != checkpoint_path.name:
             (self.path / previous["file"]).unlink(missing_ok=True)
 
@@ -438,31 +400,25 @@ class DurabilityLog:
 
     # ------------------------------------------------------------------ #
     def sync(self) -> None:
-        """Force every shard log to stable storage."""
-        for wal in self._wals:
-            wal.sync()
+        """Force the log to stable storage."""
+        self._wal.sync()
 
     def close(self) -> None:
-        """Sync and close every shard log (idempotent)."""
+        """Sync and close the log (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for wal in self._wals:
-            wal.close()
+        self._wal.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}({str(self.path)!r}, layout={self.layout!r}, "
-            f"last_lsn={self.last_lsn})"
-        )
+        return f"{type(self).__name__}({str(self.path)!r}, last_lsn={self.last_lsn})"
 
 
 def wal_record_count(path: Union[str, Path]) -> int:
     """Total records on disk across every WAL directory under ``path``
-    (replicated cluster records counted once per shard file)."""
+    (a per-shard directory counts a replicated record once per shard)."""
     total = 0
-    root = Path(path)
-    for directory in [root / "wal", *sorted(root.glob("shard-*"))]:
+    for directory in _wal_directories(Path(path)):
         for segment in segment_paths(directory):
             with open(segment, "r", encoding="utf-8") as handle:
                 total += sum(1 for line in handle if line.strip())

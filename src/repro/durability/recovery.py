@@ -10,13 +10,12 @@ bit-identical to the uninterrupted run at the same record boundary on
 tie-free workloads (the kill-point tests in ``tests/durability/`` pin this
 down against the conformance-fuzz tapes).
 
-For the cluster layout the per-shard logs are merged by ``lsn`` before
-replay: replicated records (ingest, advance_time) appear in every shard's
-log under the same ``lsn`` and are applied once through the cluster
-fan-out; subscribe/unsubscribe records exist only in the owning shard's
-log and carry the shard index, so every query returns to exactly the
-shard that hosted it.  A record torn out of one shard's tail but intact
-in another's is still recovered -- the merge takes the union.
+A cluster's ``subscribe`` records carry the shard index, so every query
+returns to exactly the shard that hosted it.  A directory written before
+the one log holds per-shard logs (``shard-<k>/``): they are merged by
+``lsn`` with the log -- a replicated record appears in every shard's log
+under the same ``lsn`` and is applied once, and a record torn out of one
+shard's tail but intact in another's is still recovered.
 """
 
 from __future__ import annotations
@@ -78,10 +77,7 @@ class RecoveryReport:
 
 
 def read_tail(
-    path: Union[str, Path],
-    manifest: Dict[str, Any],
-    after_lsn: int,
-    repair: bool = False,
+    path: Union[str, Path], after_lsn: int, repair: bool = False
 ) -> List[Dict[str, Any]]:
     """The merged, lsn-ordered WAL records of ``path`` past ``after_lsn``.
 
@@ -90,10 +86,8 @@ def read_tail(
     find the resumed writer's records in *later* segments -- does not
     mistake the old crash residue for corruption.
     """
-    layout = str(manifest.get("layout", "single"))
-    num_shards = int(manifest.get("num_shards", 1))
     merged: Dict[int, Dict[str, Any]] = {}
-    for directory in _wal_directories(Path(path), layout, num_shards):
+    for directory in _wal_directories(Path(path)):
         for record in read_wal_records(directory, after_lsn=after_lsn, repair=repair):
             lsn = int(record["lsn"])
             existing = merged.get(lsn)
@@ -192,7 +186,7 @@ def recover_service(
     )
     restore_done = time.perf_counter()
 
-    tail = read_tail(path, manifest, after_lsn=checkpoint_lsn, repair=True)
+    tail = read_tail(path, after_lsn=checkpoint_lsn, repair=True)
     replayed_documents = 0
     last_lsn = checkpoint_lsn
     for record in tail:

@@ -109,9 +109,10 @@ class NetworkError(ReproError):
 class RpcTransportError(NetworkError):
     """The connection to the peer broke mid-call (reset, EOF, bad frame).
 
-    For calls into a :class:`~repro.net.cluster.ProcessClusterEngine`
-    worker this is the coordinator's cue to restart the worker and retry;
-    callers of the serving tier see it when the server goes away."""
+    For calls into a shard worker this is its
+    :class:`~repro.net.remote.RemoteShard` stub's cue to restart the
+    worker and retry; callers of the serving tier see it when the server
+    goes away."""
 
 
 class RpcTimeoutError(NetworkError):

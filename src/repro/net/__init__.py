@@ -1,8 +1,7 @@
-"""Out-of-process clustering and the network serving tier.
+"""Out-of-process shards and the network serving tier.
 
-This package promotes the query-sharded cluster of :mod:`repro.cluster`
-from shards inside one interpreter to real worker *processes*, and
-puts a thin socket server in front of
+This package gives the one cluster coordinator of :mod:`repro.cluster`
+shards in worker *processes*, and puts a thin socket server in front of
 :class:`~repro.service.MonitoringService` so remote clients can subscribe
 and ingest:
 
@@ -10,9 +9,11 @@ and ingest:
   (request ids, typed errors, per-call deadlines) everything else rides;
 * :mod:`repro.net.worker` -- the ``ShardWorker`` process hosting one
   engine shard and nothing else (it writes no file);
-* :mod:`repro.net.cluster` -- the ``ProcessClusterEngine`` coordinator
-  (engine kind ``"sharded-proc"``) that spawns, supervises, restarts and
-  re-seeds the workers;
+* :mod:`repro.net.remote` -- the ``RemoteShard`` stub of one worker's
+  engine, which restarts and re-seeds a dead worker;
+* :mod:`repro.net.cluster` -- ``ProcessClusterEngine`` (engine kind
+  ``"sharded-proc"``), a ``ShardedEngine`` over ``RemoteShard`` stubs
+  that spawns the workers;
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- the
   ``MonitoringServer`` serving tier and the ``RemoteMonitoringClient``
   facade mirroring the in-process service API;
@@ -33,6 +34,7 @@ __all__ = [
     "ProcOptions",
     "RpcConnection",
     "ProcessClusterEngine",
+    "RemoteShard",
     "ShardWorker",
     "MonitoringServer",
     "RemoteMonitoringClient",
@@ -41,6 +43,7 @@ __all__ = [
 
 _LAZY = {
     "ProcessClusterEngine": ("repro.net.cluster", "ProcessClusterEngine"),
+    "RemoteShard": ("repro.net.remote", "RemoteShard"),
     "ShardWorker": ("repro.net.worker", "ShardWorker"),
     "MonitoringServer": ("repro.net.server", "MonitoringServer"),
     "RemoteMonitoringClient": ("repro.net.client", "RemoteMonitoringClient"),

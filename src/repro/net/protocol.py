@@ -87,11 +87,8 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 def encode_params(params: Optional[Dict[str, Any]] = None) -> bytes:
     """Pre-serialise a request's ``params`` object, for reuse across peers.
 
-    A batch replicated to every worker is by far the largest payload the
-    coordinator sends, and serialising it once per *worker* made JSON
-    encoding scale with the shard count.  The coordinator encodes the
-    params once with this helper and hands the bytes to
-    :meth:`RpcConnection.send_request_encoded`, which splices them into
+    A batch replicated to every worker is encoded once with this helper,
+    and :meth:`RpcConnection.send_request_encoded` splices the bytes into
     each connection's envelope without re-serialising.
     """
     return json.dumps(params or {}, separators=(",", ":")).encode("utf-8")
@@ -271,20 +268,7 @@ class RpcConnection:
         deadline: Optional[float] = None,
     ) -> int:
         """Write one request frame; returns its request id."""
-        if self._closed:
-            raise RpcTransportError(f"connection to {self.peer or 'peer'} is closed")
-        self._next_id += 1
-        request_id = self._next_id
-        sent = send_frame(
-            self._sock,
-            {"id": request_id, "method": method, "params": params or {}},
-            deadline,
-        )
-        if _obs.active:
-            _obs.counter_child(
-                "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "sent"
-            ).inc(sent)
-        return request_id
+        return self.send_request_encoded(method, encode_params(params), deadline)
 
     def send_request_encoded(
         self,
@@ -294,11 +278,10 @@ class RpcConnection:
     ) -> int:
         """Write one request whose params were encoded with :func:`encode_params`.
 
-        Byte-identical on the wire to ``send_request(method, params)``:
-        the envelope keys are emitted in the same order and with the same
-        compact separators, with the pre-encoded params spliced in.  This
-        is what lets the coordinator serialise a replicated batch once
-        instead of once per worker.
+        The envelope is emitted with :func:`encode_frame`'s compact
+        separators and the pre-encoded params spliced in.  This is what
+        lets the coordinator serialise a replicated batch once instead of
+        once per worker.
         """
         if self._closed:
             raise RpcTransportError(f"connection to {self.peer or 'peer'} is closed")

@@ -4,17 +4,18 @@ A :class:`ShardWorker` owns one inner monitoring engine (built from the
 shard's :class:`~repro.service.spec.EngineSpec`) and nothing else: it
 writes no file and keeps no log.  The
 :class:`~repro.net.cluster.ProcessClusterEngine` spawns one per shard via
-:func:`worker_main` and is the recovery state of all of them -- its
-mirror window holds every valid document, its registry every query and
-its placement each query's shard.
+:func:`worker_main`, and its :class:`~repro.net.remote.RemoteShard` stub
+of the worker calls the engine's methods over RPC.  The coordinator is
+the recovery state of every worker: its mirror window holds every valid
+document, and it knows every query and each query's shard.
 
 **Recovery.**  A replacement for a dead worker starts empty and is seeded
-by the coordinator with the ``restore`` RPC: a
+by its stub with the ``restore`` RPC: a
 :func:`~repro.persistence.snapshot_engine`-format document loaded by
 :func:`~repro.persistence.restore_into` into a fresh ``spec.build()`` --
-the one loader every restore goes through.  The coordinator seeds the
-state it had acknowledged *before* the failed call and then re-sends the
-call, which the new worker has never seen, so a retried mutation is
+the one loader every restore goes through.  The stub seeds the state the
+coordinator had acknowledged *before* the failed call and then re-sends
+the call, which the new worker has never seen, so a retried mutation is
 applied exactly once without any request de-duplication here.
 
 **Graceful shutdown** (SIGTERM/SIGINT or coordinator EOF): the in-flight
@@ -89,23 +90,27 @@ class ShardWorker:
         """Ask the serve loop to drain and exit (signal-handler safe)."""
         self._stop = True
 
-    def handle(self, method: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one RPC; returns its result payload."""
+    def handle(self, method: str, params: Dict[str, Any]) -> Any:
+        """Execute one RPC; returns its result payload.
+
+        An engine call is named after the engine method it runs and
+        answers with that method's value in the wire codec.
+        """
         engine = self.engine
-        if method == "ingest":
+        if method == "process_batch_events":
             batch = [_document_from_record(data) for data in params["docs"]]
-            return {"changes": event_changes_to_wire(engine.process_batch_events(batch))}
+            return event_changes_to_wire(engine.process_batch_events(batch))
         if method == "advance_time":
-            return {"changes": changes_to_wire(engine.advance_time(float(params["now"])))}
-        if method == "subscribe":
+            return changes_to_wire(engine.advance_time(float(params["now"])))
+        if method == "register_query":
             engine.register_query(_query_from_record(params["query"]))
-            return {}
-        if method == "unsubscribe":
+            return None
+        if method == "unregister_query":
             engine.unregister_query(int(params["query_id"]))
-            return {}
+            return None
         if method == "restore":
             self.engine = restore_into(params["snapshot"], self.spec.build())
-            return {}
+            return None
         if method == "ping":
             return {
                 "pid": os.getpid(),
@@ -113,21 +118,23 @@ class ShardWorker:
                 "window": len(engine.window),
                 "query_ids": sorted(engine.query_ids()),
             }
-        if method == "result":
-            entries = engine.current_result(int(params["query_id"]))
-            return {"entries": entries_to_wire(entries)}
-        if method == "results":
+        if method == "current_result":
+            return entries_to_wire(engine.current_result(int(params["query_id"])))
+        if method == "current_results":
             return {
-                "results": {
-                    str(query_id): entries_to_wire(entries)
-                    for query_id, entries in engine.current_results().items()
-                }
+                str(query_id): entries_to_wire(entries)
+                for query_id, entries in engine.current_results().items()
             }
         if method == "counters":
-            return {"counters": engine.counters.as_dict()}
+            return engine.counters.as_dict()
         if method == "reset_counters":
             engine.counters.reset()
-            return {}
+            return None
+        if method == "check_invariants":
+            validate = getattr(engine, "check_invariants", None)
+            if validate is not None:
+                validate()
+            return None
         if method == "metrics":
             return {"active": _obs.active, "samples": _registry_samples()}
         if method == "observe":

@@ -52,11 +52,12 @@ def _engine_config(engine: MonitoringEngine) -> Dict[str, Any]:
     Only knobs every restore target understands-or-ignores are recorded:
     the probe order, roll-up switch and storage backend of ITA, and the
     change-tracking flag shared by all engines.  A cluster records its
-    shard engines' knobs, once -- shards are homogeneous.  Absent keys
+    shard engines' knobs, once -- shards are homogeneous -- read from its
+    shard spec when it has one (its shards may be remote).  Absent keys
     simply fall back to the defaults, which keeps old snapshots restorable.
     """
     shards = getattr(engine, "shards", None)
-    source = shards[0] if shards else getattr(engine, "shard_spec", engine)
+    source = getattr(engine, "shard_spec", shards[0] if shards else engine)
     config: Dict[str, Any] = {}
     probe_order = getattr(source, "probe_order", None)
     if probe_order is not None:

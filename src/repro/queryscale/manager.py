@@ -236,10 +236,6 @@ class QueryScaleManager:
     def subscriber_ids(self) -> List[int]:
         return list(self._subscribers.keys())
 
-    def subscriber_shard(self, subscriber_id: int) -> Optional[int]:
-        """The shard pinning of the subscriber's canonical (clusters only)."""
-        return self._canonicals[self.canonical_id_of(subscriber_id)].shard
-
     def subscriber_query(self, subscriber_id: int) -> ContinuousQuery:
         """Reconstruct the subscriber-visible query object.
 

@@ -691,9 +691,9 @@ class MonitoringService:
             return None
         return assignment().get(query_id)
 
-    def _log_unsubscribe(self, query_id: int, shard: Optional[int]) -> None:
+    def _log_unsubscribe(self, query_id: int) -> None:
         if self._durability is not None:
-            self._durability.log_unsubscribe(query_id, shard)
+            self._durability.log_unsubscribe(query_id)
             self._durability.maybe_checkpoint()
 
     def _unsubscribe(self, handle: QueryHandle) -> None:
@@ -704,13 +704,11 @@ class MonitoringService:
         self._handles.pop(handle.query_id, None)
         if self._queryscale is not None:
             if handle.query_id in self._queryscale:
-                shard = self._queryscale.subscriber_shard(handle.query_id)
                 self._queryscale.unsubscribe(handle.query_id)
-                self._log_unsubscribe(handle.query_id, shard)
+                self._log_unsubscribe(handle.query_id)
         elif handle.query_id in self.engine.registry:
-            shard = self._shard_of(handle.query_id)
             self.engine.unregister_query(handle.query_id)
-            self._log_unsubscribe(handle.query_id, shard)
+            self._log_unsubscribe(handle.query_id)
         if obs.active:
             obs.metrics.counter(
                 "repro_service_unsubscribe_total", "standing queries removed"
@@ -729,13 +727,11 @@ class MonitoringService:
             handle.unsubscribe()
             return
         if self._queryscale is not None:
-            shard = self._queryscale.subscriber_shard(query_id)
             self._queryscale.unsubscribe(query_id)
-            self._log_unsubscribe(query_id, shard)
+            self._log_unsubscribe(query_id)
             return
-        shard = self._shard_of(query_id)
         self.engine.unregister_query(query_id)
-        self._log_unsubscribe(query_id, shard)
+        self._log_unsubscribe(query_id)
 
     def on_change(self, callback: AlertSubscriber) -> Callable[[], None]:
         """Register a global subscriber for every query's result changes.

@@ -57,7 +57,7 @@ def lose_next_ack(cluster, shard):
     """Make ``shard``'s next response read SIGKILL its worker *after* the
     worker applied the request and answered, then fail as a torn
     connection would: the coordinator never learns the call succeeded."""
-    connection = cluster._workers[shard].connection
+    connection = cluster.shards[shard].connection
     read_response = connection.read_response
     pid = cluster.worker_pids()[shard]
 
@@ -313,7 +313,7 @@ def test_a_worker_killed_while_being_seeded_spends_the_budget(max_restarts):
     attempt, the call ends in WorkerCrashError, and no process survives."""
     options = ProcOptions(max_restarts=max_restarts, backoff_ms=1.0, request_timeout_ms=10_000.0)
     cluster = make_cluster(options=options)
-    processes = [worker.process for worker in cluster._workers]
+    processes = [shard.process for shard in cluster.shards]
     seeds = []
     spawn = cluster._spawn
 

@@ -16,7 +16,7 @@ shards are sent theirs, and is read afterwards.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ReproError
 from repro.observability import runtime as _obs
@@ -41,9 +41,11 @@ class ShardCall:
         #: what a remote shard replacing its worker mid-call seeds it with
         #: (``None``: the coordinator's state now)
         self.seed = seed
-        #: the wire encoding, made by the first remote shard that sends the
-        #: call and reused by the others: once per fan-out, not per shard
-        self.encoded: Optional[bytes] = None
+        #: the request's wire form -- JSON params, or the ``bytes`` of a
+        #: binary attachment (a batch's columns) -- made by the first remote
+        #: shard that sends the call and reused by the others: once per
+        #: fan-out, not per shard
+        self.encoded: Optional[Union[Dict[str, Any], bytes]] = None
 
 
 class EventDispatcher:

@@ -6,7 +6,8 @@ shards in worker *processes*, and puts a thin socket server in front of
 and ingest:
 
 * :mod:`repro.net.protocol` -- the length-prefixed framed JSON RPC layer
-  (request ids, typed errors, per-call deadlines) everything else rides;
+  (request ids, typed errors, per-call deadlines, binary attachments)
+  everything else rides;
 * :mod:`repro.net.worker` -- the ``ShardWorker`` process hosting one
   engine shard and nothing else (it writes no file);
 * :mod:`repro.net.remote` -- the ``RemoteShard`` stub of one worker's

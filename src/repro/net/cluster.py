@@ -18,9 +18,10 @@ concurrency column").
 
 What is left here is what only processes need: the transport and its
 socket directory, spawning, the GC backstop that reaps the workers,
-restart counts, graceful :meth:`~ProcessClusterEngine.close`, and a
+restart counts, graceful :meth:`~ProcessClusterEngine.close`, a
 scrape-time collector that re-exposes every worker's own metrics with a
-``shard`` label.
+``shard`` label, and refusing ids the shard channel's ``int64`` columns
+cannot carry.
 """
 
 from __future__ import annotations
@@ -33,17 +34,21 @@ import tempfile
 import weakref
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.placement import PlacementPolicy
 from repro.documents.window import WindowSpec
-from repro.exceptions import ConfigurationError, ReproError, WorkerCrashError
+from repro.core.base import ResultChange
+from repro.documents.document import StreamedDocument
+from repro.exceptions import ConfigurationError, DocumentError, QueryError, ReproError, WorkerCrashError
+from repro.net.codec import INT64
 from repro.net.options import ProcOptions
 from repro.net.protocol import RpcConnection
 from repro.net.remote import RemoteShard, Worker, reap
 from repro.net.worker import worker_main
 from repro.observability import runtime as _obs
+from repro.query.query import ContinuousQuery
 
 __all__ = ["ProcessClusterEngine"]
 
@@ -149,6 +154,22 @@ class ProcessClusterEngine(ShardedEngine):
         except Exception:
             self.close()
             raise
+
+    # ------------------------------------------------------------------ #
+    # admission: the shard channel carries int64 ids
+    # ------------------------------------------------------------------ #
+    def process_batch_events(self, documents: Iterable[StreamedDocument]) -> List[List[ResultChange]]:
+        """Refuses a batch with an id or term id outside ``int64`` whole,
+        before the mirror window takes any of it."""
+        batch = list(documents)
+        if any(d.doc_id not in INT64 or max(d.composition, default=0) not in INT64 for d in batch):
+            raise DocumentError("a document id or term id is outside int64")
+        return super().process_batch_events(batch)
+
+    def register_query(self, query: ContinuousQuery, shard: Optional[int] = None) -> int:
+        if query.query_id not in INT64:
+            raise QueryError(f"query id {query.query_id} is outside int64")
+        return super().register_query(query, shard)
 
     # ------------------------------------------------------------------ #
     # spawning

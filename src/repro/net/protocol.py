@@ -2,10 +2,13 @@
 
 Every message -- worker RPCs and the serving tier alike -- is one *frame*:
 a 4-byte big-endian unsigned length followed by that many bytes of UTF-8
-JSON.  (JSON rather than msgpack keeps the wire format dependency-free,
-and Python's ``float`` -> ``repr`` -> ``float`` round-trip is exact, so
+JSON, or of a ``0x01`` tag byte (no JSON text starts with it), a ``u32``
+envelope length, the JSON envelope and a binary attachment: the shard
+channel's columns (:mod:`repro.net.codec`).  A decoded message holds its
+attachment as ``bytes`` under ``"attachment"``; a response's attachment
+is its result.  Floats cross as ``repr`` JSON or as IEEE-754 bytes, so
 scores and arrival times survive the hop bit-identically -- the property
-the differential conformance tapes assert.)
+the conformance tapes assert.
 
 Requests and responses are plain objects::
 
@@ -28,7 +31,7 @@ When observability is enabled (:mod:`repro.observability.runtime`), the
 client side records ``repro_rpc_client_calls_total{method=}``,
 ``repro_rpc_client_latency_ms{method=}``,
 ``repro_rpc_client_errors_total{method=}`` and
-``repro_rpc_bytes_total{direction=sent|received}``.
+``repro_rpc_bytes_total{direction=sent|received}`` (whole frames, prefix included).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import socket
 import struct
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 import repro.exceptions as _exceptions
 from repro.exceptions import (
@@ -51,7 +54,6 @@ from repro.observability import runtime as _obs
 __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "encode_params",
     "decode_frame",
     "send_frame",
     "recv_frame",
@@ -66,6 +68,10 @@ MAX_FRAME_BYTES = 128 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: the first byte of a body whose JSON envelope is followed by an attachment,
+#: and the size of the tag and envelope length in front of that envelope
+_TAG, _HEAD = b"\x01", 1 + _LENGTH.size
+
 
 # --------------------------------------------------------------------------- #
 # framing
@@ -79,23 +85,30 @@ def _frame(body: bytes) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """Serialise one message to its wire form (length prefix + JSON)."""
-    return _frame(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+def _json(payload: Any) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def encode_params(params: Optional[Dict[str, Any]] = None) -> bytes:
-    """Pre-serialise a request's ``params`` object, for reuse across peers.
+def _body(envelope: bytes, attachment: Optional[bytes]) -> bytes:
+    """A message body: the JSON envelope, tagged and followed by ``attachment`` if any."""
+    if attachment is None:
+        return envelope
+    return _TAG + _LENGTH.pack(len(envelope)) + envelope + attachment
 
-    A batch replicated to every worker is encoded once with this helper,
-    and :meth:`RpcConnection.send_request_encoded` splices the bytes into
-    each connection's envelope without re-serialising.
-    """
-    return json.dumps(params or {}, separators=(",", ":")).encode("utf-8")
+
+def encode_frame(payload: Dict[str, Any], attachment: Optional[bytes] = None) -> bytes:
+    """Serialise one message to its wire form (length prefix + body)."""
+    return _frame(_body(_json(payload), attachment))
 
 
 def decode_frame(body: bytes) -> Dict[str, Any]:
-    """Parse one frame body back into its message object."""
+    """Parse one frame body back into its message object (attachment included)."""
+    attachment: Optional[bytes] = None
+    if body[:1] == _TAG:
+        end = _HEAD + int.from_bytes(body[1:_HEAD], "big")
+        if end > len(body):
+            raise RpcTransportError(f"torn envelope in a {len(body)}-byte tagged frame")
+        body, attachment = body[_HEAD:end], body[end:]
     try:
         message = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
@@ -104,6 +117,8 @@ def decode_frame(body: bytes) -> Dict[str, Any]:
         raise RpcTransportError(
             f"frame decodes to {type(message).__name__}, expected an object"
         )
+    if attachment is not None:
+        message["attachment"] = attachment
     return message
 
 
@@ -118,9 +133,12 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
 
 
 def send_frame(
-    sock: socket.socket, payload: Dict[str, Any], deadline: Optional[float] = None
+    sock: socket.socket,
+    payload: Dict[str, Any],
+    deadline: Optional[float] = None,
+    attachment: Optional[bytes] = None,
 ) -> int:
-    """Send one message; returns the bytes written.
+    """Send one message (and its attachment); returns the bytes written.
 
     Raises
     ------
@@ -129,7 +147,7 @@ def send_frame(
     RpcTransportError
         If the connection breaks.
     """
-    return _send_body(sock, json.dumps(payload, separators=(",", ":")).encode("utf-8"), deadline)
+    return _send_body(sock, _body(_json(payload), attachment), deadline)
 
 
 def _send_body(sock: socket.socket, body: bytes, deadline: Optional[float]) -> int:
@@ -180,9 +198,15 @@ def recv_frame(
     RpcTimeoutError
         If ``deadline`` elapses before a whole frame arrived.
     RpcTransportError
-        On a broken connection, a torn frame, or a length prefix over
-        :data:`MAX_FRAME_BYTES`.
+        On a broken connection, a torn or undecodable frame, or a length
+        prefix over :data:`MAX_FRAME_BYTES`.
     """
+    body = _recv_body(sock, deadline)
+    return None if body is None else decode_frame(body)
+
+
+def _recv_body(sock: socket.socket, deadline: Optional[float]) -> Optional[bytes]:
+    """Read one frame's body; ``None`` on clean EOF at a frame boundary."""
     header = _recv_exact(sock, _LENGTH.size, deadline)
     if header is None:
         return None
@@ -194,7 +218,7 @@ def recv_frame(
     body = _recv_exact(sock, length, deadline) if length else b""
     if body is None:
         raise RpcTransportError("connection closed between length prefix and body")
-    return decode_frame(body)
+    return body
 
 
 # --------------------------------------------------------------------------- #
@@ -264,35 +288,24 @@ class RpcConnection:
     def send_request(
         self,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: Union[Dict[str, Any], bytes, None] = None,
         deadline: Optional[float] = None,
     ) -> int:
-        """Write one request frame; returns its request id."""
-        return self.send_request_encoded(method, encode_params(params), deadline)
+        """Write one request frame; returns its request id.
 
-    def send_request_encoded(
-        self,
-        method: str,
-        params_body: bytes,
-        deadline: Optional[float] = None,
-    ) -> int:
-        """Write one request whose params were encoded with :func:`encode_params`.
-
-        The envelope is emitted with :func:`encode_frame`'s compact
-        separators and the pre-encoded params spliced in.  This is what
-        lets the coordinator serialise a replicated batch once instead of
-        once per worker.
+        ``params`` is a JSON object, or ``bytes`` sent as the request's
+        binary attachment (the coordinator encodes a replicated batch once
+        and sends the same bytes to every worker).
         """
         if self._closed:
             raise RpcTransportError(f"connection to {self.peer or 'peer'} is closed")
         self._next_id += 1
         request_id = self._next_id
-        body = b'{"id":%d,"method":%s,"params":%s}' % (
-            request_id,
-            json.dumps(method, separators=(",", ":")).encode("utf-8"),
-            params_body,
+        binary = isinstance(params, bytes)
+        envelope = b'{"id":%d,"method":%s,"params":%s}' % (
+            request_id, _json(method), b"{}" if binary else _json(params or {})
         )
-        sent = _send_body(self._sock, body, deadline)
+        sent = _send_body(self._sock, _body(envelope, params if binary else None), deadline)
         if _obs.active:
             _obs.counter_child(
                 "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "sent"
@@ -300,35 +313,36 @@ class RpcConnection:
         return request_id
 
     def read_response(self, request_id: int, deadline: Optional[float] = None) -> Any:
-        """Read the response of ``request_id``; returns its result.
+        """Read the response of ``request_id``; returns its result or attachment.
 
         Raises the remote error for error responses, and
         :class:`~repro.exceptions.RpcTransportError` on EOF or an id
         mismatch (the protocol is strictly ordered, so a stray id means
         the stream is corrupt).
         """
-        response = recv_frame(self._sock, deadline)
-        if response is None:
+        body = _recv_body(self._sock, deadline)
+        if body is None:
             raise RpcTransportError(
                 f"{self.peer or 'peer'} closed the connection before responding"
             )
         if _obs.active:
             _obs.counter_child(
                 "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "received"
-            ).inc(len(encode_frame(response)))
+            ).inc(_LENGTH.size + len(body))
+        response = decode_frame(body)
         if response.get("id") != request_id:
             raise RpcTransportError(
                 f"response id {response.get('id')!r} does not match "
                 f"request id {request_id} from {self.peer or 'peer'}"
             )
         if response.get("ok"):
-            return response.get("result")
+            return response.get("attachment", response.get("result"))
         raise_remote_error(response.get("error") or {})
 
     def call(
         self,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: Union[Dict[str, Any], bytes, None] = None,
         timeout_ms: Optional[float] = None,
     ) -> Any:
         """One request/response round trip under one deadline.

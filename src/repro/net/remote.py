@@ -8,6 +8,10 @@ the worker's process and connection.  :meth:`RemoteShard.send` writes a
 call and :meth:`RemoteShard.receive` reads its answer, so a fan-out can
 send to every worker before it reads any; a call's encoding is made once
 and shared by every shard it is sent to.
+``process_batch_events`` ships its batch as binary columns
+(:func:`~repro.net.codec.encode_documents`), and its answer and
+``advance_time``'s come back as :func:`~repro.net.codec.encode_changes`
+columns; every other call speaks JSON.
 
 **Supervision.**  A broken connection
 (:class:`~repro.exceptions.RpcTransportError`) anywhere in a call makes the
@@ -31,12 +35,12 @@ from repro.cluster.dispatcher import Seed, ShardCall
 from repro.core.base import ResultChange, TopKResult
 from repro.documents.document import StreamedDocument
 from repro.exceptions import RpcTimeoutError, RpcTransportError, WorkerCrashError
-from repro.net.codec import changes_from_wire, entries_from_wire, event_changes_from_wire
+from repro.net.codec import decode_changes, encode_documents, entries_from_wire
 from repro.net.options import ProcOptions
-from repro.net.protocol import RpcConnection, encode_params
+from repro.net.protocol import RpcConnection
 from repro.observability import runtime as _obs
 from repro.observability.opcounters import OperationCounters
-from repro.persistence import document_record, query_record
+from repro.persistence import query_record
 from repro.query.query import ContinuousQuery
 
 __all__ = ["RemoteShard", "Worker", "reap"]
@@ -53,15 +57,12 @@ def _results_from_wire(data: Dict[str, Any]) -> Dict[int, TopKResult]:
     return {int(query_id): entries_from_wire(entries) for query_id, entries in data.items()}
 
 
-#: engine call -> (its request params, from its arguments; how to decode
-#: its value, or None to take it as it comes); the worker's RPC methods
-#: are named after the calls
-_WIRE: Dict[str, Tuple[Callable[..., Dict[str, Any]], Optional[Callable[[Any], Any]]]] = {
-    "process_batch_events": (
-        lambda batch: {"docs": [document_record(document) for document in batch]},
-        event_changes_from_wire,
-    ),
-    "advance_time": (lambda now: {"now": float(now)}, changes_from_wire),
+#: engine call -> (its request from its arguments: JSON params, or the
+#: ``bytes`` of an attachment; how to decode its value, or None to take it
+#: as it comes); the worker's RPC methods are named after the calls
+_WIRE: Dict[str, Tuple[Callable[..., Any], Optional[Callable[[Any], Any]]]] = {
+    "process_batch_events": (encode_documents, decode_changes),
+    "advance_time": (lambda now: {"now": float(now)}, lambda data: decode_changes(data)[0]),
     "register_query": (lambda query: {"query": query_record(query)}, None),
     "unregister_query": (lambda query_id: {"query_id": int(query_id)}, None),
     "current_result": (lambda query_id: {"query_id": int(query_id)}, entries_from_wire),
@@ -136,13 +137,11 @@ class RemoteShard:
         """Write ``call``'s request; a broken connection waits for :meth:`receive`."""
         self._before_call()
         if call.encoded is None:
-            call.encoded = encode_params(_WIRE[call.method][0](*call.args))
+            call.encoded = _WIRE[call.method][0](*call.args)
         self._started = time.perf_counter()
         self._deadline = time.monotonic() + self.options.request_timeout_ms / 1000.0
         try:
-            self._request = self.connection.send_request_encoded(
-                call.method, call.encoded, self._deadline
-            )
+            self._request = self.connection.send_request(call.method, call.encoded, self._deadline)
         except RpcTransportError:
             self._request = None
 
@@ -153,9 +152,7 @@ class RemoteShard:
             try:
                 if attempt:
                     self._restart(attempt, call.seed or self._state)
-                    self._request = self.connection.send_request_encoded(
-                        call.method, call.encoded, self._deadline
-                    )
+                    self._request = self.connection.send_request(call.method, call.encoded, self._deadline)
                 value = self.connection.read_response(self._request, self._deadline)
                 break
             except RpcTransportError:

@@ -192,6 +192,8 @@ class MonitoringServer:
                 "repro_server_requests_total", "RPC requests served", "method", method
             ).inc()
         try:
+            if isinstance(request.get("attachment"), bytes):
+                raise NetworkError("the serving tier takes JSON requests, not binary attachments")
             with self._lock:
                 result = self._dispatch(method, params)
         except Exception as error:  # noqa: BLE001 - every error crosses the wire typed

@@ -8,6 +8,9 @@ writes no file and keeps no log.  The
 of the worker calls the engine's methods over RPC.  The coordinator is
 the recovery state of every worker: its mirror window holds every valid
 document, and it knows every query and each query's shard.
+Batches arrive and change lists leave as binary columns
+(:mod:`repro.net.codec`; no text, a worker never renders); an attachment
+that does not decode is a typed error response and the worker serves on.
 
 **Recovery.**  A replacement for a dead worker starts empty and is seeded
 by its stub with the ``restore`` RPC: a
@@ -33,10 +36,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import NetworkError, RpcTransportError
-from repro.net.codec import changes_to_wire, entries_to_wire, event_changes_to_wire
+from repro.net.codec import decode_documents, encode_changes, entries_to_wire
 from repro.net.protocol import error_payload, recv_frame, send_frame
 from repro.observability import runtime as _obs
-from repro.persistence import _document_from_record, _query_from_record, restore_into
+from repro.persistence import _query_from_record, restore_into
 
 __all__ = ["ShardWorker", "worker_main"]
 
@@ -90,18 +93,17 @@ class ShardWorker:
         """Ask the serve loop to drain and exit (signal-handler safe)."""
         self._stop = True
 
-    def handle(self, method: str, params: Dict[str, Any]) -> Any:
-        """Execute one RPC; returns its result payload.
+    def handle(self, method: str, params: Dict[str, Any], attachment: Optional[bytes] = None) -> Any:
+        """Execute one RPC; returns its result payload (``bytes``: an attachment).
 
         An engine call is named after the engine method it runs and
         answers with that method's value in the wire codec.
         """
         engine = self.engine
         if method == "process_batch_events":
-            batch = [_document_from_record(data) for data in params["docs"]]
-            return event_changes_to_wire(engine.process_batch_events(batch))
+            return encode_changes(engine.process_batch_events(decode_documents(attachment or b"")))
         if method == "advance_time":
-            return changes_to_wire(engine.advance_time(float(params["now"])))
+            return encode_changes([engine.advance_time(float(params["now"]))])
         if method == "register_query":
             engine.register_query(_query_from_record(params["query"]))
             return None
@@ -170,7 +172,7 @@ class ShardWorker:
             response: Dict[str, Any] = {"id": request.get("id")}
             try:
                 result = self.handle(
-                    str(request.get("method", "")), request.get("params") or {}
+                    str(request.get("method", "")), request.get("params") or {}, request.get("attachment")
                 )
             except Exception as error:
                 # Typed errors cross the wire; they must not cross the
@@ -179,8 +181,8 @@ class ShardWorker:
                 response["error"] = error_payload(error)
             else:
                 response["ok"] = True
-                response["result"] = result
-            send_frame(sock, response)
+                response["attachment" if isinstance(result, bytes) else "result"] = result
+            send_frame(sock, response, attachment=response.pop("attachment", None))
 
 
 # --------------------------------------------------------------------------- #

@@ -12,14 +12,18 @@ from repro.cluster.engine import ShardedEngine
 from repro.core.engine import ITAEngine
 from repro.exceptions import (
     ConfigurationError,
+    DocumentError,
     DuplicateQueryError,
+    QueryError,
     RpcTransportError,
     UnknownQueryError,
     WindowError,
     WorkerCrashError,
 )
 from repro.net.cluster import ProcessClusterEngine
+from repro.net.codec import encode_documents
 from repro.net.options import ProcOptions
+from repro.observability import runtime
 from repro.service import EngineSpec, MonitoringService, WindowSpec
 from tests.conftest import StreamCase, TieFreeCase, make_document, make_query
 
@@ -367,3 +371,105 @@ def test_workers_write_nothing(tmp_path):
     assert not list(tmp_path.glob("**/wal"))
     assert not list(tmp_path.glob("**/checkpoint*.json"))
     assert sorted(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "attachment",
+    [
+        encode_documents([make_document(900, {1: 0.5}, arrival_time=1e9)])[:-3],  # truncated
+        encode_documents([make_document(900, {1: 0.5}, arrival_time=1e9)]) + b"\x00",  # over-long
+        b"\xfe" * 11,  # garbage
+    ],
+    ids=["truncated", "over-long", "garbage"],
+)
+def test_a_bad_attachment_is_a_typed_error_and_the_worker_serves_on(attachment):
+    case = StreamCase(9, num_queries=4, num_documents=30)
+    reference = make_reference()
+    with make_cluster() as cluster:
+        for query in case.queries:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:15]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        pids = cluster.worker_pids()
+        connection = cluster.shards[0].connection
+        with pytest.raises(RpcTransportError):
+            connection.call("process_batch_events", attachment)
+        assert connection.call("ping")["window"] == 15
+        for document in case.documents[15:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert cluster.worker_pids() == pids
+        assert cluster.total_restarts == 0
+        cluster.check_invariants()
+
+
+def test_ids_outside_int64_are_refused_before_the_mirror_takes_them():
+    """The shard channel's columns are int64: an id past them is a typed
+    error on the coordinator, and the mirror and the workers still agree."""
+    case = StreamCase(14, num_queries=4, num_documents=30)
+    reference = make_reference()
+    with make_cluster() as cluster:
+        for query in case.queries:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:10]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        clock = case.documents[9].arrival_time
+        good = make_document(800, {1: 0.5}, arrival_time=clock)
+        for bad in (
+            make_document(2**63, {1: 0.5}, arrival_time=clock),
+            make_document(801, {2**63: 0.5, 1: 0.25}, arrival_time=clock),
+        ):
+            with pytest.raises(DocumentError, match="int64"):
+                cluster.process_batch_events([good, bad])
+            assert len(cluster.window) == 10
+            cluster.check_invariants()
+        with pytest.raises(QueryError, match="int64"):
+            cluster.register_query(make_query(2**63, {1: 1.0}))
+        assert sorted(cluster.query_ids()) == sorted(reference.query_ids())
+        for document in case.documents[10:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert digest(cluster) == digest(reference)
+        cluster.check_invariants()
+
+
+class CountingSocket:
+    """A socket that counts the bytes written to and read from it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = 0
+        self.received = 0
+
+    def sendall(self, data):
+        self._sock.sendall(data)
+        self.sent += len(data)
+
+    def recv(self, size):
+        chunk = self._sock.recv(size)
+        self.received += len(chunk)
+        return chunk
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_rpc_byte_counters_match_the_frames_on_the_wire():
+    case = StreamCase(27, num_queries=5, num_documents=24)
+    with runtime.observed(), make_cluster() as cluster:
+        for query in case.queries:
+            cluster.register_query(query)
+        sockets = []
+        for shard in cluster.shards:
+            shard.connection._sock = CountingSocket(shard.connection._sock)
+            sockets.append(shard.connection._sock)
+        counter = runtime.counter_child
+        sent = counter("repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "sent")
+        received = counter("repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "received")
+        before = sent.value, received.value
+        cluster.process_batch_events(case.documents[:8])
+        for document in case.documents[8:]:
+            cluster.process(document)
+        cluster.current_results()
+        assert sent.value - before[0] == sum(sock.sent for sock in sockets) > 0
+        assert received.value - before[1] == sum(sock.received for sock in sockets) > 0

@@ -47,6 +47,24 @@ def test_frame_floats_round_trip_exactly():
     assert decode_frame(frame[4:])["scores"] == scores
 
 
+def test_tagged_frame_carries_an_attachment_behind_the_envelope():
+    attachment = bytes(range(256)) + b"{}\n"
+    frame = encode_frame({"id": 7, "ok": True}, attachment)
+    assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
+    assert frame[4:5] == b"\x01"
+    assert decode_frame(frame[4:]) == {"id": 7, "ok": True, "attachment": attachment}
+    # An empty attachment is still an attachment.
+    assert decode_frame(encode_frame({}, b"")[4:]) == {"attachment": b""}
+
+
+def test_torn_envelope_in_a_tagged_frame_is_a_transport_error():
+    for body in (b"\x01", b"\x01\x00\x00", b"\x01" + struct.pack(">I", 3) + b"{}"):
+        with pytest.raises(RpcTransportError, match="torn envelope"):
+            decode_frame(body)
+    with pytest.raises(RpcTransportError, match="undecodable"):
+        decode_frame(b"\x01" + struct.pack(">I", 2) + b"[{" + b"rest")
+
+
 def test_send_recv_over_socket():
     left, right = socket_pair()
     try:
@@ -158,6 +176,21 @@ def test_call_round_trip_and_monotonic_ids():
         assert connection.read_response(first) == {}
         assert connection.read_response(second) == {}
         connection.send_request("stop")
+
+
+def test_bytes_params_travel_as_the_attachment_and_come_back_as_the_result():
+    left, right = socket_pair()
+
+    def run():
+        request = recv_frame(right)
+        send_frame(right, {"id": request["id"], "ok": True}, attachment=request["attachment"][::-1])
+        right.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    with RpcConnection(left, peer="binary-echo") as connection:
+        assert connection.call("reverse", b"\x00\x01\x02") == b"\x02\x01\x00"
+    thread.join(5.0)
 
 
 def test_mismatched_response_id_is_a_protocol_violation():

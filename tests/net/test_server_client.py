@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 from typing import Iterator, Tuple
 
@@ -14,6 +16,7 @@ from repro.exceptions import (
     UnknownQueryError,
 )
 from repro.net.client import RemoteMonitoringClient
+from repro.net.protocol import encode_frame, raise_remote_error, recv_frame, send_frame
 from repro.net.server import MonitoringServer
 from repro.query.query import ContinuousQuery
 from repro.service import EngineSpec, MonitoringService, WindowSpec
@@ -201,3 +204,34 @@ def test_subscribe_with_query_record_conflict(served):
     client.subscribe(query)
     with pytest.raises(DuplicateQueryError):
         client.subscribe(ContinuousQuery(query_id=7, weights={1: 1.0}, k=1))
+
+
+def test_the_serving_tier_keeps_its_json_and_refuses_attachments():
+    """A hand-written JSON body with newlines and leading whitespace is
+    served as before; a tagged binary frame gets a typed error, and the
+    connection keeps answering."""
+    service = MonitoringService(EngineSpec(kind="ita", window=WindowSpec.count(8)))
+    server = MonitoringServer(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            body = b'\n  \t{\n  "id": 1,\n  "method": "ping",\n  "params": {}\n}\n'
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            response = recv_frame(sock)
+            assert response["id"] == 1 and response["ok"]
+            assert response["result"]["engine"] == service.engine.name
+
+            sock.sendall(encode_frame({"id": 2, "method": "ping", "params": {}}, b"\x00\x01\x02"))
+            response = recv_frame(sock)
+            assert response["id"] == 2 and not response["ok"]
+            with pytest.raises(NetworkError, match="attachment"):
+                raise_remote_error(response["error"])
+
+            send_frame(sock, {"id": 3, "method": "ping", "params": {}})
+            response = recv_frame(sock)
+            assert response["id"] == 3 and response["ok"]
+    finally:
+        server.shutdown()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()

@@ -9,7 +9,9 @@ to a directory and makes its state recoverable:
 * every state-changing service operation -- ``subscribe`` /
   ``unsubscribe`` / ``ingest`` / ``advance_time`` -- is appended to a
   segmented :class:`~repro.durability.wal.WriteAheadLog` *before* it is
-  acknowledged, together with any vocabulary growth it caused;
+  acknowledged, together with any vocabulary growth it caused (an
+  ``ingest`` record holds its batch as base64 document columns,
+  :func:`repro.persistence.encode_documents`, beside texts and metadata);
 * a *checkpoint* (``service.snapshot()`` written atomically, then WAL
   truncation) bounds recovery cost by the checkpoint interval instead of
   the stream length;
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from base64 import b64encode
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -51,7 +54,7 @@ from repro.documents.document import StreamedDocument
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.wal import WriteAheadLog, segment_paths
 from repro.exceptions import DurabilityError
-from repro.persistence import document_record, query_record
+from repro.persistence import encode_documents, query_record
 from repro.query.query import ContinuousQuery
 
 __all__ = [
@@ -285,12 +288,8 @@ class DurabilityLog:
     # logging
     # ------------------------------------------------------------------ #
     def _vocab_delta(self) -> List[str]:
-        vocabulary = self._service.vocabulary
-        size = len(vocabulary)
-        if size <= self._logged_vocab:
-            return []
-        delta = list(vocabulary)[self._logged_vocab :]
-        self._logged_vocab = size
+        delta = self._service.vocabulary.terms_from(self._logged_vocab)
+        self._logged_vocab += len(delta)
         return delta
 
     def _append(self, payload: Dict[str, Any], shard: Optional[int] = None) -> int:
@@ -314,10 +313,13 @@ class DurabilityLog:
         return lsn
 
     def log_ingest(self, batch: Sequence[StreamedDocument]) -> int:
-        """Append one ingest record."""
-        lsn = self._append(
-            {"op": "ingest", "docs": [document_record(streamed) for streamed in batch]}
-        )
+        """Append one ingest record: the batch's columns, texts and metadata."""
+        lsn = self._append({
+            "op": "ingest",
+            "columns": b64encode(encode_documents(batch)).decode("ascii"),
+            "texts": [streamed.document.text for streamed in batch],
+            "metadata": [dict(streamed.document.metadata) for streamed in batch],
+        })
         if batch:
             # The caller validated the batch ascending, so the last
             # arrival is the batch's maximum.

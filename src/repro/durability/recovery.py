@@ -10,6 +10,10 @@ bit-identical to the uninterrupted run at the same record boundary on
 tie-free workloads (the kill-point tests in ``tests/durability/`` pin this
 down against the conformance-fuzz tapes).
 
+Ingest columns that do not decode (:func:`repro.persistence.decode_documents`)
+are a :class:`~repro.exceptions.WalCorruptionError`; the ``"docs"`` of a
+record written before the columns still replay.
+
 A cluster's ``subscribe`` records carry the shard index, so every query
 returns to exactly the shard that hosted it.  A directory written before
 the one log holds per-shard logs (``shard-<k>/``): they are merged by
@@ -22,10 +26,12 @@ from __future__ import annotations
 
 import json
 import time
+from base64 import b64decode
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.documents.document import StreamedDocument
 from repro.observability import runtime as _obs
 
 from repro.durability.log import (
@@ -37,7 +43,7 @@ from repro.durability.log import (
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.wal import read_wal_records
 from repro.exceptions import DurabilityError, WalCorruptionError
-from repro.persistence import _document_from_record, _query_from_record
+from repro.persistence import _document_from_record, _query_from_record, decode_documents
 
 __all__ = ["RecoveryReport", "recover_service", "read_tail"]
 
@@ -100,6 +106,17 @@ def read_tail(
     return [merged[lsn] for lsn in sorted(merged)]
 
 
+def _ingested_documents(record: Dict[str, Any]) -> List[StreamedDocument]:
+    """An ingest record's batch: its columns, texts and metadata, or its legacy ``"docs"``."""
+    if "docs" in record:
+        return [_document_from_record(entry) for entry in record["docs"]]
+    try:
+        columns = b64decode(record["columns"], validate=True)
+    except (TypeError, ValueError) as error:  # binascii.Error is a ValueError
+        raise WalCorruptionError(f"WAL record lsn={record.get('lsn')} holds no base64 columns") from error
+    return decode_documents(columns, record["texts"], record["metadata"], error=WalCorruptionError)
+
+
 def _replay_record(service: Any, record: Dict[str, Any]) -> int:
     """Apply one WAL record through the normal event path.
 
@@ -109,7 +126,7 @@ def _replay_record(service: Any, record: Dict[str, Any]) -> int:
         service.vocabulary.add(term)
     op = record.get("op")
     if op == "ingest":
-        documents = [_document_from_record(entry) for entry in record["docs"]]
+        documents = _ingested_documents(record)
         service.ingest(documents)
         return len(documents)
     if op == "subscribe":
@@ -154,7 +171,8 @@ def recover_service(
         manifest or checkpoint).
     WalCorruptionError
         If a WAL record fails its integrity check anywhere but the torn
-        tail, or shard logs disagree on a shared record.
+        tail, an ingest record's columns do not decode, or shard logs
+        disagree on a shared record.
     """
     # Imported lazily: repro.service.service imports repro.service.spec,
     # which imports this package's policy module.

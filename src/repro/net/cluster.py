@@ -41,13 +41,13 @@ from repro.cluster.placement import PlacementPolicy
 from repro.documents.window import WindowSpec
 from repro.core.base import ResultChange
 from repro.documents.document import StreamedDocument
-from repro.exceptions import ConfigurationError, DocumentError, QueryError, ReproError, WorkerCrashError
-from repro.net.codec import INT64
+from repro.exceptions import ConfigurationError, QueryError, ReproError, WorkerCrashError
 from repro.net.options import ProcOptions
 from repro.net.protocol import RpcConnection
 from repro.net.remote import RemoteShard, Worker, reap
 from repro.net.worker import worker_main
 from repro.observability import runtime as _obs
+from repro.persistence import INT64, check_int64_ids
 from repro.query.query import ContinuousQuery
 
 __all__ = ["ProcessClusterEngine"]
@@ -162,8 +162,7 @@ class ProcessClusterEngine(ShardedEngine):
         """Refuses a batch with an id or term id outside ``int64`` whole,
         before the mirror window takes any of it."""
         batch = list(documents)
-        if any(d.doc_id not in INT64 or max(d.composition, default=0) not in INT64 for d in batch):
-            raise DocumentError("a document id or term id is outside int64")
+        check_int64_ids(batch)
         return super().process_batch_events(batch)
 
     def register_query(self, query: ContinuousQuery, shard: Optional[int] = None) -> int:

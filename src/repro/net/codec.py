@@ -7,7 +7,8 @@ entries, :class:`~repro.core.base.ResultChange` lists and delivered
 :class:`~repro.alerting.Alert` objects.
 
 The shard channel's hot calls ship fixed-width little-endian columns as a
-frame attachment instead (:func:`encode_documents`, :func:`encode_changes`):
+frame attachment instead (:func:`encode_documents`, which lives in
+:mod:`repro.persistence` beside the WAL's use of it, and :func:`encode_changes`):
 ``int64`` ids, floats as their IEEE-754 bytes -- bit-exact by construction
 -- and no text.  A truncated, over-long or garbage attachment raises
 :class:`~repro.exceptions.RpcTransportError`.
@@ -15,16 +16,16 @@ frame attachment instead (:func:`encode_documents`, :func:`encode_changes`):
 
 from __future__ import annotations
 
-import struct
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro import persistence
 from repro.alerting import Alert
 from repro.core.base import ResultChange, TopKResult
-from repro.documents.document import CompositionList, Document, StreamedDocument
+from repro.documents.document import StreamedDocument
 from repro.exceptions import RpcTransportError
-from repro.persistence import _document_from_record, document_record
+from repro.persistence import _Columns, _document_from_record, _pack, _spans, document_record, encode_documents
 from repro.query.result import ResultEntry
 
 __all__ = [
@@ -40,12 +41,7 @@ __all__ = [
     "decode_documents",
     "encode_changes",
     "decode_changes",
-    "INT64",
 ]
-
-#: the ids the shard channel's columns carry
-INT64 = range(-(2**63), 2**63)
-
 
 # --------------------------------------------------------------------------- #
 # result entries
@@ -113,56 +109,9 @@ def alert_from_wire(data: Dict[str, Any]) -> Alert:
 # --------------------------------------------------------------------------- #
 # the shard channel's binary columns
 # --------------------------------------------------------------------------- #
-def _pack(*columns: Tuple[str, Sequence[Any]]) -> bytes:
-    """The first column's length as a ``uint32``, then every column, little-endian."""
-    layout = "".join(f"{len(values)}{code}" for code, values in columns)
-    values = chain.from_iterable(values for _, values in columns)
-    return struct.pack(f"<I{layout}", len(columns[0][1]), *values)
-
-
-class _Columns:
-    """Little-endian columns read off an attachment in order, bounds-checked."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data, self.offset = data, 0
-
-    def take(self, code: str, count: int, last: bool = False) -> Tuple[Any, ...]:
-        """The next ``count`` values of struct ``code``; the ``last`` column must end the data."""
-        end = self.offset + count * struct.calcsize(code)
-        if end > len(self.data) or (last and end != len(self.data)):
-            raise RpcTransportError(f"a {len(self.data)}-byte attachment does not hold its columns")
-        values, self.offset = struct.unpack_from(f"<{count}{code}", self.data, self.offset), end
-        return values
-
-
-def encode_documents(batch: Sequence[StreamedDocument]) -> bytes:
-    """A document batch as columns: ids, arrival times, term counts, terms, weights."""
-    compositions = [streamed.composition.weights for streamed in batch]
-    return _pack(
-        ("q", [streamed.doc_id for streamed in batch]),
-        ("d", [streamed.arrival_time for streamed in batch]),
-        ("I", [len(weights) for weights in compositions]),
-        ("q", list(chain.from_iterable(compositions))),
-        ("d", list(chain.from_iterable(weights.values() for weights in compositions))),
-    )
-
-
-def _spans(lengths: Iterable[int]) -> Iterator[Tuple[int, int]]:
-    """``(start, end)`` of each of back-to-back runs of ``lengths``."""
-    ends = list(accumulate(lengths))
-    return zip([0] + ends, ends)
-
-
 def decode_documents(data: bytes) -> List[StreamedDocument]:
-    """Decode :func:`encode_documents` output (no text, no metadata)."""
-    columns = _Columns(data)
-    (count,) = columns.take("I", 1)
-    doc_ids, arrivals, lengths = columns.take("q", count), columns.take("d", count), columns.take("I", count)
-    terms, weights = columns.take("q", sum(lengths)), columns.take("d", sum(lengths), last=True)
-    return [
-        StreamedDocument(Document(doc_id, CompositionList(dict(zip(terms[a:b], weights[a:b])))), arrival)
-        for doc_id, arrival, (a, b) in zip(doc_ids, arrivals, _spans(lengths))
-    ]
+    """:func:`repro.persistence.decode_documents` without text, failing as a transport error."""
+    return persistence.decode_documents(data, error=RpcTransportError)
 
 
 def encode_changes(per_event: Sequence[Sequence[ResultChange]]) -> bytes:
@@ -183,7 +132,7 @@ def encode_changes(per_event: Sequence[Sequence[ResultChange]]) -> bytes:
 def decode_changes(data: bytes) -> List[List[ResultChange]]:
     """Decode :func:`encode_changes` output (``tuple.__new__`` skips the
     named tuples' Python-level constructors: this runs per shard per batch)."""
-    columns = _Columns(data)
+    columns = _Columns(data, RpcTransportError)
     (events,) = columns.take("I", 1)
     per_event = columns.take("I", events)
     query_ids, entered, left = (columns.take(code, sum(per_event)) for code in "qII")

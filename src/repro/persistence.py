@@ -16,18 +16,24 @@ internal data structures.
 
 The format is intentionally pure-Python/JSON so snapshots can be written
 with :func:`json.dump` without any custom encoder.
+
+The document codecs live here too: :func:`document_record` (snapshots, the
+serving tier) and :func:`encode_documents`, fixed-width columns (``int64``
+ids, IEEE-754 floats) that WAL ingest records and the shard channel carry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import struct
+from itertools import accumulate, chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
 from repro.documents.document import CompositionList, Document, StreamedDocument
 from repro.documents.window import WindowSpec
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError, DocumentError, ReproError
 from repro.query.query import ContinuousQuery
 
 __all__ = [
@@ -37,6 +43,10 @@ __all__ = [
     "EngineSnapshot",
     "document_record",
     "query_record",
+    "encode_documents",
+    "decode_documents",
+    "check_int64_ids",
+    "INT64",
 ]
 
 SNAPSHOT_VERSION = 1
@@ -75,8 +85,8 @@ def _engine_config(engine: MonitoringEngine) -> Dict[str, Any]:
 def document_record(streamed: StreamedDocument) -> Dict[str, Any]:
     """Encode one streamed document as a JSON-compatible record.
 
-    The inverse of :func:`_document_from_record`; snapshots and the
-    write-ahead log of :mod:`repro.durability` share this one codec.
+    The inverse of :func:`_document_from_record`; snapshots, the serving
+    tier and the WAL's legacy ``"docs"`` ingest records share this codec.
     """
     document = streamed.document
     return {
@@ -112,6 +122,78 @@ def _document_from_record(record: Dict[str, Any]) -> StreamedDocument:
         metadata=record.get("metadata", {}),
     )
     return StreamedDocument(document=document, arrival_time=float(record["arrival_time"]))
+
+
+#: the ids the document columns carry
+INT64 = range(-(2**63), 2**63)
+
+
+def check_int64_ids(batch: Iterable[StreamedDocument]) -> None:
+    """Refuse a batch whose document ids or term ids the columns cannot hold."""
+    if any(d.doc_id not in INT64 or max(d.composition, default=0) not in INT64 for d in batch):
+        raise DocumentError("a document id or term id is outside int64")
+
+
+def _pack(*columns: Tuple[str, Sequence[Any]]) -> bytes:
+    """The first column's length as a ``uint32``, then every column, little-endian."""
+    layout = "".join(f"{len(values)}{code}" for code, values in columns)
+    values = chain.from_iterable(values for _, values in columns)
+    return struct.pack(f"<I{layout}", len(columns[0][1]), *values)
+
+
+class _Columns:
+    """Little-endian columns read off a payload in order, bounds-checked;
+    a payload that does not hold them raises ``error``."""
+
+    def __init__(self, data: bytes, error: Type[ReproError]) -> None:
+        self.data, self.offset, self.error = data, 0, error
+
+    def take(self, code: str, count: int, last: bool = False) -> Tuple[Any, ...]:
+        """The next ``count`` values of struct ``code``; the ``last`` column must end the data."""
+        end = self.offset + count * struct.calcsize(code)
+        if end > len(self.data) or (last and end != len(self.data)):
+            raise self.error(f"a {len(self.data)}-byte payload does not hold its columns")
+        values, self.offset = struct.unpack_from(f"<{count}{code}", self.data, self.offset), end
+        return values
+
+
+def _spans(lengths: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` of each of back-to-back runs of ``lengths``."""
+    ends = list(accumulate(lengths))
+    return zip([0] + ends, ends)
+
+
+def encode_documents(batch: Sequence[StreamedDocument]) -> bytes:
+    """A document batch as columns: ids, arrival times, term counts, terms, weights."""
+    compositions = [streamed.composition.weights for streamed in batch]
+    return _pack(
+        ("q", [streamed.doc_id for streamed in batch]),
+        ("d", [streamed.arrival_time for streamed in batch]),
+        ("I", [len(weights) for weights in compositions]),
+        ("q", list(chain.from_iterable(compositions))),
+        ("d", list(chain.from_iterable(weights.values() for weights in compositions))),
+    )
+
+
+def decode_documents(
+    data: bytes, texts: Optional[Sequence[Any]] = None, metadata: Optional[Sequence[Any]] = None,
+    error: Type[ReproError] = DocumentError,
+) -> List[StreamedDocument]:
+    """Decode :func:`encode_documents` output, with each document's text and
+    metadata when given; a payload that does not hold its columns (or
+    whose documents do not match the texts and metadata) raises ``error``."""
+    columns = _Columns(data, error)
+    (count,) = columns.take("I", 1)
+    doc_ids, arrivals, lengths = columns.take("q", count), columns.take("d", count), columns.take("I", count)
+    terms, weights = columns.take("q", sum(lengths)), columns.take("d", sum(lengths), last=True)
+    texts = [None] * count if texts is None else texts
+    metadata = [{} for _ in range(count)] if metadata is None else metadata
+    if len(texts) != count or len(metadata) != count:
+        raise error(f"{count} documents with {len(texts)} texts and {len(metadata)} metadata")
+    return [
+        StreamedDocument(Document(doc_id, CompositionList(dict(zip(terms[a:b], weights[a:b]))), text, meta), arrival)
+        for doc_id, arrival, (a, b), text, meta in zip(doc_ids, arrivals, _spans(lengths), texts, metadata)
+    ]
 
 
 def _query_from_record(record: Dict[str, Any]) -> ContinuousQuery:

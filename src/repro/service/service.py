@@ -63,7 +63,7 @@ from repro.observability import runtime as obs
 from repro.observability.opcounters import counters_collector
 from repro.observability.slowlog import note_slow
 from repro.observability.trace import trace_span
-from repro.persistence import _flat_snapshot, restore_into, snapshot_engine
+from repro.persistence import _flat_snapshot, check_int64_ids, restore_into, snapshot_engine
 from repro.query.query import ContinuousQuery
 from repro.queryscale.manager import QueryScaleManager
 from repro.service.spec import EngineSpec, spec_from_name
@@ -804,6 +804,8 @@ class MonitoringService:
             If ``at`` is combined with an iterable or a streamed document,
             if ``at`` is before the service clock, or if an element of an
             iterable ``source`` is not an ingestible type.
+        DocumentError
+            On a durable service, for an id outside ``int64`` (nothing is logged).
         """
         self._check_open()
         observed = obs.active
@@ -870,8 +872,10 @@ class MonitoringService:
         raises on replay would make the log unrecoverable.  The floor is
         the window clock or, if higher, the log's own high-water mark:
         the async lane may hold logged batches the engine has not
-        applied yet, and a new batch must respect those too.
+        applied yet, and a new batch must respect those too.  Ids outside
+        ``int64``, which the record cannot hold, fail here as well.
         """
+        check_int64_ids(batch)
         floor = self.window.clock
         logged = self._durability.logged_clock
         if logged is not None and (floor is None or logged > floor):

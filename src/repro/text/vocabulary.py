@@ -97,6 +97,10 @@ class Vocabulary:
     def __iter__(self) -> Iterator[str]:
         return iter(self._id_to_term)
 
+    def terms_from(self, term_id: int) -> List[str]:
+        """The terms with ids ``term_id`` onwards, in id order."""
+        return self._id_to_term[term_id:]
+
     def items(self) -> Iterator[Tuple[str, int]]:
         """Yield ``(term, term_id)`` pairs."""
         return iter(self._term_to_id.items())

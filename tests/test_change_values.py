@@ -20,6 +20,8 @@ import pytest
 
 from repro.alerting import Alert
 from repro.core.base import ResultChange
+from repro.durability.recovery import _replay_record
+from repro.durability.wal import decode_record
 from repro.net.codec import (
     alert_from_wire,
     alert_to_wire,
@@ -172,8 +174,27 @@ def captured_bytes(tmp_path):
 
 
 PARENT_BYTES = json.loads((Path(__file__).parent / "data" / "change_bytes_5f04a5e.json").read_text())
+#: the same ingest record since it carries document columns
+COLUMNAR_WAL_INGEST = (
+    '{"columns":"AQAAAAQAAAAAAAAAAAAAAAAAFEACAAAAAAAAAAAAAAABAAAAAAAAAMw7f2aeoOY/zDt/Zp6g5j8=",'
+    '"lsn":10,"metadata":[{}],"op":"ingest","texts":["market news"],"crc":3714598179}'
+)
 
 
-@pytest.mark.parametrize("name", ["change", "alert", "snapshot", "wal_ingest"])
+@pytest.mark.parametrize("name", ["change", "alert", "snapshot"])
 def test_bytes_equal_the_parents(name, tmp_path):
     assert captured_bytes(tmp_path)[name] == PARENT_BYTES[name]
+
+
+def test_the_wal_ingest_line_is_columnar_and_the_parents_line_replays_the_same(tmp_path):
+    assert captured_bytes(tmp_path)["wal_ingest"] == COLUMNAR_WAL_INGEST
+    replayed = []
+    for line in (PARENT_BYTES["wal_ingest"], COLUMNAR_WAL_INGEST):
+        with MonitoringService(EngineSpec()) as service:
+            assert _replay_record(service, decode_record(line)) == 1
+            (streamed,) = service.window.valid_documents()
+            document = streamed.document
+            weights = [(term, weight.hex()) for term, weight in document.composition.items()]
+            replayed.append((document.doc_id, streamed.arrival_time.hex(), weights, document.text, document.metadata))
+    half = (0.7071067811865475).hex()
+    assert replayed[0] == replayed[1] == (4, (5.0).hex(), [(0, half), (1, half)], "market news", {})

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
+from repro.core import base
 from repro.core.base import MonitoringEngine, ResultChange
 from repro.documents.document import StreamedDocument
 
@@ -194,10 +195,11 @@ class AlertDispatcher:
             changes = self._transform(changes)
         everyone = self._global_subscribers
         scoped_get = self._query_subscribers.get
+        new_value = base.new_value
         delivered = 0
         try:
             for change in changes:
-                alert = Alert(change, document)
+                alert = new_value(Alert, (change, document))
                 if everyone:
                     for callback in everyone:
                         callback(alert)

@@ -225,7 +225,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     mark = _perf_counter() if observed else 0.0
     t_expire = t_arrival = t_rollup = t_evict = t_descent = t_collect = 0.0
 
-    from repro.core.base import ResultChange
+    from repro.core.base import ResultChange, new_value
     from repro.core.descent import ProbeOrder
     from repro.query.result import ResultEntry
 
@@ -574,11 +574,15 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
             # ``moves`` stays empty when the engine does not track changes.
             changes = []
             for query_id in sorted(moves):
-                ranked = sorted(moves[query_id].items())  # pair order is rank order
-                entered = tuple([ResultEntry(pair[1], -pair[0]) for pair, net in ranked if net > 0])
-                left = tuple([ResultEntry(pair[1], -pair[0]) for pair, net in ranked if net < 0])
+                entered = []
+                left = []
+                for pair, net in sorted(moves[query_id].items()):  # pair order is rank order
+                    if net > 0:
+                        entered.append(new_value(ResultEntry, (pair[1], -pair[0])))
+                    elif net < 0:
+                        left.append(new_value(ResultEntry, (pair[1], -pair[0])))
                 if entered or left:
-                    changes.append(ResultChange(query_id, entered, left))
+                    changes.append(new_value(ResultChange, (query_id, tuple(entered), tuple(left))))
             per_event.append(changes)
             if observed:
                 now = _perf_counter()

@@ -219,7 +219,9 @@ class MonitoringServer:
 
     def _rpc_subscribe(self, params: Dict[str, Any]) -> Dict[str, Any]:
         max_pending = params.get("max_pending")
-        bound = self._max_pending if max_pending is None else int(max_pending)
+        # passed as sent: subscribe() refuses anything but an int >= 0
+        # before the query is registered or logged
+        bound = self._max_pending if max_pending is None else max_pending
         record = params.get("record")
         if record is not None:
             query: Any = _query_from_record(record)

@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core import base
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult, by_query_id
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, TimeBasedWindow
@@ -303,6 +304,7 @@ class QueryScaleManager:
         # sync path and the async pipeline (which expands after later
         # sub-batches may have advanced the event clock).
         track_idleness = self.options.hibernation_enabled
+        new_value = base.new_value
         expanded: List[ResultChange] = []
         for change in changes:
             entry = self._canonicals.get(change.query_id)
@@ -313,7 +315,7 @@ class QueryScaleManager:
                 entry.last_change = self._events
             entered, left = change.entered, change.left
             for subscriber_id in entry.subscribers:
-                expanded.append(ResultChange(subscriber_id, entered, left))
+                expanded.append(new_value(ResultChange, (subscriber_id, entered, left)))
         expanded.sort(key=by_query_id)
         return expanded
 

@@ -92,10 +92,11 @@ def _implied_spec(snapshot: Dict[str, Any]) -> EngineSpec:
 #: anything ``ingest`` accepts as a single stream element
 Ingestible = Union[str, Document, StreamedDocument]
 
-#: change-buffer bound applied to callback subscriptions that do not set
-#: ``max_pending`` themselves -- callback consumers typically never drain,
-#: and must not grow memory forever on a long-running service
-DEFAULT_CALLBACK_MAX_PENDING = 1_024
+
+def _check_max_pending(max_pending: Optional[int]) -> None:
+    """Reject a change-buffer bound before anything is registered or logged."""
+    if max_pending is not None and (type(max_pending) is not int or max_pending < 0):
+        raise ConfigurationError(f"max_pending must be None or an int >= 0, not {max_pending!r}")
 
 
 class QueryHandle:
@@ -103,9 +104,16 @@ class QueryHandle:
 
     Handles are created by :meth:`MonitoringService.subscribe` (or
     re-attached to an already-installed query with
-    :meth:`MonitoringService.handle`).  They buffer the query's result
-    changes so callers that do not want callbacks can drain them with
-    :meth:`changes` at their own pace.
+    :meth:`MonitoringService.handle`).  A handle keeps a change buffer,
+    drained with :meth:`changes`, only where a consumer asked for one:
+
+    * a poll handle (no ``on_change``) buffers every change, unbounded
+      unless ``max_pending`` bounds it;
+    * a callback handle buffers nothing unless ``max_pending`` is given:
+      the dispatcher calls its callback directly, and an alert outlives
+      the ``ingest()`` call that built it only if the callback keeps it;
+    * ``max_pending=N`` keeps the newest ``N`` undrained changes (the
+      oldest is dropped first), and ``max_pending=0`` keeps none.
     """
 
     def __init__(
@@ -119,11 +127,9 @@ class QueryHandle:
         self._query = query
         self._on_change = on_change
         if max_pending is None and on_change is not None:
-            max_pending = DEFAULT_CALLBACK_MAX_PENDING
-        #: once full, the *oldest* undrained change is dropped; unbounded
-        #: only for pure-poll handles (no callback), whose consumers drain
-        #: via :meth:`changes`
-        self._pending: Deque[Alert] = deque(maxlen=max_pending)
+            max_pending = 0
+        #: ``None`` when the handle keeps no buffer
+        self._pending: Optional[Deque[Alert]] = deque(maxlen=max_pending) if max_pending != 0 else None
         self._active = True
 
     # ------------------------------------------------------------------ #
@@ -170,15 +176,15 @@ class QueryHandle:
             The buffered changes; each yielded alert is removed from the
             buffer.  The iterator is non-blocking: it stops when the
             buffer is empty and can be called again after further
-            ``ingest()`` calls.
+            ``ingest()`` calls.  A handle without a buffer yields nothing.
         """
         while self._pending:
             yield self._pending.popleft()
 
     @property
     def pending_changes(self) -> int:
-        """Number of buffered, not-yet-drained changes."""
-        return len(self._pending)
+        """Number of buffered, not-yet-drained changes (0 without a buffer)."""
+        return len(self._pending) if self._pending is not None else 0
 
     def unsubscribe(self) -> None:
         """Terminate the query and detach the handle.
@@ -193,6 +199,7 @@ class QueryHandle:
 
     # ------------------------------------------------------------------ #
     def _deliver(self, alert: Alert) -> None:
+        """Buffer ``alert`` and call the callback: buffered handles only."""
         self._pending.append(alert)
         if self._on_change is not None:
             self._on_change(alert)
@@ -559,12 +566,11 @@ class MonitoringService:
         :class:`~repro.query.query.ContinuousQuery` (whose own ``k`` and
         id win).  The query id is auto-allocated unless given.
         ``on_change`` is invoked with an :class:`~repro.alerting.Alert`
-        every time the query's reported top-k changes; ``max_pending``
-        bounds the handle's change buffer (oldest dropped first).  With a
-        callback and no explicit bound the buffer defaults to
-        ``DEFAULT_CALLBACK_MAX_PENDING`` (callback consumers rarely drain
-        ``changes()`` and must not grow memory forever); pure-poll handles
-        stay unbounded unless bounded explicitly.
+        every time the query's reported top-k changes.  ``max_pending``
+        asks for a change buffer of that bound (oldest dropped first;
+        ``0`` for none).  Without it a callback handle keeps no buffer --
+        the callback is the consumer -- and a pure-poll handle buffers
+        every change until ``changes()`` drains it.
 
         Returns
         -------
@@ -580,9 +586,12 @@ class MonitoringService:
         DuplicateQueryError
             If a query with the same id is already installed.
         ConfigurationError
-            If the query is malformed (no terms, non-positive ``k``).
+            If the query is malformed (no terms, non-positive ``k``) or
+            ``max_pending`` is neither ``None`` nor an ``int >= 0``; the
+            latter before anything is registered or logged.
         """
         self._check_open()
+        _check_max_pending(max_pending)
         started = time.perf_counter() if obs.active else 0.0
         if isinstance(query, ContinuousQuery):
             continuous = query
@@ -638,7 +647,9 @@ class MonitoringService:
         for ``query_id`` it is returned as-is; passing a *new*
         ``on_change``/``max_pending`` alongside it is rejected rather than
         silently dropped -- register extra observers with
-        :meth:`on_change` or the existing handle instead.
+        :meth:`on_change` or the existing handle instead.  A new handle
+        buffers changes as :meth:`subscribe`'s do: a callback handle only
+        with ``max_pending``, a poll handle unless ``max_pending=0``.
 
         Returns
         -------
@@ -652,10 +663,12 @@ class MonitoringService:
         UnknownQueryError
             If no query with ``query_id`` is installed at the engine.
         ConfigurationError
-            If a handle already exists and ``on_change``/``max_pending``
-            were passed alongside it.
+            If ``max_pending`` is neither ``None`` nor an ``int >= 0``, or
+            a handle already exists and ``on_change``/``max_pending`` were
+            passed alongside it.
         """
         self._check_open()
+        _check_max_pending(max_pending)
         existing = self._handles.get(query_id)
         if existing is not None:
             if on_change is not None or max_pending is not None:
@@ -679,9 +692,13 @@ class MonitoringService:
     ) -> QueryHandle:
         handle = QueryHandle(self, query, on_change, max_pending=max_pending)
         self._handles[query.query_id] = handle
-        self._handle_unsubscribers[query.query_id] = self.dispatcher.subscribe(
-            handle._deliver, query_id=query.query_id
-        )
+        # Only a buffered handle is on the delivery path; without a buffer
+        # the dispatcher calls the callback itself (or nothing at all).
+        deliver = handle._deliver if handle._pending is not None else on_change
+        if deliver is not None:
+            self._handle_unsubscribers[query.query_id] = self.dispatcher.subscribe(
+                deliver, query_id=query.query_id
+            )
         return handle
 
     def _shard_of(self, query_id: int) -> Optional[int]:

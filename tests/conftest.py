@@ -8,6 +8,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.core import base
 from repro.documents.document import CompositionList, Document, StreamedDocument
 from repro.query.query import ContinuousQuery
 
@@ -115,7 +116,10 @@ def assert_same_topk(reference: Sequence, candidate: Sequence, context: str = ""
 
 
 def count_constructions(monkeypatch, *classes) -> Counter:
-    """Count, per class, the instances built by calling it -- through ``__new__``.
+    """Count, per class, the instances built by calling it -- through ``__new__``
+    -- or through :data:`repro.core.base.new_value`, the frameless construction
+    of the alert path's hot sites, so a site that switches between the two
+    is counted either way.
 
     The change stream's value types are tuples: ``__init__`` is ``object``'s
     and sees no arguments worth counting.  ``_make`` / ``_replace`` go
@@ -123,6 +127,17 @@ def count_constructions(monkeypatch, *classes) -> Counter:
     until ``monkeypatch.undo()``.
     """
     built: Counter = Counter()
+    # bench_delivery.py may run this against another checkout's repro,
+    # which need not have the name
+    new_value = getattr(base, "new_value", None)
+
+    def counting_new_value(cls, fields):
+        if cls in classes:
+            built[cls] += 1
+        return new_value(cls, fields)
+
+    if new_value is not None:
+        monkeypatch.setattr(base, "new_value", counting_new_value)
 
     def counted(cls):
         original = cls.__new__

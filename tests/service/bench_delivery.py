@@ -11,8 +11,9 @@ hundred ingests, and replays those calls with nothing else running:
 
 * ``expand``: ``manager.expand_changes(changes)`` alone;
 * ``deliver``: ``dispatcher.dispatch_changes(changes, document)`` -- the
-  expansion again, one alert per subscriber change, the handle's buffer
-  and the callback.
+  expansion again, one alert per subscriber change and the callback,
+  which the dispatcher calls directly (a callback subscription without
+  ``max_pending`` keeps no buffer).
 
 It prints microseconds per recorded document (median and minimum of the
 repeats) and, from one more replay that counts instead of timing, how many

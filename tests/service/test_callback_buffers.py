@@ -1,19 +1,18 @@
 """Bounded callback buffers on :class:`QueryHandle`.
 
 A push subscriber that never drains ``handle.changes()`` must not grow the
-service's memory forever: callback handles get a bounded pending buffer
-(``DEFAULT_CALLBACK_MAX_PENDING`` unless overridden) that drops the
-*oldest* undrained change once full, while the callback itself still sees
-every alert.  Pure-poll handles stay unbounded unless bounded explicitly.
-These semantics were documented but untested; this module pins them down,
-including under the asynchronous ingestion path.
+service's memory forever: a callback handle keeps no change buffer unless
+it passes ``max_pending``, and then a bounded one that drops the *oldest*
+undrained change once full, while the callback itself still sees every
+alert.  Pure-poll handles stay unbounded unless bounded explicitly.  This
+module pins these semantics down, including under the asynchronous
+ingestion path.
 """
 
 import asyncio
 
 from repro.query.query import ContinuousQuery
 from repro.service import AsyncMonitoringService, MonitoringService
-from repro.service.service import DEFAULT_CALLBACK_MAX_PENDING
 from tests.conftest import make_document
 
 #: the watched term and a query over it
@@ -57,10 +56,15 @@ class TestSlowConsumerOverflow:
             # ...but the push callback saw every single one.
             assert [alert.document.doc_id for alert in deliveries] == list(range(12))
 
-    def test_callback_handles_get_the_default_bound(self):
+    def test_callback_handles_keep_no_buffer_by_default(self):
+        deliveries = []
         with MonitoringService() as service:
-            handle = service.subscribe(watch_query(), on_change=lambda alert: None)
-            assert handle._pending.maxlen == DEFAULT_CALLBACK_MAX_PENDING
+            handle = service.subscribe(watch_query(), on_change=deliveries.append)
+            fill_service(service, 12)
+            assert handle._pending is None
+            assert handle.pending_changes == 0
+            assert list(handle.changes()) == []
+            assert [alert.document.doc_id for alert in deliveries] == list(range(12))
 
     def test_explicit_bound_wins_over_the_default(self):
         with MonitoringService() as service:

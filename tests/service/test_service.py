@@ -171,6 +171,7 @@ class TestSubscribeAndIngest:
             on_change=lambda alert: polled.append(
                 (alert.document.doc_id, service.result(0)[0].doc_id)
             ),
+            max_pending=16,
         )
         service.ingest(
             [make_document(doc_id, {1: 0.1 * (doc_id + 1)}, arrival_time=float(doc_id))
@@ -183,7 +184,7 @@ class TestSubscribeAndIngest:
     def test_on_change_callback_and_changes_drain(self):
         service = MonitoringService()
         seen = []
-        handle = service.subscribe("market news", k=1, on_change=seen.append)
+        handle = service.subscribe("market news", k=1, on_change=seen.append, max_pending=64)
         service.ingest(TEXTS)
         assert seen, "callback should have fired"
         assert handle.pending_changes == len(seen)
@@ -210,16 +211,14 @@ class TestSubscribeAndIngest:
                                          arrival_time=float(doc_id)))
         assert handle.pending_changes == 2
 
-    def test_callback_handles_bounded_by_default(self):
-        """Callback consumers rarely drain; their buffer must not be unbounded."""
-        from repro.service.service import DEFAULT_CALLBACK_MAX_PENDING
-
+    def test_callback_handles_unbuffered_by_default(self):
+        """Callback consumers rarely drain; they keep no buffer unless asked."""
         service = MonitoringService()
         with_callback = service.subscribe(
             ContinuousQuery(0, {1: 1.0}, k=1), on_change=lambda alert: None
         )
         poll_only = service.subscribe(ContinuousQuery(1, {1: 1.0}, k=1))
-        assert with_callback._pending.maxlen == DEFAULT_CALLBACK_MAX_PENDING
+        assert with_callback._pending is None
         assert poll_only._pending.maxlen is None
 
     def test_global_on_change_subscriber(self):

@@ -10,10 +10,11 @@ of query-term weights.  Both start from the same analysis pipeline:
 The :class:`Analyzer` encapsulates that pipeline.  Everything after
 tokenisation depends on the token alone, so it runs once per distinct
 *surface form* and is remembered in a bounded table; analysing a text is
-one regex pass and one table lookup per token.  It returns raw term
-frequencies; the conversion into cosine-normalised (or Okapi) weights is the
-job of :mod:`repro.weighting`, because query weights and document weights
-are normalised differently (Formula (1) of the paper).
+one lower-casing of the whole (ASCII) text, one regex pass and one table
+lookup per token.  It returns raw term frequencies; the conversion into
+cosine-normalised (or Okapi) weights is the job of :mod:`repro.weighting`,
+because query weights and document weights are normalised differently
+(Formula (1) of the paper).
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ __all__ = ["Analyzer", "AnalyzerConfig", "TermCounts", "SURFACE_TABLE_CAPACITY"]
 TermCounts = Dict[str, int]
 
 #: Entries an analyzer's surface-form table holds before it stops filling
-#: (fill-and-stop, never evicted).  Memory decides it: on ``bench/``'s
-#: ``text_heavy`` (160k surface forms) every further entry is a key string the
-#: process keeps, and the benchmark bounds ``peak_rss_mb`` at +10% -- see
+#: (fill-and-stop, never evicted).  Memory decides it: every entry is a key
+#: string the process keeps.  The table is a ``dict``, which resizes when it
+#: is 2/3 full; 2**17 slots, allocated once entry 43,691 arrives, hold
+#: 87,381 entries, and entry 87,382 would double the allocation.  See
 #: ARCHITECTURE.md "Text & documents" for the docs_per_s / peak_rss_mb pair
-#: measured at each bound tried.
-SURFACE_TABLE_CAPACITY = 65_536
+#: measured at each bound tried.  Threads that miss at once can each pass
+#: the ``len`` check and insert, so the table may end a few entries past
+#: the bound; the 8 entries held back keep such a race inside 2**17 slots.
+SURFACE_TABLE_CAPACITY = 2 * 2**17 // 3 - 8
 
 
 class _SupportsStem(Protocol):
@@ -152,7 +156,17 @@ class Analyzer:
     # ------------------------------------------------------------------ #
     def _terms(self, text: str) -> Iterator[Optional[str]]:
         """The term of every token of ``text`` in order, ``None`` where the
-        token is dropped: one regex pass and one table subscript per token."""
+        token is dropped: one regex pass and one table subscript per token.
+
+        With ``lowercase`` set an ASCII text is folded first, so ``Markets``
+        and ``markets`` are one table key.  The tokenizer matches ASCII only,
+        so that yields the lower-cased tokens of the original; a non-ASCII
+        text is tokenised as it is (a few characters, e.g. U+212A KELVIN
+        SIGN, lower-case to ASCII)."""
+        if not isinstance(text, str):
+            raise TypeError(f"expected str, got {type(text).__name__}")
+        if self.config.lowercase and text.isascii():
+            text = text.lower()
         tokens = self._tokenizer.words(text)
         self._tokens += len(tokens)
         return map(self._table.__getitem__, tokens)

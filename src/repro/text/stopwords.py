@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
 
+from repro.exceptions import ConfigurationError
+
 __all__ = ["DEFAULT_STOPWORDS", "StopwordFilter"]
 
 
@@ -79,6 +81,9 @@ class StopwordFilter:
     extra:
         Additional stop-words to merge into the base set, e.g. corpus
         boiler-plate ("reuters", "copyright").
+
+    A bare ``str`` for either list is a :class:`ConfigurationError`: it
+    would be read one letter at a time.
     """
 
     def __init__(
@@ -87,6 +92,12 @@ class StopwordFilter:
         min_length: int = 2,
         extra: Optional[Iterable[str]] = None,
     ) -> None:
+        for name, words in (("stopwords", stopwords), ("extra", extra)):
+            if isinstance(words, str):
+                raise ConfigurationError(
+                    f"{name} must be a collection of words, not the string {words!r}: "
+                    f"pass a tuple such as ({words!r},)"
+                )
         base: Set[str] = set(DEFAULT_STOPWORDS if stopwords is None else stopwords)
         if extra is not None:
             base.update(extra)

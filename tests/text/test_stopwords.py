@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
+from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.text.stopwords import DEFAULT_STOPWORDS, StopwordFilter
 
 
@@ -67,3 +69,23 @@ class TestStopwordFilter:
     def test_returns_original_casing(self):
         keeper = StopwordFilter()
         assert keeper.filter(["White", "THE", "Tower"]) == ["White", "Tower"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda words: StopwordFilter(stopwords=words),
+            lambda words: StopwordFilter(extra=words),
+            lambda words: Analyzer(AnalyzerConfig(extra_stopwords=words)),
+        ],
+        ids=["stopwords", "extra", "extra_stopwords"],
+    )
+    def test_a_bare_string_is_refused_before_any_text(self, build):
+        # Iterated, "reuters" would be the stop words r, e, u, t, s.
+        with pytest.raises(ConfigurationError, match="tuple"):
+            build("reuters")
+        build(("reuters",))
+
+    def test_a_one_word_tuple_stops_that_word_only(self):
+        analyzer = Analyzer(AnalyzerConfig(extra_stopwords=("reuters",), min_token_length=1))
+        assert analyzer.analyze("a r e reuters x") == ["r", "e", "x"]
+        assert StopwordFilter(stopwords=("reuters",)).filter(["r", "reuters", "Reuters", "the"]) == ["the"]

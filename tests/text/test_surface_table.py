@@ -4,6 +4,7 @@ Oracle: :mod:`tests.text.parent_chain`, the token-at-a-time chain this
 repository ran before the table existed.
 """
 
+import string
 from itertools import product
 from unittest import mock
 
@@ -36,7 +37,18 @@ _adversarial_token = st.one_of(
     st.text(alphabet="abcXYZ019'-_. \n\té", max_size=12),
 )
 _adversarial_text = st.lists(_adversarial_token, max_size=12).map(" ".join)
-_text = st.one_of(st.sampled_from(_DOCUMENTS), st.sampled_from(_QUERIES), _adversarial_text)
+# ASCII words run into non-ASCII characters, which leave a text unfolded:
+# two that lower-case to ASCII (U+0130, U+212A) and newswire punctuation.
+_fold_edge_text = st.lists(
+    st.one_of(
+        st.text(alphabet=string.ascii_letters + string.digits + "' ", max_size=8),
+        st.sampled_from(["\u0130", "\u212a", "\u2019", "\u201c", "\u201d"]),
+    ),
+    max_size=12,
+).map("".join)
+_text = st.one_of(
+    st.sampled_from(_DOCUMENTS), st.sampled_from(_QUERIES), _adversarial_text, st.text(), _fold_edge_text
+)
 
 
 def _config(flags):
@@ -90,6 +102,20 @@ class TestTableAccounting:
         analyzer.analyze("markets fell again")
         stats = analyzer.surface_table_stats()
         assert (stats["entries"], stats["tokens"], stats["misses"]) == (5, 9, 5)
+
+    def test_case_variants_are_one_entry(self):
+        analyzer = Analyzer()
+        assert analyzer.analyze("Markets MARKETS markets") == ["market"] * 3
+        stats = analyzer.surface_table_stats()
+        assert (stats["entries"], stats["misses"]) == (1, 1)
+
+    def test_a_non_ascii_text_is_not_folded(self):
+        # "\u212a" lower-cases to "k": folded, "\u212aelvin" would gain a token.
+        analyzer = Analyzer(AnalyzerConfig(stem=False, remove_stopwords=False, min_token_length=1))
+        assert analyzer.analyze("\u212aelvin Markets markets") == ["elvin", "markets", "markets"]
+        assert analyzer.surface_table_stats()["entries"] == 3
+        assert analyzer.analyze("\u201cMarkets\u201d markets") == ["markets", "markets"]
+        assert analyzer.surface_table_stats()["entries"] == 3
 
     def test_a_full_table_stops_filling_and_keeps_answering(self):
         with mock.patch.object(analyzer_module, "SURFACE_TABLE_CAPACITY", 2):

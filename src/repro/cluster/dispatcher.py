@@ -10,13 +10,15 @@ the cluster's latency is the per-shard time, not the sum.
 :meth:`EventDispatcher.fan_out` is *pipelined*: every shard is sent the
 call before any is read.  An in-process shard computes when it is sent; a
 :class:`~repro.net.remote.RemoteShard`'s worker computes while the other
-shards are sent theirs, and is read afterwards.
+shards are sent theirs, and is read afterwards.  :meth:`EventDispatcher.run`
+makes a different call on each shard -- a restore's per-shard seeds -- and
+runs the coordinator's own work in the gap while the workers compute.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.observability import runtime as _obs
@@ -25,27 +27,37 @@ from repro.observability.timing import Timer
 __all__ = ["EventDispatcher", "Seed", "ShardCall"]
 
 #: ``seed(shard)``: that shard's state before a call, as a
-#: :func:`~repro.persistence.snapshot_engine`-format document
+#: :func:`~repro.persistence.snapshot_engine`-format document whose
+#: documents are :func:`~repro.persistence.encode_documents` columns
 Seed = Callable[[int], Dict[str, Any]]
 
 
 class ShardCall:
     """One engine call, fanned out to every shard or made on one."""
 
-    __slots__ = ("method", "args", "seed", "encoded")
+    __slots__ = ("method", "args", "seed", "local", "encoded")
 
-    def __init__(self, method: str, args: Sequence[Any] = (), seed: Optional[Seed] = None) -> None:
+    def __init__(
+        self,
+        method: str,
+        args: Sequence[Any] = (),
+        seed: Optional[Seed] = None,
+        local: Optional[Callable[[Any], Any]] = None,
+    ) -> None:
         #: the engine method each shard runs, with ``args``
         self.method = method
         self.args = tuple(args)
         #: what a remote shard replacing its worker mid-call seeds it with
         #: (``None``: the coordinator's state now)
         self.seed = seed
-        #: the request's wire form -- JSON params, or the ``bytes`` of a
-        #: binary attachment (a batch's columns) -- made by the first remote
-        #: shard that sends the call and reused by the others: once per
-        #: fan-out, not per shard
-        self.encoded: Optional[Union[Dict[str, Any], bytes]] = None
+        #: what an in-process shard runs instead of ``method(*args)``, given
+        #: the shard (a restore replays into it)
+        self.local = local
+        #: the request's wire form -- JSON params, the ``bytes`` of a binary
+        #: attachment (a batch's columns), or both (a seed) -- made by the
+        #: first remote shard that sends the call and reused by the others:
+        #: once per fan-out, not per shard
+        self.encoded: Optional[Union[Dict[str, Any], bytes, Tuple[Dict[str, Any], bytes]]] = None
 
 
 class EventDispatcher:
@@ -53,7 +65,8 @@ class EventDispatcher:
 
     def __init__(self, shards: Sequence[Any]) -> None:
         self.shards = list(shards)
-        self._remote = [hasattr(shard, "send") for shard in self.shards]
+        #: by shard: whether it is remote (sent a call, read later)
+        self.remote = [hasattr(shard, "send") for shard in self.shards]
         #: one stopwatch per shard: one measurement per fan-out -- an
         #: in-process shard's computation, or the wait for a remote one
         self.shard_timers: List[Timer] = [Timer() for _ in self.shards]
@@ -61,26 +74,38 @@ class EventDispatcher:
     def fan_out(
         self, method: str, args: Sequence[Any] = (), seed: Optional[Seed] = None
     ) -> List[Any]:
-        """Call ``method(*args)`` on every shard; the results by shard.
+        """Call ``method(*args)`` on every shard; the results by shard."""
+        return self.run([ShardCall(method, args, seed)] * len(self.shards))
 
-        Every remote shard is read even after one of them failed, so the
-        connections stay request/response aligned; then the first shard's
-        error is raised.
+    def run(self, calls: Sequence[ShardCall], meanwhile: Optional[Callable[[], None]] = None) -> List[Any]:
+        """Make ``calls[i]`` on shard ``i``; the results by shard.
+
+        ``meanwhile`` runs once every remote shard has been sent its call,
+        while the workers compute.  Every remote shard is read even after
+        one of them (or ``meanwhile``) failed, so the connections stay
+        request/response aligned; then the first error is raised.
         """
         observed = _obs.active
         started = time.perf_counter() if observed else 0.0
-        call = ShardCall(method, args, seed)
         results: List[Any] = []
-        for shard, remote, timer in zip(self.shards, self._remote, self.shard_timers):
+        for shard, remote, timer, call in zip(self.shards, self.remote, self.shard_timers, calls):
             if remote:
                 shard.send(call)
                 results.append(None)
             else:
                 with timer:
-                    results.append(getattr(shard, method)(*call.args))
-        error: Optional[ReproError] = None
-        for index, shard in enumerate(self.shards):
-            if not self._remote[index]:
+                    if call.local is None:
+                        results.append(getattr(shard, call.method)(*call.args))
+                    else:
+                        results.append(call.local(shard))
+        error: Optional[Exception] = None
+        if meanwhile is not None:
+            try:
+                meanwhile()
+            except Exception as failure:
+                error = failure
+        for index, (shard, call) in enumerate(zip(self.shards, calls)):
+            if not self.remote[index]:
                 continue
             try:
                 with self.shard_timers[index]:
@@ -91,7 +116,7 @@ class EventDispatcher:
             raise error
         if observed:
             _obs.histogram_child(
-                "repro_cluster_dispatch_ms", "pipelined fan-out latency", "method", method
+                "repro_cluster_dispatch_ms", "pipelined fan-out latency", "method", calls[0].method
             ).observe((time.perf_counter() - started) * 1000.0)
         return results
 

@@ -16,19 +16,21 @@ window, registry, placement, part-way-batch prefix rule, event-major
 merge, migration and invariants are written once, here, for both.
 
 **Seeds.**  Every call that changes a shard can hand it the shard's state
-before the call: the mirror's documents at the pre-call clock and the
-registry's queries assigned to it (a query is assigned once its shard
-acknowledged it, and unassigned once its removal was).  A remote shard
-that must replace its worker mid-call seeds the replacement with it; the
-seed is built only when asked for.
+before the call: the mirror's documents at the pre-call clock, as the
+shard channel's columns, and the registry's queries assigned to it (a
+query is assigned once its shard acknowledged it, and unassigned once its
+removal was).  A remote shard that must replace its worker mid-call seeds
+the replacement with it; the seed is built only when asked for.  A
+restore (:meth:`ShardedEngine.seed_shards`) sends every worker the same
+kind of seed, all at once.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.dispatcher import EventDispatcher
+from repro.cluster.dispatcher import EventDispatcher, ShardCall
 from repro.cluster.merger import ResultMerger
 from repro.cluster.placement import CostModelPlacement, PlacementPolicy, make_placement
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
@@ -37,7 +39,7 @@ from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.exceptions import ConfigurationError, UnknownQueryError, WindowError
 from repro.observability.timing import AggregatedCounters
-from repro.persistence import SNAPSHOT_VERSION, document_record, query_record
+from repro.persistence import SNAPSHOT_VERSION, encode_documents, query_record, replay
 from repro.query.query import ContinuousQuery
 from repro.query.registry import QueryRegistry
 
@@ -127,25 +129,88 @@ class ShardedEngine(MonitoringEngine):
     # seeds
     # ------------------------------------------------------------------ #
     def _seed(
-        self, shard: int, clock: Optional[float], documents: Iterable[StreamedDocument]
+        self,
+        shard: int,
+        clock: Optional[float],
+        documents: Sequence[StreamedDocument],
+        columns: Optional[bytes] = None,
     ) -> Dict[str, Any]:
         """``shard`` as a :func:`~repro.persistence.snapshot_engine` document:
-        ``documents`` at ``clock``, and the queries assigned to it."""
+        ``documents`` at ``clock`` -- as the shard channel's columns,
+        ``columns`` when already encoded -- and the queries assigned to it."""
         return {
             "version": SNAPSHOT_VERSION,
             "window": self.window_spec.to_dict(),
             "clock": clock,
-            "documents": [document_record(document) for document in documents],
-            "queries": [
-                query_record(query)
-                for query in self.registry
-                if self._assignment.get(query.query_id) == shard
-            ],
+            "columns": encode_documents(documents) if columns is None else columns,
+            "queries": [query_record(query) for query in self._hosted(shard)],
         }
+
+    def _hosted(self, shard: int) -> List[ContinuousQuery]:
+        """The queries assigned to ``shard``, in registry order."""
+        return [query for query in self.registry if self._assignment.get(query.query_id) == shard]
 
     def _current_state(self, shard: int) -> Dict[str, Any]:
         """The seed of a call that changes no window: the mirror as it is."""
-        return self._seed(shard, self.window.clock, self.window)
+        return self._seed(shard, self.window.clock, list(self.window))
+
+    def seed_shards(
+        self,
+        documents: Sequence[StreamedDocument],
+        clock: Optional[float],
+        queries: Sequence[Tuple[ContinuousQuery, Optional[int]]],
+    ) -> None:
+        """Load a snapshot's state into this empty cluster, one call per shard.
+
+        :func:`~repro.persistence.restore_into` hands a query-placing
+        engine its decoded snapshot: ``documents`` oldest first, the
+        ``clock``, and the queries in registry order, each with its
+        recorded shard (``None``: the placement policy picks).  Every
+        recorded shard is checked before anything changes.  The
+        coordinator then takes the registry and placements in that order,
+        and every shard gets its whole state in one call: an in-process
+        shard replays it (:func:`~repro.persistence.replay`), a remote one
+        is sent a ``restore`` seed whose columns are encoded once for all
+        of them, under one call's deadline.  The mirror window fills while
+        the workers load.  Each shard sees exactly the calls
+        :func:`~repro.persistence.replay` on the cluster would have fanned
+        out to it.  A cluster whose seeding failed part-way is not usable:
+        close it and build a fresh one.
+        """
+        outside = [shard for _, shard in queries if shard is not None and not 0 <= shard < self.num_shards]
+        if outside:
+            recorded = 1 + max(shard for _, shard in queries if shard is not None)
+            raise ConfigurationError(
+                f"the snapshot places queries on {recorded} shards (shard {outside[0]}), "
+                f"this cluster has {self.num_shards}"
+            )
+        if len(self.registry) or len(self.window):
+            raise ConfigurationError("a snapshot is restored into an empty cluster")
+        for query, shard in queries:
+            self.registry.register(query)
+            if shard is None:
+                shard = self.placement.place(query)
+            else:
+                self.placement.record(query, shard)
+            self._assignment[query.query_id] = shard
+
+        def fill_mirror() -> None:
+            for document in documents:
+                self.window.insert(document)
+            if clock is not None:
+                self.window.advance_time(clock)
+
+        columns = encode_documents(documents) if any(self.dispatcher.remote) else None
+
+        def call(index: int, remote: bool) -> ShardCall:
+            if remote:
+                return ShardCall("restore", (self._seed(index, clock, documents, columns),))
+            hosted = self._hosted(index)
+            return ShardCall("restore", local=lambda shard: replay(shard, documents, clock, hosted))
+
+        self.dispatcher.run(
+            [call(index, remote) for index, remote in enumerate(self.dispatcher.remote)], meanwhile=fill_mirror
+        )
 
     # ------------------------------------------------------------------ #
     # query management
@@ -154,7 +219,7 @@ class ShardedEngine(MonitoringEngine):
         """Install ``query`` on a shard and return the shard index.
 
         Without an explicit ``shard`` the placement policy picks one;
-        restore and migration pass the shard explicitly.
+        WAL replay passes the recorded shard explicitly.
         """
         if shard is not None and not 0 <= shard < self.num_shards:
             raise ConfigurationError(f"shard {shard} outside 0..{self.num_shards - 1}")
@@ -260,7 +325,7 @@ class ShardedEngine(MonitoringEngine):
         def seed(shard: int) -> Dict[str, Any]:
             fresh = {id(document) for document in batch}
             before = chain(expired, self.window)
-            return self._seed(shard, clock, (d for d in before if id(d) not in fresh))
+            return self._seed(shard, clock, [d for d in before if id(d) not in fresh])
 
         per_shard = self.dispatcher.fan_out("process_batch_events", (batch,), seed)
         return [
@@ -273,7 +338,7 @@ class ShardedEngine(MonitoringEngine):
         clock = self.window.clock
         expired = self.window.advance_time(now)
         per_shard = self.dispatcher.fan_out(
-            "advance_time", (now,), lambda shard: self._seed(shard, clock, chain(expired, self.window))
+            "advance_time", (now,), lambda shard: self._seed(shard, clock, [*expired, *self.window])
         )
         return self.merger.merge_changes(per_shard)
 

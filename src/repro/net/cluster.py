@@ -34,7 +34,7 @@ import tempfile
 import weakref
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.placement import PlacementPolicy
@@ -65,6 +65,11 @@ def _finalize_cluster(processes: List[Any], data_dir: Optional[str]) -> None:
             pass
     if data_dir is not None:
         shutil.rmtree(data_dir, ignore_errors=True)
+
+
+def _check_query_id(query: ContinuousQuery) -> None:
+    if query.query_id not in INT64:
+        raise QueryError(f"query id {query.query_id} is outside int64")
 
 
 class ProcessClusterEngine(ShardedEngine):
@@ -166,9 +171,20 @@ class ProcessClusterEngine(ShardedEngine):
         return super().process_batch_events(batch)
 
     def register_query(self, query: ContinuousQuery, shard: Optional[int] = None) -> int:
-        if query.query_id not in INT64:
-            raise QueryError(f"query id {query.query_id} is outside int64")
+        _check_query_id(query)
         return super().register_query(query, shard)
+
+    def seed_shards(
+        self,
+        documents: Sequence[StreamedDocument],
+        clock: Optional[float],
+        queries: Sequence[Tuple[ContinuousQuery, Optional[int]]],
+    ) -> None:
+        """Refuses a restore with an id outside ``int64`` before any shard is seeded."""
+        check_int64_ids(documents)
+        for query, _ in queries:
+            _check_query_id(query)
+        super().seed_shards(documents, clock, queries)
 
     # ------------------------------------------------------------------ #
     # spawning

@@ -40,7 +40,7 @@ import json
 import socket
 import struct
 import time
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import repro.exceptions as _exceptions
 from repro.exceptions import (
@@ -288,24 +288,29 @@ class RpcConnection:
     def send_request(
         self,
         method: str,
-        params: Union[Dict[str, Any], bytes, None] = None,
+        params: Union[Dict[str, Any], bytes, Tuple[Dict[str, Any], bytes], None] = None,
         deadline: Optional[float] = None,
     ) -> int:
         """Write one request frame; returns its request id.
 
-        ``params`` is a JSON object, or ``bytes`` sent as the request's
-        binary attachment (the coordinator encodes a replicated batch once
-        and sends the same bytes to every worker).
+        ``params`` is a JSON object, ``bytes`` sent as the request's binary
+        attachment (the coordinator encodes a replicated batch once and
+        sends the same bytes to every worker), or a ``(JSON object,
+        attachment)`` pair (a seed: its queries, and its documents' columns).
         """
         if self._closed:
             raise RpcTransportError(f"connection to {self.peer or 'peer'} is closed")
         self._next_id += 1
         request_id = self._next_id
-        binary = isinstance(params, bytes)
+        attachment: Optional[bytes] = None
+        if isinstance(params, bytes):
+            params, attachment = None, params
+        elif isinstance(params, tuple):
+            params, attachment = params
         envelope = b'{"id":%d,"method":%s,"params":%s}' % (
-            request_id, _json(method), b"{}" if binary else _json(params or {})
+            request_id, _json(method), _json(params) if params else b"{}"
         )
-        sent = _send_body(self._sock, _body(envelope, params if binary else None), deadline)
+        sent = _send_body(self._sock, _body(envelope, attachment), deadline)
         if _obs.active:
             _obs.counter_child(
                 "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "sent"
@@ -342,7 +347,7 @@ class RpcConnection:
     def call(
         self,
         method: str,
-        params: Union[Dict[str, Any], bytes, None] = None,
+        params: Union[Dict[str, Any], bytes, Tuple[Dict[str, Any], bytes], None] = None,
         timeout_ms: Optional[float] = None,
     ) -> Any:
         """One request/response round trip under one deadline.

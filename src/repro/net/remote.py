@@ -9,15 +9,18 @@ call and :meth:`RemoteShard.receive` reads its answer, so a fan-out can
 send to every worker before it reads any; a call's encoding is made once
 and shared by every shard it is sent to.
 ``process_batch_events`` ships its batch as binary columns
-(:func:`~repro.net.codec.encode_documents`), and its answer and
-``advance_time``'s come back as :func:`~repro.net.codec.encode_changes`
-columns; every other call speaks JSON.
+(:func:`~repro.net.codec.encode_documents`), a ``restore`` seed its
+documents the same way beside its JSON queries, and the answers of
+``process_batch_events`` and ``advance_time`` come back as
+:func:`~repro.net.codec.encode_changes` columns; every other call speaks
+JSON.
 
 **Supervision.**  A broken connection
 (:class:`~repro.exceptions.RpcTransportError`) anywhere in a call makes the
 stub reap the dead worker, back off exponentially, spawn a replacement,
 seed it over the ``restore`` RPC with the call's seed -- the shard as the
-coordinator had it acknowledged before the call -- and re-send the call.
+coordinator had it acknowledged before the call -- and re-send the call
+(a ``restore`` call is its own seed, and is simply re-sent).
 The replacement never saw the call, so a retried mutation is applied
 exactly once; one that dies while being seeded is one more attempt.  Past
 ``max_restarts`` the call fails with
@@ -57,10 +60,17 @@ def _results_from_wire(data: Dict[str, Any]) -> Dict[int, TopKResult]:
     return {int(query_id): entries_from_wire(entries) for query_id, entries in data.items()}
 
 
-#: engine call -> (its request from its arguments: JSON params, or the
-#: ``bytes`` of an attachment; how to decode its value, or None to take it
-#: as it comes); the worker's RPC methods are named after the calls
+def _seed_to_wire(seed: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
+    """A seed's JSON part, and its document columns as the attachment."""
+    snapshot = dict(seed)
+    return {"snapshot": snapshot}, snapshot.pop("columns")
+
+
+#: engine call -> (its request from its arguments: JSON params, the
+#: ``bytes`` of an attachment, or both; how to decode its value, or None to
+#: take it as it comes); the worker's RPC methods are named after the calls
 _WIRE: Dict[str, Tuple[Callable[..., Any], Optional[Callable[[Any], Any]]]] = {
+    "restore": (_seed_to_wire, None),
     "process_batch_events": (encode_documents, decode_changes),
     "advance_time": (lambda now: {"now": float(now)}, lambda data: decode_changes(data)[0]),
     "register_query": (lambda query: {"query": query_record(query)}, None),
@@ -151,7 +161,7 @@ class RemoteShard:
         while True:
             try:
                 if attempt:
-                    self._restart(attempt, call.seed or self._state)
+                    self._restart(attempt, None if call.method == "restore" else call.seed or self._state)
                     self._request = self.connection.send_request(call.method, call.encoded, self._deadline)
                 value = self.connection.read_response(self._request, self._deadline)
                 break
@@ -172,8 +182,8 @@ class RemoteShard:
         self.send(call)
         return self.receive(call)
 
-    def _restart(self, attempt: int, seed: Seed) -> None:
-        """Replace the dead worker and seed the replacement with ``seed``.
+    def _restart(self, attempt: int, seed: Optional[Seed]) -> None:
+        """Replace the dead worker and seed the replacement with ``seed``, if any.
 
         A replacement that dies while being seeded raises
         :class:`~repro.exceptions.RpcTransportError` to :meth:`receive`,
@@ -200,10 +210,9 @@ class RemoteShard:
             _obs.counter_child(
                 "repro_worker_restarts_total", "worker processes restarted", "shard", str(self.index)
             ).inc()
-        request = self.connection.send_request(
-            "restore", {"snapshot": seed(self.index)}, self._deadline
-        )
-        self.connection.read_response(request, self._deadline)
+        if seed is not None:
+            request = self.connection.send_request("restore", _seed_to_wire(seed(self.index)), self._deadline)
+            self.connection.read_response(request, self._deadline)
 
     # ------------------------------------------------------------------ #
     # the engine interface

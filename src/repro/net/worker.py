@@ -12,11 +12,13 @@ Batches arrive and change lists leave as binary columns
 (:mod:`repro.net.codec`; no text, a worker never renders); an attachment
 that does not decode is a typed error response and the worker serves on.
 
-**Recovery.**  A replacement for a dead worker starts empty and is seeded
-by its stub with the ``restore`` RPC: a
-:func:`~repro.persistence.snapshot_engine`-format document loaded by
+**Recovery.**  A worker is loaded with the ``restore`` RPC: a
+:func:`~repro.persistence.snapshot_engine`-format document whose
+documents arrive as the request's column attachment, loaded by
 :func:`~repro.persistence.restore_into` into a fresh ``spec.build()`` --
-the one loader every restore goes through.  The stub seeds the state the
+the one loader every restore goes through.  A cluster restore seeds every
+worker this way at once, and a replacement for a dead worker starts empty
+and is seeded by its stub.  The stub seeds the state the
 coordinator had acknowledged *before* the failed call and then re-sends
 the call, which the new worker has never seen, so a retried mutation is
 applied exactly once without any request de-duplication here.
@@ -111,7 +113,10 @@ class ShardWorker:
             engine.unregister_query(int(params["query_id"]))
             return None
         if method == "restore":
-            self.engine = restore_into(params["snapshot"], self.spec.build())
+            snapshot = params["snapshot"]
+            if attachment is not None:
+                snapshot = {**snapshot, "columns": attachment}
+            self.engine = restore_into(snapshot, self.spec.build())
             return None
         if method == "ping":
             return {

@@ -40,6 +40,7 @@ __all__ = [
     "snapshot_engine",
     "restore_engine",
     "restore_into",
+    "replay",
     "EngineSnapshot",
     "document_record",
     "query_record",
@@ -52,7 +53,7 @@ __all__ = [
 SNAPSHOT_VERSION = 1
 
 #: documents per ``process_batch_events`` call while a restore replays the
-#: window (on the process cluster one call is one RPC round per worker)
+#: window (a process cluster's worker replays its seed in the same chunks)
 REPLAY_CHUNK = 256
 
 
@@ -308,33 +309,55 @@ def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> Monitori
 
     The one loader: the caller builds the engine (``spec.build()``, or by
     hand) with its window configured like the snapshotted one, and this
-    replays the logical state.  The documents go through
+    replays the logical state (:func:`replay`).  The documents go through
     ``process_batch_events`` oldest-first *before* the queries are
     registered, so each query's initial result is computed over the full
-    restored window; an engine that places queries gets each one back on
-    its recorded shard.
+    restored window.  An engine that places queries (a
+    :class:`~repro.cluster.engine.ShardedEngine`) is handed the decoded
+    state whole instead (``seed_shards``): it fills its coordinator, gets
+    each query back on its recorded shard, and loads every shard through
+    this same loader in one call -- a worker's is a ``restore`` RPC.
+
+    A snapshot carries its documents as records (``"documents"``) or, as a
+    shard's seed does, as :func:`encode_documents` columns (``"columns"``).
     """
     snapshot = _flat_snapshot(snapshot)
+    columns = snapshot.get("columns")
+    if columns is None:
+        records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
+        documents = [_document_from_record(record) for record in records]
+    else:
+        documents = sorted(decode_documents(columns), key=lambda d: d.arrival_time)
+    clock = snapshot.get("clock")
+    clock = None if clock is None else float(clock)
 
-    records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
-    documents = [_document_from_record(record) for record in records]
+    seed_shards = getattr(engine, "seed_shards", None)
+    if seed_shards is not None:
+        seed_shards(documents, clock, [
+            (_query_from_record(record), None if record.get("shard") is None else int(record["shard"]))
+            for record in snapshot["queries"]
+        ])
+    else:
+        replay(engine, documents, clock, [_query_from_record(record) for record in snapshot["queries"]])
+    return engine
+
+
+def replay(
+    engine: MonitoringEngine,
+    documents: Sequence[StreamedDocument],
+    clock: Optional[float],
+    queries: Iterable[ContinuousQuery],
+) -> None:
+    """:func:`restore_into`'s replay: ``documents`` (oldest first) in
+    :data:`REPLAY_CHUNK` batches, ``advance_time(clock)``, then ``queries``
+    in order.  A cluster runs it once on each in-process shard."""
     for start in range(0, len(documents), REPLAY_CHUNK):
         engine.process_batch_events(documents[start : start + REPLAY_CHUNK])
-
     # Re-advance the snapshotted clock (a no-op for expirations: every
     # snapshotted document was valid at that clock) so replayed streams
     # cannot regress behind a time advance the original had observed.
     # Older snapshots carry no clock; replay then only guards arrivals.
-    clock = snapshot.get("clock")
     if clock is not None:
-        engine.advance_time(float(clock))
-
-    places_queries = hasattr(engine, "assignment")
-    for record in snapshot["queries"]:
-        query = _query_from_record(record)
-        if places_queries and record.get("shard") is not None:
-            engine.register_query(query, shard=int(record["shard"]))
-        else:
-            engine.register_query(query)
-
-    return engine
+        engine.advance_time(clock)
+    for query in queries:
+        engine.register_query(query)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.engine import ShardedEngine
 from repro.core.engine import ITAEngine
+from repro.documents.document import Document, StreamedDocument
 from repro.exceptions import (
     ConfigurationError,
     DocumentError,
@@ -23,7 +24,10 @@ from repro.exceptions import (
 from repro.net.cluster import ProcessClusterEngine
 from repro.net.codec import encode_documents
 from repro.net.options import ProcOptions
+from repro.net.protocol import RpcConnection
+from repro.net.worker import ShardWorker
 from repro.observability import runtime
+from repro.persistence import restore_into, snapshot_engine
 from repro.service import EngineSpec, MonitoringService, WindowSpec
 from tests.conftest import StreamCase, TieFreeCase, make_document, make_query
 
@@ -352,6 +356,78 @@ def test_a_worker_killed_while_being_seeded_spends_the_budget(max_restarts):
     for process in processes:
         process.join(5.0)
         assert not process.is_alive(), f"worker {process.pid} outlived close()"
+
+
+def test_a_restored_worker_killed_is_reseeded_from_columns(monkeypatch):
+    """SIGKILL a worker after a restore: the next ingest re-seeds it with
+    the binary seed and answers like the in-process cluster, and the
+    re-seeded worker's documents carry no text, like a batch's."""
+    case = StreamCase(91, num_queries=6, num_documents=70)
+    texts = [
+        StreamedDocument(Document(d.doc_id, d.composition, f"text {d.doc_id}", {"n": 1}), d.arrival_time)
+        for d in case.documents
+    ]
+    source = make_reference()
+    for query in case.queries:
+        source.register_query(query)
+    source.process_batch_events(texts[:40])
+    snapshot = snapshot_engine(source)
+    reference = restore_into(snapshot, make_reference())
+    seeds = []
+    send_request = RpcConnection.send_request
+
+    def spy(connection, method, params=None, deadline=None):
+        if method == "restore":
+            seeds.append(params)
+        return send_request(connection, method, params, deadline)
+
+    monkeypatch.setattr(RpcConnection, "send_request", spy)
+    with make_cluster() as cluster:
+        restore_into(snapshot, cluster)
+        assert len(seeds) == 2
+        seeds.clear()
+        mirror = [(d.doc_id, d.arrival_time, d.composition.weights) for d in cluster.window]
+        os.kill(cluster.worker_pids()[0], signal.SIGKILL)
+        time.sleep(0.1)  # let the kernel tear the socket down
+        for document in case.documents[40:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert cluster.restart_counts() == [1, 0]
+        assert digest(cluster) == digest(reference)
+        cluster.check_invariants()
+
+        [(params, columns)] = seeds
+        assert "documents" not in params["snapshot"]
+        worker = ShardWorker(0, cluster.shard_spec)
+        worker.handle("restore", params, columns)
+        documents = list(worker.engine.index.documents)
+        assert [(d.doc_id, d.arrival_time, d.composition.weights) for d in documents] == mirror
+        assert {(d.document.text, d.document.metadata == {}) for d in documents} == {(None, True)}
+
+
+def test_a_worker_dead_before_a_restore_is_replaced_and_seeded_once(monkeypatch):
+    """A restore call is its own seed: the replacement is sent it once."""
+    case = TieFreeCase(92, num_queries=6, num_documents=50)
+    source = make_reference()
+    for query in case.queries:
+        source.register_query(query)
+    source.process_batch_events(case.documents)
+    snapshot = snapshot_engine(source)
+    sent = []
+    send_request = RpcConnection.send_request
+
+    def spy(connection, method, params=None, deadline=None):
+        sent.append((connection.peer, method))
+        return send_request(connection, method, params, deadline)
+
+    with make_cluster() as cluster:
+        os.kill(cluster.worker_pids()[1], signal.SIGKILL)
+        time.sleep(0.1)  # let the kernel tear the socket down
+        monkeypatch.setattr(RpcConnection, "send_request", spy)
+        restore_into(snapshot, cluster)
+        assert sorted(sent) == [("shard-0", "restore"), ("shard-1", "restore"), ("shard-1", "restore")]
+        assert cluster.restart_counts() == [0, 1]
+        assert digest(cluster) == digest(source)
+        cluster.check_invariants()
 
 
 def test_workers_write_nothing(tmp_path):

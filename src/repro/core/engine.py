@@ -191,7 +191,7 @@ class ITAEngine(MonitoringEngine):
         affected: Set[int] = set()
         for term_id, weight in document.composition.items():
             tree = self.index.existing_tree(term_id)
-            if tree is None or not len(tree):
+            if tree is None:
                 continue
             self.counters.threshold_probes += 1
             for query_id in tree.iter_queries_at_or_below(weight):
@@ -228,5 +228,12 @@ class ITAEngine(MonitoringEngine):
     def check_invariants(self) -> None:
         """Validate the index and every per-query state (tests only)."""
         self.index.check_invariants()
+        # A term is watched exactly while a registered query has it, so
+        # every tree that is probed has somebody to notify.
+        trees = self.index._trees
+        assert trees.keys() == {
+            term_id for state in self._states.values() for term_id in state.query.weights
+        }, "watched terms differ from the registered queries' terms"
+        assert all(len(tree) for tree in trees.values()), "empty threshold tree"
         for state in self._states.values():
             state.check_invariants()

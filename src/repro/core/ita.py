@@ -120,11 +120,17 @@ class ITAQueryState:
             tree.register(query_id, self.thresholds[term_id])
 
     def detach(self) -> None:
-        """Remove this query's entries from every threshold tree."""
+        """Remove this query's entries from every threshold tree.
+
+        A tree this leaves empty is unwatched: no query has the term any
+        more (:meth:`~repro.index.inverted_index.InvertedIndex.unwatch`).
+        """
         for term_id in self.query.weights:
             tree = self.index.existing_tree(term_id)
             if tree is not None and self.query.query_id in tree:
                 tree.unregister(self.query.query_id)
+                if not len(tree):
+                    self.index.unwatch(term_id)
 
     # ------------------------------------------------------------------ #
     # reported result

@@ -80,10 +80,12 @@ class StorageBackend(ABC):
     #: promoted the list).  For every other ("cold") term it merely records
     #: which documents brought the term -- one append per arrival, nothing
     #: per expiration -- and builds the list from those documents' own
-    #: weights when the term is first watched: one sort of that term's
-    #: postings, no scan of the document store.  Only the lists of query
-    #: terms are ever probed, rolled up or descended, so the postings no
-    #: query reads are never sorted at all.
+    #: weights when the term is watched: one sort of that term's
+    #: postings, no scan of the document store.  When the watch ends the
+    #: list turns back into a record of its ``_weights`` keys, which the
+    #: list must keep in insertion (arrival) order.  Only the lists of
+    #: query terms are ever probed, rolled up or descended, so the
+    #: postings no query reads are never sorted at all.
     virtual_cold_lists: bool = False
 
     @abstractmethod
@@ -109,9 +111,9 @@ class StorageBackend(ABC):
     def attach_tree(self, inverted_list, tree) -> None:
         """Let the list object reference its term's threshold tree.
 
-        Called once per term, when the term is first watched (its tree is
-        created).  The default is a no-op; backends whose kernel wants
-        one-load access to the tree store it on the list here.
+        Called whenever the term becomes watched (its tree is created).
+        The default is a no-op; backends whose kernel wants one-load
+        access to the tree store it on the list here.
         """
 
     def make_document_store(self) -> DocumentStore:

@@ -285,7 +285,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                         if not weights_map:
                             # Unwatched and empty: back to virtual-cold.
                             del lists[term_id]
-                    elif tree._thresholds:
+                    else:
                         probes += 1
                         prefix = _bisect_right(tree._thr, weight)
                         if prefix:
@@ -394,7 +394,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                 inverted_list._weights[doc_id] = weight
                 inverted_list._mutations += 1
                 tree = inverted_list._tree
-                if tree is not None and tree._thresholds:
+                if tree is not None:
                     probes += 1
                     prefix = _bisect_right(tree._thr, weight)
                     if prefix:
@@ -513,10 +513,7 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                         break
                     thresholds[best_term] = best_candidate
                     tau = new_tau
-                    tree = trees.get(best_term)
-                    if tree is None:
-                        tree = index.threshold_tree(best_term)
-                    tree.register(query_id, best_candidate)
+                    trees[best_term].register(query_id, best_candidate)
                     rollup_steps += 1
                     rolled = True
                     _heappop(candidate_heap)

@@ -41,7 +41,8 @@ class ColumnarInvertedList:
         self._negw = array("d")
         #: document ids aligned with ``_negw``
         self._ids = array("q")
-        #: doc_id -> weight
+        #: doc_id -> weight, in insertion (arrival) order: its keys are
+        #: the cold record the list turns back into (InvertedIndex.unwatch)
         self._weights: Dict[int, float] = {}
         #: the term's threshold tree, mirrored here so the batch kernel
         #: resolves "is anyone watching this term?" with one attribute

@@ -40,7 +40,9 @@ class InvertedIndex:
 
     A *watched* term (one with a threshold tree) always has a list, empty
     if need be, linked to its tree through
-    :meth:`StorageBackend.attach_tree`.  What an unwatched term has is the
+    :meth:`StorageBackend.attach_tree`.  A term is watched exactly while
+    some registered query has it: :meth:`threshold_tree` starts a watch and
+    :meth:`unwatch` ends it.  What an unwatched term has is the
     backend's choice (:attr:`StorageBackend.virtual_cold_lists`): a list
     like any other, or -- a *cold* term -- only a record of which documents
     brought it, from which its list is built when somebody first reads it.
@@ -75,7 +77,9 @@ class InvertedIndex:
 
         Costs in proportion to the record, i.e. to the term's own postings
         (at most as many stale ids again); the store is looked up by id,
-        never scanned.
+        never scanned.  The map is in arrival order, oldest first, as
+        :meth:`unwatch` expects of a list's ``_weights``: a reused id's last
+        place in the record is its arrival.
         """
         postings: Dict[int, float] = {}
         find = self.documents.find
@@ -84,6 +88,7 @@ class InvertedIndex:
             if document is not None:
                 weight = document.composition.weight(term_id)
                 if weight > 0.0:  # 0.0: the id was reused by a document without the term
+                    postings.pop(doc_id, None)
                     postings[doc_id] = weight
         return postings
 
@@ -91,8 +96,8 @@ class InvertedIndex:
         """Turn the cold record of ``term_id`` into an ordered list.
 
         Returns ``None`` (and installs nothing) when no valid document
-        contains the term.  Otherwise the list stays in the dictionary from
-        then on and every later update maintains it incrementally.
+        contains the term.  Otherwise every later update maintains the list
+        incrementally until :meth:`unwatch` or its last expiry removes it.
         """
         postings = self._cold_postings(term_id)
         self._cold.pop(term_id, None)
@@ -121,7 +126,7 @@ class InvertedIndex:
         inverted_list = self.existing_list(term_id)
         if inverted_list is None:
             # A term without a list has no tree either: watching a term
-            # creates its list, and a watched list is never reclaimed.
+            # creates its list, which stays until the watch ends.
             inverted_list = self.backend.make_inverted_list(term_id)
             self._lists[term_id] = inverted_list
         return inverted_list
@@ -152,6 +157,23 @@ class InvertedIndex:
             self._trees[term_id] = tree
             self.backend.attach_tree(self.inverted_list(term_id), tree)
         return tree
+
+    def unwatch(self, term_id: int) -> None:
+        """Stop watching ``term_id``; its tree must have no query left.
+
+        The inverse of :meth:`threshold_tree`: the tree goes, and the list
+        becomes what an unwatched term has -- nothing when it is empty, and
+        on a virtual backend a cold record of its documents (the list's
+        ``_weights`` keys, kept in arrival order) otherwise, exactly as if
+        the term had never been watched.
+        """
+        del self._trees[term_id]
+        inverted_list = self._lists[term_id]
+        if inverted_list and not self._virtual:
+            return
+        del self._lists[term_id]
+        if inverted_list:
+            self._cold[term_id] = list(inverted_list._weights)
 
     def existing_tree(self, term_id: int) -> Optional[ThresholdTree]:
         return self._trees.get(term_id)
@@ -230,9 +252,8 @@ class InvertedIndex:
                 )
             inverted_list.delete(doc_id)
             if not inverted_list and term_id not in trees:
-                # Reclaim empty lists for terms no query is interested in;
-                # lists with registered queries are kept so the threshold
-                # trees stay attached to a live structure.
+                # Reclaim empty unwatched lists; a watched one stays attached
+                # to its tree until the last query leaves (unwatch).
                 del lists[term_id]
         return document, removed
 
@@ -251,6 +272,10 @@ class InvertedIndex:
             if postings:
                 lengths[term_id] = postings
         return lengths
+
+    def watch_stats(self) -> Dict[str, int]:
+        """``{"watched": threshold trees, "cold": cold records}``."""
+        return {"watched": len(self._trees), "cold": len(self._cold)}
 
     def check_invariants(self) -> None:
         """Cross-check lists and cold records against the store (tests only)."""

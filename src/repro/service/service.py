@@ -338,6 +338,8 @@ class MonitoringService:
             ),
             registry.register_collector(self._text_samples),
         ]
+        if hasattr(self.engine, "index"):
+            unregisters.append(registry.register_collector(self._index_samples))
         if self._queryscale is not None:
             unregisters.append(
                 registry.register_collector(self._queryscale.metrics_samples)
@@ -357,6 +359,14 @@ class MonitoringService:
             "repro_text_surface_forms": float(stats["entries"]),
             "repro_text_tokens_total": float(stats["tokens"]),
             "repro_text_surface_misses_total": float(stats["misses"]),
+        }
+
+    def _index_samples(self) -> Dict[Any, float]:
+        """Scrape-time sizes of the index's watched and cold term sets."""
+        stats = self.engine.index.watch_stats()
+        return {
+            "repro_index_watched_terms": float(stats["watched"]),
+            "repro_index_cold_terms": float(stats["cold"]),
         }
 
     def metrics(self) -> Dict[str, Any]:

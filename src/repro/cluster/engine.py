@@ -28,7 +28,7 @@ kind of seed, all at once.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cluster.dispatcher import EventDispatcher, ShardCall
 from repro.cluster.merger import ResultMerger
@@ -134,16 +134,25 @@ class ShardedEngine(MonitoringEngine):
         clock: Optional[float],
         documents: Sequence[StreamedDocument],
         columns: Optional[bytes] = None,
+        states: Optional[Mapping[int, Dict[str, Any]]] = None,
     ) -> Dict[str, Any]:
         """``shard`` as a :func:`~repro.persistence.snapshot_engine` document:
         ``documents`` at ``clock`` -- as the shard channel's columns,
-        ``columns`` when already encoded -- and the queries assigned to it."""
+        ``columns`` when already encoded -- and the queries assigned to it,
+        each with its recorded state from ``states`` when it has one (only
+        a restore has any: a re-seed's queries run their descent)."""
+        records = [query_record(query) for query in self._hosted(shard)]
+        if states:
+            for record in records:
+                state = states.get(record["query_id"])
+                if state is not None:
+                    record["state"] = state
         return {
             "version": SNAPSHOT_VERSION,
             "window": self.window_spec.to_dict(),
             "clock": clock,
             "columns": encode_documents(documents) if columns is None else columns,
-            "queries": [query_record(query) for query in self._hosted(shard)],
+            "queries": records,
         }
 
     def _hosted(self, shard: int) -> List[ContinuousQuery]:
@@ -159,13 +168,15 @@ class ShardedEngine(MonitoringEngine):
         documents: Sequence[StreamedDocument],
         clock: Optional[float],
         queries: Sequence[Tuple[ContinuousQuery, Optional[int]]],
+        states: Optional[Mapping[int, Dict[str, Any]]] = None,
     ) -> None:
         """Load a snapshot's state into this empty cluster, one call per shard.
 
         :func:`~repro.persistence.restore_into` hands a query-placing
         engine its decoded snapshot: ``documents`` oldest first, the
-        ``clock``, and the queries in registry order, each with its
-        recorded shard (``None``: the placement policy picks).  Every
+        ``clock``, the queries in registry order, each with its recorded
+        shard (``None``: the placement policy picks), and the recorded
+        query states by query id, which travel to each query's shard.  Every
         recorded shard is checked before anything changes.  The
         coordinator then takes the registry and placements in that order,
         and every shard gets its whole state in one call: an in-process
@@ -204,9 +215,9 @@ class ShardedEngine(MonitoringEngine):
 
         def call(index: int, remote: bool) -> ShardCall:
             if remote:
-                return ShardCall("restore", (self._seed(index, clock, documents, columns),))
+                return ShardCall("restore", (self._seed(index, clock, documents, columns, states),))
             hosted = self._hosted(index)
-            return ShardCall("restore", local=lambda shard: replay(shard, documents, clock, hosted))
+            return ShardCall("restore", local=lambda shard: replay(shard, documents, clock, hosted, states))
 
         self.dispatcher.run(
             [call(index, remote) for index, remote in enumerate(self.dispatcher.remote)], meanwhile=fill_mirror
@@ -221,6 +232,17 @@ class ShardedEngine(MonitoringEngine):
         Without an explicit ``shard`` the placement policy picks one;
         WAL replay passes the recorded shard explicitly.
         """
+        return self._host(query, shard, lambda engine: engine.register_query(query))
+
+    def install_query(
+        self, query: ContinuousQuery, record: Mapping[str, Any], shard: Optional[int] = None
+    ) -> int:
+        """:meth:`register_query` in the state a snapshot recorded for
+        ``query``: its shard installs it (``install_query``)."""
+        return self._host(query, shard, lambda engine: engine.install_query(query, record))
+
+    def _host(self, query: ContinuousQuery, shard: Optional[int], install: Callable[[Any], None]) -> int:
+        """Place ``query`` (on ``shard`` when given) and ``install`` it on its shard engine."""
         if shard is not None and not 0 <= shard < self.num_shards:
             raise ConfigurationError(f"shard {shard} outside 0..{self.num_shards - 1}")
         self.registry.register(query)
@@ -233,7 +255,7 @@ class ShardedEngine(MonitoringEngine):
             self.registry.unregister(query.query_id)
             raise
         try:
-            self.shards[shard].register_query(query)
+            install(self.shards[shard])
         except Exception:
             # Roll back both the registry and the placement accounting, so
             # a failed registration leaves no phantom load on the shard.
@@ -261,6 +283,15 @@ class ShardedEngine(MonitoringEngine):
 
     def query_ids(self) -> List[int]:
         return self.registry.query_ids()
+
+    def query_states(self) -> Dict[int, Dict[str, Any]]:
+        """Every query's recorded state by query id, read from its shard
+        (:meth:`~repro.core.engine.ITAEngine.query_states`; a worker's
+        over RPC); shards whose engines record none add nothing."""
+        states: Dict[int, Dict[str, Any]] = {}
+        for shard_states in self.dispatcher.fan_out("query_states"):
+            states.update(shard_states)
+        return states
 
     def shard_of(self, query_id: int) -> int:
         """The index of the shard hosting ``query_id``."""

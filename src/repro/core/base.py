@@ -10,7 +10,7 @@ Naive are interchangeable.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.documents.document import Document, StreamedDocument
 from repro.documents.window import SlidingWindow
@@ -75,6 +75,21 @@ class MonitoringEngine:
     def register_query(self, query: ContinuousQuery) -> None:
         """Install a continuous query and compute its initial result."""
         raise NotImplementedError
+
+    def install_query(self, query: ContinuousQuery, record: Mapping[str, Any]) -> None:
+        """Install a query in the state :meth:`query_states` recorded for it.
+
+        A restore calls this for a query whose snapshot record carries a
+        ``"state"``.  An engine that keeps no such state (the baselines)
+        ignores the record and registers the query afresh.
+        """
+        self.register_query(query)
+
+    def query_states(self) -> Dict[int, Dict[str, Any]]:
+        """Each query's search state by query id, as a snapshot records it
+        beside the query; an engine that keeps none (the baselines) has
+        nothing to record."""
+        return {}
 
     def unregister_query(self, query_id: int) -> None:
         """Terminate a continuous query."""

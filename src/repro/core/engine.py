@@ -22,7 +22,7 @@ of ITA's advantage over the Naive baseline.
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.observability import runtime as _obs
 
@@ -31,7 +31,7 @@ from repro.core.descent import ProbeOrder
 from repro.core.ita import ITAQueryState
 from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, SlidingWindow
-from repro.exceptions import UnknownQueryError
+from repro.exceptions import ConfigurationError, UnknownQueryError
 from repro.index.backend import StorageBackend, storage_backend
 from repro.index.inverted_index import InvertedIndex
 from repro.query.query import ContinuousQuery
@@ -101,15 +101,40 @@ class ITAEngine(MonitoringEngine):
     def register_query(self, query: ContinuousQuery) -> None:
         """Install ``query`` and compute its initial top-k result."""
         self.registry.register(query)
-        state = ITAQueryState(
+        state = self._new_state(query)
+        state.initialise()
+        self._states[query.query_id] = state
+
+    def install_query(self, query: ContinuousQuery, record: Mapping[str, Any]) -> None:
+        """Install ``query`` in the state :meth:`query_states` recorded for it.
+
+        A restore's :meth:`register_query`: no descent
+        (:meth:`~repro.core.ita.ITAQueryState.install`).  A record the
+        query cannot be in over this window raises
+        :class:`~repro.exceptions.ConfigurationError` and installs nothing.
+        """
+        self.registry.register(query)
+        state = self._new_state(query)
+        try:
+            state.install(record)
+        except ConfigurationError:
+            self.registry.unregister(query.query_id)
+            raise
+        self._states[query.query_id] = state
+
+    def _new_state(self, query: ContinuousQuery) -> ITAQueryState:
+        return ITAQueryState(
             query,
             self.index,
             self.counters,
             enable_rollup=self.enable_rollup,
             probe_order=self.probe_order,
         )
-        state.initialise()
-        self._states[query.query_id] = state
+
+    def query_states(self) -> Dict[int, Dict[str, Any]]:
+        """Each query's ITA state by query id, as a snapshot records it
+        (:meth:`~repro.core.ita.ITAQueryState.export`)."""
+        return {query_id: state.export() for query_id, state in self._states.items()}
 
     def unregister_query(self, query_id: int) -> None:
         """Terminate the query with ``query_id``."""

@@ -13,7 +13,8 @@ and implements the maintenance logic of Section III of the paper:
   algorithm, delegated to :func:`repro.core.descent.threshold_descent` or
   to the storage backend's fused equivalent),
   followed by the registration of the local thresholds in the per-list
-  threshold trees;
+  threshold trees; :meth:`install` is its restore-time twin, which takes a
+  state :meth:`export` recorded instead of searching;
 * :meth:`handle_arrival` -- scoring of a potentially affected arriving
   document, insertion into ``R``, and, when the document enters the top-k,
   the *roll-up* of local thresholds that shrinks the monitored region of
@@ -29,10 +30,14 @@ the property tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import filterfalse
+from math import isfinite
+from operator import lt, neg
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.descent import ProbeOrder, threshold_descent
 from repro.documents.document import StreamedDocument
+from repro.exceptions import ConfigurationError
 from repro.index.inverted_index import InvertedIndex
 from repro.observability.opcounters import OperationCounters
 from repro.query.query import ContinuousQuery
@@ -118,6 +123,51 @@ class ITAQueryState:
         query_id = self.query.query_id
         for term_id, tree in zip(self.query.weights, trees):
             tree.register(query_id, self.thresholds[term_id])
+
+    def export(self) -> Dict[str, Any]:
+        """This query's state as a snapshot records it.
+
+        ``tau``, the local thresholds in the query's term order, and ``R``
+        -- unverified entries included -- in rank order as parallel
+        ``ids`` / ``scores``: exactly what :meth:`install` takes back.
+        """
+        ordered = self.results._ordered._items
+        thresholds = self.thresholds
+        return {
+            "tau": self.tau,
+            "thresholds": [thresholds[term_id] for term_id in self.query.weights],
+            "ids": [doc_id for _, doc_id in ordered],
+            "scores": [-negative_score for negative_score, _ in ordered],
+        }
+
+    def install(self, record: Mapping[str, Any]) -> None:
+        """Take the state :meth:`export` recorded instead of searching.
+
+        The restore-time twin of :meth:`initialise`: the terms are watched
+        and the thresholds registered the same way, and ``R`` is filled in
+        its recorded rank order -- no posting is read and no score
+        computed, so the query resumes exactly where the recorded one
+        stood, ties included.  The record is checked before anything
+        changes; one this query cannot be in over the current window
+        raises :class:`~repro.exceptions.ConfigurationError` naming it.
+        """
+        query = self.query
+        try:
+            tau = float(record["tau"])
+            thresholds = list(map(float, record["thresholds"]))
+            ids = list(map(int, record["ids"]))
+            scores = list(map(float, record["scores"]))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ConfigurationError(f"query {query.query_id}: malformed recorded state ({error!r})") from None
+        pairs = list(zip(map(neg, scores), ids))
+        problem = _state_problem(query, tau, thresholds, ids, scores, pairs, self.index.documents)
+        if problem is not None:
+            raise ConfigurationError(f"query {query.query_id}: the recorded state {problem}")
+        self.thresholds = dict(zip(query.weights, thresholds))
+        self.tau = tau
+        self.results.fill(pairs)
+        for term_id, threshold in self.thresholds.items():
+            self.index.threshold_tree(term_id).register(query.query_id, threshold)
 
     def detach(self) -> None:
         """Remove this query's entries from every threshold tree.
@@ -359,3 +409,28 @@ class ITAQueryState:
                 assert score <= boundary + 1e-9, (
                     f"document {document.doc_id} outside R beats the reported top-k"
                 )
+
+
+def _state_problem(query, tau, thresholds, ids, scores, pairs, documents) -> Optional[str]:
+    """What makes a recorded state one ``query`` cannot be in, or ``None``.
+
+    ``pairs`` are ``R``'s ``(-score, doc_id)`` in recorded order, and
+    ``documents`` the valid documents' store.
+    """
+    if len(thresholds) != len(query.weights):
+        return f"has {len(thresholds)} thresholds for {len(query.weights)} terms"
+    values = (tau, *thresholds)
+    if not all(map(isfinite, values)) or min(values) < 0.0:
+        return "has a negative or non-finite tau or threshold"
+    if len(ids) != len(scores):
+        return "has R ids and scores of different lengths"
+    if not all(map(isfinite, scores)) or min(scores, default=0.0) < 0.0:
+        return "has a negative or non-finite score in R"
+    if not all(map(lt, pairs, pairs[1:])):
+        return "lists R out of rank order"
+    if len(set(ids)) != len(ids):
+        return "repeats a document in R"
+    missing = next(filterfalse(documents.__contains__, ids), None)
+    if missing is not None:
+        return f"keeps document {missing} in R, which is not in the window"
+    return None

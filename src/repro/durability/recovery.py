@@ -122,8 +122,13 @@ def _replay_record(service: Any, record: Dict[str, Any]) -> int:
 
     Returns the number of documents the record carried (for the report).
     """
+    vocabulary = service.vocabulary
     for term in record.get("vocab", ()):
-        service.vocabulary.add(term)
+        if term in vocabulary:
+            # Re-adding it would be a silent no-op that shifts every later
+            # term's id off the ids the log's documents were analysed under.
+            raise WalCorruptionError(f"WAL record lsn={record.get('lsn')} re-adds the term {term!r}")
+        vocabulary.add(term)
     op = record.get("op")
     if op == "ingest":
         documents = _ingested_documents(record)
@@ -171,7 +176,8 @@ def recover_service(
         manifest or checkpoint).
     WalCorruptionError
         If a WAL record fails its integrity check anywhere but the torn
-        tail, an ingest record's columns do not decode, or shard logs
+        tail, an ingest record's columns do not decode, a record's
+        vocabulary delta names a term already known, or shard logs
         disagree on a shared record.
     """
     # Imported lazily: repro.service.service imports repro.service.spec,

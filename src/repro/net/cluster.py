@@ -34,7 +34,7 @@ import tempfile
 import weakref
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cluster.engine import ShardedEngine
 from repro.cluster.placement import PlacementPolicy
@@ -170,21 +170,22 @@ class ProcessClusterEngine(ShardedEngine):
         check_int64_ids(batch)
         return super().process_batch_events(batch)
 
-    def register_query(self, query: ContinuousQuery, shard: Optional[int] = None) -> int:
+    def _host(self, query: ContinuousQuery, shard: Optional[int], install: Callable[[Any], None]) -> int:
         _check_query_id(query)
-        return super().register_query(query, shard)
+        return super()._host(query, shard, install)
 
     def seed_shards(
         self,
         documents: Sequence[StreamedDocument],
         clock: Optional[float],
         queries: Sequence[Tuple[ContinuousQuery, Optional[int]]],
+        states: Optional[Mapping[int, Dict[str, Any]]] = None,
     ) -> None:
         """Refuses a restore with an id outside ``int64`` before any shard is seeded."""
         check_int64_ids(documents)
         for query, _ in queries:
             _check_query_id(query)
-        super().seed_shards(documents, clock, queries)
+        super().seed_shards(documents, clock, queries, states)
 
     # ------------------------------------------------------------------ #
     # spawning

@@ -74,9 +74,11 @@ _WIRE: Dict[str, Tuple[Callable[..., Any], Optional[Callable[[Any], Any]]]] = {
     "process_batch_events": (encode_documents, decode_changes),
     "advance_time": (lambda now: {"now": float(now)}, lambda data: decode_changes(data)[0]),
     "register_query": (lambda query: {"query": query_record(query)}, None),
+    "install_query": (lambda query, record: {"query": query_record(query), "state": record}, None),
     "unregister_query": (lambda query_id: {"query_id": int(query_id)}, None),
     "current_result": (lambda query_id: {"query_id": int(query_id)}, entries_from_wire),
     "current_results": (dict, _results_from_wire),
+    "query_states": (dict, lambda data: {int(query_id): state for query_id, state in data.items()}),
     "ping": (dict, None),
     "counters": (dict, None),
     "reset_counters": (dict, None),
@@ -220,6 +222,9 @@ class RemoteShard:
     def register_query(self, query: ContinuousQuery) -> None:
         self._call("register_query", query)
 
+    def install_query(self, query: ContinuousQuery, record: Dict[str, Any]) -> None:
+        self._call("install_query", query, record)
+
     def unregister_query(self, query_id: int) -> None:
         self._call("unregister_query", query_id)
 
@@ -237,6 +242,9 @@ class RemoteShard:
 
     def current_results(self) -> Dict[int, TopKResult]:
         return self._call("current_results")
+
+    def query_states(self) -> Dict[int, Dict[str, Any]]:
+        return self._call("query_states")
 
     @property
     def counters(self) -> OperationCounters:

@@ -109,6 +109,9 @@ class ShardWorker:
         if method == "register_query":
             engine.register_query(_query_from_record(params["query"]))
             return None
+        if method == "install_query":
+            engine.install_query(_query_from_record(params["query"]), params["state"])
+            return None
         if method == "unregister_query":
             engine.unregister_query(int(params["query_id"]))
             return None
@@ -132,6 +135,8 @@ class ShardWorker:
                 str(query_id): entries_to_wire(entries)
                 for query_id, entries in engine.current_results().items()
             }
+        if method == "query_states":
+            return {str(query_id): state for query_id, state in engine.query_states().items()}
         if method == "counters":
             return engine.counters.as_dict()
         if method == "reset_counters":

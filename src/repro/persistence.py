@@ -7,12 +7,17 @@ restart without replaying the whole stream.  This module serialises the
 times and composition lists) and the installed queries -- to a plain,
 JSON-compatible dictionary, and rebuilds an equivalent engine from it.
 
-The internal ITA bookkeeping (local thresholds, the result container R) is
-deliberately *not* serialised: it is derived state that the rebuilt engine
-recomputes by re-registering the queries over the restored window.  This
-keeps the snapshot format small, engine-agnostic (the same snapshot can be
-restored into an ITA engine or a baseline), and robust to changes in the
-internal data structures.
+An engine that runs ITA also records each query's state beside it, under
+the query record's optional ``"state"``: the influence threshold ``tau``,
+the local thresholds in the query's term order, and the result container
+R, unverified entries included, in rank order as parallel ``ids`` /
+``scores``.  A restore installs that state as it stands instead of
+re-running the Section III-A descent per query, so the rebuilt engine
+resumes exactly where the snapshotted one stood, ties included.  The field
+is additive: a snapshot without it (written before it existed, or by a
+baseline engine) restores by re-registering its queries over the restored
+window, and an engine without ITA state (a baseline) ignores it, so the
+same snapshot still restores into any engine kind.
 
 The format is intentionally pure-Python/JSON so snapshots can be written
 with :func:`json.dump` without any custom encoder.
@@ -24,9 +29,11 @@ ids, IEEE-754 floats) that WAL ingest records and the shard channel carry.
 
 from __future__ import annotations
 
+import gc
 import struct
+from contextlib import contextmanager
 from itertools import accumulate, chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
@@ -228,12 +235,15 @@ def snapshot_engine(engine: MonitoringEngine) -> Dict[str, Any]:
     valid documents *once* (id, arrival time, composition list, text,
     metadata), and the installed queries in registry order (id, k, term
     weights, text).  An engine that places queries (it reports an
-    ``assignment()``) also records its shard count and each query's shard.
+    ``assignment()``) also records its shard count and each query's shard,
+    and one that keeps per-query search state (ITA, and a cluster of ITA
+    shards: ``query_states()``) each query's ``"state"``.
     """
     registry = getattr(engine, "registry", None)
     if registry is None:
         raise ReproError("engine does not expose a query registry to snapshot")
 
+    states = engine.query_states()
     snapshot = {
         "version": SNAPSHOT_VERSION,
         "engine": engine.name,
@@ -254,6 +264,10 @@ def snapshot_engine(engine: MonitoringEngine) -> Dict[str, Any]:
         snapshot["num_shards"] = engine.num_shards
         for record in snapshot["queries"]:
             record["shard"] = placed[record["query_id"]]
+    for record in snapshot["queries"]:
+        state = states.get(record["query_id"])
+        if state is not None:
+            record["state"] = state
     return snapshot
 
 
@@ -311,8 +325,9 @@ def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> Monitori
     hand) with its window configured like the snapshotted one, and this
     replays the logical state (:func:`replay`).  The documents go through
     ``process_batch_events`` oldest-first *before* the queries are
-    registered, so each query's initial result is computed over the full
-    restored window.  An engine that places queries (a
+    installed, so each query's state is that of the full restored window:
+    the recorded ``"state"`` when there is one (a baseline ignores it), a
+    fresh initial search otherwise.  An engine that places queries (a
     :class:`~repro.cluster.engine.ShardedEngine`) is handed the decoded
     state whole instead (``seed_shards``): it fills its coordinator, gets
     each query back on its recorded shard, and loads every shard through
@@ -320,26 +335,44 @@ def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> Monitori
 
     A snapshot carries its documents as records (``"documents"``) or, as a
     shard's seed does, as :func:`encode_documents` columns (``"columns"``).
+    The whole load runs with the cyclic garbage collector paused: nothing
+    it allocates is garbage, so a collection would only traverse it.
     """
-    snapshot = _flat_snapshot(snapshot)
-    columns = snapshot.get("columns")
-    if columns is None:
-        records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
-        documents = [_document_from_record(record) for record in records]
-    else:
-        documents = sorted(decode_documents(columns), key=lambda d: d.arrival_time)
-    clock = snapshot.get("clock")
-    clock = None if clock is None else float(clock)
+    with _collector_paused():
+        snapshot = _flat_snapshot(snapshot)
+        columns = snapshot.get("columns")
+        if columns is None:
+            records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
+            documents = [_document_from_record(record) for record in records]
+        else:
+            documents = sorted(decode_documents(columns), key=lambda d: d.arrival_time)
+        clock = snapshot.get("clock")
+        clock = None if clock is None else float(clock)
+        query_records = snapshot["queries"]
+        states = {int(record["query_id"]): record["state"] for record in query_records if "state" in record}
 
-    seed_shards = getattr(engine, "seed_shards", None)
-    if seed_shards is not None:
-        seed_shards(documents, clock, [
-            (_query_from_record(record), None if record.get("shard") is None else int(record["shard"]))
-            for record in snapshot["queries"]
-        ])
-    else:
-        replay(engine, documents, clock, [_query_from_record(record) for record in snapshot["queries"]])
+        seed_shards = getattr(engine, "seed_shards", None)
+        if seed_shards is not None:
+            seed_shards(documents, clock, [
+                (_query_from_record(record), None if record.get("shard") is None else int(record["shard"]))
+                for record in query_records
+            ], states)
+        else:
+            replay(engine, documents, clock, [_query_from_record(record) for record in query_records], states)
     return engine
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; the caller's setting comes back
+    on the way out, on an exception too."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def replay(
@@ -347,17 +380,26 @@ def replay(
     documents: Sequence[StreamedDocument],
     clock: Optional[float],
     queries: Iterable[ContinuousQuery],
+    states: Optional[Mapping[int, Mapping[str, Any]]] = None,
 ) -> None:
     """:func:`restore_into`'s replay: ``documents`` (oldest first) in
     :data:`REPLAY_CHUNK` batches, ``advance_time(clock)``, then ``queries``
-    in order.  A cluster runs it once on each in-process shard."""
-    for start in range(0, len(documents), REPLAY_CHUNK):
-        engine.process_batch_events(documents[start : start + REPLAY_CHUNK])
-    # Re-advance the snapshotted clock (a no-op for expirations: every
-    # snapshotted document was valid at that clock) so replayed streams
-    # cannot regress behind a time advance the original had observed.
-    # Older snapshots carry no clock; replay then only guards arrivals.
-    if clock is not None:
-        engine.advance_time(clock)
-    for query in queries:
-        engine.register_query(query)
+    in order -- ``install_query`` with its recorded state from ``states``
+    (by query id) when it has one, ``register_query`` otherwise.  A
+    cluster runs it once on each in-process shard.  The cyclic collector
+    is paused throughout."""
+    with _collector_paused():
+        for start in range(0, len(documents), REPLAY_CHUNK):
+            engine.process_batch_events(documents[start : start + REPLAY_CHUNK])
+        # Re-advance the snapshotted clock (a no-op for expirations: every
+        # snapshotted document was valid at that clock) so replayed streams
+        # cannot regress behind a time advance the original had observed.
+        # Older snapshots carry no clock; replay then only guards arrivals.
+        if clock is not None:
+            engine.advance_time(clock)
+        for query in queries:
+            state = states.get(query.query_id) if states else None
+            if state is None:
+                engine.register_query(query)
+            else:
+                engine.install_query(query, state)

@@ -80,6 +80,12 @@ class ResultList:
         self._scores[doc_id] = score
         self._ordered.add((-score, doc_id))
 
+    def fill(self, pairs: List[Tuple[float, int]]) -> None:
+        """Fill an empty list with ``(-score, doc_id)`` pairs already in
+        rank order (a restore's recorded ``R``): no sort, no insertion."""
+        self._scores = {doc_id: -negative_score for negative_score, doc_id in pairs}
+        self._ordered._items = pairs
+
     def remove(self, doc_id: int) -> float:
         """Remove ``doc_id`` and return its score."""
         score = self._scores.pop(doc_id, None)

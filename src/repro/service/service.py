@@ -1184,8 +1184,10 @@ class MonitoringService:
         ------
         ConfigurationError
             If the snapshot version is unsupported, a vocabulary is
-            passed alongside a service snapshot, or the snapshot payload
-            is malformed.
+            passed alongside a service snapshot, the snapshot's
+            vocabulary repeats a term, a recorded query state is not one
+            the query can be in over the restored window, or the
+            snapshot payload is malformed.
         """
         spec: Optional[EngineSpec] = None
         clock: Optional[float] = None
@@ -1203,7 +1205,12 @@ class MonitoringService:
                     "service snapshots carry their own vocabulary; "
                     "do not pass one to restore()"
                 )
-            vocabulary = Vocabulary(snapshot.get("vocabulary", ()))
+            terms = snapshot.get("vocabulary", ())
+            vocabulary = Vocabulary(terms)
+            if len(vocabulary) != len(terms):
+                # A repeated term would shift every later term's id off
+                # the ids the documents and queries were analysed under.
+                raise ConfigurationError("the snapshot's vocabulary repeats a term")
             clock = float(snapshot["clock"])
             next_doc_id = int(snapshot["next_doc_id"])
             if snapshot.get("spec") is not None:

@@ -10,17 +10,14 @@ that down at both layers -- :func:`repro.persistence.snapshot_engine` and
 asynchronous ingestion path -- comparing final top-k results, the
 continuation's change stream, and the final snapshots themselves.
 
-The workloads here draw continuous weights, so score ties are absent and
-the continuation is bit-identical.  At *exactly tied* scores a restored
-engine may keep a different (equally scoring) document than the
-uninterrupted one: per-query incremental state is rebuilt by
-re-registration, which orders tied documents canonically rather than by
-their original entry history.  That pre-existing, tie-only latitude is the
-same one the oracle-equivalence tests grant, and the differential fuzz
-suite covers it on its tie-heavy tape.
+A snapshot records each query's ITA state (thresholds, tau and R), and a
+restore installs it rather than searching again, so the continuation is
+bit-identical on tie-heavy tapes too: the tie-heavy test below draws its
+weights from a small grid and requires exact equality on every ITA kind.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -29,8 +26,8 @@ from repro.core.engine import ITAEngine
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.persistence import restore_into, snapshot_engine
 from repro.query.query import ContinuousQuery
-from repro.service import AsyncMonitoringService, MonitoringService, spec_from_name
-from tests.conftest import TieFreeCase
+from repro.service import AsyncMonitoringService, EngineSpec, MonitoringService, spec_from_name
+from tests.conftest import StreamCase, TieFreeCase
 
 
 def chunked(documents, size):
@@ -80,6 +77,45 @@ def test_cluster_restored_between_batches_matches_uninterrupted(num_shards):
     assert restored.assignment() == uninterrupted.assignment()
     assert snapshot_engine(restored) == snapshot_engine(uninterrupted)
     restored.check_invariants()
+
+
+TIE_HEAVY_KINDS = {
+    "ita-bisect": {"kind": "ita", "storage": "bisect"},
+    "ita-columnar": {"kind": "ita", "storage": "columnar"},
+    "sharded-ita": {"kind": "sharded", "num_shards": 3},
+    "sharded-proc": {"kind": "sharded-proc", "num_shards": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIE_HEAVY_KINDS))
+def test_a_tie_heavy_tape_restored_mid_stream_continues_exactly(kind):
+    """Weights on a six-value grid tie scores all the time; the restored
+    engine must still report the uninterrupted one's change stream, event
+    for event, and end in the identical snapshot."""
+    case = StreamCase(seed=7, num_terms=8, num_queries=12, num_documents=240)
+    spec = EngineSpec(window=WindowSpec.count(20), **TIE_HEAVY_KINDS[kind])
+    batches = chunked(case.documents, 12)
+    cut = len(batches) // 2
+    uninterrupted, paused = spec.build(), spec.build()
+    engines = [uninterrupted, paused]
+    try:
+        for engine in engines:
+            for query in case.queries:
+                engine.register_query(query)
+            for batch in batches[:cut]:
+                engine.process_batch_events(batch)
+        snapshot = json.loads(json.dumps(snapshot_engine(paused)))
+        restored = restore_into(snapshot, spec.build())
+        engines.append(restored)
+        assert snapshot_engine(restored) == snapshot_engine(uninterrupted)
+        for index, batch in enumerate(batches[cut:]):
+            expected = uninterrupted.process_batch_events(batch)
+            assert restored.process_batch_events(batch) == expected, f"batch {index} after restore"
+        assert snapshot_engine(restored) == snapshot_engine(uninterrupted)
+        restored.check_invariants()
+    finally:
+        for engine in engines:
+            getattr(engine, "close", lambda: None)()
 
 
 def test_service_restored_between_batches_matches_uninterrupted():

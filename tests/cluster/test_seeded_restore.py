@@ -7,8 +7,9 @@ whole state at once -- an in-process shard replays it, a worker is sent one
 ``restore`` RPC whose documents are the shard channel's columns.  The
 expected engine here is built by hand with the public calls a replay
 through the cluster makes -- ``process_batch_events`` per
-``REPLAY_CHUNK`` chunk, ``advance_time(clock)``, then
-``register_query(query, shard)`` in registry order -- and the two must
+``REPLAY_CHUNK`` chunk, ``advance_time(clock)``, then, in registry order,
+``install_query(query, state, shard)`` for a query with a recorded state
+and ``register_query(query, shard)`` for one without -- and the two must
 agree on every shard's per-query thresholds, ``tau`` and result items, on
 the counters, ``assignment()``, the placement books and the results.
 """
@@ -61,7 +62,11 @@ def by_hand(snapshot, engine):
     if snapshot.get("clock") is not None:
         engine.advance_time(float(snapshot["clock"]))
     for record in snapshot["queries"]:
-        engine.register_query(_query_from_record(record), record.get("shard"))
+        query = _query_from_record(record)
+        if "state" in record:
+            engine.install_query(query, record["state"], record.get("shard"))
+        else:
+            engine.register_query(query, record.get("shard"))
     return engine
 
 

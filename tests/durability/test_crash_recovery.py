@@ -7,9 +7,9 @@ that record boundary would leave it.  Each capture is then recovered and
 must reproduce, **bit-identically**, the uninterrupted run's service
 snapshot at that boundary -- for the single ITA engine, the sharded
 cluster (per-shard logs merged by lsn), and the asynchronous ingest lane
-(log-before-ack).  The tapes draw continuous weights, so score ties are
-absent and bit-identity is the contract (the tie-only latitude of
-restore is documented in ``tests/cluster/test_midstream_restore.py``).
+(log-before-ack).  Most tapes draw continuous weights; one tie-heavy tape
+recovers from checkpoints that carry each query's state, and is held to
+the same bit-identity.
 
 On top of the snapshot oracle:
 
@@ -293,6 +293,19 @@ def test_recovered_services_continue_the_tape_identically(
     with the exact change streams, alert streams and final results of the
     uninterrupted run -- including across automatic checkpoints."""
     tape = strip_checkpoints(generate_tape(5227, tie_heavy=False, num_ops=56))
+    continue_from_kill_points(tape, engine_name, storage, tmp_path)
+
+
+@pytest.mark.parametrize("engine_name,storage", [("ita", "columnar"), ("sharded-ita-2", "bisect")])
+def test_a_tie_heavy_tape_recovers_and_continues_identically(engine_name, storage, tmp_path):
+    """Scores tie all the time on this tape; recovering from a checkpoint
+    that recorded each query's state still continues it exactly."""
+    tape = strip_checkpoints(generate_tape(5227, tie_heavy=True, num_ops=56))
+    continue_from_kill_points(tape, engine_name, storage, tmp_path)
+
+
+def continue_from_kill_points(tape, engine_name, storage, tmp_path) -> None:
+    """The snapshot oracle at sampled kill points, then the tape's tail."""
     policy = DurabilityPolicy(fsync="never", checkpoint_every=9, segment_max_records=8)
     root = tmp_path / "live"
     captures = tmp_path / "killpoints"

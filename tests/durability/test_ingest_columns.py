@@ -179,3 +179,13 @@ def test_a_record_logs_exactly_the_new_terms_without_copying_the_vocabulary(tmp_
     assert recovered.vocabulary.terms_from(20_000) == ["zebra", "quokka", "axolotl", "narwhal"]
     assert recovered.results() == expected
     recovered.close()
+
+
+def test_a_vocabulary_delta_that_names_a_known_term_is_corruption(tmp_path):
+    """Re-adding a known term is a no-op that would shift every later id."""
+    service = MonitoringService(ita_spec())
+    service.vocabulary.add_all(["alpha", "beta"])
+    record = {"lsn": 3, "op": "advance_time", "now": 1.0, "vocab": ["gamma", "alpha", "delta"]}
+    with pytest.raises(WalCorruptionError, match="lsn=3 re-adds the term 'alpha'"):
+        _replay_record(service, record)
+    service.close()

@@ -13,7 +13,9 @@ restore's wall time (the workers are spawned before the clock starts).
 
 The counts are the contract and are checked on every run: it exits
 non-zero unless the restore sent exactly one ``restore`` per worker and no
-``register_query``, ``process_batch_events`` or ``advance_time``.  The
+``register_query``, ``process_batch_events`` or ``advance_time``, and
+every seed carried each of its queries' recorded state (thresholds, tau
+and R), so that no worker runs a descent.  The
 time is for reading side by side with another commit's (``PYTHONPATH``
 wins over this checkout's ``src/``), alternating, on a quiet host.
 
@@ -61,12 +63,16 @@ def main(argv: List[str]) -> int:
         for text in generator.queries(args.queries, workload.query_terms):
             source.subscribe(text, k=workload.k)
         snapshot = json.loads(json.dumps(source.snapshot()["engine"]))
+        expected = source.engine.query_states()
 
     sent: Counter = Counter()
+    seeded = {}
     send_request = RpcConnection.send_request
 
     def counting(connection, method, params=None, deadline=None):
         sent[method] += 1
+        if method == "restore":
+            seeded.update((record["query_id"], record.get("state")) for record in params[0]["snapshot"]["queries"])
         return send_request(connection, method, params, deadline)
 
     cluster = EngineSpec(kind="sharded-proc", num_shards=args.workers, window=window).build()
@@ -87,11 +93,13 @@ def main(argv: List[str]) -> int:
         "documents": restored[0],
         "queries": restored[1],
         "requests": dict(sorted(sent.items())),
+        "seeded_states": sum(seeded.get(query_id) == state for query_id, state in expected.items()),
         "restore_ms": round(seconds * 1e3, 1),
     }
     print(f"restored {restored[0]} documents and {restored[1]} queries into {args.workers} workers "
           f"in {report['restore_ms']} ms")
     print("requests by method:", ", ".join(f"{method} {count}" for method, count in report["requests"].items()))
+    print(f"seeds carried {report['seeded_states']} of {len(expected)} queries' states")
     print(json.dumps(report))
     if sent["restore"] != args.workers or any(sent[method] for method in PER_CALL_METHODS) or (
         restored != (args.documents, args.queries)
@@ -99,6 +107,10 @@ def main(argv: List[str]) -> int:
         print(f"FAILED: expected exactly {args.workers} restore requests and no "
               f"{', '.join(PER_CALL_METHODS)}, restoring every document and query; "
               f"sent {dict(sent)}", file=sys.stderr)
+        return 1
+    if report["seeded_states"] != args.queries or len(seeded) != args.queries:
+        print(f"FAILED: the seeds carried {report['seeded_states']} of {args.queries} queries' recorded "
+              "states", file=sys.stderr)
         return 1
     return 0
 

@@ -27,7 +27,7 @@ from repro.net.options import ProcOptions
 from repro.net.protocol import RpcConnection
 from repro.net.worker import ShardWorker
 from repro.observability import runtime
-from repro.persistence import restore_into, snapshot_engine
+from repro.persistence import replay, restore_into, snapshot_engine
 from repro.service import EngineSpec, MonitoringService, WindowSpec
 from tests.conftest import StreamCase, TieFreeCase, make_document, make_query
 
@@ -241,6 +241,27 @@ def test_service_snapshot_restores_into_a_fresh_proc_cluster():
             restored.close()
     finally:
         service.close()
+
+
+def test_a_replay_through_the_cluster_installs_each_recorded_state_on_its_worker():
+    """``replay`` on a proc cluster hands each worker its queries' recorded
+    states (the ``install_query`` RPC): the states come back as recorded
+    and no worker runs a descent."""
+    case = StreamCase(64, num_queries=4, num_documents=40)
+    reference = make_reference()
+    for query in case.queries:
+        reference.register_query(query)
+    reference.process_batch_events(case.documents)
+    states = reference.query_states()
+    cluster = make_cluster()
+    try:
+        replay(cluster, list(reference.window), reference.window.clock, case.queries, states)
+        assert cluster.query_states() == states
+        assert cluster.assignment() == reference.assignment()
+        assert cluster.counters.postings_scanned == cluster.counters.scores_computed == 0
+        cluster.check_invariants()
+    finally:
+        cluster.close()
 
 
 def test_batch_rejected_part_way_keeps_its_prefix_like_ita():

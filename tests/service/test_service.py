@@ -388,6 +388,14 @@ class TestSnapshotRestore:
         with pytest.raises(ConfigurationError):
             MonitoringService.restore(service.snapshot(), vocabulary=Vocabulary())
 
+    def test_service_snapshot_with_a_repeated_term_is_refused(self):
+        """A repeated term would shift every later id: ``gamma`` would get
+        1 while the documents use 2, and the next new term 3, ``delta``'s."""
+        snapshot = self._populated(EngineSpec(window=WindowSpec.count(10))).snapshot()
+        snapshot["vocabulary"] = ["alpha", "alpha", "gamma", "delta"]
+        with pytest.raises(ConfigurationError, match="repeats a term"):
+            MonitoringService.restore(snapshot)
+
     def test_restore_accepts_bare_cluster_snapshot(self):
         from repro.persistence import snapshot_engine
 

@@ -1,6 +1,8 @@
 """Tests for engine-state snapshot and restore."""
 
+import gc
 import json
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -318,3 +320,176 @@ class TestHandWiredCluster:
             cluster.register_query(make_query(query_id, {1: 1.0}))
         with pytest.raises(ConfigurationError):
             restore_into(snapshot_engine(cluster), ShardedEngine(num_shards=2))
+
+
+# --------------------------------------------------------------------------- #
+# the recorded query state: a restore installs it instead of searching
+# --------------------------------------------------------------------------- #
+STATE_KINDS = ["ita-bisect", "ita-columnar", "sharded", "sharded-proc"]
+
+
+def restored_from(service):
+    """``restore_into(snapshot_engine(engine))`` through JSON, into a fresh
+    engine of the same spec."""
+    snapshot = json.loads(json.dumps(snapshot_engine(service.engine)))
+    return restore_into(snapshot, service.spec.build())
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_a_restore_installs_each_querys_recorded_state_without_a_descent(kind):
+    """Thresholds, tau and R in rank order come back as recorded, on a
+    tie-heavy tape, and installing the queries reads no posting."""
+    case = StreamCase(seed=23, num_queries=9, num_documents=90)
+    service = populated_service(EngineSpec(window=WINDOWS["count"], **KINDS[kind]), case=case)
+    restored = restored_from(service)
+    try:
+        states = service.engine.query_states()
+        assert len(states) == 6 and all(state["ids"] for state in states.values())
+        assert restored.query_states() == states
+        counters = restored.counters.as_dict()
+        assert counters["postings_scanned"] == counters["scores_computed"] == 0
+        assert restored.current_results() == service.engine.current_results()
+        restored.check_invariants()
+    finally:
+        service.close()
+        getattr(restored, "close", lambda: None)()
+
+
+def test_the_state_is_the_engines_own_bookkeeping():
+    engine = populated_ita()
+    restored = restore_engine(json.loads(json.dumps(snapshot_engine(engine))))
+    for query_id, state in engine._states.items():
+        twin = restored.state_of(query_id)
+        assert list(twin.thresholds.items()) == list(state.thresholds.items())
+        assert twin.tau == state.tau
+        assert list(twin.results) == list(state.results)
+        for term_id, threshold in state.thresholds.items():
+            assert restored.index.existing_tree(term_id).get(query_id) == threshold
+
+
+def test_a_snapshot_without_state_still_runs_the_descent():
+    service = populated_service(EngineSpec(window=WINDOWS["count"], **KINDS["ita-columnar"]))
+    snapshot = snapshot_engine(service.engine)
+    for record in snapshot["queries"]:
+        del record["state"]
+    restored = restore_into(snapshot, service.spec.build())
+    assert restored.counters.scores_computed > 0
+    assert restored.current_results() == service.engine.current_results()
+    restored.check_invariants()
+
+
+#: ``tests/data/service_snapshot_8c813d2.json`` is ``service.snapshot()``
+#: after ``legacy_ops`` (``tests/durability/test_legacy_wal.py``) ran on
+#: ``MonitoringService(legacy_spec())`` at ``8c813d2``, the last commit whose
+#: snapshots record no query state.
+STATELESS = Path(__file__).parent / "data" / "service_snapshot_8c813d2.json"
+
+
+@pytest.mark.parametrize("kind", [None, "naive", "naive-kmax", "oracle"])
+def test_a_snapshot_written_before_the_state_restores_to_the_same_top_k(kind):
+    from tests.durability.test_legacy_wal import legacy_ops, legacy_spec
+
+    legacy = json.loads(STATELESS.read_text())
+    assert not any("state" in record for record in legacy["engine"]["queries"])
+    expected = MonitoringService(legacy_spec())
+    legacy_ops(expected)
+    if kind is not None:
+        legacy["spec"] = EngineSpec(kind=kind, window=WindowSpec.count(8)).to_dict()
+    restored = MonitoringService.restore(legacy)
+    assert list(restored.vocabulary) == list(expected.vocabulary)
+    assert restored.results() == expected.results()
+
+
+@pytest.mark.parametrize("kind", ["naive", "naive-kmax", "oracle"])
+def test_a_baseline_ignores_the_recorded_state(kind):
+    service = populated_service(EngineSpec(window=WINDOWS["count"], **KINDS["ita-columnar"]))
+    snapshot = service.snapshot()
+    assert all("state" in record for record in snapshot["engine"]["queries"])
+    snapshot["spec"] = EngineSpec(kind=kind, window=WINDOWS["count"]).to_dict()
+    restored = MonitoringService.restore(snapshot)
+    assert restored.results() == service.results()
+    assert not any("state" in record for record in restored.snapshot()["engine"]["queries"])
+
+
+def first_ranked_pair(state):
+    """The index of the first two R entries of distinct scores."""
+    scores = state["scores"]
+    return next(i for i in range(len(scores) - 1) if scores[i] != scores[i + 1])
+
+
+def _more_thresholds(state):
+    state["thresholds"].append(0.0)
+
+
+def _swap_ranks(state):
+    i = first_ranked_pair(state)
+    for column in ("ids", "scores"):
+        state[column][i], state[column][i + 1] = state[column][i + 1], state[column][i]
+
+
+def _repeat_an_id(state):
+    i = first_ranked_pair(state)
+    state["ids"][i + 1] = state["ids"][i]
+
+
+def _keep_an_expired_document(state):
+    state["ids"][-1] = 10**6
+
+
+BROKEN_STATES = [
+    pytest.param(_more_thresholds, "thresholds for", id="threshold-count"),
+    pytest.param(lambda state: state.update(tau=math.nan), "non-finite tau", id="tau-nan"),
+    pytest.param(lambda state: state.update(tau=math.inf), "non-finite tau", id="tau-inf"),
+    pytest.param(lambda state: state.update(tau=-0.5), "negative or non-finite tau", id="tau-negative"),
+    pytest.param(lambda state: state["thresholds"].__setitem__(0, -1e-9), "threshold", id="threshold-negative"),
+    pytest.param(lambda state: state["thresholds"].__setitem__(0, math.inf), "threshold", id="threshold-inf"),
+    pytest.param(_swap_ranks, "out of rank order", id="rank-order"),
+    pytest.param(_repeat_an_id, "repeats a document", id="repeated-id"),
+    pytest.param(_keep_an_expired_document, "document 1000000 in R, which is not in the window", id="not-in-window"),
+]
+
+
+@pytest.mark.parametrize("kind", ["ita-bisect", "sharded"])
+@pytest.mark.parametrize("breaking, message", BROKEN_STATES)
+def test_a_state_the_query_cannot_be_in_is_refused_naming_the_query(kind, breaking, message):
+    service = populated_service(EngineSpec(window=WINDOWS["count"], **KINDS[kind]))
+    snapshot = service.snapshot()
+    record = snapshot["engine"]["queries"][2]
+    breaking(record["state"])
+    with pytest.raises(ConfigurationError, match=f"query {record['query_id']}: the recorded state .*{message}"):
+        MonitoringService.restore(snapshot)
+    assert gc.isenabled()
+
+
+def test_a_malformed_state_is_refused_naming_the_query():
+    snapshot = snapshot_engine(populated_ita())
+    del snapshot["queries"][1]["state"]["tau"]
+    with pytest.raises(ConfigurationError, match="query 1: malformed recorded state"):
+        restore_engine(snapshot)
+
+
+class _Spy(ITAEngine):
+    """Records whether the cyclic collector ran while queries were installed."""
+
+    collector = []
+
+    def install_query(self, query, record):
+        self.collector.append(gc.isenabled())
+        super().install_query(query, record)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_load_pauses_the_collector_and_restores_the_callers_setting(enabled):
+    snapshot = snapshot_engine(populated_ita())
+    _Spy.collector = []
+    (gc.enable if enabled else gc.disable)()
+    try:
+        restore_into(snapshot, _Spy(CountBasedWindow(10)))
+        assert gc.isenabled() is enabled
+        snapshot["queries"][0]["state"]["tau"] = -1.0
+        with pytest.raises(ConfigurationError):
+            restore_into(snapshot, _Spy(CountBasedWindow(10)))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert _Spy.collector == [False, False, False]

@@ -18,9 +18,11 @@ merge, migration and invariants are written once, here, for both.
 **Seeds.**  Every call that changes a shard can hand it the shard's state
 before the call: the mirror's documents at the pre-call clock, as the
 shard channel's columns, and the registry's queries assigned to it (a
-query is assigned once its shard acknowledged it, and unassigned once its
-removal was).  A remote shard that must replace its worker mid-call seeds
-the replacement with it; the seed is built only when asked for.  A
+query is assigned once its shard has taken the registration, and
+unassigned once it has taken the removal; a remote shard takes either
+without waiting for its worker's acknowledgement).  A remote shard that
+must replace its worker mid-call seeds the replacement with it; the seed
+is built only when asked for.  A
 restore (:meth:`ShardedEngine.seed_shards`) sends every worker the same
 kind of seed, all at once.
 """
@@ -268,9 +270,11 @@ class ShardedEngine(MonitoringEngine):
     def unregister_query(self, query_id: int) -> None:
         """Terminate ``query_id`` on whichever shard hosts it.
 
-        The query stays registered and assigned until its shard
-        acknowledges the removal, so a seed built during the call still
-        holds it.
+        The query stays registered and assigned until its shard has taken
+        the removal, so a seed built during the call still holds it and
+        one built after it does not.  A remote shard takes the removal
+        without waiting for its worker's acknowledgement: the worker
+        applies it before anything sent later.
         """
         query = self.registry.get(query_id)
         shard = self._assignment[query_id]
@@ -405,7 +409,7 @@ class ShardedEngine(MonitoringEngine):
         query = self.registry.get(query_id)
         self.shards[source_shard].unregister_query(query_id)
         self.placement.forget(query, source_shard)
-        # Hosted nowhere until a shard acknowledges it again.
+        # Hosted nowhere until a shard takes it again.
         del self._assignment[query_id]
         try:
             self.shards[target_shard].register_query(query)

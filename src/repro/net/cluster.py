@@ -264,9 +264,9 @@ class ProcessClusterEngine(ShardedEngine):
         for shard in self.shards:
             try:
                 if not shard.observing:
-                    shard.connection.call("observe", {"enable": True}, timeout_ms=scrape_timeout)
+                    shard.ask("observe", {"enable": True}, scrape_timeout)
                     shard.observing = True
-                response = shard.connection.call("metrics", timeout_ms=scrape_timeout)
+                response = shard.ask("metrics", None, scrape_timeout)
             except ReproError:
                 continue  # a scrape must never take the ingest path down
             for name, labels, value in response["samples"]:
@@ -278,11 +278,17 @@ class ProcessClusterEngine(ShardedEngine):
     # diagnostics
     # ------------------------------------------------------------------ #
     def worker_pids(self) -> List[int]:
-        """The live worker process ids, by shard (kill-point tests)."""
+        """The live worker process ids, by shard (kill-point tests); each
+        worker's owed acknowledgements are read first."""
+        for shard in self.shards:
+            shard.settle()
         return [shard.process.pid for shard in self.shards]
 
     def restart_counts(self) -> List[int]:
-        """Per-shard restart counts since the cluster started."""
+        """Per-shard restart counts since the cluster started; each
+        worker's owed acknowledgements are read first."""
+        for shard in self.shards:
+            shard.settle()
         return [shard.restarts for shard in self.shards]
 
     @property
@@ -304,7 +310,7 @@ class ProcessClusterEngine(ShardedEngine):
         self._closed = True
         for shard in self.shards:
             with suppress(ReproError):
-                shard.connection.call("shutdown", timeout_ms=_SHUTDOWN_GRACE_SECONDS * 1000.0)
+                shard.ask("shutdown", None, _SHUTDOWN_GRACE_SECONDS * 1000.0)
             shard.connection.close()
         for shard in self.shards:
             shard.process.join(_SHUTDOWN_GRACE_SECONDS)

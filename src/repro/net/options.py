@@ -11,6 +11,7 @@ silently running with a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
@@ -69,6 +70,11 @@ class ProcOptions:
                 f"unknown proc transport {self.transport!r}; "
                 f"expected one of {list(_TRANSPORTS)}"
             )
+        # NaN passes every comparison below, and socket.settimeout rejects
+        # both it and infinity; neither is a deadline.
+        for name in ("request_timeout_ms", "connect_timeout_ms", "backoff_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"proc {name} must be finite")
         if self.request_timeout_ms <= 0:
             raise ConfigurationError("proc request_timeout_ms must be positive")
         if self.connect_timeout_ms <= 0:

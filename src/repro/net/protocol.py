@@ -16,9 +16,10 @@ Requests and responses are plain objects::
     {"id": 7, "ok": true, "result": {...}}
     {"id": 7, "ok": false, "error": {"type": "UnknownQueryError", "message": "..."}}
 
-* **request ids** are per-connection monotonically increasing integers; a
-  response carrying the wrong id is a protocol violation
-  (:class:`~repro.exceptions.RpcTransportError`), not silently matched.
+* **request ids** are per-connection monotonically increasing integers,
+  and responses come back in request order; a response carrying the wrong
+  id is a protocol violation (:class:`~repro.exceptions.RpcTransportError`),
+  not silently matched.
 * **typed errors**: the server encodes the exception *class name*; the
   client re-raises known :mod:`repro.exceptions` types as themselves and
   everything else as :class:`~repro.exceptions.RpcRemoteError`.
@@ -255,11 +256,11 @@ def raise_remote_error(error: Dict[str, Any]) -> "None":
 class RpcConnection:
     """One framed-RPC client connection with ids, deadlines and metrics.
 
-    The connection is strictly request/response (one outstanding call);
-    the coordinator pipelines across *workers* by writing every request
-    before reading any response -- see
-    :meth:`send_request` / :meth:`read_response`, which :meth:`call`
-    composes.
+    Responses come back in request order, and several requests may be
+    outstanding: the coordinator pipelines across *workers* by writing
+    every request before reading any response, and does not wait for a
+    worker's acknowledgements -- see :meth:`send_request` /
+    :meth:`read_response`, which :meth:`call` composes.
     """
 
     def __init__(
@@ -271,6 +272,8 @@ class RpcConnection:
         self._sock = sock
         self._default_timeout_ms = float(default_timeout_ms)
         self._next_id = 0
+        #: the id of the last response read
+        self._answered = 0
         self._closed = False
         #: a display name for error messages ("shard-2", "server", ...)
         self.peer = peer
@@ -320,29 +323,36 @@ class RpcConnection:
     def read_response(self, request_id: int, deadline: Optional[float] = None) -> Any:
         """Read the response of ``request_id``; returns its result or attachment.
 
-        Raises the remote error for error responses, and
+        The unread responses of earlier requests, whose senders did not
+        wait for them, come first on the stream: they are read in order and
+        dropped, and an error among them is raised.  Raises the remote
+        error for error responses, and
         :class:`~repro.exceptions.RpcTransportError` on EOF or an id
         mismatch (the protocol is strictly ordered, so a stray id means
         the stream is corrupt).
         """
-        body = _recv_body(self._sock, deadline)
-        if body is None:
-            raise RpcTransportError(
-                f"{self.peer or 'peer'} closed the connection before responding"
-            )
-        if _obs.active:
-            _obs.counter_child(
-                "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "received"
-            ).inc(_LENGTH.size + len(body))
-        response = decode_frame(body)
-        if response.get("id") != request_id:
-            raise RpcTransportError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id} from {self.peer or 'peer'}"
-            )
-        if response.get("ok"):
-            return response.get("attachment", response.get("result"))
-        raise_remote_error(response.get("error") or {})
+        while True:
+            body = _recv_body(self._sock, deadline)
+            if body is None:
+                raise RpcTransportError(
+                    f"{self.peer or 'peer'} closed the connection before responding"
+                )
+            if _obs.active:
+                _obs.counter_child(
+                    "repro_rpc_bytes_total", "RPC bytes on the wire", "direction", "received"
+                ).inc(_LENGTH.size + len(body))
+            response = decode_frame(body)
+            expected = self._answered + 1
+            if response.get("id") != expected:
+                raise RpcTransportError(
+                    f"response id {response.get('id')!r} does not match "
+                    f"request id {expected} from {self.peer or 'peer'}"
+                )
+            self._answered = expected
+            if not response.get("ok"):
+                raise_remote_error(response.get("error") or {})
+            if expected == request_id:
+                return response.get("attachment", response.get("result"))
 
     def call(
         self,

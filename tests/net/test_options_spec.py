@@ -69,6 +69,12 @@ def test_unknown_transport_is_named():
         ("max_restarts", -1, "max_restarts"),
         ("backoff_ms", -0.5, "backoff_ms"),
         ("start_method", "threads", "start_method"),
+        ("request_timeout_ms", float("nan"), "request_timeout_ms"),
+        ("request_timeout_ms", float("inf"), "request_timeout_ms"),
+        ("connect_timeout_ms", float("nan"), "connect_timeout_ms"),
+        ("connect_timeout_ms", float("inf"), "connect_timeout_ms"),
+        ("backoff_ms", float("nan"), "backoff_ms"),
+        ("backoff_ms", float("inf"), "backoff_ms"),
     ],
 )
 def test_invalid_worker_options_name_the_field(field, value, match):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.net.cluster import ProcessClusterEngine
 from repro.net.codec import encode_documents
 from repro.net.options import ProcOptions
 from repro.net.protocol import RpcConnection
+from repro.net.remote import MAX_UNREAD
 from repro.net.worker import ShardWorker
 from repro.observability import runtime
 from repro.persistence import replay, restore_into, snapshot_engine
@@ -570,3 +572,144 @@ def test_rpc_byte_counters_match_the_frames_on_the_wire():
         cluster.current_results()
         assert sent.value - before[0] == sum(sock.sent for sock in sockets) > 0
         assert received.value - before[1] == sum(sock.received for sock in sockets) > 0
+
+
+# --------------------------------------------------------------------------- #
+# calls in flight: the coordinator does not wait for acknowledgements
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("transport", ["unix", "tcp"])
+def test_a_worker_killed_with_registrations_unread_is_seeded_with_them(transport):
+    """Three times MAX_UNREAD registrations go to one worker without a read
+    of their own, and it is SIGKILLed with a FIFO's worth unread: the
+    replacement's seed holds every query and none is re-sent (a re-sent one
+    would be a DuplicateQueryError), so the cluster answers like the
+    in-process one after one restart."""
+    case = TieFreeCase(57, num_queries=3 * MAX_UNREAD, num_documents=2 * WINDOW)
+    reference = make_reference()
+    with make_cluster(options=replace(FAST, transport=transport)) as cluster:
+        for engine in (reference, cluster):
+            engine.process_batch_events(case.documents[:WINDOW])
+        for query in case.queries:
+            reference.register_query(query, shard=0)
+            cluster.register_query(query, shard=0)
+        assert len(cluster.shards[0]._unread) == MAX_UNREAD
+        os.kill(cluster.shards[0].process.pid, signal.SIGKILL)
+        time.sleep(0.1)  # let the kernel tear the socket down
+        for document in case.documents[WINDOW:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert cluster.restart_counts() == [1, 0]
+        assert digest(cluster) == digest(reference)
+        cluster.check_invariants()
+
+
+def test_a_subscribe_and_unsubscribe_before_any_read_leave_no_query():
+    case = TieFreeCase(58, num_queries=5, num_documents=50)
+    reference = make_reference()
+    late = case.queries[-1]
+    with make_cluster() as cluster:
+        for query in case.queries[:-1]:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:20]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        shard = cluster.register_query(late)
+        cluster.unregister_query(late.query_id)
+        assert len(cluster.shards[shard]._unread) == 2
+        assert late.query_id not in cluster.shards[shard].query_ids()
+        for document in case.documents[20:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert digest(cluster) == digest(reference)
+        assert cluster.restart_counts() == [0, 0]
+        cluster.check_invariants()
+
+
+def test_current_result_straight_after_subscribe_is_the_installed_top_k():
+    case = TieFreeCase(59, num_queries=6, num_documents=40)
+    reference = make_reference()
+    with make_cluster() as cluster:
+        for engine in (reference, cluster):
+            engine.process_batch_events(case.documents)
+        for query in case.queries:
+            reference.register_query(query)
+            cluster.register_query(query)
+            installed = cluster.current_result(query.query_id)
+            assert installed
+            assert [(e.doc_id, e.score) for e in installed] == [
+                (e.doc_id, e.score) for e in reference.current_result(query.query_id)
+            ]
+
+
+@pytest.mark.parametrize("transport", ["unix", "tcp"])
+def test_five_times_the_bound_of_subscriptions_in_a_row_do_not_deadlock(transport):
+    """Every request is answered, and an AF_UNIX socket queues only a few
+    hundred unread answers before the worker blocks on send: without the
+    bound, the coordinator's sends would stall until their deadline."""
+    case = StreamCase(60, num_queries=1, num_documents=WINDOW)
+    queries = [make_query(query_id, {query_id % 7: 1.0, 7: 0.5}, k=3) for query_id in range(5 * MAX_UNREAD)]
+    reference = make_reference()
+    options = replace(FAST, transport=transport, request_timeout_ms=10_000.0)
+    with make_cluster(options=options) as cluster:
+        for engine in (reference, cluster):
+            engine.process_batch_events(case.documents)
+        for query in queries:
+            reference.register_query(query, shard=0)
+            cluster.register_query(query, shard=0)
+            assert len(cluster.shards[0]._unread) <= MAX_UNREAD
+        assert cluster.shards[0].query_ids() == [query.query_id for query in queries]
+        assert digest(cluster) == digest(reference)
+        assert cluster.restart_counts() == [0, 0]
+
+
+def test_an_error_answer_to_an_unwaited_register_is_raised_from_the_next_call():
+    """The worker takes a query behind the coordinator's back, so it refuses
+    the coordinator's own registration of it: the worker diverged.  The
+    next call on its shard raises the typed error, and the call after that
+    answers from a replacement seeded with the coordinator's state."""
+    case = TieFreeCase(61, num_queries=5, num_documents=50)
+    reference = make_reference()
+    late = case.queries[-1]
+    with make_cluster() as cluster:
+        for query in case.queries[:-1]:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:20]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        cluster.shards[0].register_query(late)
+        assert cluster.register_query(late, shard=0) == reference.register_query(late, shard=0)
+        with pytest.raises(DuplicateQueryError):
+            cluster.process(case.documents[20])
+        reference.process(case.documents[20])
+        for document in case.documents[21:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert cluster.restart_counts() == [1, 0]
+        assert digest(cluster) == digest(reference)
+        cluster.check_invariants()
+
+
+def test_a_scrape_whose_answer_comes_late_leaves_the_workers_alone(monkeypatch):
+    """Shard 0's worker answers ``metrics`` after the scrape's deadline: the
+    scrape yields no worker samples, the late answer is read and dropped in
+    order by the next call, and no worker is replaced."""
+    handle = ShardWorker.handle
+
+    def slow_metrics(worker, method, params, attachment=None):
+        if method == "metrics" and worker.shard_index == 0:
+            time.sleep(1.3)
+        return handle(worker, method, params, attachment)
+
+    monkeypatch.setattr(ShardWorker, "handle", slow_metrics)  # forked workers inherit it
+    case = TieFreeCase(62, num_queries=4, num_documents=40)
+    reference = make_reference()
+    options = ProcOptions(start_method="fork", request_timeout_ms=1_000.0, backoff_ms=5.0)
+    with runtime.observed(), make_cluster(options=options) as cluster:
+        for query in case.queries:
+            reference.register_query(query)
+            cluster.register_query(query)
+        for document in case.documents[:20]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        samples = cluster._scrape_workers()
+        assert samples[("repro_proc_workers", ())] == 2.0
+        assert not any(("shard", "0") in labels for _, labels in samples)
+        for document in case.documents[20:]:
+            assert normalize(cluster.process(document)) == normalize(reference.process(document))
+        assert cluster.restart_counts() == [0, 0]

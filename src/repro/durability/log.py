@@ -336,10 +336,6 @@ class DurabilityLog:
         """Append an unsubscribe record."""
         return self._append({"op": "unsubscribe", "query_id": query_id})
 
-    def log_queryscale(self, payload: Dict[str, Any]) -> int:
-        """Append a query-scale transition record (``hibernate``/``wake``)."""
-        return self._append(dict(payload))
-
     def log_advance_time(self, now: float) -> int:
         """Append a clock-advance record."""
         lsn = self._append({"op": "advance_time", "now": now})

@@ -14,6 +14,10 @@ Ingest columns that do not decode (:func:`repro.persistence.decode_documents`)
 are a :class:`~repro.exceptions.WalCorruptionError`; the ``"docs"`` of a
 record written before the columns still replay.
 
+A log written while cold-query hibernation existed may hold ``hibernate``
+and ``wake`` records; they replay as no-ops, with or without a
+query-scale layer.
+
 A cluster's ``subscribe`` records carry the shard index, so every query
 returns to exactly the shard that hosted it.  A directory written before
 the one log holds per-shard logs (``shard-<k>/``): they are merged by
@@ -146,7 +150,8 @@ def _replay_record(service: Any, record: Dict[str, Any]) -> int:
         service.advance_time(float(record["now"]))
         return 0
     if op in ("hibernate", "wake"):
-        service._replay_queryscale(record)
+        # Cold-query hibernation is gone: every query stays registered, so
+        # an older log's transitions have nothing left to change.
         return 0
     raise DurabilityError(f"unknown WAL op {op!r} at lsn {record.get('lsn')}")
 

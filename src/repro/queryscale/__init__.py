@@ -1,14 +1,14 @@
-"""Query-scale subsystem: canonicalization/dedup, compaction, hibernation.
+"""Query-scale subsystem: canonicalization/dedup and weight compaction.
 
 Millions of standing queries are massively redundant; this package makes
 k-distinct-of-N-subscribed cost O(distinct) in CPU and memory.  See
 :mod:`repro.queryscale.manager` for the design notes and
-``docs/ARCHITECTURE.md`` ("Scaling the query set") for the big picture.
+``docs/ARCHITECTURE.md`` ("Query scale: dedup and compaction") for the big picture.
 
 Enable it through the service spec::
 
     spec = spec_from_name("sharded-ita-4").with_overrides(
-        queryscale=QueryScaleOptions(dedup=True, hibernate_after=512)
+        queryscale=QueryScaleOptions(dedup=True, compact_weights=True)
     )
 """
 

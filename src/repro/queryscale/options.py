@@ -1,9 +1,8 @@
 """Configuration of the query-scale subsystem.
 
 :class:`QueryScaleOptions` is the knob block that switches on query
-canonicalization/dedup, shared-vocabulary weight compaction, and
-cold-query hibernation for a service (see
-:mod:`repro.queryscale.manager`).  It plugs into
+canonicalization/dedup and shared-vocabulary weight compaction for a
+service (see :mod:`repro.queryscale.manager`).  It plugs into
 :class:`~repro.service.spec.EngineSpec` exactly like the cluster and
 durability blocks: a frozen dataclass with ``validate``/``to_dict``/
 ``from_dict`` and *strict* unknown-key rejection on decode, so a typo in
@@ -19,10 +18,15 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["QueryScaleOptions"]
 
+#: keys of the removed cold-query hibernation; a persisted spec that holds
+#: one with a value it was once accepted with (a non-negative int) still
+#: decodes, and the key is dropped
+_LEGACY_KEYS = ("hibernate_after", "max_resident")
+
 
 @dataclass(frozen=True)
 class QueryScaleOptions:
-    """Knobs of the query-scale layer (dedup, compaction, hibernation).
+    """Knobs of the query-scale layer (dedup and compaction).
 
     Parameters
     ----------
@@ -35,21 +39,10 @@ class QueryScaleOptions:
         Store canonical query weights in interned ``array``-based tables
         (shared term-id arrays) instead of per-query dicts; see
         :class:`repro.queryscale.interning.TermTable`.
-    hibernate_after:
-        Hibernate a canonical query after this many stream events without
-        a result change (``0`` disables hibernation).  The policy counts
-        *events*, not wall-clock time, so WAL replay re-derives the same
-        decisions deterministically.
-    max_resident:
-        Hard cap on engine-resident (awake) canonical queries; beyond it
-        the least-recently-changed queries are hibernated first (``0``
-        means unbounded).
     """
 
     dedup: bool = True
     compact_weights: bool = True
-    hibernate_after: int = 0
-    max_resident: int = 0
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
@@ -58,28 +51,11 @@ class QueryScaleOptions:
         Raises
         ------
         ConfigurationError
-            If a count field is negative or a flag is not boolean.
+            If a flag is not boolean.
         """
         for flag in ("dedup", "compact_weights"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigurationError(f"queryscale option {flag!r} must be a bool")
-        for count in ("hibernate_after", "max_resident"):
-            value = getattr(self, count)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ConfigurationError(
-                    f"queryscale option {count!r} must be a non-negative int, "
-                    f"got {value!r}"
-                )
-        if not self.dedup and (self.hibernate_after or self.max_resident):
-            raise ConfigurationError(
-                "hibernation requires dedup=True: the hibernation indexes "
-                "live on the canonical entries"
-            )
-
-    @property
-    def hibernation_enabled(self) -> bool:
-        """Whether any hibernation policy is active."""
-        return self.hibernate_after > 0 or self.max_resident > 0
 
     def with_overrides(self, **kwargs: Any) -> "QueryScaleOptions":
         """A copy of the options with the given fields replaced."""
@@ -88,19 +64,15 @@ class QueryScaleOptions:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """The options' dictionary encoding (inverse of :meth:`from_dict`)."""
-        return {
-            "dedup": self.dedup,
-            "compact_weights": self.compact_weights,
-            "hibernate_after": self.hibernate_after,
-            "max_resident": self.max_resident,
-        }
+        return {"dedup": self.dedup, "compact_weights": self.compact_weights}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryScaleOptions":
         """Rebuild options from :meth:`to_dict` output.
 
         Unknown keys are rejected (one misspelled knob in a persisted
-        spec must not silently disable dedup or hibernation).
+        spec must not silently disable dedup).  The two hibernation keys
+        of older specs are dropped when they hold a non-negative int.
 
         Raises
         ------
@@ -111,17 +83,22 @@ class QueryScaleOptions:
             raise ConfigurationError(
                 f"queryscale options must decode from a mapping, got {type(data).__name__}"
             )
-        known = {"dedup", "compact_weights", "hibernate_after", "max_resident"}
-        unknown = sorted(set(data) - known)
+        known = {"dedup", "compact_weights"}
+        unknown = sorted(set(data) - known - set(_LEGACY_KEYS))
         if unknown:
             raise ConfigurationError(
                 f"unknown queryscale option(s) {unknown}; known: {sorted(known)}"
             )
+        for key in _LEGACY_KEYS:
+            value = data.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ConfigurationError(
+                    f"legacy queryscale option {key!r} must be a non-negative int, "
+                    f"got {value!r}"
+                )
         options = cls(
             dedup=data.get("dedup", True),
             compact_weights=data.get("compact_weights", True),
-            hibernate_after=data.get("hibernate_after", 0),
-            max_resident=data.get("max_resident", 0),
         )
         options.validate()
         return options

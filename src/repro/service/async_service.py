@@ -45,7 +45,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, 
 from repro.alerting import Alert
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
 from repro.documents.document import StreamedDocument
-from repro.exceptions import ServiceError, WindowError
+from repro.exceptions import ServiceError
 from repro.observability import runtime as obs
 from repro.observability.slowlog import note_slow
 from repro.query.query import ContinuousQuery
@@ -185,13 +185,6 @@ class AsyncMonitoringService:
         #: subscriber can be lost to a crash -- the WAL order equals the
         #: submission order, which the FIFO lane preserves
         durability = self.service._durability
-        manager = self.service._queryscale
-        #: hibernation transitions mutate engine registrations, so each
-        #: sub-batch must run begin -> process -> dispatch -> end as one
-        #: sequential unit (exactly like a replayed WAL record); plain
-        #: dedup keeps producer and lane overlapped -- its pre-batch hook
-        #: only advances the event clock
-        serialize = manager is not None and manager.options.hibernation_enabled
         observed = obs.active
         started = time.perf_counter() if observed else 0.0
         documents = 0
@@ -216,8 +209,6 @@ class AsyncMonitoringService:
                         event_changes, document
                     )
                     changes.extend(event_changes)
-            if manager is not None:
-                manager.end_batch()
             if submitted:
                 # submission (pre-backpressure) to last alert callback:
                 # the end-to-end delivery lag of one lane batch
@@ -227,24 +218,11 @@ class AsyncMonitoringService:
                 ).observe((time.perf_counter() - submitted) * 1000.0)
 
         async def submit(ready: List[StreamedDocument]) -> None:
-            if serialize and inflight:
-                while inflight:
-                    await flush(*inflight.popleft())
             if durability is not None:
                 self.service._check_durable_batch(ready)
-            if manager is not None:
-                # Wake-before-change: must run before the batch is logged
-                # (wake records precede the ingest record) and, under
-                # hibernation, only against an idle engine -- `serialize`
-                # guarantees no other batch is in flight here.
-                manager.begin_batch(ready)
-            if durability is not None:
                 durability.log_ingest(ready)
             submitted = time.perf_counter() if observed else 0.0
             inflight.append((ready, await lane.submit(ready), submitted))
-            if serialize:
-                while inflight:
-                    await flush(*inflight.popleft())
 
         error: Optional[Exception] = None
         try:
@@ -306,29 +284,16 @@ class AsyncMonitoringService:
         lane = self._check_started()
         self.service._check_open()
         self.service._clock = max(self.service._clock, float(now))
-        manager = self.service._queryscale
-        if manager is not None:
-            # Wakes re-register queries on the engine, so the lane
-            # must be idle first; the clock pre-check mirrors the sync
-            # façade (a rejected advance must not move the event clock).
-            await self.drain()
-            floor = self.service.window.clock
-            if floor is not None and float(now) < floor:
-                raise WindowError(f"time cannot go backwards: {now} < {floor}")
-            manager.begin_advance(float(now))
         expiry_changes = await lane.advance_time(now)
         durability = self.service._durability
         if durability is not None:
-            # Logged once the engine accepted it; hibernate records from
-            # end_batch below must follow the advance record, so replay
-            # re-derives them at post-advance state.
+            # Logged once the engine accepted it: a rejected advance
+            # (time going backwards) must not poison the replay.
             durability.log_advance_time(float(now))
         if expiry_changes:
             expiry_changes = self.service.dispatcher.dispatch_changes(
                 expiry_changes, None
             )
-        if manager is not None:
-            manager.end_batch()
         if durability is not None:
             # The lane has just drained, so a due checkpoint may run
             # immediately.

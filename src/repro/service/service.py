@@ -294,7 +294,7 @@ class MonitoringService:
         # re-checked against the current registry (see _ensure_collector).
         self._collector_registry: Optional[Any] = None
         self._collector_unregister: Optional[Callable[[], None]] = None
-        #: the query-scale layer (dedup/compaction/hibernation); built when
+        #: the query-scale layer (dedup/compaction); built when
         #: the spec carries a QueryScaleOptions block with dedup enabled
         self._queryscale: Optional[QueryScaleManager] = None
         self._setup_queryscale()
@@ -312,9 +312,7 @@ class MonitoringService:
         options = spec.queryscale if spec is not None else None
         if options is None or not options.dedup:
             return
-        self._queryscale = QueryScaleManager(
-            self.engine, options, wal_provider=lambda: self._durability
-        )
+        self._queryscale = QueryScaleManager(self.engine, options)
         self.dispatcher.set_transform(self._queryscale.expand_changes)
 
     @property
@@ -838,7 +836,6 @@ class MonitoringService:
         observed = obs.active
         started = time.perf_counter()
         delivered_before = self.dispatcher.delivered
-        manager = self._queryscale
         durability = self._durability
         with trace_span("service.ingest") as span:
             batch = list(self._as_stream(source, at))
@@ -846,11 +843,6 @@ class MonitoringService:
                 # A batch the engine would reject must fail before it
                 # reaches the WAL.
                 self._check_durable_batch(batch)
-            if manager is not None:
-                # Wake-before-change: wake records must precede the
-                # batch's ingest record so replay re-registers a dormant
-                # query before re-applying the documents that affect it.
-                manager.begin_batch(batch)
             if durability is not None and batch:
                 # Write-ahead: no acknowledged document is ever lost, and a
                 # crash between the append and the apply is healed by replay.
@@ -869,8 +861,6 @@ class MonitoringService:
                     changes.extend(dispatch(event_changes, streamed))
                     if lag is not None:
                         lag.observe((time.perf_counter() - started) * 1000.0)
-            if manager is not None:
-                manager.end_batch()
             if durability is not None:
                 durability.maybe_checkpoint()
             span.set(documents=len(batch), changes=len(changes))
@@ -974,25 +964,11 @@ class MonitoringService:
         self._check_open()
         started = time.perf_counter() if obs.active else 0.0
         self._clock = max(self._clock, float(now))
-        manager = self._queryscale
-        if manager is not None:
-            # Pre-validate against the window clock before the hooks run:
-            # a rejected advance must not move the manager's event clock
-            # (replay would never see the failed call) or log wake records.
-            floor = self.window.clock
-            if floor is not None and float(now) < floor:
-                raise WindowError(f"time cannot go backwards: {now} < {floor}")
-            manager.begin_advance(float(now))
         changes = self.dispatcher.advance_time(now)
         if self._durability is not None:
             # Logged after the engine accepted it: a rejected advance
-            # (time going backwards) must not poison the replay.  Logged
-            # *before* end_batch so hibernate records follow the advance
-            # record -- replay must re-derive them at post-advance state.
+            # (time going backwards) must not poison the replay.
             self._durability.log_advance_time(float(now))
-        if manager is not None:
-            manager.end_batch()
-        if self._durability is not None:
             self._durability.maybe_checkpoint()
         if obs.active:
             self._ensure_collector()
@@ -1141,9 +1117,8 @@ class MonitoringService:
             "engine": snapshot_engine(self.engine),
         }
         if self._queryscale is not None:
-            # The engine snapshot holds the *awake* canonical queries; the
-            # manager envelope adds the fan-out map, the event clock, and
-            # every hibernated canonical (query + shard + stored top-k).
+            # The engine snapshot holds the canonical queries; the manager
+            # envelope adds the subscriber fan-out map.
             envelope["queryscale"] = self._queryscale.snapshot_state()
         return envelope
 
@@ -1279,23 +1254,6 @@ class MonitoringService:
             self._queryscale.unsubscribe(query_id)
         else:
             self.engine.unregister_query(query_id)
-
-    def _replay_queryscale(self, record: Dict[str, Any]) -> None:
-        """Re-apply one ``hibernate``/``wake`` WAL record (idempotent).
-
-        Replayed ingest records re-derive most transitions through the
-        normal policy; these explicit records close the gaps -- notably
-        wake-on-read, which no other record reproduces.
-        """
-        if self._queryscale is None:
-            raise ConfigurationError(
-                f"WAL record {record.get('op')!r} needs an active query-scale "
-                "layer, but the recovered spec has none"
-            )
-        if record["op"] == "hibernate":
-            self._queryscale.apply_hibernate_record(int(record["query_id"]))
-        else:
-            self._queryscale.apply_wake_record(int(record["query_id"]))
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

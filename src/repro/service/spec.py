@@ -179,7 +179,7 @@ class EngineSpec:
     #: transport/supervision knobs of the out-of-process cluster; only
     #: valid on kind "sharded-proc" (``None`` there means the defaults)
     proc: Optional[ProcOptions] = None
-    #: query canonicalization / compaction / hibernation knobs consumed by
+    #: query canonicalization / compaction knobs consumed by
     #: the service façade (:mod:`repro.queryscale`); ``None`` (default)
     #: means the feature is off.  Valid on every kind -- the layer sits
     #: above the engine, which only ever sees canonical queries.

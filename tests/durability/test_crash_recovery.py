@@ -396,35 +396,28 @@ def test_async_ingest_lane_logs_before_ack(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# hibernation kill points (the query-scale layer's WAL records)
+# kill points of a service with the query-scale layer on
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "engine_name,storage",
-    [("ita", "bisect"), ("ita", "columnar"), ("sharded-ita-2", "bisect")],
+    [
+        ("ita", "bisect"),
+        ("ita", "columnar"),
+        ("sharded-ita-2", "bisect"),
+        ("sharded-ita-2", "columnar"),
+    ],
 )
-def test_hibernation_kill_points_recover_bit_identically(
+def test_dedup_kill_points_recover_bit_identically(
     engine_name, storage, tmp_path, monkeypatch
 ):
-    """Crashing at *every* WAL record boundary of a hibernating service --
-    including the boundaries between a single op's ``wake``, main and
-    ``hibernate`` records -- must recover deterministically.
+    """A dedup service logs at most one record per op (an observation
+    logs none), so every record boundary is an op boundary.
 
-    With hibernation one op can log several records ([wakes][main op]
-    [hibernates]), so the per-op captures of the suites above no longer
-    visit every boundary; here the directory is captured after every
-    individual append instead.  Two oracle regimes:
-
-    * a cut at or after the op's **main** record: replaying the main
-      record re-derives the op's hibernation decisions through the normal
-      event path (explicit ``hibernate`` records are idempotent), so the
-      recovered snapshot and counters must equal the uninterrupted run's
-      state at that op's end, bit for bit;
-    * a cut inside the **pre-op wake sequence** (the main record never
-      became durable, so the client never got an ack): the recovered
-      service, after the op is re-submitted and the tape finished, must
-      reproduce the uninterrupted run's remaining change streams,
-      observation digests, final results and final snapshot exactly --
-      the already-durable wakes are absorbed by the retry.
+    The directory is captured after every individual append, on a
+    duplicate-heavy tape.  Each capture must recover the uninterrupted
+    run's snapshot and counters at the end of that record's op, bit for
+    bit, and then finish the tape with the uninterrupted run's change
+    streams, observation digests, final results and final snapshot.
     """
     from repro.durability.log import DurabilityLog
     from repro.queryscale import QueryScaleOptions
@@ -432,35 +425,34 @@ def test_hibernation_kill_points_recover_bit_identically(
 
     tape = generate_dedup_tape(8423, num_ops=56, include_checkpoints=False)
     spec = durable_spec(engine_name, FAST_NO_CHECKPOINT, storage).with_overrides(
-        queryscale=QueryScaleOptions(dedup=True, hibernate_after=4)
+        queryscale=QueryScaleOptions(dedup=True)
     )
     root = tmp_path / "live"
     captures = tmp_path / "killpoints"
     captures.mkdir()
 
-    #: lsn -> (capture dir, record op, tape-op index, active ids at op start)
-    record_cuts: Dict[int, Tuple[Any, str, int, Tuple[int, ...]]] = {}
-    current = {"index": -1, "active": ()}
+    #: lsn -> (capture dir, tape-op index of the op that logged it)
+    record_cuts: Dict[int, Tuple[Any, int]] = {}
+    current = {"index": -1}
     original_append = DurabilityLog._append
 
     def capturing_append(self, payload, shard=None):
         lsn = original_append(self, payload, shard)
         target = captures / str(lsn)
         shutil.copytree(root, target)
-        record_cuts[lsn] = (target, payload["op"], current["index"], current["active"])
+        record_cuts[lsn] = (target, current["index"])
         return lsn
 
-    op_end_snapshots: Dict[int, Dict[str, Any]] = {}
-    op_end_counters: Dict[int, Dict[str, int]] = {}
-    op_end_lsns: Dict[int, int] = {}
+    #: op index -> (snapshot, counters, subscriber ids) at the op's end
+    op_ends: Dict[int, Tuple[Dict[str, Any], Dict[str, int], Tuple[int, ...]]] = {}
     oracle_changes: List[List[Tuple]] = []
     oracle_digests: List[Dict[int, Tuple]] = []
 
-    def run_ops(service, handles, tape_slice, start_index, changes, digests):
-        """Replay tape ops the same way live and continuation runs must."""
-        for offset, op in enumerate(tape_slice):
-            current["index"] = start_index + offset
-            current["active"] = tuple(sorted(handles))
+    def run_ops(service, handles, start_index, changes, digests):
+        """Replay the tape from ``start_index`` the same way every run must."""
+        for index in range(start_index, len(tape)):
+            current["index"] = index
+            op = tape[index]
             kind = op[0]
             if kind == "subscribe":
                 _, query_id, weights, k = op
@@ -472,74 +464,61 @@ def test_hibernation_kill_points_recover_bit_identically(
                 handles.pop(query_id).unsubscribe()
             elif kind == "ingest":
                 _, documents = op
-                batch_changes = service.ingest(documents)
                 changes.append(
-                    [normalize_change(change) for change in batch_changes]
+                    [normalize_change(change) for change in service.ingest(documents)]
                 )
             elif kind == "observe":
-                # Waking every hibernated query is part of the op: the
-                # continuation runs must retrace it or later change
-                # streams diverge.
                 digests.append(digest_results(service.results()))
             else:  # pragma: no cover - tape generator bug
                 raise AssertionError(f"unknown op {kind!r}")
-            yield start_index + offset
+            yield index
 
     with monkeypatch.context() as patched:
         patched.setattr(DurabilityLog, "_append", capturing_append)
         service = MonitoringService.open(root, spec)
         handles: Dict[int, Any] = {}
-        for index in run_ops(service, handles, tape, 0, oracle_changes, oracle_digests):
-            op_end_snapshots[index] = service.snapshot()
-            op_end_counters[index] = service.counters.as_dict()
-            op_end_lsns[index] = service.durability.last_lsn
+        for index in run_ops(service, handles, 0, oracle_changes, oracle_digests):
+            op_ends[index] = (
+                service.snapshot(),
+                service.counters.as_dict(),
+                tuple(sorted(handles)),
+            )
         final_digest = digest_results(service.results())
         final_snapshot = service.snapshot()
         service.close()
 
-    kinds = {op for _, op, _, _ in record_cuts.values()}
-    assert "hibernate" in kinds and "wake" in kinds, (
-        "the tape must actually produce hibernate and wake records"
-    )
-    wake_cuts = [lsn for lsn, (_, op, _, _) in record_cuts.items() if op == "wake"]
-    assert len(wake_cuts) >= 3, "too few wake-record kill points"
+    logging_ops = [index for _, index in record_cuts.values()]
+    assert len(logging_ops) == len(set(logging_ops)), "an op logged two records"
+    assert len(record_cuts) >= 30, "tape produced too few record boundaries"
 
-    for lsn, (directory, record_op, index, active) in sorted(record_cuts.items()):
+    for lsn, (directory, index) in sorted(record_cuts.items()):
         recovered = MonitoringService.open(directory)
         assert recovered.last_recovery.last_lsn == lsn
         recovered.queryscale.check_invariants()
-        if record_op == "wake" and lsn < op_end_lsns[index]:
-            # Pre-op cut: re-submit the in-flight op and finish the tape.
-            tail_changes: List[List[Tuple]] = []
-            tail_digests: List[Dict[int, Tuple]] = []
-            tail_handles = {
-                query_id: recovered.handle(query_id) for query_id in active
-            }
-            for _ in run_ops(
-                recovered, tail_handles, tape[index:], index, tail_changes, tail_digests
-            ):
-                pass
-            ingests_before = sum(1 for op in tape[:index] if op[0] == "ingest")
-            observes_before = sum(1 for op in tape[:index] if op[0] == "observe")
-            assert tail_changes == oracle_changes[ingests_before:], (
-                f"retry change stream diverged from lsn={lsn} ({engine_name})"
-            )
-            assert tail_digests == oracle_digests[observes_before:], (
-                f"retry digests diverged from lsn={lsn} ({engine_name})"
-            )
-            assert digest_results(recovered.results()) == final_digest
-            assert recovered.snapshot() == final_snapshot, (
-                f"final snapshot diverged after retry from lsn={lsn} ({engine_name})"
-            )
-        else:
-            # The main record is durable: recovery replays it and
-            # re-derives the op's wake/hibernate transitions in full.
-            assert recovered.snapshot() == op_end_snapshots[index], (
-                f"snapshot diverged at kill point lsn={lsn} "
-                f"({record_op!r} record, {engine_name})"
-            )
-            assert recovered.counters.as_dict() == op_end_counters[index], (
-                f"counters diverged at kill point lsn={lsn} "
-                f"({record_op!r} record, {engine_name})"
-            )
+        snapshot, counters, active = op_ends[index]
+        assert recovered.snapshot() == snapshot, (
+            f"snapshot diverged at kill point lsn={lsn} ({engine_name})"
+        )
+        assert recovered.counters.as_dict() == counters, (
+            f"counters diverged at kill point lsn={lsn} ({engine_name})"
+        )
+
+        tail_changes: List[List[Tuple]] = []
+        tail_digests: List[Dict[int, Tuple]] = []
+        tail_handles = {query_id: recovered.handle(query_id) for query_id in active}
+        for _ in run_ops(recovered, tail_handles, index + 1, tail_changes, tail_digests):
+            pass
+        done = tape[: index + 1]
+        ingests_before = sum(1 for op in done if op[0] == "ingest")
+        observes_before = sum(1 for op in done if op[0] == "observe")
+        assert tail_changes == oracle_changes[ingests_before:], (
+            f"continuation change stream diverged from lsn={lsn} ({engine_name})"
+        )
+        assert tail_digests == oracle_digests[observes_before:], (
+            f"continuation digests diverged from lsn={lsn} ({engine_name})"
+        )
+        assert digest_results(recovered.results()) == final_digest
+        assert recovered.snapshot() == final_snapshot, (
+            f"final snapshot diverged from lsn={lsn} ({engine_name})"
+        )
         recovered.close()

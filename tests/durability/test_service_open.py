@@ -360,3 +360,40 @@ class TestAsyncDurableValidation:
         recovered = MonitoringService.open(tmp_path)
         assert len(recovered.window) == 2
         recovered.close()
+
+
+@pytest.mark.parametrize("facade", ["sync", "async"])
+def test_backwards_advance_time_on_a_dedup_service_is_refused_unlogged(facade, tmp_path):
+    """The engine refuses time going backwards before anything reaches the
+    WAL, with the query-scale layer on as without it."""
+    import asyncio
+
+    from repro.queryscale import QueryScaleOptions
+
+    spec = EngineSpec(
+        kind="ita", window=WindowSpec.time(5.0), queryscale=QueryScaleOptions(), durability=FAST
+    )
+    service = MonitoringService.open(tmp_path, spec)
+    service.subscribe(ContinuousQuery(0, {0: 1.0}, k=1))
+    service.subscribe(ContinuousQuery(1, {0: 1.0}, k=1))
+    service.ingest(make_document(0, {0: 0.5}, arrival_time=10.0))
+    before = service.durability.last_lsn
+
+    if facade == "sync":
+        with pytest.raises(WindowError):
+            service.advance_time(4.0)
+    else:
+
+        async def scenario():
+            async with service.serve() as serving:
+                with pytest.raises(WindowError):
+                    await serving.advance_time(4.0)
+
+        asyncio.run(scenario())
+    assert service.durability.last_lsn == before
+    service.close()
+
+    recovered = MonitoringService.open(tmp_path)
+    assert recovered.window.clock == 10.0
+    assert [entry.doc_id for entry in recovered.result(1)] == [0]
+    recovered.close()

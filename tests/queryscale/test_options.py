@@ -3,7 +3,9 @@
 The option block must round-trip through its dictionary encoding (it is
 persisted inside durable EngineSpec manifests), reject unknown keys
 loudly, and validate its fields -- a typo in a stored spec must never
-silently run a service without dedup or hibernation.
+silently run a service without dedup.  The keys of the removed cold-query
+hibernation still decode from a spec persisted while it existed, and are
+dropped.
 """
 
 import pytest
@@ -17,33 +19,10 @@ class TestValidation:
     def test_defaults_validate(self):
         QueryScaleOptions().validate()
 
-    @pytest.mark.parametrize("field", ["hibernate_after", "max_resident"])
-    def test_rejects_negative_counts(self, field):
-        with pytest.raises(ConfigurationError):
-            QueryScaleOptions(**{field: -1}).validate()
-
-    @pytest.mark.parametrize("field", ["hibernate_after", "max_resident"])
-    def test_rejects_non_int_counts(self, field):
-        with pytest.raises(ConfigurationError):
-            QueryScaleOptions(**{field: True}).validate()
-
     @pytest.mark.parametrize("field", ["dedup", "compact_weights"])
     def test_rejects_non_bool_flags(self, field):
         with pytest.raises(ConfigurationError):
             QueryScaleOptions(**{field: 1}).validate()
-
-    def test_hibernation_requires_dedup(self):
-        """The hibernation indexes live on the canonical entries, so any
-        hibernation policy without dedup is a configuration error."""
-        with pytest.raises(ConfigurationError):
-            QueryScaleOptions(dedup=False, hibernate_after=4).validate()
-        with pytest.raises(ConfigurationError):
-            QueryScaleOptions(dedup=False, max_resident=8).validate()
-
-    def test_hibernation_enabled_property(self):
-        assert not QueryScaleOptions().hibernation_enabled
-        assert QueryScaleOptions(hibernate_after=3).hibernation_enabled
-        assert QueryScaleOptions(max_resident=5).hibernation_enabled
 
 
 class TestEncoding:
@@ -52,11 +31,22 @@ class TestEncoding:
         [
             QueryScaleOptions(),
             QueryScaleOptions(dedup=False, compact_weights=False),
-            QueryScaleOptions(hibernate_after=7, max_resident=3),
         ],
     )
     def test_round_trip(self, options):
         assert QueryScaleOptions.from_dict(options.to_dict()) == options
+
+    def test_legacy_hibernation_keys_load_and_are_dropped(self):
+        legacy = {"dedup": True, "compact_weights": False, "hibernate_after": 512, "max_resident": 0}
+        options = QueryScaleOptions.from_dict(legacy)
+        assert options == QueryScaleOptions(dedup=True, compact_weights=False)
+        assert options.to_dict() == {"dedup": True, "compact_weights": False}
+
+    @pytest.mark.parametrize("key", ["hibernate_after", "max_resident"])
+    @pytest.mark.parametrize("value", [-2, True, "4"])
+    def test_legacy_key_with_a_value_never_accepted_is_refused(self, key, value):
+        with pytest.raises(ConfigurationError):
+            QueryScaleOptions.from_dict({"dedup": True, key: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -69,21 +59,21 @@ class TestEncoding:
 
     def test_from_dict_validates_decoded_values(self):
         with pytest.raises(ConfigurationError):
-            QueryScaleOptions.from_dict({"hibernate_after": -2})
+            QueryScaleOptions.from_dict({"dedup": "yes"})
 
     def test_with_overrides(self):
         base = QueryScaleOptions()
-        tuned = base.with_overrides(hibernate_after=9)
-        assert tuned.hibernate_after == 9
+        tuned = base.with_overrides(compact_weights=False)
+        assert not tuned.compact_weights
         assert tuned.dedup == base.dedup
-        assert base.hibernate_after == 0
+        assert base.compact_weights
 
 
 class TestSpecIntegration:
     @pytest.mark.parametrize("name", ["ita", "sharded-ita-2", "sharded-proc-2"])
     def test_spec_round_trips_the_queryscale_block(self, name):
         spec = spec_from_name(name, window=WindowSpec.count(32)).with_overrides(
-            queryscale=QueryScaleOptions(dedup=True, hibernate_after=5)
+            queryscale=QueryScaleOptions(dedup=True, compact_weights=False)
         )
         spec.validate()
         decoded = EngineSpec.from_dict(spec.to_dict())
@@ -96,10 +86,18 @@ class TestSpecIntegration:
 
     def test_spec_rejects_invalid_queryscale_block(self):
         spec = spec_from_name("ita", window=WindowSpec.count(32)).with_overrides(
-            queryscale=QueryScaleOptions(dedup=False, hibernate_after=2)
+            queryscale=QueryScaleOptions(dedup=1)
         )
         with pytest.raises(ConfigurationError):
             spec.validate()
+
+    def test_spec_decode_drops_legacy_queryscale_keys(self):
+        spec = spec_from_name("ita", window=WindowSpec.count(32)).with_overrides(
+            queryscale=QueryScaleOptions()
+        )
+        data = spec.to_dict()
+        data["queryscale"] = {"dedup": True, "compact_weights": True, "hibernate_after": 2, "max_resident": 0}
+        assert EngineSpec.from_dict(data) == spec
 
     def test_spec_decode_rejects_misspelled_queryscale_key(self):
         spec = spec_from_name("ita", window=WindowSpec.count(32)).with_overrides(

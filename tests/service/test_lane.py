@@ -55,6 +55,16 @@ class SlowEngine(ITAEngine):
         return super().process_batch_events(documents)
 
 
+class GatedEngine(ITAEngine):
+    """An ITA engine whose batch path waits until its ``gate`` opens."""
+
+    gate = threading.Event()
+
+    def process_batch_events(self, documents):
+        self.gate.wait(timeout=10.0)
+        return super().process_batch_events(documents)
+
+
 class FailingEngine(ITAEngine):
     """An ITA engine that blows up on a chosen document id."""
 
@@ -237,18 +247,25 @@ class TestCancelledAwaits:
         the batch: it is still processed, later batches still resolve, and
         close stays clean (regression test)."""
         case = StreamCase(seed=61, num_documents=60)
-        engine = make_engine(kind, engine_class=SlowEngine, num_shards=2)
+        # The first batch waits on the gate until its await has timed out,
+        # so the timeout cannot lose a race with a fast (or late) loop.
+        gate = threading.Event()
+        engine_class = type("Gated", (GatedEngine,), {"gate": gate})
+        engine = make_engine(kind, engine_class=engine_class, num_shards=2)
         register_case(engine, case)
 
         async def run():
             async with IngestLane(engine) as lane:
-                first = await lane.submit(case.documents[:20])
-                # Not shielded by the caller: the timeout cancels `first`,
-                # and `second` is cancelled while still queued behind it.
-                second = await lane.submit(case.documents[20:40])
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(first, timeout=0.0001)
-                second.cancel()
+                try:
+                    first = await lane.submit(case.documents[:20])
+                    # Not shielded by the caller: the timeout cancels `first`,
+                    # and `second` is cancelled while still queued behind it.
+                    second = await lane.submit(case.documents[20:40])
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(first, timeout=0.0001)
+                    second.cancel()
+                finally:
+                    gate.set()
                 # The lane must keep accepting and resolving work.
                 third = await lane.submit(case.documents[40:])
                 assert await third is not None

@@ -7,9 +7,9 @@ names, fields, order, defaults and properties.  What callers relied on --
 keyword construction, immutability, hashability, pickling -- is pinned here
 for all three at once, next to the consequences a caller can newly see
 (they unpack, equal a plain tuple, take ``_replace``), and the bytes that
-reach a socket, a snapshot or the WAL are compared with strings captured at
-the last commit that still had the dataclasses: the wire never sees the
-tuples themselves.
+reach a socket or the WAL are compared with strings captured at the last
+commit that still had the dataclasses: the wire never sees the tuples
+themselves.  The snapshot captured there still restores to its results.
 """
 
 import json
@@ -153,42 +153,48 @@ TEXTS = [
 
 
 def captured_bytes(tmp_path):
-    """One wire change, one wire alert, a snapshot that stores result entries
-    (a hibernated query's top-k) less its awake queries' recorded states,
-    and the WAL's ingest record, as JSON text."""
+    """One wire change, one wire alert and the WAL's ingest record, as JSON text."""
     alerts = []
-    options = QueryScaleOptions(hibernate_after=2)
-    with MonitoringService.open(tmp_path / "wal", EngineSpec(queryscale=options)) as service:
+    with MonitoringService.open(tmp_path / "wal", EngineSpec(queryscale=QueryScaleOptions())) as service:
         service.subscribe("market news", k=1, on_change=alerts.append)
         service.subscribe("storm warning", k=1)
         changes = [change for text in TEXTS for change in service.ingest(text)]
-        snapshot = service.snapshot()
-    assert "entries" in json.dumps(snapshot), "no hibernated query: the snapshot stores no entries"
-    # Query states came later and are additive: without them the bytes
-    # are still the parent's.
-    for record in snapshot["engine"]["queries"]:
-        del record["state"]
     (segment,) = sorted((tmp_path / "wal" / "wal").glob("*.jsonl"))
     ingests = [line for line in segment.read_text().splitlines() if '"op":"ingest"' in line]
     return {
         "change": json.dumps(change_to_wire(changes[-1])),
         "alert": json.dumps(alert_to_wire(alerts[-1])),
-        "snapshot": json.dumps(snapshot),
         "wal_ingest": ingests[-1],
     }
 
 
 PARENT_BYTES = json.loads((Path(__file__).parent / "data" / "change_bytes_5f04a5e.json").read_text())
-#: the same ingest record since it carries document columns
+#: the same ingest record since it carries document columns, at lsn 7:
+#: two subscribes and five ingests (the parent's lsn 10 counted three
+#: hibernation records, which a service no longer writes)
 COLUMNAR_WAL_INGEST = (
     '{"columns":"AQAAAAQAAAAAAAAAAAAAAAAAFEACAAAAAAAAAAAAAAABAAAAAAAAAMw7f2aeoOY/zDt/Zp6g5j8=",'
-    '"lsn":10,"metadata":[{}],"op":"ingest","texts":["market news"],"crc":3714598179}'
+    '"lsn":7,"metadata":[{}],"op":"ingest","texts":["market news"],"crc":4095253430}'
 )
 
 
-@pytest.mark.parametrize("name", ["change", "alert", "snapshot"])
+@pytest.mark.parametrize("name", ["change", "alert"])
 def test_bytes_equal_the_parents(name, tmp_path):
     assert captured_bytes(tmp_path)[name] == PARENT_BYTES[name]
+
+
+def test_the_parents_snapshot_restores_every_query_resident():
+    """The parent's snapshot was taken with ``hibernate_after: 2`` and holds
+    a canonical recorded off the engine with its stored top-k; both
+    subscribers come back registered, with the results it had."""
+    snapshot = json.loads(PARENT_BYTES["snapshot"])
+    assert snapshot["spec"]["queryscale"]["hibernate_after"] == 2
+    assert any(record.get("hibernated") for record in snapshot["queryscale"]["canonicals"])
+    with MonitoringService.restore(snapshot) as service:
+        service.queryscale.check_invariants()
+        assert service.query_ids() == [0, 1]
+        assert service.result(0) == [(4, 0.9999999999999998)]
+        assert service.result(1) == [(1, 0.816496580927726)]
 
 
 def test_the_wal_ingest_line_is_columnar_and_the_parents_line_replays_the_same(tmp_path):

@@ -18,7 +18,9 @@ This is the *low-level* subscription layer.  Most applications should use
 the :class:`~repro.service.service.MonitoringService` façade instead,
 which owns an :class:`AlertDispatcher` internally and exposes the same
 capability through ``subscribe(text, k, on_change=...)`` and
-:class:`~repro.service.service.QueryHandle` objects.
+:class:`~repro.service.service.QueryHandle` objects.  The service never
+calls the forwarding half (``process`` / ``process_many`` /
+``advance_time``); it runs the engine itself and calls ``dispatch_changes``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ def _without(callbacks: List[AlertSubscriber], callback: AlertSubscriber) -> Lis
 
 class AlertDispatcher:
     """Forwards stream events to an engine and fans out result-change alerts.
+
+    The service façades run the engine themselves and call only
+    :meth:`dispatch_changes`, the fan-out.
 
     Example
     -------
@@ -182,9 +187,10 @@ class AlertDispatcher:
         """Deliver one event's ``changes``; returns the dispatched list.
 
         This is the notification half of :meth:`process`, split out for
-        callers that run the engine themselves -- the asynchronous
-        service computes the changes on its one worker thread and
-        dispatches them here, in stream order, from the event loop.
+        callers that run the engine themselves -- both service façades
+        (``MonitoringService._deliver`` and ``_advance_deliver``; the
+        asynchronous one runs the engine on its lane and dispatches here,
+        in stream order, from the event loop).
         ``document`` is the triggering arrival (``None`` for pure-expiry
         changes), exactly as in :meth:`process`/:meth:`advance_time`.
         The installed :meth:`set_transform` rewriter (if any) is applied

@@ -15,17 +15,15 @@ engine on the single worker thread of :mod:`repro.service.lane`:
 >>> asyncio.run(firehose())
 [0]
 
-* ``ingest()`` analyses and stamps documents exactly like the synchronous
-  façade, then hands them to the lane in batches: the engine work leaves
-  the event loop, and at most ``queue_depth`` batches are in flight -- a
-  fast producer waits in ``await`` instead of buffering without bound.
-  That is all the lane buys; it is one thread, not parallelism.
-* the lane applies the batches in submission order with the same
-  ``engine.process_batch_events`` call the synchronous façade makes, and
-  alerts are delivered from the event loop in that order, so results,
-  change streams and snapshots are **bit-identical** to the synchronous
-  path (the differential fuzz suite in ``tests/conformance/`` pins this
-  down).
+* ``ingest()`` runs the synchronous façade's steps in its order: each
+  chunk of ``batch_size`` stamped documents is checked and logged on the
+  event loop, applied by the engine's one batch call on the lane, and its
+  alerts are delivered back on the loop in submission order -- so
+  results, change streams and snapshots are **bit-identical** to the
+  synchronous path (``tests/conformance/`` pins this down).  At most
+  ``queue_depth`` batches are in flight: a fast producer waits in
+  ``await`` instead of buffering without bound.  That is all the lane
+  buys; it is one thread, not parallelism.
 * query management (``subscribe``/``unsubscribe``), time advancement,
   reads and ``snapshot()`` first *drain* the lane, giving them the same
   sequential semantics they have on the synchronous façade.
@@ -46,8 +44,6 @@ from repro.alerting import Alert
 from repro.core.base import MonitoringEngine, ResultChange, TopKResult
 from repro.documents.document import StreamedDocument
 from repro.exceptions import ServiceError
-from repro.observability import runtime as obs
-from repro.observability.slowlog import note_slow
 from repro.query.query import ContinuousQuery
 from repro.service.service import Ingestible, MonitoringService, QueryHandle
 from repro.service.spec import EngineSpec
@@ -103,26 +99,24 @@ class AsyncMonitoringService:
         self.batch_size = batch_size
         self._queue_depth = queue_depth
         self._lane: Optional[IngestLane] = None
-        self._started = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> "AsyncMonitoringService":
         """Start the ingestion lane (idempotent)."""
-        if self._started:
+        if self._lane is not None:
             return self
         self.service._check_open()
-        self._lane = IngestLane(self.service.engine, queue_depth=self._queue_depth)
-        await self._lane.start()
-        self._started = True
+        lane = IngestLane(self.service.engine, queue_depth=self._queue_depth)
+        await lane.start()
+        self._lane = lane
         return self
 
     async def aclose(self) -> None:
         """Drain and stop the lane; the synchronous service stays open."""
-        if not self._started:
+        if self._lane is None:
             return
-        self._started = False
         lane, self._lane = self._lane, None
         await lane.aclose()
 
@@ -138,7 +132,7 @@ class AsyncMonitoringService:
         await self.aclose()
 
     def _check_started(self) -> IngestLane:
-        if not self._started or self._lane is None:
+        if self._lane is None:
             raise ServiceError(
                 "the async service is not started; enter it with 'async with' "
                 "or await start() first"
@@ -147,7 +141,7 @@ class AsyncMonitoringService:
 
     @property
     def started(self) -> bool:
-        return self._started
+        return self._lane is not None
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -176,69 +170,45 @@ class AsyncMonitoringService:
         subscribers, engine and WAL agree on the accepted prefix.
         """
         lane = self._check_started()
-        self.service._check_open()
+        service = self.service
+        service._check_open()
         size = batch_size if batch_size is not None else self.batch_size
         if size <= 0:
             raise ServiceError("batch_size must be positive")
-        #: log-before-ack: every batch is appended to the WAL *before* it
-        #: enters the lane, so no change ever delivered (acked) to a
-        #: subscriber can be lost to a crash -- the WAL order equals the
-        #: submission order, which the FIFO lane preserves
-        durability = self.service._durability
-        observed = obs.active
-        started = time.perf_counter() if observed else 0.0
+        started = time.perf_counter()
+        delivered_before = service.dispatcher.delivered
         documents = 0
         changes: List[ResultChange] = []
-        #: batches submitted but not yet delivered, oldest first; each
-        #: entry carries its submission timestamp (0.0 while unobserved) so
-        #: the submission-to-delivery lag of the batch can be measured
-        inflight: Deque[
-            Tuple[List[StreamedDocument], "asyncio.Future[BatchChanges]", float]
-        ] = deque()
+        #: batches on the lane, oldest first, each with the time it was cut
+        #: from the stream (the origin of its alerts' delivery lag)
+        inflight: Deque[Tuple[List[StreamedDocument], "asyncio.Future[BatchChanges]", float]] = deque()
 
-        async def flush(
-            future_batch: List[StreamedDocument], future, submitted: float
-        ) -> None:
-            per_event: BatchChanges = await future
-            for document, event_changes in zip(future_batch, per_event):
-                if event_changes:
-                    # dispatch_changes returns the transform-rewritten
-                    # list (per-subscriber under dedup) -- that is the
-                    # stream the caller must see, not the engine's.
-                    event_changes = self.service.dispatcher.dispatch_changes(
-                        event_changes, document
-                    )
-                    changes.extend(event_changes)
-            if submitted:
-                # submission (pre-backpressure) to last alert callback:
-                # the end-to-end delivery lag of one lane batch
-                obs.metrics.histogram(
-                    "repro_async_batch_delivery_lag_ms",
-                    "lane batch submission to alert delivery",
-                ).observe((time.perf_counter() - submitted) * 1000.0)
+        async def submit(chunk: List[StreamedDocument]) -> None:
+            # lane.submit takes the slot, then runs the service's check and
+            # WAL append, then enqueues: the WAL order is the lane's FIFO
+            # order, and a call cancelled while it waits has logged nothing.
+            cut = time.perf_counter()
+            inflight.append((chunk, await lane.submit(chunk, service._prepare), cut))
 
-        async def submit(ready: List[StreamedDocument]) -> None:
-            if durability is not None:
-                self.service._check_durable_batch(ready)
-                durability.log_ingest(ready)
-            submitted = time.perf_counter() if observed else 0.0
-            inflight.append((ready, await lane.submit(ready), submitted))
+        async def flush() -> None:
+            chunk, future, cut = inflight.popleft()
+            changes.extend(service._deliver(chunk, await future, cut))
 
         error: Optional[Exception] = None
         try:
-            batch: List[StreamedDocument] = []
-            for streamed in self.service._as_stream(source, at):
-                batch.append(streamed)
+            chunk: List[StreamedDocument] = []
+            for streamed in service._as_stream(source, at):
+                chunk.append(streamed)
                 documents += 1
-                if len(batch) >= size:
-                    await submit(batch)
-                    batch = []
+                if len(chunk) >= size:
+                    await submit(chunk)
+                    chunk = []
                     # Deliver completed batches opportunistically so alert
                     # latency stays bounded on long streams, still in order.
                     while inflight and inflight[0][1].done():
-                        await flush(*inflight.popleft())
-            if batch:
-                await submit(batch)
+                        await flush()
+            if chunk:
+                await submit(chunk)
         except Exception as exc:
             error = exc
         # What the lane holds is logged and (being) applied whatever went
@@ -247,31 +217,16 @@ class AsyncMonitoringService:
         # alerts would leave subscribers behind the engine and the WAL.
         while inflight:
             try:
-                await flush(*inflight.popleft())
+                await flush()
             except Exception as exc:
                 if error is None:
                     error = exc
         if error is not None:
             raise error
-        if durability is not None and durability.checkpoint_due:
-            # Deferred until the lane is idle: a checkpoint snapshots the
-            # engine, which must not run while the lane still holds batches.
-            await self.drain()
-            durability.checkpoint()
-        if observed:
-            self.service._ensure_collector()
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            metrics = obs.metrics
-            metrics.counter(
-                "repro_async_ingest_calls_total", "async ingest() calls"
-            ).inc()
-            metrics.counter(
-                "repro_async_ingest_documents_total", "documents through the lane"
-            ).inc(documents)
-            metrics.histogram(
-                "repro_async_ingest_ms", "async ingest() latency"
-            ).observe(elapsed_ms)
-            note_slow("async.ingest", elapsed_ms, documents=documents)
+        # A due checkpoint snapshots the engine: not while the lane holds
+        # batches of an overlapping call.
+        await lane.drain()
+        service._finish(documents, started, delivered_before)
         return changes
 
     async def advance_time(self, now: float) -> List[ResultChange]:
@@ -283,22 +238,7 @@ class AsyncMonitoringService:
         """
         lane = self._check_started()
         self.service._check_open()
-        self.service._clock = max(self.service._clock, float(now))
-        expiry_changes = await lane.advance_time(now)
-        durability = self.service._durability
-        if durability is not None:
-            # Logged once the engine accepted it: a rejected advance
-            # (time going backwards) must not poison the replay.
-            durability.log_advance_time(float(now))
-        if expiry_changes:
-            expiry_changes = self.service.dispatcher.dispatch_changes(
-                expiry_changes, None
-            )
-        if durability is not None:
-            # The lane has just drained, so a due checkpoint may run
-            # immediately.
-            durability.maybe_checkpoint()
-        return expiry_changes
+        return self.service._advance_deliver(now, await lane.advance_time(now))
 
     async def drain(self) -> None:
         """Wait until every submitted batch has been applied.
@@ -426,5 +366,5 @@ class AsyncMonitoringService:
         return self.service.query_ids()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "started" if self._started else "stopped"
+        state = "started" if self._lane is not None else "stopped"
         return f"{type(self).__name__}({self.service!r}, {state})"

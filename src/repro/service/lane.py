@@ -169,7 +169,9 @@ class IngestLane:
     # submission
     # ------------------------------------------------------------------ #
     async def submit(
-        self, documents: Iterable[StreamedDocument]
+        self,
+        documents: Iterable[StreamedDocument],
+        prepare: Optional[Callable[[List[StreamedDocument]], None]] = None,
     ) -> "asyncio.Future[BatchChanges]":
         """Queue one batch for the worker; future of its per-event changes.
 
@@ -177,6 +179,11 @@ class IngestLane:
         are unresolved -- the lane's backpressure.  The returned futures
         resolve in submission order, each with exactly what the
         synchronous ``engine.process_batch_events(batch)`` returns.
+
+        ``prepare(batch)`` (the service's check and WAL append) runs once
+        the batch holds its slot, with no ``await`` before the enqueue: a
+        caller cancelled while it waits has logged nothing, a logged batch
+        is always applied, and a batch it refuses is not queued.
         """
         self._check_running()
         assert self._loop is not None and self._slots is not None
@@ -199,6 +206,8 @@ class IngestLane:
         try:
             # A batch may have failed while this one waited for its slot.
             self._check_running()
+            if prepare is not None:
+                prepare(batch)
             work = self._loop.run_in_executor(
                 self._executor, self._process, batch, parent
             )

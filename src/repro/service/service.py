@@ -833,68 +833,35 @@ class MonitoringService:
             On a durable service, for an id outside ``int64`` (nothing is logged).
         """
         self._check_open()
-        observed = obs.active
         started = time.perf_counter()
         delivered_before = self.dispatcher.delivered
-        durability = self._durability
         with trace_span("service.ingest") as span:
             batch = list(self._as_stream(source, at))
-            if durability is not None:
-                # A batch the engine would reject must fail before it
-                # reaches the WAL.
-                self._check_durable_batch(batch)
-            if durability is not None and batch:
-                # Write-ahead: no acknowledged document is ever lost, and a
-                # crash between the append and the apply is healed by replay.
-                durability.log_ingest(batch)
-            per_event = self.engine.process_batch_events(batch)
-            lag = obs.histogram_child(
-                "repro_service_alert_delivery_lag_ms",
-                "document arrival to last alert callback return",
-            ) if observed else None
-            changes: List[ResultChange] = []
-            dispatch = self.dispatcher.dispatch_changes
-            for streamed, event_changes in zip(batch, per_event):
-                if event_changes:
-                    # dispatch_changes returns the transform-rewritten list
-                    # (per-subscriber under dedup): the stream callers see.
-                    changes.extend(dispatch(event_changes, streamed))
-                    if lag is not None:
-                        lag.observe((time.perf_counter() - started) * 1000.0)
-            if durability is not None:
-                durability.maybe_checkpoint()
+            self._prepare(batch)
+            changes = self._deliver(batch, self.engine.process_batch_events(batch), started)
+            self._finish(len(batch), started, delivered_before)
             span.set(documents=len(batch), changes=len(changes))
-        if observed:
-            self._ensure_collector()
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            # cached children (as in the kernel): no look-up by family name per call
-            obs.counter_child("repro_service_ingest_calls_total", "ingest() calls").inc()
-            obs.counter_child(
-                "repro_service_ingest_documents_total", "documents ingested"
-            ).inc(len(batch))
-            obs.histogram_child("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
-            delivered = self.dispatcher.delivered - delivered_before
-            if delivered:
-                obs.counter_child(
-                    "repro_service_alerts_delivered_total", "alert callbacks invoked"
-                ).inc(delivered)
-            note_slow("service.ingest", elapsed_ms, documents=len(batch))
         return changes
 
-    def _check_durable_batch(self, batch: List[StreamedDocument]) -> None:
-        """Pre-check the window's acceptance rule before a batch is logged.
+    # The steps of ``ingest``, in order: _prepare, the engine's
+    # process_batch_events, _deliver, _finish.  AsyncMonitoringService runs
+    # the engine step on its lane and the other three on the event loop.
+    def _prepare(self, batch: List[StreamedDocument]) -> None:
+        """Check a stamped batch, then append it to the WAL (durable services).
 
-        A batch the engine would reject (arrival time behind the observed
-        clock) must fail *before* it reaches the WAL -- a record that
-        raises on replay would make the log unrecoverable.  The floor is
-        the window clock or, if higher, the log's own high-water mark:
-        the async lane may hold logged batches the engine has not
-        applied yet, and a new batch must respect those too.  Ids outside
-        ``int64``, which the record cannot hold, fail here as well.
+        Write-ahead: a crash between the append and the apply is healed by
+        replay.  A batch the engine would reject fails *before* it reaches
+        the WAL (a record that raises on replay would make the log
+        unrecoverable): an id outside ``int64``, or an arrival behind the
+        window clock or, if higher, the log's own high-water mark -- the
+        async lane may hold logged batches the engine has not applied yet.
         """
+        durability = self._durability
+        if durability is None:
+            return
         check_int64_ids(batch)
         floor = self.window.clock
-        logged = self._durability.logged_clock
+        logged = durability.logged_clock
         if logged is not None and (floor is None or logged > floor):
             floor = logged
         for streamed in batch:
@@ -903,6 +870,57 @@ class MonitoringService:
                     f"arrival time went backwards: {streamed.arrival_time} < {floor}"
                 )
             floor = streamed.arrival_time
+        if batch:
+            durability.log_ingest(batch)
+
+    def _deliver(
+        self, batch: List[StreamedDocument], per_event: List[List[ResultChange]], started: float
+    ) -> List[ResultChange]:
+        """Dispatch an applied batch's changes event by event; the changes.
+
+        Each alert carries its triggering document; ``started`` is when the
+        batch arrived, the origin of the delivery-lag histogram.  Never
+        checkpoints: the async lane may still hold later batches.
+        """
+        lag = obs.histogram_child(
+            "repro_service_alert_delivery_lag_ms",
+            "document arrival to last alert callback return",
+        ) if obs.active else None
+        changes: List[ResultChange] = []
+        dispatch = self.dispatcher.dispatch_changes
+        for streamed, event_changes in zip(batch, per_event):
+            if event_changes:
+                # dispatch_changes returns the transform-rewritten list
+                # (per-subscriber under dedup): the stream callers see.
+                changes.extend(dispatch(event_changes, streamed))
+                if lag is not None:
+                    lag.observe((time.perf_counter() - started) * 1000.0)
+        return changes
+
+    def _finish(self, documents: int, started: float, delivered_before: int) -> None:
+        """Close one ``ingest`` call: a due checkpoint, then its metrics.
+
+        Runs once the engine holds every batch of the call (the async
+        façade drains its lane first): a checkpoint snapshots the engine.
+        """
+        if self._durability is not None:
+            self._durability.maybe_checkpoint()
+        if not obs.active:
+            return
+        self._ensure_collector()
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        # cached children (as in the kernel): no look-up by family name per call
+        obs.counter_child("repro_service_ingest_calls_total", "ingest() calls").inc()
+        obs.counter_child(
+            "repro_service_ingest_documents_total", "documents ingested"
+        ).inc(documents)
+        obs.histogram_child("repro_service_ingest_ms", "ingest() latency").observe(elapsed_ms)
+        delivered = self.dispatcher.delivered - delivered_before
+        if delivered:
+            obs.counter_child(
+                "repro_service_alerts_delivered_total", "alert callbacks invoked"
+            ).inc(delivered)
+        note_slow("service.ingest", elapsed_ms, documents=documents)
 
     def serve(
         self,
@@ -947,7 +965,9 @@ class MonitoringService:
         """Advance the clock without an arrival (time-based windows).
 
         Expiry-driven changes are dispatched to subscribers with
-        ``alert.document`` set to ``None``.
+        ``alert.document`` set to ``None``, once the advance was applied
+        and logged: a callback that raises leaves the WAL and the engine
+        agreeing.
 
         Returns
         -------
@@ -963,13 +983,7 @@ class MonitoringService:
         """
         self._check_open()
         started = time.perf_counter() if obs.active else 0.0
-        self._clock = max(self._clock, float(now))
-        changes = self.dispatcher.advance_time(now)
-        if self._durability is not None:
-            # Logged after the engine accepted it: a rejected advance
-            # (time going backwards) must not poison the replay.
-            self._durability.log_advance_time(float(now))
-            self._durability.maybe_checkpoint()
+        changes = self._advance_deliver(now, self.engine.advance_time(now))
         if obs.active:
             self._ensure_collector()
             elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -977,6 +991,23 @@ class MonitoringService:
                 "repro_service_advance_time_ms", "advance_time() latency"
             ).observe(elapsed_ms)
             note_slow("service.advance_time", elapsed_ms, changes=len(changes))
+        return changes
+
+    def _advance_deliver(self, now: float, changes: List[ResultChange]) -> List[ResultChange]:
+        """After the engine advanced to ``now``: clock, log, alerts, checkpoint.
+
+        Logged once the engine accepted it (a rejected advance, time going
+        backwards, must not poison the replay) and before any callback
+        runs (one that raises must not leave the WAL behind the engine).
+        """
+        now = float(now)
+        self._clock = max(self._clock, now)
+        durability = self._durability
+        if durability is not None:
+            durability.log_advance_time(now)
+        changes = self.dispatcher.dispatch_changes(changes, None)
+        if durability is not None:
+            durability.maybe_checkpoint()
         return changes
 
     def _as_stream(

@@ -18,8 +18,8 @@ under one :func:`repro.observability.runtime.observed` scope:
 2. an *async* phase: a sharded cluster behind an
    :class:`~repro.AsyncMonitoringService` ingests the same kind of
    stream through the ingestion lane -- producing the
-   ``repro_async_*`` and ``repro_pipeline_*`` families plus the engine
-   operation counters of the live cluster.
+   ``repro_pipeline_*`` families plus the engine operation counters of
+   the live cluster (its ingests count in the ``repro_service_*`` ones).
 
 The registry is captured *inside* the async phase (after the reads
 drained the lane, before ``aclose`` unregisters the lane's
@@ -51,7 +51,6 @@ REQUIRED_FAMILIES = (
     "repro_service_subscribe_total",
     "repro_service_ingest_documents_total",
     "repro_service_ingest_ms",
-    "repro_async_ingest_documents_total",
     "repro_pipeline_events_total",
     "repro_pipeline_busy_ms_total",
     "repro_engine_ops_total",

@@ -361,6 +361,85 @@ class TestAsyncDurableValidation:
         assert len(recovered.window) == 2
         recovered.close()
 
+    def test_ingest_cancelled_while_waiting_for_a_slot_logs_nothing(self, tmp_path):
+        """A batch is logged only once it holds a lane slot: an ingest
+        cancelled while its second chunk waits leaves the WAL where the
+        engine ends up, not one batch ahead."""
+        import asyncio
+        import threading
+
+        service = open_ita(tmp_path, window=WindowSpec.count(8))
+        service.subscribe(ContinuousQuery(0, {0: 1.0}, k=3))
+        gate = threading.Event()
+        apply = service.engine.process_batch_events
+
+        def gated(batch):
+            gate.wait(timeout=10.0)
+            return apply(batch)
+
+        service.engine.process_batch_events = gated
+        documents = [
+            make_document(doc_id, {0: 0.1 * (doc_id + 1)}, arrival_time=float(doc_id + 1))
+            for doc_id in range(8)
+        ]
+
+        async def scenario():
+            async with service.serve(batch_size=2, queue_depth=1) as serving:
+                # Chunk 1 holds the only slot behind the closed gate, so
+                # chunk 2 is still waiting for a slot when the timeout fires.
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(serving.ingest(documents), timeout=0.05)
+                gate.set()
+                await serving.drain()
+                return await serving.results()
+
+        live = asyncio.run(scenario())
+        assert len(service.window) == 2
+        del service  # crash
+
+        recovered = MonitoringService.open(tmp_path)
+        assert len(recovered.window) == 2
+        assert recovered.results() == live
+        recovered.close()
+
+
+@pytest.mark.parametrize("facade", ["sync", "async"])
+def test_raising_expiry_callback_leaves_wal_and_engine_agreeing(facade, tmp_path):
+    """The advance is logged before any expiry alert is delivered: a
+    callback that raises leaves the WAL and the engine at the same clock."""
+    import asyncio
+
+    service = open_ita(tmp_path, window=WindowSpec.time(5.0))
+    service.subscribe(ContinuousQuery(0, {0: 1.0}, k=2))
+    service.ingest(make_document(0, {0: 0.5}, arrival_time=1.0))
+    service.ingest(make_document(1, {0: 0.6}, arrival_time=2.0))
+
+    def explode(alert):
+        raise RuntimeError("subscriber bug")
+
+    service.on_change(explode)
+    if facade == "sync":
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            service.advance_time(100.0)
+    else:
+
+        async def scenario():
+            async with service.serve() as serving:
+                with pytest.raises(RuntimeError, match="subscriber bug"):
+                    await serving.advance_time(100.0)
+
+        asyncio.run(scenario())
+    assert service.clock == 100.0
+    assert len(service.window) == 0
+    live = service.results()
+    del service  # crash
+
+    recovered = MonitoringService.open(tmp_path)
+    assert recovered.window.clock == 100.0
+    assert len(recovered.window) == 0
+    assert recovered.results() == live
+    recovered.close()
+
 
 @pytest.mark.parametrize("facade", ["sync", "async"])
 def test_backwards_advance_time_on_a_dedup_service_is_refused_unlogged(facade, tmp_path):

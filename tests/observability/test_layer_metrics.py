@@ -202,12 +202,13 @@ def test_async_and_pipeline_families() -> None:
     with runtime.observed():
         snapshot = asyncio.run(scenario())
 
+    # An async ingest records the synchronous façade's families.
     assert (
-        _family_value(snapshot, "repro_async_ingest_documents_total")["value"]
+        _family_value(snapshot, "repro_service_ingest_documents_total")["value"]
         == float(4 * len(DOCS))
     )
-    assert _family_value(snapshot, "repro_async_ingest_calls_total")["value"] == 4.0
-    assert _family_value(snapshot, "repro_async_batch_delivery_lag_ms")["count"] > 0
+    assert _family_value(snapshot, "repro_service_ingest_calls_total")["value"] == 4.0
+    assert _family_value(snapshot, "repro_service_alert_delivery_lag_ms")["count"] > 0
 
     collected = snapshot["collected"]
     events = sum(entry["value"] for entry in collected["repro_pipeline_events_total"])

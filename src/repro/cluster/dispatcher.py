@@ -27,8 +27,8 @@ from repro.observability.timing import Timer
 __all__ = ["EventDispatcher", "Seed", "ShardCall"]
 
 #: ``seed(shard)``: that shard's state before a call, as a
-#: :func:`~repro.persistence.snapshot_engine`-format document whose
-#: documents are :func:`~repro.persistence.encode_documents` columns
+#: :func:`~repro.persistence.restore_into` snapshot whose ``"columns"``
+#: hold its documents and queries (:func:`~repro.persistence.decode_seed`)
 Seed = Callable[[int], Dict[str, Any]]
 
 

@@ -17,10 +17,10 @@ merge, migration and invariants are written once, here, for both.
 
 **Seeds.**  Every call that changes a shard can hand it the shard's state
 before the call: the mirror's documents at the pre-call clock, as the
-shard channel's columns, and the registry's queries assigned to it (a
-query is assigned once its shard has taken the registration, and
-unassigned once it has taken the removal; a remote shard takes either
-without waiting for its worker's acknowledgement).  A remote shard that
+shard channel's columns, followed by the registry's queries assigned to
+it, as columns too (a query is assigned once its shard has taken the
+registration, and unassigned once it has taken the removal; a remote
+shard takes either without waiting for its worker's acknowledgement).  A remote shard that
 must replace its worker mid-call seeds the replacement with it; the seed
 is built only when asked for.  A
 restore (:meth:`ShardedEngine.seed_shards`) sends every worker the same
@@ -41,7 +41,7 @@ from repro.documents.document import StreamedDocument
 from repro.documents.window import CountBasedWindow, WindowSpec
 from repro.exceptions import ConfigurationError, UnknownQueryError, WindowError
 from repro.observability.timing import AggregatedCounters
-from repro.persistence import SNAPSHOT_VERSION, encode_documents, query_record, replay
+from repro.persistence import SNAPSHOT_VERSION, encode_documents, encode_queries, replay
 from repro.query.query import ContinuousQuery
 from repro.query.registry import QueryRegistry
 
@@ -138,23 +138,19 @@ class ShardedEngine(MonitoringEngine):
         columns: Optional[bytes] = None,
         states: Optional[Mapping[int, Dict[str, Any]]] = None,
     ) -> Dict[str, Any]:
-        """``shard`` as a :func:`~repro.persistence.snapshot_engine` document:
-        ``documents`` at ``clock`` -- as the shard channel's columns,
-        ``columns`` when already encoded -- and the queries assigned to it,
-        each with its recorded state from ``states`` when it has one (only
-        a restore has any: a re-seed's queries run their descent)."""
-        records = [query_record(query) for query in self._hosted(shard)]
-        if states:
-            for record in records:
-                state = states.get(record["query_id"])
-                if state is not None:
-                    record["state"] = state
+        """``shard`` as a :func:`~repro.persistence.restore_into` seed: the
+        version, window and ``clock`` beside ``"columns"``, which holds
+        ``documents`` as the shard channel's columns -- ``columns`` when
+        already encoded -- followed by the queries assigned to it
+        (:func:`~repro.persistence.encode_queries`), each with its recorded
+        state from ``states`` when it has one (only a restore has any: a
+        re-seed's queries run their descent)."""
+        hosted = encode_queries(self._hosted(shard), states or {})
         return {
             "version": SNAPSHOT_VERSION,
             "window": self.window_spec.to_dict(),
             "clock": clock,
-            "columns": encode_documents(documents) if columns is None else columns,
-            "queries": records,
+            "columns": (encode_documents(documents) if columns is None else columns) + hosted,
         }
 
     def _hosted(self, shard: int) -> List[ContinuousQuery]:

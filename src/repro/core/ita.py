@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from math import isfinite
 from operator import lt, neg
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.descent import ProbeOrder, threshold_descent
 from repro.documents.document import StreamedDocument
@@ -43,7 +43,7 @@ from repro.observability.opcounters import OperationCounters
 from repro.query.query import ContinuousQuery
 from repro.query.result import ResultEntry, ResultList
 
-__all__ = ["ITAQueryState"]
+__all__ = ["ITAQueryState", "state_values"]
 
 
 class ITAQueryState:
@@ -152,13 +152,7 @@ class ITAQueryState:
         raises :class:`~repro.exceptions.ConfigurationError` naming it.
         """
         query = self.query
-        try:
-            tau = float(record["tau"])
-            thresholds = list(map(float, record["thresholds"]))
-            ids = list(map(int, record["ids"]))
-            scores = list(map(float, record["scores"]))
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigurationError(f"query {query.query_id}: malformed recorded state ({error!r})") from None
+        tau, thresholds, ids, scores = state_values(query.query_id, record)
         pairs = list(zip(map(neg, scores), ids))
         problem = _state_problem(query, tau, thresholds, ids, scores, pairs, self.index.documents)
         if problem is not None:
@@ -409,6 +403,24 @@ class ITAQueryState:
                 assert score <= boundary + 1e-9, (
                     f"document {document.doc_id} outside R beats the reported top-k"
                 )
+
+
+def state_values(
+    query_id: int, record: Mapping[str, Any]
+) -> Tuple[float, List[float], List[int], List[float]]:
+    """A recorded state's ``tau``, thresholds, R ids and R scores as numbers;
+    a record without them raises :class:`~repro.exceptions.ConfigurationError`
+    naming query ``query_id``.  Only the types are checked here: what the
+    values must satisfy is :meth:`ITAQueryState.install`'s to check."""
+    try:
+        return (
+            float(record["tau"]),
+            list(map(float, record["thresholds"])),
+            list(map(int, record["ids"])),
+            list(map(float, record["scores"])),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(f"query {query_id}: malformed recorded state ({error!r})") from None
 
 
 def _state_problem(query, tau, thresholds, ids, scores, pairs, documents) -> Optional[str]:

@@ -56,6 +56,16 @@ class CompositionList:
         # mutated -- the proxy view above is the public face.
         self._raw: Dict[int, float] = cleaned
 
+    @classmethod
+    def _checked(cls, weights: Dict[int, float]) -> "CompositionList":
+        """A list over ``weights`` as it stands: the caller has checked
+        that every term id is an ``int`` >= 0 and every weight a finite
+        ``float`` > 0, and hands the dict over."""
+        composition = cls.__new__(cls)
+        composition._weights = MappingProxyType(weights)
+        composition._raw = weights
+        return composition
+
     # ------------------------------------------------------------------ #
     @property
     def weights(self) -> Mapping[int, float]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from operator import neg
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import DuplicateDocumentError, UnknownDocumentError
@@ -55,15 +56,15 @@ class ColumnarInvertedList:
 
     @classmethod
     def from_postings(cls, term_id: int, weights: Dict[int, float]) -> "ColumnarInvertedList":
-        """A list over the ``doc_id -> weight`` map ``weights``, which it adopts.
+        """A list over the non-empty ``doc_id -> weight`` map ``weights``, which it adopts.
 
         How a term's list comes to be when the term is first watched: one
         sort of that term's own postings, one ``array`` per column.
         """
         instance = cls(term_id)
-        ordered = sorted((-weight, doc_id) for doc_id, weight in weights.items())
-        instance._negw = array("d", [pair[0] for pair in ordered])
-        instance._ids = array("q", [pair[1] for pair in ordered])
+        negw, ids = zip(*sorted(zip(map(neg, weights.values()), weights)))
+        instance._negw = array("d", negw)
+        instance._ids = array("q", ids)
         instance._weights = weights
         return instance
 

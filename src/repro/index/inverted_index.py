@@ -82,12 +82,14 @@ class InvertedIndex:
         place in the record is its arrival.
         """
         postings: Dict[int, float] = {}
-        find = self.documents.find
+        # The store's own dict and each composition's raw dict, as in the
+        # kernel: a restore promotes every term its queries watch.
+        valid = self.documents._documents
         for doc_id in self._cold.get(term_id, ()):
-            document = find(doc_id)
+            document = valid.get(doc_id)
             if document is not None:
-                weight = document.composition.weight(term_id)
-                if weight > 0.0:  # 0.0: the id was reused by a document without the term
+                weight = document.document.composition._raw.get(term_id)
+                if weight is not None:  # None: the id was reused by a document without the term
                     postings.pop(doc_id, None)
                     postings[doc_id] = weight
         return postings

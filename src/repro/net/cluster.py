@@ -67,9 +67,13 @@ def _finalize_cluster(processes: List[Any], data_dir: Optional[str]) -> None:
         shutil.rmtree(data_dir, ignore_errors=True)
 
 
-def _check_query_id(query: ContinuousQuery) -> None:
+def _check_query(query: ContinuousQuery) -> None:
+    """Refuse a query a seed's columns cannot carry: its id, ``k`` or a
+    term id outside ``int64``."""
     if query.query_id not in INT64:
         raise QueryError(f"query id {query.query_id} is outside int64")
+    if query.k not in INT64 or min(query.weights) not in INT64 or max(query.weights) not in INT64:
+        raise QueryError(f"query {query.query_id}: its k or a term id is outside int64")
 
 
 class ProcessClusterEngine(ShardedEngine):
@@ -171,7 +175,7 @@ class ProcessClusterEngine(ShardedEngine):
         return super().process_batch_events(batch)
 
     def _host(self, query: ContinuousQuery, shard: Optional[int], install: Callable[[Any], None]) -> int:
-        _check_query_id(query)
+        _check_query(query)
         return super()._host(query, shard, install)
 
     def seed_shards(
@@ -184,7 +188,7 @@ class ProcessClusterEngine(ShardedEngine):
         """Refuses a restore with an id outside ``int64`` before any shard is seeded."""
         check_int64_ids(documents)
         for query, _ in queries:
-            _check_query_id(query)
+            _check_query(query)
         super().seed_shards(documents, clock, queries, states)
 
     # ------------------------------------------------------------------ #

@@ -299,7 +299,8 @@ class RpcConnection:
         ``params`` is a JSON object, ``bytes`` sent as the request's binary
         attachment (the coordinator encodes a replicated batch once and
         sends the same bytes to every worker), or a ``(JSON object,
-        attachment)`` pair (a seed: its queries, and its documents' columns).
+        attachment)`` pair (a seed: its JSON envelope, and its window's and
+        queries' columns).
         """
         if self._closed:
             raise RpcTransportError(f"connection to {self.peer or 'peer'} is closed")

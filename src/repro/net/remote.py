@@ -10,7 +10,9 @@ send to every worker before it reads any; a call's encoding is made once
 and shared by every shard it is sent to.
 ``process_batch_events`` ships its batch as binary columns
 (:func:`~repro.net.codec.encode_documents`), a ``restore`` seed its
-documents the same way beside its JSON queries, and the answers of
+documents the same way followed by its queries and their states
+(:func:`~repro.persistence.encode_queries`) beside a small JSON envelope,
+and the answers of
 ``process_batch_events`` and ``advance_time`` come back as
 :func:`~repro.net.codec.encode_changes` columns; every other call speaks
 JSON.
@@ -98,7 +100,7 @@ def _results_from_wire(data: Dict[str, Any]) -> Dict[int, TopKResult]:
 
 
 def _seed_to_wire(seed: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
-    """A seed's JSON part, and its document columns as the attachment."""
+    """A seed's JSON envelope, and its columns (documents, then queries) as the attachment."""
     snapshot = dict(seed)
     return {"snapshot": snapshot}, snapshot.pop("columns")
 

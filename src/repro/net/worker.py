@@ -12,11 +12,14 @@ Batches arrive and change lists leave as binary columns
 (:mod:`repro.net.codec`; no text, a worker never renders); an attachment
 that does not decode is a typed error response and the worker serves on.
 
-**Recovery.**  A worker is loaded with the ``restore`` RPC: a
-:func:`~repro.persistence.snapshot_engine`-format document whose
-documents arrive as the request's column attachment, loaded by
-:func:`~repro.persistence.restore_into` into a fresh ``spec.build()`` --
-the one loader every restore goes through.  A cluster restore seeds every
+**Recovery.**  A worker is loaded with the ``restore`` RPC: a JSON
+envelope of version, window and clock whose column attachment holds the
+window's documents and then the worker's queries, each with its recorded
+state when the coordinator has one (:func:`~repro.persistence.decode_seed`),
+loaded by :func:`~repro.persistence.restore_into` into a fresh
+``spec.build()`` -- the one loader every restore goes through.  A seed
+that does not load is a typed error response, and the worker keeps the
+engine it had.  A cluster restore seeds every
 worker this way at once, and a replacement for a dead worker starts empty
 and is seeded by its stub.  The stub seeds the state the
 coordinator had acknowledged *before* the failed call and then re-sends

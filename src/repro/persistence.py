@@ -25,6 +25,13 @@ with :func:`json.dump` without any custom encoder.
 The document codecs live here too: :func:`document_record` (snapshots, the
 serving tier) and :func:`encode_documents`, fixed-width columns (``int64``
 ids, IEEE-754 floats) that WAL ingest records and the shard channel carry.
+So does the query codec of a process cluster's seed: :func:`encode_queries`
+packs a shard's queries, and each one's recorded state, as columns that
+follow the window's in the seed's one attachment.  :func:`restore_into`
+takes a snapshot whose ``"columns"`` hold both (:func:`decode_seed`)
+exactly as one whose ``"documents"`` and ``"queries"`` are records, and a
+malformed payload of either kind raises
+:class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -32,12 +39,14 @@ from __future__ import annotations
 import gc
 import struct
 from contextlib import contextmanager
-from itertools import accumulate, chain
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+from itertools import accumulate, chain, compress, islice
+from math import isfinite
+from typing import Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
 from repro.core.engine import ITAEngine
+from repro.core.ita import state_values
 from repro.documents.document import CompositionList, Document, StreamedDocument
 from repro.documents.window import WindowSpec
 from repro.exceptions import ConfigurationError, DocumentError, ReproError
@@ -53,6 +62,8 @@ __all__ = [
     "query_record",
     "encode_documents",
     "decode_documents",
+    "encode_queries",
+    "decode_seed",
     "check_int64_ids",
     "INT64",
 ]
@@ -123,9 +134,10 @@ def query_record(query: ContinuousQuery) -> Dict[str, Any]:
 def _document_from_record(record: Dict[str, Any]) -> StreamedDocument:
     """Decode one snapshot document record back into a streamed document."""
     weights = {int(term): float(weight) for term, weight in record["weights"].items()}
+    build = CompositionList._checked if _well_formed(weights, weights.values()) else CompositionList
     document = Document(
         doc_id=int(record["doc_id"]),
-        composition=CompositionList(weights),
+        composition=build(weights),
         text=record.get("text"),
         metadata=record.get("metadata", {}),
     )
@@ -190,18 +202,125 @@ def decode_documents(
     """Decode :func:`encode_documents` output, with each document's text and
     metadata when given; a payload that does not hold its columns (or
     whose documents do not match the texts and metadata) raises ``error``."""
-    columns = _Columns(data, error)
+    return _take_documents(_Columns(data, error), texts, metadata, last=True)
+
+
+def _take_documents(
+    columns: _Columns, texts: Optional[Sequence[Any]] = None, metadata: Optional[Sequence[Any]] = None,
+    last: bool = False,
+) -> List[StreamedDocument]:
+    """The :func:`encode_documents` columns next on ``columns``."""
     (count,) = columns.take("I", 1)
     doc_ids, arrivals, lengths = columns.take("q", count), columns.take("d", count), columns.take("I", count)
-    terms, weights = columns.take("q", sum(lengths)), columns.take("d", sum(lengths), last=True)
+    terms, weights = columns.take("q", sum(lengths)), columns.take("d", sum(lengths), last=last)
     texts = [None] * count if texts is None else texts
     metadata = [{} for _ in range(count)] if metadata is None else metadata
     if len(texts) != count or len(metadata) != count:
-        raise error(f"{count} documents with {len(texts)} texts and {len(metadata)} metadata")
+        raise columns.error(f"{count} documents with {len(texts)} texts and {len(metadata)} metadata")
     return [
-        StreamedDocument(Document(doc_id, CompositionList(dict(zip(terms[a:b], weights[a:b]))), text, meta), arrival)
-        for doc_id, arrival, (a, b), text, meta in zip(doc_ids, arrivals, _spans(lengths), texts, metadata)
+        StreamedDocument(Document(doc_id, composition, text, meta), arrival)
+        for doc_id, arrival, composition, text, meta in zip(
+            doc_ids, arrivals, _compositions(terms, weights, lengths), texts, metadata
+        )
     ]
+
+
+def _compositions(
+    terms: Sequence[int], weights: Sequence[float], lengths: Sequence[int]
+) -> List[CompositionList]:
+    """Each document's composition list off the flat term and weight columns.
+
+    The batch is checked whole: when every term id is >= 0 and every
+    weight finite and > 0, each list is built from its pairs as they
+    stand.  Any other batch takes the checking constructor document by
+    document, which raises -- or drops a zero weight -- exactly as for one
+    document on its own.
+    """
+    build = CompositionList._checked if _well_formed(terms, weights) else CompositionList
+    pairs = iter(zip(terms, weights))
+    return [build(dict(islice(pairs, length))) for length in lengths]
+
+
+def _well_formed(terms: Collection[int], weights: Collection[float]) -> bool:
+    """Whether every term id is >= 0 and every weight finite and > 0: what
+    :class:`~repro.documents.document.CompositionList` would check pair by
+    pair, so such pairs may skip its constructor."""
+    return min(terms, default=0) >= 0 and all(map(isfinite, weights)) and min(weights, default=1.0) > 0.0
+
+
+def encode_queries(queries: Sequence[ContinuousQuery], states: Mapping[int, Mapping[str, Any]]) -> bytes:
+    """Queries as columns, each with its recorded state when ``states`` has one.
+
+    Ids, ks, term counts, terms, weights and one has-a-state flag per
+    query; then, per query with a state, in the same order: ``tau`` and
+    the lengths of its thresholds, R ids and R scores; then those three,
+    back to back.  A state is checked for its types only
+    (:func:`~repro.core.ita.state_values`): its lengths travel as
+    recorded, and whoever installs it checks its values.  A value no
+    column holds raises :class:`~repro.exceptions.ConfigurationError`.
+    """
+    weights = [query.weights for query in queries]
+    recorded = [
+        state_values(query.query_id, states[query.query_id]) for query in queries if query.query_id in states
+    ]
+    taus, thresholds, ids, scores = zip(*recorded) if recorded else ((), (), (), ())
+    try:
+        return _pack(
+            ("q", [query.query_id for query in queries]),
+            ("q", [query.k for query in queries]),
+            ("I", [len(terms) for terms in weights]),
+            ("q", list(chain.from_iterable(weights))),
+            ("d", list(chain.from_iterable(terms.values() for terms in weights))),
+            ("B", [query.query_id in states for query in queries]),
+            ("d", taus),
+            ("I", [len(column) for column in thresholds]),
+            ("I", [len(column) for column in ids]),
+            ("I", [len(column) for column in scores]),
+            ("d", list(chain.from_iterable(thresholds))),
+            ("q", list(chain.from_iterable(ids))),
+            ("d", list(chain.from_iterable(scores))),
+        )
+    except struct.error as error:
+        raise ConfigurationError(f"a query or a recorded state does not fit its column ({error})") from None
+
+
+def decode_seed(
+    data: bytes,
+) -> Tuple[List[StreamedDocument], List[ContinuousQuery], Dict[int, Dict[str, Any]]]:
+    """Decode a seed's columns: :func:`encode_documents` output followed by
+    :func:`encode_queries` output.  Returns the documents (no text) and
+    the queries in column order, and each recorded state by query id; a
+    payload that does not hold its columns raises
+    :class:`~repro.exceptions.ConfigurationError`."""
+    columns = _Columns(data, ConfigurationError)
+    return (_take_documents(columns), *_take_queries(columns))
+
+
+def _take_queries(columns: _Columns) -> Tuple[List[ContinuousQuery], Dict[int, Dict[str, Any]]]:
+    """The :func:`encode_queries` columns ending ``columns``."""
+    (count,) = columns.take("I", 1)
+    query_ids, ks, lengths = columns.take("q", count), columns.take("q", count), columns.take("I", count)
+    terms, weights = columns.take("q", sum(lengths)), columns.take("d", sum(lengths))
+    flags = columns.take("B", count)
+    if max(flags, default=0) > 1:
+        raise columns.error("a query's state flag is neither 0 nor 1")
+    stated = sum(flags)
+    taus = columns.take("d", stated)
+    counts = [columns.take("I", stated) for _ in range(3)]
+    thresholds, ids = columns.take("d", sum(counts[0])), columns.take("q", sum(counts[1]))
+    scores = columns.take("d", sum(counts[2]), last=True)
+    pairs = iter(zip(terms, weights))
+    queries = [
+        ContinuousQuery(query_id, dict(islice(pairs, length)), k)
+        for query_id, k, length in zip(query_ids, ks, lengths)
+    ]
+    states = {
+        query_id: {"tau": tau, "thresholds": thresholds[a:b], "ids": ids[c:d], "scores": scores[e:f]}
+        for query_id, tau, (a, b), (c, d), (e, f) in zip(
+            compress(query_ids, flags), taus, *map(_spans, counts)
+        )
+    }
+    return queries, states
 
 
 def _query_from_record(record: Dict[str, Any]) -> ContinuousQuery:
@@ -333,33 +452,64 @@ def restore_into(snapshot: EngineSnapshot, engine: MonitoringEngine) -> Monitori
     each query back on its recorded shard, and loads every shard through
     this same loader in one call -- a worker's is a ``restore`` RPC.
 
-    A snapshot carries its documents as records (``"documents"``) or, as a
-    shard's seed does, as :func:`encode_documents` columns (``"columns"``).
-    The whole load runs with the cyclic garbage collector paused: nothing
-    it allocates is garbage, so a collection would only traverse it.
+    A snapshot carries its documents and queries as records
+    (``"documents"``, ``"queries"``) or, as a shard's seed does, as one
+    column payload (``"columns"``: :func:`decode_seed`).  A payload that
+    does not decode -- a record without the fields read here, a clock that
+    is not a number, columns that do not hold their counts -- raises
+    :class:`~repro.exceptions.ConfigurationError` naming what is wrong; a
+    value no document or query may have keeps its own error.  The whole
+    load runs with the cyclic garbage collector paused: nothing it
+    allocates is garbage, so a collection would only traverse it.
     """
     with _collector_paused():
         snapshot = _flat_snapshot(snapshot)
         columns = snapshot.get("columns")
         if columns is None:
-            records = sorted(snapshot["documents"], key=lambda r: r["arrival_time"])
-            documents = [_document_from_record(record) for record in records]
+            documents = _decoded(snapshot, "documents", _document_from_record)
+            entries = _decoded(snapshot, "queries", _query_entry)
+            queries = [(query, shard) for query, shard, _ in entries]
+            states = {query.query_id: state for query, _, state in entries if state is not None}
         else:
-            documents = sorted(decode_documents(columns), key=lambda d: d.arrival_time)
+            documents, hosted, states = decode_seed(columns)
+            queries = [(query, None) for query in hosted]
+        documents.sort(key=lambda document: document.arrival_time)
         clock = snapshot.get("clock")
-        clock = None if clock is None else float(clock)
-        query_records = snapshot["queries"]
-        states = {int(record["query_id"]): record["state"] for record in query_records if "state" in record}
+        if clock is not None:
+            try:
+                clock = float(clock)
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"the snapshot's clock {clock!r} is not a number") from None
 
         seed_shards = getattr(engine, "seed_shards", None)
         if seed_shards is not None:
-            seed_shards(documents, clock, [
-                (_query_from_record(record), None if record.get("shard") is None else int(record["shard"]))
-                for record in query_records
-            ], states)
+            seed_shards(documents, clock, queries, states)
         else:
-            replay(engine, documents, clock, [_query_from_record(record) for record in query_records], states)
+            replay(engine, documents, clock, [query for query, _ in queries], states)
     return engine
+
+
+def _query_entry(record: Dict[str, Any]) -> Tuple[ContinuousQuery, Optional[int], Optional[Dict[str, Any]]]:
+    """One snapshot query record: the query, its recorded shard and state, if any."""
+    shard = record.get("shard")
+    return _query_from_record(record), None if shard is None else int(shard), record.get("state")
+
+
+def _decoded(snapshot: EngineSnapshot, key: str, decode: Callable[[Dict[str, Any]], Any]) -> List[Any]:
+    """Each of the snapshot's ``key`` records through ``decode``, in order;
+    a missing list, or a record without the fields ``decode`` reads, raises
+    :class:`~repro.exceptions.ConfigurationError` naming it (a record whose
+    fields hold values no document or query may have keeps its own error)."""
+    records = snapshot.get(key)
+    if not isinstance(records, (list, tuple)):
+        raise ConfigurationError(f"the snapshot's {key!r} is {type(records).__name__}, not a list of records")
+    decoded = []
+    try:
+        for index, record in enumerate(records):
+            decoded.append(decode(record))
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(f"the snapshot's {key} record {index} is malformed ({error!r})") from None
+    return decoded
 
 
 @contextmanager

@@ -1228,37 +1228,36 @@ class MonitoringService:
         engine = (spec or _implied_spec(engine_snapshot)).build()
         try:
             restore_into(engine_snapshot, engine)
+            service = cls(
+                engine,
+                analyzer=analyzer,
+                vocabulary=vocabulary,
+                weighting=weighting,
+                interarrival=interarrival,
+            )
+            service.spec = spec
+            if clock is not None:
+                service._clock = max(service._clock, clock)
+            if next_doc_id is not None:
+                service._next_doc_id = max(service._next_doc_id, next_doc_id)
+            # The constructor saw no spec (the engine came prebuilt), so the
+            # query-scale layer is set up here, then refilled from its envelope.
+            service._setup_queryscale()
+            if queryscale_state is not None:
+                if service._queryscale is None:
+                    raise ConfigurationError(
+                        "the snapshot carries query-scale state but its spec has "
+                        "no queryscale block; the subscriber fan-out cannot be "
+                        "restored without one"
+                    )
+                service._queryscale.restore_state(queryscale_state)
         except Exception:
-            # A failed replay must not leak the engine's resources (the
+            # A failed restore must not leak the engine's resources (the
             # process cluster's workers).
             engine_close = getattr(engine, "close", None)
             if engine_close is not None:
                 engine_close()
             raise
-
-        service = cls(
-            engine,
-            analyzer=analyzer,
-            vocabulary=vocabulary,
-            weighting=weighting,
-            interarrival=interarrival,
-        )
-        service.spec = spec
-        if clock is not None:
-            service._clock = max(service._clock, clock)
-        if next_doc_id is not None:
-            service._next_doc_id = max(service._next_doc_id, next_doc_id)
-        # The constructor saw no spec (the engine came prebuilt), so the
-        # query-scale layer is set up here, then refilled from its envelope.
-        service._setup_queryscale()
-        if queryscale_state is not None:
-            if service._queryscale is None:
-                raise ConfigurationError(
-                    "the snapshot carries query-scale state but its spec has "
-                    "no queryscale block; the subscriber fan-out cannot be "
-                    "restored without one"
-                )
-            service._queryscale.restore_state(queryscale_state)
         return service
 
     # ------------------------------------------------------------------ #

@@ -260,6 +260,39 @@ def test_recorded_shard_beyond_the_target_is_rejected_without_leaking_workers():
     assert multiprocessing.active_children() == []
 
 
+def test_a_restore_that_fails_after_the_engine_is_built_leaks_no_worker():
+    service = populated_service(EngineSpec(window=WINDOWS["count"], **KINDS["sharded-proc"]))
+    snapshot = service.snapshot()
+    service.close()
+    snapshot["queryscale"] = {"subscribers": {}}  # a spec without a queryscale block
+    with pytest.raises(ConfigurationError, match="query-scale state"):
+        MonitoringService.restore(snapshot)
+    assert multiprocessing.active_children() == []
+
+
+MALFORMED_RECORDS = [
+    pytest.param(lambda s: s["documents"][3].pop("weights"), "documents record 3", id="no-weights"),
+    pytest.param(lambda s: s["documents"][3]["weights"].update({"1": "x"}), "documents record 3", id="weight-x"),
+    pytest.param(lambda s: s["documents"][3].update(doc_id="abc"), "documents record 3", id="doc-id-abc"),
+    pytest.param(lambda s: s["queries"][1].pop("k"), "queries record 1", id="query-without-k"),
+    pytest.param(lambda s: s.update(documents=5), "'documents' is int", id="documents-not-a-list"),
+    pytest.param(lambda s: s.update(clock="abc"), "clock 'abc'", id="clock-abc"),
+]
+
+
+@pytest.mark.parametrize("restore", ["restore_into", "service"])
+@pytest.mark.parametrize("breaking, names", MALFORMED_RECORDS)
+def test_a_malformed_record_is_a_configuration_error_naming_it(breaking, names, restore):
+    snapshot = json.loads(json.dumps(snapshot_engine(populated_ita())))
+    breaking(snapshot)
+    with pytest.raises(ConfigurationError, match=names):
+        if restore == "service":
+            MonitoringService.restore(snapshot)
+        else:
+            restore_into(snapshot, ITAEngine(CountBasedWindow(10)))
+    assert gc.isenabled()
+
+
 class TestHandWiredCluster:
     """A cluster built without a spec: the bare snapshot implies one."""
 

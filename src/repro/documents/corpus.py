@@ -60,14 +60,15 @@ def build_document(
     ``analyzer`` first counts the terms of ``text`` and ``vocabulary``
     assigns their ids in first-seen order.  The corpora and
     :meth:`MonitoringService.ingest` of a ``str`` all come through here, so
-    a text means the same composition list wherever it enters.
+    a text means the same composition list wherever it enters.  The
+    weights are checked whole (:meth:`CompositionList._adopted`), and
+    the fresh dict the weighting returns becomes the list's own.
     """
     if term_frequencies is None:
-        add = vocabulary.add
-        term_frequencies = {add(term): count for term, count in analyzer.term_frequencies(text).items()}
+        term_frequencies = vocabulary.add_counts(analyzer.term_frequencies(text))
     return Document(
         doc_id=doc_id,
-        composition=CompositionList(weighting.document_weights(term_frequencies)),
+        composition=CompositionList._adopted(weighting.document_weights(term_frequencies)),
         text=text,
         metadata=metadata or {},
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.exceptions import DocumentError
 
@@ -65,6 +65,32 @@ class CompositionList:
         composition._weights = MappingProxyType(weights)
         composition._raw = weights
         return composition
+
+    @staticmethod
+    def _well_formed(terms: Collection[int], weights: Collection[float]) -> bool:
+        """Whether every term id is >= 0 and every weight finite and > 0 --
+        what the constructor checks pair by pair, here in C-level passes
+        over all of them at once, so such pairs may go to :meth:`_checked`.
+        The ids must be ``int`` and the weights ``float`` already, as the
+        lists decoded from columns or records have them.  A NaN that
+        ``min`` passes over makes the sum NaN."""
+        return min(terms, default=0) >= 0 and min(weights, default=1.0) > 0.0 and math.isfinite(sum(weights))
+
+    @classmethod
+    def _adopted(cls, weights: Dict[int, float]) -> "CompositionList":
+        """A list over what a weighting scheme returned, a fresh dict with
+        ``int`` term ids: handed over as it stands when every weight is a
+        ``float`` and :meth:`_well_formed`, otherwise through the
+        constructor, which converts, raises or drops a zero weight exactly
+        as for any other mapping."""
+        values = weights.values()
+        if (
+            type(weights) is dict
+            and list(map(type, values)).count(float) == len(values)
+            and cls._well_formed(weights, values)
+        ):
+            return cls._checked(weights)
+        return cls(weights)
 
     # ------------------------------------------------------------------ #
     @property

@@ -11,7 +11,10 @@ of the engine's per-event batch path but fuses the work along two axes:
   documents brought it.  Since threshold probes, roll-up candidates and
   descents only ever read watched terms, the kernel's per-event work for
   the typically dominant share of unwatched terms is one list append per
-  arrival and nothing per expiration.
+  arrival and nothing per expiration.  The appends follow the index's
+  one rule (:func:`repro.index.inverted_index.record_cold`): a record
+  looks at its head for expired documents only when an append brings its
+  length to a multiple of 16.
 
 * **Fused handlers.**  For watched terms the substrate maintenance is
   fused with the threshold-tree probes, and the per-query handlers
@@ -76,6 +79,7 @@ from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappus
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Sequence
 
+from repro.index.inverted_index import record_cold as _record_cold
 from repro.observability import runtime as _obs
 
 __all__ = ["columnar_batch_events", "columnar_descent"]
@@ -238,7 +242,6 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
     store = index.documents
     store_docs = store._documents
     cold = index._cold
-    cold_get = cold.get
     states = engine._states
     window_insert = engine.window.insert
     track = engine.track_changes
@@ -364,19 +367,19 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
             update_affected = affected.update
             document_raw = composition._raw
             inserted += len(document_raw)
-            for term_id, weight in document_raw.items():
-                inverted_list = lists_get(term_id)
-                if inverted_list is None:
-                    # Cold term: record the arrival (InvertedIndex._cold) and
-                    # drop expired documents from the head of the record.
-                    record = cold_get(term_id)
-                    if record is None:
-                        cold[term_id] = [doc_id]
-                    else:
-                        record.append(doc_id)
-                        while record[0] not in store_docs:
-                            del record[0]
-                    continue
+            # One C-level key intersection finds the listed terms; the
+            # others are cold, and their records take the arrival
+            # (InvertedIndex._cold).  Listed terms are inserted in the
+            # set's order, which nothing observes: each list is its own
+            # and ``affected`` is a set.
+            listed = document_raw.keys() & lists.keys()
+            if len(listed) < len(document_raw):
+                _record_cold(cold, document_raw, listed, doc_id, store_docs)
+                if len(cold) > index._cold_limit:
+                    index._sweep_cold()
+            for term_id in listed:
+                weight = document_raw[term_id]
+                inverted_list = lists[term_id]
                 # inline ColumnarInvertedList.insert
                 negw_col = inverted_list._negw
                 ids_col = inverted_list._ids
@@ -400,8 +403,6 @@ def columnar_batch_events(engine, documents: Sequence) -> List[list]:
                     if prefix:
                         update_affected(tree._qid[:prefix])
             candidates += len(affected)
-            if len(cold) > index._cold_limit:
-                index._sweep_cold()
 
             document_weights = composition._raw
             document_terms = len(document_weights)

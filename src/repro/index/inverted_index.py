@@ -15,7 +15,7 @@ evaluation is set up: both systems see the same stream and window).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.documents.document import StreamedDocument
 from repro.exceptions import UnknownDocumentError
@@ -28,6 +28,41 @@ __all__ = ["InvertedIndex"]
 
 #: cold records below which the index never bothers to sweep
 _COLD_SWEEP_MIN = 1024
+#: a cold record looks at its head for expired ids only when an append
+#: brings its length to a multiple of this (see :func:`record_cold`)
+_COLD_HEAD_CHECK = 16
+
+
+def record_cold(
+    cold: Dict[int, List[int]], term_ids: Iterable[int], listed: Container[int], doc_id: int, valid: Container[int]
+) -> None:
+    """Record in ``cold`` that document ``doc_id`` brought each of ``term_ids``
+    that ``listed`` does not hold.
+
+    The one rule for appending to cold records, used by
+    :meth:`InvertedIndex.insert_document` and the columnar kernel.  An
+    append is all an arrival pays, except when it brings the record's
+    length to a multiple of :data:`_COLD_HEAD_CHECK`: then the expired ids
+    at its head (windows expire oldest first) are dropped, down to the
+    first id in ``valid`` -- at the latest ``doc_id`` itself, which must be
+    in ``valid`` already, so no record is ever left empty.  Checking at
+    every append read the record's oldest element each time; checking at
+    every 16th leaves up to 15 more stale ids in a record (readers skip
+    them, and :meth:`InvertedIndex._sweep_cold` still drops records gone
+    entirely stale).
+    """
+    get = cold.get
+    for term_id in term_ids:
+        if term_id in listed:
+            continue
+        record = get(term_id)
+        if record is None:
+            cold[term_id] = [doc_id]
+        else:
+            record.append(doc_id)
+            if not len(record) % _COLD_HEAD_CHECK:
+                while record[0] not in valid:
+                    del record[0]
 
 
 class InvertedIndex:
@@ -59,11 +94,13 @@ class InvertedIndex:
         self._trees: Dict[int, ThresholdTree] = {}
         #: Cold terms (virtual backends only; empty otherwise): term id ->
         #: ids of the documents that brought the term, oldest first.  An
-        #: arrival appends, an expiration does nothing, so a record may
-        #: name documents the store no longer holds: every reader skips
-        #: those, appending drops them from the head (windows expire oldest
-        #: first) and :meth:`_sweep_cold` drops records gone entirely
-        #: stale.  A term is never both cold and listed.
+        #: arrival appends (:func:`record_cold`), an expiration does
+        #: nothing, so a record may name documents the store no longer
+        #: holds: every reader skips those, an append that brings a
+        #: record's length to a multiple of 16 drops them from its head
+        #: (windows expire oldest first) and :meth:`_sweep_cold` drops
+        #: records gone entirely stale.  A term is never both cold and
+        #: listed.
         self._cold: Dict[int, List[int]] = {}
         #: ``len(_cold)`` that triggers the next sweep (doubling: amortised O(1))
         self._cold_limit = _COLD_SWEEP_MIN
@@ -208,7 +245,6 @@ class InvertedIndex:
         doc_id = document.doc_id
         inserted = 0
         lists = self._lists
-        cold = self._cold
         virtual = self._virtual
         make_list = self.backend.make_inverted_list
         for term_id, weight in document.composition.items():
@@ -216,19 +252,14 @@ class InvertedIndex:
             inverted_list = lists.get(term_id)
             if inverted_list is None:
                 if virtual:
-                    record = cold.get(term_id)
-                    if record is None:
-                        cold[term_id] = [doc_id]
-                    else:
-                        record.append(doc_id)
-                        while record[0] not in documents:
-                            del record[0]
-                    continue
+                    continue  # cold: recorded below
                 inverted_list = make_list(term_id)
                 lists[term_id] = inverted_list
             inverted_list.insert(doc_id, weight)
-        if len(cold) > self._cold_limit:
-            self._sweep_cold()
+        if virtual:
+            record_cold(self._cold, document.composition.terms(), lists, doc_id, documents)
+            if len(self._cold) > self._cold_limit:
+                self._sweep_cold()
         return inserted
 
     def remove_document(self, doc_id: int) -> Tuple[StreamedDocument, int]:

@@ -40,8 +40,7 @@ import gc
 import struct
 from contextlib import contextmanager
 from itertools import accumulate, chain, compress, islice
-from math import isfinite
-from typing import Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.base import MonitoringEngine
 from repro.core.descent import ProbeOrder
@@ -134,7 +133,7 @@ def query_record(query: ContinuousQuery) -> Dict[str, Any]:
 def _document_from_record(record: Dict[str, Any]) -> StreamedDocument:
     """Decode one snapshot document record back into a streamed document."""
     weights = {int(term): float(weight) for term, weight in record["weights"].items()}
-    build = CompositionList._checked if _well_formed(weights, weights.values()) else CompositionList
+    build = CompositionList._checked if CompositionList._well_formed(weights, weights.values()) else CompositionList
     document = Document(
         doc_id=int(record["doc_id"]),
         composition=build(weights),
@@ -236,16 +235,9 @@ def _compositions(
     document, which raises -- or drops a zero weight -- exactly as for one
     document on its own.
     """
-    build = CompositionList._checked if _well_formed(terms, weights) else CompositionList
+    build = CompositionList._checked if CompositionList._well_formed(terms, weights) else CompositionList
     pairs = iter(zip(terms, weights))
     return [build(dict(islice(pairs, length))) for length in lengths]
-
-
-def _well_formed(terms: Collection[int], weights: Collection[float]) -> bool:
-    """Whether every term id is >= 0 and every weight finite and > 0: what
-    :class:`~repro.documents.document.CompositionList` would check pair by
-    pair, so such pairs may skip its constructor."""
-    return min(terms, default=0) >= 0 and all(map(isfinite, weights)) and min(weights, default=1.0) > 0.0
 
 
 def encode_queries(queries: Sequence[ContinuousQuery], states: Mapping[int, Mapping[str, Any]]) -> bytes:

@@ -55,6 +55,7 @@ from repro.documents.corpus import build_document
 from repro.documents.document import Document, StreamedDocument
 from repro.exceptions import (
     ConfigurationError,
+    DocumentError,
     ServiceError,
     UnknownQueryError,
     WindowError,
@@ -63,7 +64,7 @@ from repro.observability import runtime as obs
 from repro.observability.opcounters import counters_collector
 from repro.observability.slowlog import note_slow
 from repro.observability.trace import trace_span
-from repro.persistence import _flat_snapshot, check_int64_ids, restore_into, snapshot_engine
+from repro.persistence import INT64, _flat_snapshot, check_int64_ids, restore_into, snapshot_engine
 from repro.query.query import ContinuousQuery
 from repro.queryscale.manager import QueryScaleManager
 from repro.service.spec import EngineSpec, spec_from_name
@@ -830,14 +831,24 @@ class MonitoringService:
             if ``at`` is before the service clock, or if an element of an
             iterable ``source`` is not an ingestible type.
         DocumentError
-            On a durable service, for an id outside ``int64`` (nothing is logged).
+            For a document id outside ``int64``, or on a durable service a
+            term id outside it (nothing is applied or logged).
+
+        A refused call leaves the service's clock and document id counter
+        where they were.
         """
         self._check_open()
         started = time.perf_counter()
         delivered_before = self.dispatcher.delivered
         with trace_span("service.ingest") as span:
-            batch = list(self._as_stream(source, at))
-            self._prepare(batch)
+            stamps = self._clock, self._next_doc_id
+            try:
+                batch = list(self._as_stream(source, at))
+                self._prepare(batch)
+            except BaseException:
+                # A refused batch gives back the ids and times it was stamped with.
+                self._clock, self._next_doc_id = stamps
+                raise
             changes = self._deliver(batch, self.engine.process_batch_events(batch), started)
             self._finish(len(batch), started, delivered_before)
             span.set(documents=len(batch), changes=len(changes))
@@ -1033,6 +1044,11 @@ class MonitoringService:
     def _as_streamed_document(
         self, element: Ingestible, at: Optional[float]
     ) -> StreamedDocument:
+        # Refused before it moves the id counter or the clock: the columnar
+        # index keeps document ids in int64 columns.
+        doc_id = self._next_doc_id if isinstance(element, str) else element.doc_id
+        if doc_id not in INT64:
+            raise DocumentError(f"document id {doc_id} is outside int64")
         if isinstance(element, StreamedDocument):
             if at is not None:
                 raise ConfigurationError(

@@ -6,6 +6,13 @@ article is split into terms, lower-cased and stripped of stop-words
 implements the first step of that pipeline: a small, predictable regex
 tokenizer that is adequate for English news-like text.
 
+A token is a maximal run of ASCII letters and digits, runs joined by
+single apostrophes.  On ASCII text without an apostrophe that is exactly
+a maximal run of letters and digits, so :meth:`RegexTokenizer.words`
+turns every other character into a space with one ``str.translate`` and
+splits on spaces -- a C-level pass each, where the regex builds one match
+per token; any other text goes through the regex.
+
 The tokenizer is deliberately simple and dependency-free.  It recognises:
 
 * alphabetic words (``weapons``, ``Bloomberg``),
@@ -70,6 +77,10 @@ class RegexTokenizer:
 
     #: Word characters plus internal apostrophes: ``don't``, ``o'reilly``.
     _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
+    #: Every ASCII character but a letter or a digit, to a space: on ASCII
+    #: text without an apostrophe, what is left between spaces is exactly
+    #: what ``_WORD_RE`` matches.
+    _SPACE_OUT = {code: " " for code in range(128) if not chr(code).isalnum()}
 
     def __init__(self, keep_numbers: bool = True, min_length: int = 1) -> None:
         if min_length < 1:
@@ -95,7 +106,10 @@ class RegexTokenizer:
 
     def words(self, text: str) -> List[str]:
         """Return just the token strings (no offsets, no :class:`Token`)."""
-        words = self._WORD_RE.findall(text)
+        if str.isascii(text) and "'" not in text:  # a TypeError, as from findall, for a non-str
+            words = text.translate(self._SPACE_OUT).split()
+        else:
+            words = self._WORD_RE.findall(text)
         if self.min_length > 1:
             words = [word for word in words if len(word) >= self.min_length]
         if not self.keep_numbers:

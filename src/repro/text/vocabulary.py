@@ -12,7 +12,9 @@ path (posting insertion/deletion, threshold-tree probes) cheap.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import is_
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import VocabularyError
 
@@ -59,6 +61,20 @@ class Vocabulary:
     def add_all(self, terms: Iterable[str]) -> List[int]:
         """Add every term and return their ids (in input order)."""
         return [self.add(term) for term in terms]
+
+    def add_counts(self, counts: Mapping[str, int]) -> Dict[int, int]:
+        """``counts`` keyed by term id instead of term, in the same order.
+
+        One C-level pass of look-ups; only the terms the vocabulary does
+        not know yet go through :meth:`add`, in order, so new ids follow
+        first-seen order and a frozen vocabulary raises
+        :class:`VocabularyError` for the first unknown term.
+        """
+        ids = list(map(self._term_to_id.get, counts))
+        if None in ids:
+            for position, term in compress(enumerate(counts), map(is_, ids, repeat(None))):
+                ids[position] = self.add(term)
+        return dict(zip(ids, counts.values()))
 
     def freeze(self) -> None:
         """Disallow the creation of new term ids from now on."""

@@ -16,6 +16,8 @@ weights are normalised over the query's own terms only.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul, truediv
 from typing import Dict, Iterable, Mapping, Optional, Protocol, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -78,20 +80,22 @@ class CosineWeighting:
 
     # ------------------------------------------------------------------ #
     def document_weights(self, term_frequencies: Mapping[int, int]) -> WeightedVector:
+        counts = term_frequencies.values()
+        # Counts not > 0, NaN ones included, carry no weight.  Once they
+        # are gone each step is one C-level pass in dict order; the built-in
+        # sum adds the squares with the interpreter's rounding (compensated
+        # from Python 3.12 on), so no other summation may stand in for it.
+        if not counts or not min(counts) > 0 or math.isnan(sum(counts)):
+            term_frequencies = {t: f for t, f in term_frequencies.items() if f > 0}
+            counts = term_frequencies.values()
         if self.log_tf:
-            log = math.log
-            weights = {t: 1.0 + log(f) for t, f in term_frequencies.items() if f > 0}
+            values = list(map(add, repeat(1.0), map(math.log, counts)))
         else:
-            weights = {t: float(f) for t, f in term_frequencies.items() if f > 0}
-        # The built-in sum, in dict order: its rounding is the interpreter's
-        # (compensated from Python 3.12 on), and compositions must not
-        # depend on which loop added the squares up.
-        norm = math.sqrt(sum([value * value for value in weights.values()]))
+            values = list(map(float, counts))
+        norm = math.sqrt(sum(map(mul, values, values)))
         if norm == 0.0:
             return {}
-        for term_id, value in weights.items():
-            weights[term_id] = value / norm
-        return weights
+        return dict(zip(term_frequencies, map(truediv, values, repeat(norm))))
 
     def query_weights(self, term_frequencies: Mapping[int, int]) -> WeightedVector:
         # Same normalisation; queries are normalised over their own terms,

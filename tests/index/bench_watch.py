@@ -10,13 +10,20 @@ window fed by Poisson arrivals at 200 documents per second, then blocks of
 ingest in eight preceded by ``advance_time`` -- over the benchmark's news
 text (seed 7).  After set-up and every ``--every`` blocks it prints the
 threshold trees, the empty ones, the postings held in ordered columns,
-the cold records and the distinct terms of the live queries.
+the cold records, the ids they hold and how many of those name expired
+documents, and the distinct terms of the live queries.
 
 The counts do not depend on the host or on ``PYTHONHASHSEED``, so they are
 checked on every run: it exits non-zero unless, at every print, no tree is
-empty and the trees are exactly as many as the live queries' distinct
-terms.  ``PYTHONPATH`` wins over this checkout's ``src/``, so the same
-script reads another commit's index.
+empty, the trees are exactly as many as the live queries' distinct
+terms, and the cold records hold at most ``MAX_STALE_PER_COLD_RECORD``
+stale ids each on average.  A record drops its expired head only when an
+append brings its length to a multiple of 16, so a rarely seen term's
+record holds 0 to 15 stale ids.  This workload reads 2.6 per record after
+40 blocks and settles near 3.3 (0.8 when every append checked the head);
+records that never dropped their heads would hold 7.0 after 40 blocks and
+grow without bound.  ``PYTHONPATH`` wins over this
+checkout's ``src/``, so the same script reads another commit's index.
 
     python tests/index/bench_watch.py [--seed N] [--blocks N] [--every N]
 """
@@ -42,17 +49,22 @@ from tests.text.bench_text import WORKLOADS, TextGenerator  # noqa: E402
 BLOCK_INGESTS = 100
 #: one ingest in this many is preceded by an ``advance_time`` call
 ADVANCE_EVERY = 8
+#: stale ids the cold records may hold, per record (see the module docstring)
+MAX_STALE_PER_COLD_RECORD = 5
 
 
 def counts(service: MonitoringService) -> Dict[str, int]:
     engine = service.engine
     index = engine.index
     trees = index._trees.values()
+    valid = index.documents._documents
     return {
         "trees": len(trees),
         "empty_trees": sum(1 for tree in trees if not len(tree)),
         "ordered_postings": sum(len(inverted_list) for inverted_list in index._lists.values()),
         "cold_records": len(index._cold),
+        "cold_ids": sum(map(len, index._cold.values())),
+        "stale_cold_ids": sum(doc_id not in valid for ids in index._cold.values() for doc_id in ids),
         "live_query_terms": len(
             {term for state in engine._states.values() for term in state.query.weights}
         ),
@@ -113,11 +125,15 @@ def main(argv: List[str]) -> int:
     failures = []
     for row in rows:
         print(f"after {row['blocks']:>3} blocks: {row['trees']:>6,} trees, {row['empty_trees']:>6,} empty, "
-              f"{row['ordered_postings']:>7,} ordered postings, {row['cold_records']:>6,} cold records, "
+              f"{row['ordered_postings']:>7,} ordered postings, {row['cold_records']:>6,} cold records "
+              f"({row['cold_ids']:>7,} ids, {row['stale_cold_ids']:>6,} stale), "
               f"{row['live_query_terms']:>6,} live query terms")
         if row["empty_trees"] or row["trees"] != row["live_query_terms"]:
             failures.append(f"after {row['blocks']} blocks: {row['trees']:,} trees, {row['empty_trees']:,} "
                             f"empty, for {row['live_query_terms']:,} live query terms")
+        if row["stale_cold_ids"] > MAX_STALE_PER_COLD_RECORD * row["cold_records"]:
+            failures.append(f"after {row['blocks']} blocks: {row['stale_cold_ids']:,} stale ids in "
+                            f"{row['cold_records']:,} cold records (at most {MAX_STALE_PER_COLD_RECORD} each)")
     print(json.dumps(rows))
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)

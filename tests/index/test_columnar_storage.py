@@ -370,9 +370,14 @@ class TestVirtualColdLists:
         assert index.list_lengths() == {10: 1, 23: 1}  # ...and nothing stale is read
         assert sorted(index.terms()) == [10, 23]
         index.check_invariants()
-        # the next arrival of the term drops the expired head of its record
+        # the next arrival of the term only appends to its record...
         index.insert_document(streamed(4, {10: 0.25}))
-        assert index._cold[10] == [3, 4]
+        assert index._cold[10] == [1, 2, 3, 4]
+        # ...until an append brings its length to a multiple of 16, which
+        # drops the expired head
+        for doc_id in range(5, 17):
+            index.insert_document(streamed(doc_id, {10: 0.25}))
+        assert index._cold[10] == list(range(3, 17))
         # a term whose every document expired reads as absent
         assert index.existing_list(21) is None
         assert 21 not in index._cold
@@ -390,6 +395,74 @@ class TestVirtualColdLists:
         # due at twice what it leaves: garbage stays bounded
         assert len(index._cold) <= 2 * 3
         assert sorted(index.terms()) == [139, 140]
+
+    def test_a_reused_id_reads_as_the_document_that_holds_it_now(self):
+        index = InvertedIndex("columnar")
+        index.insert_document(streamed(1, {10: 0.5}))
+        index.insert_document(streamed(2, {10: 0.5, 11: 1.0}))
+        index.remove_document(1)
+        index.remove_document(2)
+        index.insert_document(streamed(1, {10: 0.25}))  # id 1 again, with the term
+        index.insert_document(streamed(2, {11: 0.5}))  # id 2 again, without it
+        index.check_invariants()
+        assert index._cold[10] == [1, 2, 1]
+        assert index.list_lengths() == {10: 1, 11: 1}
+        # the 16th append checks the head, which stops at the first valid
+        # id: the reused id 1 keeps both stale places in the record, and
+        # readers count document 1 once and skip document 2
+        for doc_id in range(3, 16):
+            index.insert_document(streamed(doc_id, {10: 0.125}))
+        assert index._cold[10] == [1, 2, 1, *range(3, 16)]
+        assert index.list_lengths() == {10: 14, 11: 1}
+        index.check_invariants()
+        assert index.existing_list(10).to_pairs() == [(1, 0.25)] + [(doc_id, 0.125) for doc_id in range(3, 16)]
+        index.check_invariants()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        stream=st.lists(st.sets(st.integers(10, 13), max_size=3), min_size=1, max_size=80),
+    )
+    def test_no_record_is_ever_left_empty(self, window, stream):
+        """Index and kernel alike: every record holds at least one id (the
+        sweep reads ``ids[-1]``), and readers see what an eager index holds."""
+        eager = InvertedIndex("bisect")
+        virtual = InvertedIndex("columnar")
+        engine = ITAEngine(CountBasedWindow(window), storage="columnar")
+        for doc_id, terms in enumerate(stream):
+            document = streamed(doc_id, {term: 0.5 for term in terms} or {99: 1.0})
+            for index in (eager, virtual):  # expire first, as the window does
+                if doc_id >= window:
+                    index.remove_document(doc_id - window)
+                index.insert_document(document)
+            engine.process_batch_events([document])
+            for index in (virtual, engine.index):
+                assert all(index._cold.values())
+                assert index.list_lengths() == eager.list_lengths()
+                index.check_invariants()
+            assert virtual._cold == engine.index._cold
+
+    def test_a_term_is_promoted_whole_after_a_long_stale_run(self):
+        engine = ITAEngine(CountBasedWindow(3), storage="columnar")
+        reference = ITAEngine(CountBasedWindow(3))
+        # term 10 in 40 documents, then in none for 20: its record's head
+        # goes unchecked for up to 15 appends, then all of it is stale
+        for doc_id in range(60):
+            weights = {10: 0.1 + doc_id / 100, 11: 0.5} if doc_id < 40 else {11: 0.5}
+            for target in (engine, reference):
+                target.process_batch_events([make_document(doc_id, weights)])
+        assert 10 in engine.index._cold
+        assert engine.index.existing_list(10) is None and 10 not in engine.index._cold
+        for doc_id in range(60, 62):
+            for target in (engine, reference):
+                target.process_batch_events([make_document(doc_id, {10: 0.25 + doc_id / 1000})])
+        query = ContinuousQuery(query_id=1, weights={10: 1.0}, k=2)
+        for target in (engine, reference):
+            target.register_query(query)
+        assert engine.current_result(1) == reference.current_result(1)
+        assert [entry.doc_id for entry in engine.current_result(1)] == [61, 60]
+        assert engine.index._lists[10].to_pairs() == reference.index.existing_list(10).to_pairs()
+        engine.index.check_invariants()
 
     def test_existing_list_rebuilds_cold_postings_on_demand(self):
         eager = InvertedIndex("bisect")

@@ -7,11 +7,12 @@ import pytest
 from repro.core.engine import ITAEngine
 from repro.cluster.engine import ShardedEngine
 from repro.documents.corpus import InMemoryCorpus
-from repro.documents.document import Document
+from repro.documents.document import CompositionList, Document
 from repro.documents.stream import DocumentStream, FixedRateArrivalProcess
 from repro.documents.window import CountBasedWindow
 from repro.exceptions import (
     ConfigurationError,
+    DocumentError,
     ServiceError,
     UnknownQueryError,
 )
@@ -468,3 +469,80 @@ class TestTimeBasedService:
         [alert] = list(handle.changes())
         assert alert.document is None
         assert handle.result() == []
+
+
+class TestRefusedIngest:
+    """A refused ingest changes nothing: not the engine, the id counter or the clock."""
+
+    @staticmethod
+    def huge_document():
+        return Document(doc_id=2**63, composition=CompositionList({0: 1.0}))
+
+    @staticmethod
+    def stamps(service):
+        return service._next_doc_id, service.clock
+
+    @pytest.mark.parametrize("storage", ["columnar", "bisect"])
+    def test_an_id_outside_int64_is_refused_before_anything_changes(self, storage):
+        service = MonitoringService(EngineSpec(window=WindowSpec.count(3), storage=storage))
+        service.ingest("markets rally now")
+        handle = service.subscribe("markets", k=2)
+        before, window = self.stamps(service), list(service.window)
+        with pytest.raises(DocumentError, match="int64"):
+            service.ingest(self.huge_document())
+        assert self.stamps(service) == before
+        assert list(service.window) == window
+        service.ingest("markets again")
+        service.ingest("other words")
+        assert doc_ids(handle.result()) == [1, 0]
+        service.engine.index.check_invariants()
+
+    def test_a_durable_service_refuses_it_and_keeps_ingesting(self, tmp_path):
+        service = MonitoringService.open(tmp_path, EngineSpec(window=WindowSpec.count(3)))
+        service.ingest("markets rally now")
+        handle = service.subscribe("markets", k=2)
+        before = self.stamps(service)
+        with pytest.raises(DocumentError, match="int64"):
+            service.ingest(self.huge_document())
+        assert self.stamps(service) == before
+        service.ingest("markets again")
+        assert doc_ids(handle.result()) == [1, 0]
+        results = service.results()
+        service.close()
+        with MonitoringService.open(tmp_path) as recovered:
+            assert recovered.results() == results
+            assert self.stamps(recovered) == (2, 2.0)
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [(["markets up", 5], ConfigurationError), (["markets up", Document(2**63, CompositionList({0: 1.0}))], DocumentError)],
+        ids=["not-ingestible", "outside-int64"],
+    )
+    def test_a_refused_list_gives_back_its_ids_and_times(self, source, error):
+        service = MonitoringService(EngineSpec(window=WindowSpec.count(3)))
+        service.ingest("markets rally now", at=5.0)
+        before = self.stamps(service)
+        with pytest.raises(error):
+            service.ingest(source)
+        assert self.stamps(service) == before == (1, 5.0)
+        service.ingest("markets up")
+        assert [streamed.doc_id for streamed in service.window] == [0, 1]
+        assert service.clock == 6.0
+
+    def test_the_async_facade_refuses_it_and_keeps_ingesting(self, tmp_path):
+        import asyncio
+
+        service = MonitoringService.open(tmp_path, EngineSpec(window=WindowSpec.count(3)))
+
+        async def scenario():
+            async with service.serve() as facade:
+                await facade.ingest("markets rally now")
+                handle = await facade.subscribe("markets", k=2)
+                with pytest.raises(DocumentError, match="int64"):
+                    await facade.ingest(self.huge_document())
+                assert self.stamps(service) == (1, 1.0)
+                await facade.ingest("markets again")
+                return handle.result()
+
+        assert doc_ids(asyncio.run(scenario())) == [1, 0]
+        service.close()

@@ -9,10 +9,16 @@ document and the share of tokens that hit, with the table's entries at the
 end -- for the ``text_heavy`` shape (more surface forms than the table
 holds) and the news shape of the other five workloads.
 
+It also splits every one of those texts with the tokenizer, whose fast
+path (ASCII text without an apostrophe: ``str.translate``, then
+``str.split``) must give exactly the regex's ``findall`` tokens, and prints
+the tokens that differ and the share of texts that took the fast path.
+
 The counts do not depend on the host or on ``PYTHONHASHSEED``, so they are
 checked on every run: it exits non-zero unless ``text_heavy`` misses at most
-``MAX_TEXT_HEAVY_MISSES`` per document and the news table holds at most
-``MAX_NEWS_ENTRIES`` entries.  ``PYTHONPATH`` wins over this checkout's
+``MAX_TEXT_HEAVY_MISSES`` per document, the news table holds at most
+``MAX_NEWS_ENTRIES`` entries and no fast-path token differs from
+``findall``.  ``PYTHONPATH`` wins over this checkout's
 ``src/``, so the same script reads another commit's analyzer.
 
     python tests/text/bench_surface.py [--seed N] [--warm N] [--documents N]
@@ -32,22 +38,36 @@ if __name__ == "__main__":  # run as a script: no install, and PYTHONPATH's repr
     sys.path.append(str(ROOT / "src"))
 
 from repro.text.analyzer import Analyzer  # noqa: E402
+from repro.text.tokenizer import RegexTokenizer  # noqa: E402
 from tests.text.bench_text import NEWS, TEXT_HEAVY, TextGenerator  # noqa: E402
 
 MAX_TEXT_HEAVY_MISSES = 45.0
 MAX_NEWS_ENTRIES = 15_000
 
 
+def differing_tokens(tokenizer: RegexTokenizer, text: str) -> int:
+    """Tokens of ``text`` where ``tokenizer.words`` and the regex disagree."""
+    words, matches = tokenizer.words(text), tokenizer._WORD_RE.findall(text)
+    return sum(word != match for word, match in zip(words, matches)) + abs(len(words) - len(matches))
+
+
 def measure(shape, seed: int, warm: int, documents: int) -> Dict[str, float]:
     """One analyzer over ``warm`` then ``documents`` texts of ``shape``."""
     generator = TextGenerator(seed, shape)
     analyzer = Analyzer()
-    for text in generator.documents(warm):
+    tokenizer = analyzer.tokenizer
+    differing = fast = 0
+    texts = generator.documents(warm)
+    for text in texts:
         analyzer.term_frequencies(text)
     before = analyzer.surface_table_stats()
-    for text in generator.documents(documents):
+    texts += generator.documents(documents)
+    for text in texts[warm:]:
         analyzer.term_frequencies(text)
     after = analyzer.surface_table_stats()
+    for text in texts:
+        differing += differing_tokens(tokenizer, text)
+        fast += text.isascii() and "'" not in text
     misses = after["misses"] - before["misses"]
     tokens = after["tokens"] - before["tokens"]
     return {
@@ -55,6 +75,8 @@ def measure(shape, seed: int, warm: int, documents: int) -> Dict[str, float]:
         "hit_share": round(1 - misses / tokens, 4),
         "entries": after["entries"],
         "capacity": after["capacity"],
+        "differing_tokens": differing,
+        "fast_path_share": round(fast / len(texts), 4),
     }
 
 
@@ -71,7 +93,8 @@ def main(argv: List[str]) -> int:
     }
     for name, row in report.items():
         print(f"{name:>10}: {row['misses_per_doc']:6.2f} misses/doc, {row['hit_share']:.1%} of tokens hit, "
-              f"{row['entries']:,} of {row['capacity']:,} entries")
+              f"{row['entries']:,} of {row['capacity']:,} entries; {row['fast_path_share']:.1%} of texts "
+              f"split without the regex, {row['differing_tokens']} tokens differ from findall")
     print(json.dumps(report))
     failures = []
     if report["text_heavy"]["misses_per_doc"] > MAX_TEXT_HEAVY_MISSES:
@@ -80,6 +103,9 @@ def main(argv: List[str]) -> int:
     if report["news"]["entries"] > MAX_NEWS_ENTRIES:
         failures.append(f"the news table holds {report['news']['entries']:,} entries "
                         f"(at most {MAX_NEWS_ENTRIES:,})")
+    for name, row in report.items():
+        if row["differing_tokens"]:
+            failures.append(f"{name}: {row['differing_tokens']} tokens differ from findall (must be 0)")
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
